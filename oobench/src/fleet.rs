@@ -9,8 +9,6 @@
 //! Session arrivals inside a call follow the call's seeded open-loop
 //! schedule.
 
-use std::time::Instant;
-
 use oovr::gpu::{FaultPlan, FaultScenario, FrameReport, GpuConfig};
 use oovr::scene::{benchmarks, BenchmarkSpec};
 use oovr_edge::{simulate_edge, Display, EdgeConfig, EdgeOutcome, LinkConfig};
@@ -22,7 +20,7 @@ use oovr_serve::{
 };
 
 use crate::span::{span, Spans};
-use crate::stats::{fingerprint_debug, geomean, Fnv};
+use crate::stats::{fingerprint_debug, geomean, CpuTimer, Fnv};
 use crate::{OpOut, Sim, Workload};
 
 /// Workload scale of every serving scene.
@@ -47,24 +45,43 @@ const SEED_SCAN: u64 = 64;
 const SCHEMES: [ServeScheme; 3] =
     [ServeScheme::OoVr, ServeScheme::OoVrShed, ServeScheme::OoVrTemporal];
 
+/// Session-seed variants of each scheduler call (`simulate` OO-VR and
+/// OO-VR+shed, `simulate_cluster`, `simulate_edge`) per scene. These calls
+/// take 0.5–10 ms; one seed each would leave `op_ms_p50` resting on a
+/// single one of them, which moved it by 16% of its median between runs of
+/// the same code. Temporal calls take up to 2 s and run once.
+const VARIANTS: u64 = 4;
+
+/// Multiplier that spreads variant numbers over the seed bits; variant 0
+/// keeps the workload seed.
+const VARIANT_SALT: u64 = 0x9e37_79b9_7f4a_7c15;
+
 #[derive(Debug, Clone, Copy)]
 enum Kind {
-    Serve(usize),
-    Cluster,
-    Edge,
+    /// Entry of [`SCHEMES`], variant.
+    Serve(usize, usize),
+    Cluster(usize),
+    Edge(usize),
 }
 
 /// One serving scene with every tier's configuration.
 struct Target {
     spec: BenchmarkSpec,
-    /// `(scheme, config, probed capacity)` per entry of [`SCHEMES`].
-    serve: Vec<(ServeScheme, ServeConfig, u32)>,
+    /// Probed capacity per entry of [`SCHEMES`].
+    caps: Vec<u32>,
     mix: Vec<(ServeScheme, BenchmarkSpec)>,
-    cluster: ClusterConfig,
     cluster_cap: u32,
-    edge: EdgeConfig,
+    variants: Vec<Variant>,
     /// Steady frames of the Baseline and OO-VR cost streams.
     steady: (FrameReport, FrameReport),
+}
+
+/// The calls of one session-seed variant.
+struct Variant {
+    /// Config per entry of [`SCHEMES`].
+    serve: Vec<ServeConfig>,
+    cluster: ClusterConfig,
+    edge: EdgeConfig,
 }
 
 /// Simulated statistics one op returned.
@@ -145,23 +162,8 @@ impl Fleet {
                 seed: ServeConfig::default().seed ^ seed,
                 ..ServeConfig::default()
             };
-            // A session holds its budget for `FRAMES + 2` intervals, so
-            // this arrival gap keeps `OVERLOAD × capacity` sessions in
-            // flight; `OVERLOAD + 1` capacities of arrivals outlast one
-            // session lifetime.
-            let serve: Vec<(ServeScheme, ServeConfig, u32)> = SCHEMES
-                .iter()
-                .map(|&scheme| {
-                    let cap = capacity(scheme, &spec, &gpu, &probe).max(1);
-                    let cfg = ServeConfig {
-                        sessions: (OVERLOAD + 1) * cap,
-                        mean_interarrival: (u64::from(FRAMES + 2) * v / u64::from(OVERLOAD * cap))
-                            .max(2),
-                        ..probe.clone()
-                    };
-                    (scheme, cfg, cap)
-                })
-                .collect();
+            let caps: Vec<u32> =
+                SCHEMES.iter().map(|&s| capacity(s, &spec, &gpu, &probe).max(1)).collect();
             let mix = vec![(ServeScheme::OoVr, spec.clone())];
             let nominal = ClusterConfig {
                 servers: SERVERS,
@@ -172,38 +174,66 @@ impl Fleet {
             let cluster_cap =
                 cluster_capacity(&mix, &gpu, SERVERS, Placement::LeastLoaded, &nominal).max(1);
             let horizon = u64::from(nominal.arrival_intervals + FRAMES + 2) * v;
-            let cluster = ClusterConfig {
-                sessions: OVERLOAD * cluster_cap,
-                fault: Some(link_down_plan(nominal.seed, SERVERS as usize, horizon)),
-                ..nominal
-            };
-            let oovr = serve[0].1.clone();
-            let edge_horizon = u64::from(oovr.sessions.saturating_sub(1))
-                * (oovr.mean_interarrival * 3 / 2)
-                + u64::from(FRAMES + 2) * v;
-            let edge = EdgeConfig {
-                link: LinkConfig {
-                    fault: Some(link_down_plan(oovr.seed, 2, edge_horizon)),
-                    ..LinkConfig::default()
-                },
-                serve: oovr,
-                ..EdgeConfig::default()
-            };
+            let variants = (0..VARIANTS)
+                .map(|k| {
+                    let seed = seed ^ k.wrapping_mul(VARIANT_SALT);
+                    // A session holds its budget for `FRAMES + 2` intervals,
+                    // so this arrival gap keeps `OVERLOAD × capacity`
+                    // sessions in flight; `OVERLOAD + 1` capacities of
+                    // arrivals outlast one session lifetime.
+                    let serve: Vec<ServeConfig> = caps
+                        .iter()
+                        .map(|&cap| ServeConfig {
+                            sessions: (OVERLOAD + 1) * cap,
+                            mean_interarrival: (u64::from(FRAMES + 2) * v
+                                / u64::from(OVERLOAD * cap))
+                            .max(2),
+                            seed: ServeConfig::default().seed ^ seed,
+                            ..probe.clone()
+                        })
+                        .collect();
+                    let cluster_seed = ClusterConfig::default().seed ^ seed;
+                    let cluster = ClusterConfig {
+                        sessions: OVERLOAD * cluster_cap,
+                        seed: cluster_seed,
+                        fault: Some(link_down_plan(cluster_seed, SERVERS as usize, horizon)),
+                        ..nominal.clone()
+                    };
+                    let oovr = serve[0].clone();
+                    let edge_horizon = u64::from(oovr.sessions.saturating_sub(1))
+                        * (oovr.mean_interarrival * 3 / 2)
+                        + u64::from(FRAMES + 2) * v;
+                    let edge = EdgeConfig {
+                        link: LinkConfig {
+                            fault: Some(link_down_plan(oovr.seed, 2, edge_horizon)),
+                            ..LinkConfig::default()
+                        },
+                        serve: oovr,
+                        ..EdgeConfig::default()
+                    };
+                    Variant { serve, cluster, edge }
+                })
+                .collect();
             targets.push(Target {
                 spec,
-                serve,
+                caps,
                 mix,
-                cluster,
                 cluster_cap,
-                edge,
+                variants,
                 steady: (steady[0].clone(), steady[1].clone()),
             });
         }
         let mut ops = Vec::new();
         for t in 0..targets.len() {
-            ops.extend((0..SCHEMES.len()).map(|i| (t, Kind::Serve(i))));
-            ops.push((t, Kind::Cluster));
-            ops.push((t, Kind::Edge));
+            for k in 0..VARIANTS as usize {
+                for (i, scheme) in SCHEMES.iter().enumerate() {
+                    if k == 0 || !scheme.temporal() {
+                        ops.push((t, Kind::Serve(i, k)));
+                    }
+                }
+                ops.push((t, Kind::Cluster(k)));
+                ops.push((t, Kind::Edge(k)));
+            }
         }
         let n = ops.len();
         Fleet { gpu, targets, ops, first: vec![None; n] }
@@ -383,22 +413,21 @@ impl Workload for Fleet {
         let (t, kind) = self.ops[op];
         let t = &self.targets[t];
         match kind {
-            Kind::Serve(i) => {
-                let (scheme, cfg, cap) = &t.serve[i];
-                format!(
-                    "simulate {} {} ({} sessions, capacity {cap})",
-                    scheme.label(),
-                    t.spec.name,
-                    cfg.sessions
-                )
-            }
-            Kind::Cluster => format!(
-                "simulate_cluster {} ({} sessions, capacity {})",
-                t.spec.name, t.cluster.sessions, t.cluster_cap
+            Kind::Serve(i, k) => format!(
+                "simulate {} {} #{k} ({} sessions, capacity {})",
+                SCHEMES[i].label(),
+                t.spec.name,
+                t.variants[k].serve[i].sessions,
+                t.caps[i]
             ),
-            Kind::Edge => {
-                format!("simulate_edge {} ({} sessions)", t.spec.name, t.edge.serve.sessions)
-            }
+            Kind::Cluster(k) => format!(
+                "simulate_cluster {} #{k} ({} sessions, capacity {})",
+                t.spec.name, t.variants[k].cluster.sessions, t.cluster_cap
+            ),
+            Kind::Edge(k) => format!(
+                "simulate_edge {} #{k} ({} sessions)",
+                t.spec.name, t.variants[k].edge.serve.sessions
+            ),
         }
     }
 
@@ -409,33 +438,34 @@ impl Workload for Fleet {
         let t = &self.targets[ti];
         let gpu = &self.gpu;
         let mut failures = Vec::new();
-        let start = Instant::now();
+        let start = CpuTimer::start();
         let (secs, fingerprint, summary) = match kind {
-            Kind::Serve(i) => {
-                let (scheme, cfg, _) = &t.serve[i];
+            Kind::Serve(i, k) => {
+                let (scheme, cfg) = (&SCHEMES[i], &t.variants[k].serve[i]);
                 let name = if scheme.temporal() { "temporal.simulate" } else { "serve.simulate" };
                 let out = span(&mut spans, name, || simulate(*scheme, &t.spec, gpu, cfg, None));
-                let secs = start.elapsed().as_secs_f64();
+                let secs = start.secs();
                 let (fp, mut s) = Self::serve_summary(&out, cfg, &mut failures);
                 if traced && scheme.temporal() {
                     s.reuse = Some(Self::reuse_fraction(&out, cfg));
                 }
                 (secs, fp, s)
             }
-            Kind::Cluster => {
+            Kind::Cluster(k) => {
                 let out = span(&mut spans, "cluster.simulate", || {
-                    simulate_cluster(&t.mix, gpu, &t.cluster, None)
+                    simulate_cluster(&t.mix, gpu, &t.variants[k].cluster, None)
                 });
-                let secs = start.elapsed().as_secs_f64();
+                let secs = start.secs();
                 let (fp, s) = Self::cluster_summary(&out, &mut failures);
                 (secs, fp, s)
             }
-            Kind::Edge => {
+            Kind::Edge(k) => {
+                let cfg = &t.variants[k].edge;
                 let out = span(&mut spans, "edge.simulate", || {
-                    simulate_edge(ServeScheme::OoVr, &t.spec, gpu, &t.edge, None)
+                    simulate_edge(ServeScheme::OoVr, &t.spec, gpu, cfg, None)
                 });
-                let secs = start.elapsed().as_secs_f64();
-                let (fp, s) = Self::edge_summary(&out, &t.edge, &mut failures);
+                let secs = start.secs();
+                let (fp, s) = Self::edge_summary(&out, cfg, &mut failures);
                 (secs, fp, s)
             }
         };
@@ -479,13 +509,17 @@ impl Workload for Fleet {
         for t in &self.targets {
             h.u64(fingerprint_debug(&t.steady.0));
             h.u64(fingerprint_debug(&t.steady.1));
-            for (_, cfg, cap) in &t.serve {
-                h.u64(u64::from(*cap));
-                h.u64(cfg.mean_interarrival);
+            for &cap in &t.caps {
+                h.u64(u64::from(cap));
             }
             h.u64(u64::from(t.cluster_cap));
-            h.u64(fingerprint_debug(&t.cluster.fault));
-            h.u64(fingerprint_debug(&t.edge.link.fault));
+            for v in &t.variants {
+                for cfg in &v.serve {
+                    h.u64(cfg.mean_interarrival);
+                }
+                h.u64(fingerprint_debug(&v.cluster.fault));
+                h.u64(fingerprint_debug(&v.edge.link.fault));
+            }
         }
         h.finish()
     }
@@ -495,9 +529,9 @@ impl Workload for Fleet {
         let total = |of: fn(&Kind) -> bool, field: fn(&Summary) -> u64| {
             self.pass().filter(|(k, _)| of(k)).map(|(_, s)| field(s)).sum::<u64>() as f64
         };
-        let serve = |k: &Kind| matches!(k, Kind::Serve(_));
-        let cluster = |k: &Kind| matches!(k, Kind::Cluster);
-        let edge = |k: &Kind| matches!(k, Kind::Edge);
+        let serve = |k: &Kind| matches!(k, Kind::Serve(..));
+        let cluster = |k: &Kind| matches!(k, Kind::Cluster(_));
+        let edge = |k: &Kind| matches!(k, Kind::Edge(_));
         let reuse: Vec<f64> = self.pass().filter_map(|(_, s)| s.reuse).collect();
         vec![
             ("serve.admitted", total(serve, |s| s.admitted)),
@@ -526,15 +560,15 @@ impl Workload for Fleet {
         let (mut plain, mut metered) = (0.0, 0.0);
         let mut failures = Vec::new();
         for t in &self.targets {
-            let (scheme, cfg, _) = &t.serve[0];
+            let (scheme, cfg) = (&SCHEMES[0], &t.variants[0].serve[0]);
             for _ in 0..3 {
-                let start = Instant::now();
+                let start = CpuTimer::start();
                 let a = simulate(*scheme, &t.spec, &self.gpu, cfg, None);
-                plain += start.elapsed().as_secs_f64();
+                plain += start.secs();
                 let mut reg = Registry::new(cfg.vsync_cycles);
-                let start = Instant::now();
+                let start = CpuTimer::start();
                 let b = simulate_metered(*scheme, &t.spec, &self.gpu, cfg, None, Some(&mut reg));
-                metered += start.elapsed().as_secs_f64();
+                metered += start.secs();
                 let mut ignore = Vec::new();
                 if Self::serve_summary(&a, cfg, &mut ignore).0
                     != Self::serve_summary(&b, cfg, &mut ignore).0
@@ -552,17 +586,19 @@ impl Workload for Fleet {
             self.mtp_p99_ms()
         )];
         for t in &self.targets {
-            let caps: Vec<String> = t
-                .serve
+            let v = &t.variants[0];
+            let caps: Vec<String> = SCHEMES
                 .iter()
-                .map(|(s, c, cap)| format!("{} {cap} (offered {})", s.label(), c.sessions))
+                .zip(&t.caps)
+                .zip(&v.serve)
+                .map(|((s, cap), c)| format!("{} {cap} (offered {})", s.label(), c.sessions))
                 .collect();
             out.push(format!(
                 "capacity {}: {}, cluster x{SERVERS} {} (offered {})",
                 t.spec.name,
                 caps.join(", "),
                 t.cluster_cap,
-                t.cluster.sessions
+                v.cluster.sessions
             ));
         }
         out

@@ -1,12 +1,12 @@
 //! End-to-end and per-layer benchmark of the OO-VR reproduction.
 //!
 //! ```text
-//! oobench --workload <render-paper|render-faulted|serve-fleet> --seed <n>
+//! oobench --workload <render|serve-fleet> --seed <n>
 //!         --seconds <s> --trace <0|1>
 //! ```
 //!
 //! One process runs one workload on one thread, calling ops one after
-//! another (a closed loop with one caller) in whole passes until
+//! another (a closed loop with one caller) in passes until
 //! `--seconds` have elapsed. Every op's output is checked, and the last
 //! line of standard output is a JSON object with the end-to-end metrics
 //! (`--trace 0`) or the per-layer metrics of a traced run (`--trace 1`).
@@ -21,9 +21,10 @@ use std::process::{Command, ExitCode, Stdio};
 use std::time::Instant;
 
 use span::Spans;
+use stats::CpuTimer;
 
 /// Workload names, in the order `BENCHMARK.json` lists them.
-const WORKLOADS: [&str; 3] = ["render-paper", "render-faulted", "serve-fleet"];
+const WORKLOADS: [&str; 2] = ["render", "serve-fleet"];
 
 /// Set-ups per measured run; `setup_s` is their median. All but one run
 /// in fresh child processes, so process-wide memo tables start empty each
@@ -31,11 +32,10 @@ const WORKLOADS: [&str; 3] = ["render-paper", "render-faulted", "serve-fleet"];
 const SETUP_REPEATS: usize = 3;
 
 /// End-to-end metrics: name, unit.
-const END_TO_END: [(&str, &str); 8] = [
+const END_TO_END: [(&str, &str); 7] = [
     ("setup_s", "s"),
     ("frames_per_s", "1/s"),
     ("op_ms_p50", "ms"),
-    ("op_ms_p90", "ms"),
     ("peak_rss_mb", "MiB"),
     ("sim_speedup_geomean", "x"),
     ("sim_link_bytes_ratio", "ratio"),
@@ -154,7 +154,7 @@ struct Args {
     setup_only: bool,
 }
 
-const USAGE: &str = "usage: oobench --workload <render-paper|render-faulted|serve-fleet> \
+const USAGE: &str = "usage: oobench --workload <render|serve-fleet> \
                      --seed <n> --seconds <s> --trace <0|1> [--setup-only]";
 
 fn parse_args() -> Result<Args, String> {
@@ -197,8 +197,7 @@ fn parse_args() -> Result<Args, String> {
 
 fn setup(workload: &str, seed: u64, spans: Option<&mut Spans>) -> Box<dyn Workload> {
     match workload {
-        "render-paper" => Box::new(render::Render::setup(false, seed, spans)),
-        "render-faulted" => Box::new(render::Render::setup(true, seed, spans)),
+        "render" => Box::new(render::Render::setup(seed, spans)),
         _ => Box::new(fleet::Fleet::setup(seed, spans)),
     }
 }
@@ -273,8 +272,10 @@ impl Ledger {
     }
 
     /// Each op's fastest host seconds over its repeats. Other load on the
-    /// host only ever adds time, in bursts that can last a whole run; the
-    /// fastest repeat of each op is the estimate such bursts move least.
+    /// host only ever slows an op, even in CPU time (it contends for
+    /// caches, memory and clock speed), in spells that last seconds to
+    /// minutes; the fastest repeat of each op is the estimate such spells
+    /// move least.
     fn op_best(&self) -> Vec<f64> {
         self.secs.iter().map(|s| s.iter().copied().fold(f64::INFINITY, f64::min)).collect()
     }
@@ -343,9 +344,10 @@ fn json(correct: bool, attempted: usize, failed: u64, metrics: &[(&str, f64, &st
     )
 }
 
-/// Runs whole passes until `seconds` have elapsed. With `spans`, each
-/// plain pass is followed by a traced one, recorded in the second ledger
-/// along with each traced op's span coverage.
+/// Runs passes until `seconds` have elapsed: the first pass whole, the
+/// last one cut where time runs out. With `spans`, each whole plain pass is
+/// followed by a traced one, recorded in the second ledger along with each
+/// traced op's span coverage. Returns the passes begun.
 fn run_passes(
     w: &mut dyn Workload,
     seconds: f64,
@@ -355,8 +357,13 @@ fn run_passes(
     let mut coverage = Vec::new();
     let mut passes = 0;
     let start = Instant::now();
-    while passes == 0 || start.elapsed().as_secs_f64() < seconds {
+    let out_of_time = || start.elapsed().as_secs_f64() >= seconds;
+    while passes == 0 || !out_of_time() {
+        passes += 1;
         for op in 0..w.ops() {
+            if passes > 1 && spans.is_none() && out_of_time() {
+                break;
+            }
             let (secs, out) = w.run(op, None);
             plain.record(w, op, secs, out);
         }
@@ -369,7 +376,6 @@ fn run_passes(
                 traced.record(w, op, secs, out);
             }
         }
-        passes += 1;
     }
     (plain, traced, coverage, passes)
 }
@@ -379,12 +385,14 @@ fn measured_run(args: &Args) -> Result<(), String> {
     for _ in 1..SETUP_REPEATS {
         setups.push(child_setup(args)?);
     }
-    let start = Instant::now();
+    let start = CpuTimer::start();
     let mut w = setup(args.workload, args.seed, None);
-    setups.push(start.elapsed().as_secs_f64());
+    setups.push(start.secs());
 
     let before = cache_counters();
+    let wall = Instant::now();
     let (ledger, _, _, passes) = run_passes(w.as_mut(), args.seconds, None);
+    let wall = wall.elapsed().as_secs_f64();
     let mut run_failures = Vec::new();
     cache_check(args.workload, before, cache_counters(), &mut run_failures);
 
@@ -395,7 +403,6 @@ fn measured_run(args: &Args) -> Result<(), String> {
         stats::median(&setups),
         ledger.frames_per_s(),
         stats::percentile(&ms, 50.0),
-        stats::percentile(&ms, 90.0),
         stats::peak_rss_mb().unwrap_or(0.0),
         sim.speedup_geomean,
         sim.link_bytes_ratio,
@@ -407,7 +414,7 @@ fn measured_run(args: &Args) -> Result<(), String> {
         }
     }
     println!(
-        "workload {} seed {} passes {passes} ops {} ({} per pass) measured {:.3} s",
+        "workload {} seed {} passes {passes} ops {} ({} per pass) measured {:.3} CPU s in {wall:.3} wall s",
         args.workload,
         args.seed,
         ledger.attempted(),
@@ -420,13 +427,25 @@ fn measured_run(args: &Args) -> Result<(), String> {
         .map(|p| format!("{:.4}", ledger.secs.iter().filter_map(|s| s.get(p)).sum::<f64>()))
         .collect();
     println!("pass host seconds [{}]", pass_list.join(", "));
+    for (op, s) in ledger.secs.iter().enumerate() {
+        println!(
+            "op {op:>3} best {:>12.4} ms median {:>12.4} ms of {:>4}  {}",
+            ms[op],
+            stats::median(s) * 1e3,
+            s.len(),
+            w.label(op)
+        );
+    }
     for (&(name, unit), v) in END_TO_END.iter().zip(values) {
         println!("{name:<22} {v:>14.6} {unit}");
     }
+    // Not in the JSON: with 18 to 90 ops a pass, fewer than ten op-bests
+    // lie beyond p90, so it moves with one or two ops' noise.
+    println!("{:<22} {:>14.6} ms", "op_ms_p90", stats::percentile(&ms, 90.0));
     let name = if args.workload == "serve-fleet" { "sim_frames_per_s" } else { "frames_per_s" };
     println!(
         "({name}: simulated frames per host second; op percentiles over the fastest repeat of {} ops \
-         x {passes} passes; over all {} samples: p50 {:.6} ms, p90 {:.6} ms)",
+         over {passes} passes; over all {} samples: p50 {:.6} ms, p90 {:.6} ms)",
         ms.len(),
         raw_ms.len(),
         stats::percentile(&raw_ms, 50.0),
@@ -521,9 +540,9 @@ fn main() -> ExitCode {
         }
     };
     if args.setup_only {
-        let start = Instant::now();
+        let start = CpuTimer::start();
         let w = setup(args.workload, args.seed, None);
-        println!("setup_s {}", start.elapsed().as_secs_f64());
+        println!("setup_s {}", start.secs());
         drop(w);
         return ExitCode::SUCCESS;
     }

@@ -1,13 +1,12 @@
-//! The `render-paper` and `render-faulted` workloads: fresh single-frame
-//! renders of the nine Table 3 scenes under Baseline and OO-VR.
+//! The `render` workload: fresh single-frame renders of the nine Table 3
+//! scenes under Baseline and OO-VR, fault-free and under the five fault
+//! scenarios.
 //!
 //! An op renders one frame in a fresh executor. Plain ops call
 //! `RenderScheme::render_frame`; traced ops compose the same OO-VR frame
 //! from the layers' public entry points (`Executor::new`, `build_batches`,
 //! `run_distribution`, `finish_frame`), each in a span, and must reproduce
 //! the plain report exactly.
-
-use std::time::Instant;
 
 use oovr::frameworks::{Baseline, RenderScheme};
 use oovr::gpu::{
@@ -20,19 +19,20 @@ use oovr::{build_batches, run_distribution, DistributionStats, OoVr};
 use oovr_trace::TraceConfig;
 
 use crate::span::{span, Spans};
-use crate::stats::{fingerprint_debug, geomean, mean, Fnv};
+use crate::stats::{fingerprint_debug, geomean, mean, CpuTimer, Fnv};
 use crate::{OpOut, Sim, Workload};
 
-/// Workload scale of every `render-paper` scene (fraction of Table 3's
+/// Workload scale of every fault-free scene (fraction of Table 3's
 /// resolution and triangle budget).
 pub const SCALE: f64 = 0.5;
 
-/// Workload scale of every `render-faulted` scene: its pass renders five
-/// times as many frames, and this scale fits three passes or more into a
-/// 20-second run, so each op's median has repeats to work with.
-pub const FAULTED_SCALE: f64 = 0.35;
+/// Workload scale of every faulted scene: a pass renders five times as
+/// many faulted frames as fault-free ones, and this scale keeps them to
+/// about 3 s of a 5.5 s pass, so every op repeats often enough in a run
+/// for its fastest repeat to fall outside the host's slow spells.
+pub const FAULTED_SCALE: f64 = 0.25;
 
-/// Fault severity of the `render-faulted` slice of the resilience sweep.
+/// Fault severity of the faulted slice of the resilience sweep.
 pub const SEVERITY: f64 = 0.5;
 
 /// Frame budget of the deadline monitor, relative to the scene's
@@ -66,60 +66,69 @@ struct Cell {
     deadline: u64,
 }
 
-/// State of a render workload after set-up.
+/// Simulated end-to-end figures of one set of (Baseline, OO-VR) pairs.
+struct PairSim {
+    speedup_geomean: f64,
+    link_bytes_ratio: f64,
+    on_time: usize,
+    pairs: usize,
+}
+
+/// State of the render workload after set-up.
 pub struct Render {
-    faulted: bool,
+    /// The nine scenes at [`SCALE`], then the nine at [`FAULTED_SCALE`].
     scenes: Vec<Scene>,
     /// Fault-free reports rendered at set-up: `(Baseline, OO-VR)` per scene.
     refs: Vec<(FrameReport, FrameReport)>,
+    /// Fault-free cells first, then faulted ones; each scene's Baseline
+    /// cell directly precedes its OO-VR one.
     cells: Vec<Cell>,
     /// First report of every op, in op order.
     first: Vec<Option<FrameReport>>,
     /// Distribution statistics of the first traced OO-VR op of each cell.
     dist: Vec<Option<DistributionStats>>,
-    /// Batches per traced OO-VR op.
+    /// Batches per traced fault-free OO-VR op.
     batches: Vec<f64>,
-    /// Host seconds of every plain and traced OO-VR op, for host time
-    /// per fragment.
+    /// Host nanoseconds and fragments of every fault-free OO-VR op, for
+    /// host time per fragment.
     oovr_ns: Vec<(f64, u64)>,
 }
 
 impl Render {
-    /// Builds the nine scenes (spec seeds XORed with `seed`) and renders
-    /// each fault-free under Baseline and OO-VR. Faulted cells take their
-    /// fault horizon from the Baseline reference and their deadline from
-    /// the OO-VR one, as the resilience sweep does.
-    pub fn setup(faulted: bool, seed: u64, mut spans: Option<&mut Spans>) -> Render {
+    /// Builds the nine scenes at both scales (spec seeds XORed with
+    /// `seed`) and renders each fault-free under Baseline and OO-VR.
+    /// Faulted cells take their fault horizon from the Baseline reference
+    /// and their deadline from the OO-VR one, as the resilience sweep does.
+    pub fn setup(seed: u64, mut spans: Option<&mut Spans>) -> Render {
         let gpu = GpuConfig::default();
         let mut scenes = Vec::new();
-        for spec in benchmarks::all() {
-            let mut spec = spec.scaled(if faulted { FAULTED_SCALE } else { SCALE });
-            spec.seed ^= seed;
-            scenes.push(span(&mut spans, "scene.build", || spec.build()));
+        for scale in [SCALE, FAULTED_SCALE] {
+            for spec in benchmarks::all() {
+                let mut spec = spec.scaled(scale);
+                spec.seed ^= seed;
+                scenes.push(span(&mut spans, "scene.build", || spec.build()));
+            }
         }
         let refs: Vec<(FrameReport, FrameReport)> = scenes
             .iter()
             .map(|s| (Baseline::new().render_frame(s, &gpu), OoVr::new().render_frame(s, &gpu)))
             .collect();
+        let nine = scenes.len() / 2;
         let mut cells = Vec::new();
-        for (si, (base, oovr)) in refs.iter().enumerate() {
+        for (si, (_, oovr)) in refs.iter().enumerate().take(nine) {
             let deadline = (oovr.frame_cycles as f64 * DEADLINE_FACTOR) as u64;
-            if !faulted {
-                for scheme in [Scheme::Baseline, Scheme::OoVr] {
-                    cells.push(Cell {
-                        scene: si,
-                        scheme,
-                        scenario: None,
-                        gpu: gpu.clone(),
-                        deadline,
-                    });
-                }
-                continue;
+            for scheme in [Scheme::Baseline, Scheme::OoVr] {
+                cells.push(Cell { scene: si, scheme, scenario: None, gpu: gpu.clone(), deadline });
             }
+        }
+        for (si, (base, oovr)) in refs.iter().enumerate().skip(nine) {
+            let deadline = (oovr.frame_cycles as f64 * DEADLINE_FACTOR) as u64;
             for (ci, &scenario) in FaultScenario::ALL.iter().enumerate() {
-                // The resilience sweep's per-cell plan seed, XORed with the
-                // workload seed.
-                let plan = FaultPlan::new(scenario, SEVERITY, (11 * ci as u64 + 3) ^ seed)
+                // One plan per scene and scenario, XORed with the workload
+                // seed: 45 independent plans keep the suite's geomeans from
+                // swinging with the few draws one plan per scenario makes.
+                let plan_seed = 11 * ci as u64 + 3 + 101 * (si - nine) as u64;
+                let plan = FaultPlan::new(scenario, SEVERITY, plan_seed ^ seed)
                     .with_horizon(base.frame_cycles.max(1));
                 let cfg = gpu.clone().with_fault(plan);
                 for scheme in [Scheme::Baseline, Scheme::OoVrRes] {
@@ -135,7 +144,6 @@ impl Render {
         }
         let n = cells.len();
         Render {
-            faulted,
             scenes,
             refs,
             cells,
@@ -156,12 +164,12 @@ impl Render {
     /// The plain op: one call to the scheme's `render_frame`.
     fn plain(&self, cell: &Cell) -> (f64, FrameReport) {
         let scene = &self.scenes[cell.scene];
-        let start = Instant::now();
+        let start = CpuTimer::start();
         let report = match cell.scheme {
             Scheme::Baseline => Baseline::new().render_frame(scene, &cell.gpu),
             _ => Self::oovr_for(cell).render_frame(scene, &cell.gpu),
         };
-        (start.elapsed().as_secs_f64(), report)
+        (start.secs(), report)
     }
 
     /// The traced op: the OO-VR frame composed from the layers' entry
@@ -172,12 +180,12 @@ impl Render {
         spans: &mut Spans,
     ) -> (f64, FrameReport, Option<(DistributionStats, usize)>) {
         let scene = &self.scenes[cell.scene];
-        let start = Instant::now();
+        let start = CpuTimer::start();
         if cell.scheme == Scheme::Baseline {
             let report = spans.time("frameworks.baseline_render", || {
                 Baseline::new().render_frame(scene, &cell.gpu)
             });
-            return (start.elapsed().as_secs_f64(), report, None);
+            return (start.secs(), report, None);
         }
         let oovr = Self::oovr_for(cell);
         let mut ex = spans.time("gpu.executor_new", || {
@@ -197,7 +205,7 @@ impl Render {
         let report = spans
             .time("gpu.compose", || ex.finish_frame(&mark, oovr.name(), Composition::Distributed));
         spans.time("gpu.executor_drop", || drop(ex));
-        let secs = start.elapsed().as_secs_f64();
+        let secs = start.secs();
         (secs, report, Some((stats, batches.len())))
     }
 
@@ -209,6 +217,36 @@ impl Render {
             .zip(self.first.chunks(2))
             .filter_map(|(c, r)| Some((r[0].as_ref()?, r[1].as_ref()?, &c[1])))
             .collect()
+    }
+
+    /// Speedup, link bytes and on-time OO-VR frames over the fault-free
+    /// (`faulted` false) or faulted pairs of the first pass. An OO-VR frame
+    /// is on time within the VR vsync budget fault-free, and within the
+    /// deadline monitor's budget under faults.
+    fn pair_sim(&self, faulted: bool) -> PairSim {
+        let pairs: Vec<_> =
+            self.pairs().into_iter().filter(|(_, _, c)| c.scenario.is_some() == faulted).collect();
+        let speedups: Vec<f64> =
+            pairs.iter().map(|(b, o, _)| b.frame_cycles as f64 / o.frame_cycles as f64).collect();
+        let bytes: Vec<f64> = pairs
+            .iter()
+            .map(|(b, o, _)| {
+                o.steady_inter_gpm_bytes().max(1) as f64 / b.steady_inter_gpm_bytes().max(1) as f64
+            })
+            .collect();
+        let on_time = pairs
+            .iter()
+            .filter(|(_, o, c)| {
+                let budget = if faulted { c.deadline } else { VR_DEADLINE_CYCLES };
+                o.frame_cycles <= budget
+            })
+            .count();
+        PairSim {
+            speedup_geomean: geomean(&speedups),
+            link_bytes_ratio: geomean(&bytes),
+            on_time,
+            pairs: pairs.len(),
+        }
     }
 }
 
@@ -237,11 +275,8 @@ impl Workload for Render {
         };
         let mut failures = Vec::new();
         let fingerprint = fingerprint_debug(&report);
-        if cell.scheme != Scheme::Baseline {
-            self.oovr_ns.push((secs * 1e9, report.counts.fragments));
-        }
+        let (base, oovr) = &self.refs[cell.scene];
         if cell.scenario.is_none() {
-            let (base, oovr) = &self.refs[cell.scene];
             let reference = if cell.scheme == Scheme::Baseline { base } else { oovr };
             if fingerprint != fingerprint_debug(reference) {
                 failures.push("report differs from the set-up render of the same frame".into());
@@ -252,8 +287,11 @@ impl Workload for Render {
                     report.counts.fragments, base.counts.fragments
                 ));
             }
+            if cell.scheme != Scheme::Baseline {
+                self.oovr_ns.push((secs * 1e9, report.counts.fragments));
+            }
         } else if cell.scheme == Scheme::Baseline
-            && report.counts.fragments != self.refs[cell.scene].0.counts.fragments
+            && report.counts.fragments != base.counts.fragments
         {
             failures.push("faults changed Baseline's fragment count".into());
         }
@@ -263,7 +301,9 @@ impl Workload for Render {
         if let Some((stats, batches)) = dist {
             if self.dist[op].is_none() {
                 self.dist[op] = Some(stats);
-                self.batches.push(batches as f64);
+                if cell.scenario.is_none() {
+                    self.batches.push(batches as f64);
+                }
             }
         }
         if self.first[op].is_none() {
@@ -272,29 +312,15 @@ impl Workload for Render {
         (secs, OpOut { frames: 1, fingerprint, failures })
     }
 
+    /// The fault-free pairs' speedup and link bytes (the paper's claim),
+    /// and on-time OO-VR frames over every pair, faulted ones included.
     fn sim(&self) -> Sim {
-        let pairs = self.pairs();
-        let speedups: Vec<f64> =
-            pairs.iter().map(|(b, o, _)| b.frame_cycles as f64 / o.frame_cycles as f64).collect();
-        let bytes: Vec<f64> = pairs
-            .iter()
-            .map(|(b, o, _)| {
-                o.steady_inter_gpm_bytes().max(1) as f64 / b.steady_inter_gpm_bytes().max(1) as f64
-            })
-            .collect();
-        // The OO-VR frame's deadline: the VR vsync budget fault-free, the
-        // deadline monitor's budget under faults.
-        let on_time = pairs
-            .iter()
-            .filter(|(_, o, c)| {
-                let budget = if self.faulted { c.deadline } else { VR_DEADLINE_CYCLES };
-                o.frame_cycles <= budget
-            })
-            .count();
+        let (clean, faulted) = (self.pair_sim(false), self.pair_sim(true));
         Sim {
-            speedup_geomean: geomean(&speedups),
-            link_bytes_ratio: geomean(&bytes),
-            goodput: on_time as f64 / pairs.len().max(1) as f64,
+            speedup_geomean: clean.speedup_geomean,
+            link_bytes_ratio: clean.link_bytes_ratio,
+            goodput: (clean.on_time + faulted.on_time) as f64
+                / (clean.pairs + faulted.pairs).max(1) as f64,
         }
     }
 
@@ -307,12 +333,25 @@ impl Workload for Render {
         h.finish()
     }
 
+    /// Distribution counts come from the faulted OO-VR+RES frames, where
+    /// the resilience branch works; every other count from the fault-free
+    /// OO-VR frames.
     fn layer_counts(&self) -> Vec<(&'static str, f64)> {
-        let dist: Vec<&DistributionStats> = self.dist.iter().flatten().collect();
+        let dist: Vec<&DistributionStats> = self
+            .dist
+            .iter()
+            .zip(&self.cells)
+            .filter_map(|(d, c)| d.as_ref().filter(|_| c.scenario.is_some()))
+            .collect();
         let d = |f: &dyn Fn(&DistributionStats) -> f64| {
             mean(&dist.iter().map(|s| f(s)).collect::<Vec<_>>())
         };
-        let oovr: Vec<&FrameReport> = self.pairs().into_iter().map(|(_, o, _)| o).collect();
+        let oovr: Vec<&FrameReport> = self
+            .pairs()
+            .into_iter()
+            .filter(|(_, _, c)| c.scenario.is_none())
+            .map(|(_, o, _)| o)
+            .collect();
         let r =
             |f: &dyn Fn(&FrameReport) -> f64| mean(&oovr.iter().map(|x| f(x)).collect::<Vec<_>>());
         let fragments: u64 = self.oovr_ns.iter().map(|&(_, f)| f).sum();
@@ -345,17 +384,18 @@ impl Workload for Render {
 
     fn overheads(&mut self) -> (Vec<(&'static str, f64)>, Vec<String>) {
         // `render_frame_traced` ÷ `render_frame` for fault-free OO-VR over
-        // every scene; the flight recorder must not change the report.
+        // the scenes at full workload scale; the flight recorder must not
+        // change the report.
         let gpu = GpuConfig::default();
         let (mut plain, mut traced) = (0.0, 0.0);
         let mut failures = Vec::new();
-        for scene in &self.scenes {
-            let start = Instant::now();
+        for scene in &self.scenes[..self.scenes.len() / 2] {
+            let start = CpuTimer::start();
             let a = OoVr::new().render_frame(scene, &gpu);
-            plain += start.elapsed().as_secs_f64();
-            let start = Instant::now();
+            plain += start.secs();
+            let start = CpuTimer::start();
             let (b, _) = OoVr::new().render_frame_traced(scene, &gpu, TraceConfig::default());
-            traced += start.elapsed().as_secs_f64();
+            traced += start.secs();
             if fingerprint_debug(&a) != fingerprint_debug(&b) {
                 failures.push(format!("render_frame_traced changed the {} report", scene.name()));
             }
@@ -364,22 +404,25 @@ impl Workload for Render {
     }
 
     fn notes(&self) -> Vec<String> {
-        let s = self.sim();
-        let mut out = Vec::new();
-        if self.faulted {
-            let misses = 1.0 - s.goodput;
-            out.push(format!("sim_deadline_miss_rate {misses:.6} ratio (OO-VR+RES frames over 1.25x their fault-free OO-VR budget)"));
-            return out;
-        }
-        let traffic_cut = 1.0 - s.link_bytes_ratio;
-        out.push(format!(
-            "paper: speedup {:.3}x vs 1.58x (rel. err {:+.1}%), traffic cut {:.1}% vs 76% (rel. err {:+.1}%)",
-            s.speedup_geomean,
-            (s.speedup_geomean / 1.58 - 1.0) * 100.0,
-            traffic_cut * 100.0,
-            (traffic_cut / 0.76 - 1.0) * 100.0
-        ));
-        out.push("paper: the synthetic-scene model is not validated against single workloads; compare only suite-level geomeans".into());
-        out
+        let (clean, faulted) = (self.pair_sim(false), self.pair_sim(true));
+        let traffic_cut = 1.0 - clean.link_bytes_ratio;
+        vec![
+            format!(
+                "sim_faulted_speedup_geomean {:.6} x (Baseline over OO-VR+RES cycles under faults)",
+                faulted.speedup_geomean
+            ),
+            format!(
+                "sim_deadline_miss_rate {:.6} ratio (OO-VR+RES frames over 1.25x their fault-free OO-VR budget)",
+                1.0 - faulted.on_time as f64 / faulted.pairs.max(1) as f64
+            ),
+            format!(
+                "paper: speedup {:.3}x vs 1.58x (rel. err {:+.1}%), traffic cut {:.1}% vs 76% (rel. err {:+.1}%)",
+                clean.speedup_geomean,
+                (clean.speedup_geomean / 1.58 - 1.0) * 100.0,
+                traffic_cut * 100.0,
+                (traffic_cut / 0.76 - 1.0) * 100.0
+            ),
+            "paper: the synthetic-scene model is not validated against single workloads; compare only suite-level geomeans".into(),
+        ]
     }
 }

@@ -8,14 +8,15 @@
 //! so the caller can check that spans account for the op's host time.
 
 use std::collections::BTreeMap;
-use std::time::Instant;
+
+use crate::stats::CpuTimer;
 
 /// Accumulated time and calls of one span name.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SpanTotal {
     /// Times the span was entered.
     pub calls: u64,
-    /// Summed duration in nanoseconds.
+    /// Summed duration in CPU nanoseconds.
     pub ns: u64,
 }
 
@@ -40,9 +41,9 @@ pub struct Spans {
 impl Spans {
     /// Runs `f` inside the span `name`.
     pub fn time<T>(&mut self, name: &'static str, f: impl FnOnce() -> T) -> T {
-        let start = Instant::now();
+        let start = CpuTimer::start();
         let out = f();
-        let ns = start.elapsed().as_nanos() as u64;
+        let ns = (start.secs() * 1e9) as u64;
         let t = self.totals.entry(name).or_default();
         t.calls += 1;
         t.ns += ns;

@@ -1,5 +1,57 @@
-//! Small numeric helpers: percentiles, medians, geometric means, a stable
-//! fingerprint hash, and the process's peak resident set.
+//! Small numeric helpers: a CPU-time stopwatch, percentiles, medians,
+//! geometric means, a stable fingerprint hash, and the process's peak
+//! resident set.
+
+/// A stopwatch over the CPU time of this process (all threads together).
+///
+/// Every host time the benchmark reports is CPU time. Wall time also counts
+/// the time the CPU runs something else: other processes, and, in a guest
+/// whose kernel accounts steal time, other guests of the host. On a shared
+/// host that time comes in bursts that can last a whole run and is most of
+/// the run-to-run spread; CPU time leaves it out. For the single-threaded
+/// ops the benchmark runs, CPU time equals wall time on a quiet host.
+#[derive(Debug, Clone, Copy)]
+pub struct CpuTimer(f64);
+
+impl CpuTimer {
+    /// Starts the stopwatch.
+    pub fn start() -> CpuTimer {
+        CpuTimer(cpu_now())
+    }
+
+    /// CPU seconds since [`CpuTimer::start`].
+    pub fn secs(&self) -> f64 {
+        cpu_now() - self.0
+    }
+}
+
+/// CPU seconds this process has run so far.
+#[cfg(all(target_os = "linux", target_pointer_width = "64"))]
+fn cpu_now() -> f64 {
+    #[repr(C)]
+    struct Timespec {
+        sec: i64,
+        nsec: i64,
+    }
+    extern "C" {
+        fn clock_gettime(clock: i32, tp: *mut Timespec) -> i32;
+    }
+    const CLOCK_PROCESS_CPUTIME_ID: i32 = 2;
+    let mut ts = Timespec { sec: 0, nsec: 0 };
+    // SAFETY: `ts` is a writable `struct timespec` (64-bit `time_t` and
+    // `long` on 64-bit Linux), and the clock id is valid.
+    let rc = unsafe { clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &mut ts) };
+    assert_eq!(rc, 0, "clock_gettime(CLOCK_PROCESS_CPUTIME_ID) failed");
+    ts.sec as f64 + ts.nsec as f64 * 1e-9
+}
+
+/// Wall seconds since the first call, where no process CPU clock is wired
+/// up.
+#[cfg(not(all(target_os = "linux", target_pointer_width = "64")))]
+fn cpu_now() -> f64 {
+    static START: std::sync::OnceLock<std::time::Instant> = std::sync::OnceLock::new();
+    START.get_or_init(std::time::Instant::now).elapsed().as_secs_f64()
+}
 
 /// Nearest-rank percentile (`p` in `(0, 100]`) of an unsorted sample set;
 /// 0 for an empty set.
