@@ -42,8 +42,8 @@ fn assert_records_identical(a: &FrameRecord, b: &FrameRecord) -> Result<(), Test
     Ok(())
 }
 
-const SCHEMES: [ServeScheme; 3] =
-    [ServeScheme::Baseline, ServeScheme::OoVr, ServeScheme::OoVrTemporal];
+const SCHEMES: [ServeScheme; 4] =
+    [ServeScheme::Baseline, ServeScheme::OoVr, ServeScheme::OoVrShed, ServeScheme::OoVrTemporal];
 
 proptest! {
     // Streams are memoized process-wide, so each case only pays scheduling.
@@ -53,7 +53,7 @@ proptest! {
     /// identical sessions, rejects, per-frame records, and folded QoS.
     #[test]
     fn degenerate_link_is_local_serving(
-        scheme_idx in 0usize..3,
+        scheme_idx in 0usize..SCHEMES.len(),
         sessions in 1u32..6,
         paced in 1u32..6,
         seed in 0u64..1_000,
@@ -88,7 +88,7 @@ proptest! {
     /// identically from its config — the whole outcome, photons and all.
     #[test]
     fn same_seed_replays_byte_identically(
-        scheme_idx in 0usize..3,
+        scheme_idx in 0usize..SCHEMES.len(),
         sessions in 1u32..6,
         paced in 1u32..5,
         seed in 0u64..1_000,
