@@ -142,6 +142,15 @@ fn memoized(key: [u8; 32], f: impl FnOnce() -> FrameReport) -> FrameReport {
     r
 }
 
+/// Serializes the lib tests that render through the memo: the cache tests
+/// assert exact deltas of the process-wide counters, which a concurrently
+/// rendering test would otherwise bump.
+#[cfg(test)]
+pub(crate) fn memo_test_lock() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    lock(&LOCK)
+}
+
 // ---------------------------------------------------------------------------
 // Key construction. Every field of the spec/config is serialized into the
 // digest (floats via to_bits), with domain-separation prefixes so a spec
@@ -342,6 +351,7 @@ mod tests {
 
     #[test]
     fn scene_cache_shares_and_render_cache_hits() {
+        let _memo = memo_test_lock();
         let s1 = scene_for(&spec());
         let s2 = scene_for(&spec());
         assert!(Arc::ptr_eq(&s1.scene, &s2.scene));
@@ -359,6 +369,7 @@ mod tests {
 
     #[test]
     fn resilient_renders_key_on_deadline() {
+        let _memo = memo_test_lock();
         let s = scene_for(&spec());
         let cfg = GpuConfig::default();
         let before = stats();

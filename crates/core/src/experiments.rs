@@ -993,6 +993,7 @@ mod tests {
 
     #[test]
     fn fig4_normalizes_to_one_at_1tbs() {
+        let _memo = crate::cache::memo_test_lock();
         let t = fig4(&tiny());
         for (label, vals) in &t.rows {
             assert!((vals[0] - 1.0).abs() < 1e-9, "{label} first col normalized");
@@ -1004,6 +1005,7 @@ mod tests {
     #[test]
     fn resilience_grid_is_deterministic_and_countermeasures_retain_speedup() {
         use oovr_gpu::FaultScenario;
+        let _memo = crate::cache::memo_test_lock();
         let specs = tiny();
         let grid = [FaultScenario::LinkDegrade, FaultScenario::GpmThrottle];
         let t = resilience_grid(&specs, &grid, &[0.9]);

@@ -17,10 +17,11 @@
 //!   seeded per-window loss, both compiled from the same
 //!   `oovr_gpu::fault` plans the cluster tier uses
 //!   ([`FaultPlan::server_schedule`]).
-//! * [`sim`] — [`simulate_edge`]: the edge server replays the §11 EDF
-//!   scheduler (render + per-pixel encode) with a *second* admission
-//!   constraint (the link byte budget joins the Eq. 3 compute budget),
-//!   frames transit the link in encode-completion order, and the client
+//! * [`sim`] — [`simulate_edge`]: the edge server runs the `oovr-serve`
+//!   scheduler core with the link byte budget as its pre-compute gate
+//!   (a second admission budget beside Eq. 3), encodes every rendered
+//!   frame per pixel, frames transit the link in encode-completion
+//!   order, and the client
 //!   either presents the fresh frame, presents it late, covers the vsync
 //!   by ATW-reprojecting the last delivered frame
 //!   ([`warp_cycles_for_pixels`]), or goes dark past the staleness cap.

@@ -3,15 +3,13 @@
 //! [`simulate_edge`] runs one deterministic split-rendering experiment in
 //! three passes, all in simulated cycles:
 //!
-//! 1. **Edge render pass** — a faithful replay of the `oovr-serve` §11
-//!    EDF vsync scheduler (arrivals, Eq. 3 admission, stale drops,
-//!    shedding, temporal reuse), with one addition: the link byte budget
-//!    is a *second* admission constraint, checked before the compute
-//!    controller is even offered the session. A session whose steady
-//!    encoded-byte rate does not fit in the remaining link headroom is
-//!    rejected with reason `"link"` and never touches the Eq. 3 budget.
-//!    The link check draws no randomness, so over an unbounded link the
-//!    pass is bit-identical to local [`oovr_serve::simulate`].
+//! 1. **Edge render pass** — a call to the `oovr-serve` scheduler core
+//!    ([`oovr_serve::schedule`]: arrivals, Eq. 3 admission, EDF, stale
+//!    drops, shedding, temporal reuse) with the link byte budget as its
+//!    [`Gate`]. A session whose steady encoded-byte rate does not fit in
+//!    the remaining link headroom is rejected with reason `"link"` and
+//!    never touches the Eq. 3 budget. An unbounded link has no gate, so
+//!    over it this pass *is* local [`oovr_serve::simulate`].
 //! 2. **Encode + link pass** — every rendered frame is encoded on the
 //!    edge (priced per shaded pixel at the frame's shade scale) and
 //!    enters the [`NetworkLink`] in encode-completion order. The link
@@ -29,20 +27,15 @@
 //! [`NetworkLink`]: crate::link::NetworkLink
 //! [`warp_cycles_for_pixels`]: oovr_frameworks::atw::warp_cycles_for_pixels
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-
 use oovr_frameworks::atw::warp_cycles_for_pixels;
 use oovr_gpu::GpuConfig;
 use oovr_metrics::Registry;
 use oovr_scene::BenchmarkSpec;
 use oovr_serve::{
-    calibrate_discounted, cost_stream, AdmissionController, AdmissionDecision, FrameRecord, Pose,
-    PoseTrajectory, Reject, ServeConfig, ServeScheme,
+    cost_stream, record_in_cycle_order, schedule, Budget, FrameRecord, Gate, Reject, ServeConfig,
+    ServeScheme,
 };
-use oovr_trace::{Cycle, Recorder, TraceEvent, TraceSink};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use oovr_trace::{Cycle, Recorder, TraceEvent};
 
 use crate::link::{LinkConfig, NetworkLink};
 use crate::qos::{edge_qos, motion_to_photon, AggregateQos, MotionToPhoton};
@@ -208,240 +201,76 @@ pub fn simulate_edge_metered(
 ) -> EdgeOutcome {
     let stream = cost_stream(scheme, spec, gpu);
     let serve = &cfg.serve;
-    let v = serve.vsync_cycles.max(1);
-    let total_frames = serve.frames_per_session + 1; // warmup + paced
-
-    // ---- Pass 1: edge render (the §11 EDF pipeline + link admission).
-    //
-    // This replays `oovr_serve::simulate` decision-for-decision — same
-    // RNG stream, same integer tie-breaks — so the degenerate link is
-    // bit-identical to local serving. The only addition is the link byte
-    // budget at the door, which draws no randomness.
-    let threshold = serve.temporal.reuse_threshold;
-    let discount = if scheme.temporal() {
-        stream.mean_temporal_saving(threshold, serve.seed, serve.frames_per_session.max(1))
-    } else {
-        0
-    };
-    let report_refs: Vec<_> = stream.reports.iter().collect();
-    let mut admission =
-        AdmissionController::new(calibrate_discounted(&report_refs, discount), v, serve.headroom);
-    let steady_tris = stream.steady().counts.triangles;
     let steady_px = stream.steady().counts.pixels_out;
     let bytes_of = |px: u64| px * cfg.link.bytes_per_kpixel / 1000;
     // One session's steady encoded-byte demand per cycle — the unit the
     // link is provisioned in and admission charges per session.
-    let session_rate = bytes_of(steady_px) as f64 / v as f64;
+    let session_rate = bytes_of(steady_px) as f64 / serve.vsync_cycles.max(1) as f64;
     let mut net = NetworkLink::new(&cfg.link, session_rate, serve.sessions, serve.seed);
-    let link_capacity = net.bytes_per_cycle();
 
-    let mut rng = StdRng::seed_from_u64(serve.seed);
-    let mut events: Vec<TraceEvent> = Vec::new();
-    let mut sessions: Vec<EdgeSession> = Vec::new();
-    let mut frames: Vec<Vec<FrameRecord>> = Vec::new();
-    let mut poses: Vec<Vec<Pose>> = Vec::new();
-    let mut rejects: Vec<Reject> = Vec::new();
-    let mut link_rejected = 0u32;
-    let mut link_load: Vec<(Cycle, f64)> = Vec::new(); // (departure, rate)
-
-    let mut arrival: Cycle = 0;
-    for id in 0..serve.sessions {
-        if id > 0 {
-            let mean = serve.mean_interarrival;
-            arrival += rng.gen_range(mean / 2..=mean + mean / 2);
-        }
-        let departure = arrival + Cycle::from(total_frames + 1) * v;
-        // The link budget gates first: a session the link cannot carry
-        // must not consume compute headroom rendering undeliverable
-        // frames. Unbounded links always pass.
-        if let Some(capacity) = link_capacity {
-            link_load.retain(|&(dep, _)| dep > arrival);
-            let load: f64 = link_load.iter().map(|&(_, r)| r).sum();
-            if load + session_rate > serve.headroom * capacity {
-                events.push(TraceEvent::SessionReject {
-                    cycle: arrival,
-                    session: id,
-                    predicted: session_rate,
-                    reason: "link",
-                });
-                rejects.push(Reject { id, arrival, predicted: session_rate });
-                link_rejected += 1;
-                continue;
-            }
-        }
-        match admission.offer(arrival, steady_tris, departure) {
-            AdmissionDecision::Admitted { active, predicted } => {
-                events.push(TraceEvent::SessionAdmit {
-                    cycle: arrival,
-                    session: id,
-                    predicted,
-                    active,
-                });
-                link_load.push((departure, session_rate));
-                let mut traj = PoseTrajectory::new(
-                    serve.seed ^ (id as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-                );
-                let mut path = vec![traj.current()];
-                path.extend((0..serve.frames_per_session).map(|_| traj.step()));
-                poses.push(path);
-                sessions.push(EdgeSession {
-                    id,
-                    arrival,
-                    predicted,
-                    frames: Vec::with_capacity(total_frames as usize),
-                });
-                frames.push(Vec::with_capacity(total_frames as usize));
-            }
-            AdmissionDecision::Rejected { predicted, reason } => {
-                events.push(TraceEvent::SessionReject {
-                    cycle: arrival,
-                    session: id,
-                    predicted,
-                    reason,
-                });
-                rejects.push(Reject { id, arrival, predicted });
-            }
-        }
-    }
-
-    let mut releases: Vec<(Cycle, u32, u32)> = Vec::new();
-    for (slot, s) in sessions.iter().enumerate() {
-        for f in 0..total_frames {
-            releases.push((s.arrival + Cycle::from(f) * v, slot as u32, f));
-        }
-    }
-    releases.sort_unstable();
-
-    let temporal = if scheme.temporal() { stream.temporal.as_deref() } else { None };
-    let sheds = scheme.sheds();
-    let (step, floor) = (serve.resilience.shed_step, serve.resilience.shed_floor);
-    let mut scales = vec![1.0f64; sessions.len()];
-    let mut heap: BinaryHeap<Reverse<(Cycle, u32, u32, Cycle)>> = BinaryHeap::new();
-    let mut now: Cycle = 0;
-    let mut next = 0usize;
-    while next < releases.len() || !heap.is_empty() {
-        while next < releases.len() && releases[next].0 <= now {
-            let (release, slot, frame) = releases[next];
-            heap.push(Reverse((release + v, slot, frame, release)));
-            next += 1;
-        }
-        let Some(Reverse((deadline, slot, frame, release))) = heap.pop() else {
-            now = releases[next].0;
-            continue;
-        };
-        let id = sessions[slot as usize].id;
-        let report_index = stream.report_index(frame);
-        let pose = poses[slot as usize][frame as usize];
-
-        if now > deadline + v {
-            events.push(TraceEvent::FrameDrop { cycle: now, session: id, frame, reason: "stale" });
-            frames[slot as usize].push(FrameRecord {
-                frame,
-                report_index,
-                release,
-                deadline,
-                start: now,
-                end: now,
-                scale: scales[slot as usize],
-                missed: true,
-                dropped: true,
-                pose,
-            });
-            continue;
-        }
-
-        let tdec = temporal.filter(|_| frame > 0).map(|profile| {
-            profile.decide(&poses[slot as usize][frame as usize - 1], &pose, threshold)
-        });
-        let base = stream.cost_for(frame);
-        let base = tdec.as_ref().map_or(base, |d| d.apply(base));
-        let mut scale = scales[slot as usize];
-        let cost_at = |s: f64| (((base as f64) * s).round() as Cycle).max(1);
-        if sheds {
-            let before = scale;
-            while scale > floor && now + cost_at(scale) > deadline {
-                scale = (scale * step).max(floor);
-            }
-            if scale < before {
-                scales[slot as usize] = scale;
-                events.push(TraceEvent::FrameShed { cycle: now, session: id, frame, scale });
-            }
-        }
-        let cost = if sheds { cost_at(scale) } else { base };
-        let (start, end) = (now, now + cost);
-        events.push(TraceEvent::FrameStart { cycle: start, session: id, frame, deadline });
-        events.push(TraceEvent::FrameSpan { session: id, frame, start, end, scale });
-        if let Some(d) = &tdec {
-            events.push(TraceEvent::TemporalReuse {
-                cycle: start,
-                session: id,
-                frame,
-                reused: d.reused,
-                rerendered: d.rerendered,
-                saved: d.saved,
-            });
-        }
-        let missed = end > deadline;
-        if missed {
-            events.push(TraceEvent::DeadlineMiss { cycle: end, session: id, frame, deadline });
-        } else if sheds && scale < 1.0 {
-            scales[slot as usize] = (scale / step).min(1.0);
-        }
-        frames[slot as usize].push(FrameRecord {
-            frame,
-            report_index,
-            release,
-            deadline,
-            start,
-            end,
-            scale,
-            missed,
-            dropped: false,
-            pose,
-        });
-        now = end;
-    }
-    for f in &mut frames {
-        f.sort_by_key(|r| r.frame);
-    }
+    // ---- Pass 1: edge render. The serve core runs with the link byte
+    // budget as its gate: a session the link cannot carry must not
+    // consume compute headroom rendering undeliverable frames. An
+    // unbounded link has no gate, so the degenerate split is local
+    // serving.
+    let gate = net.bytes_per_cycle().map(|capacity| Gate {
+        budget: Budget::new(capacity, serve.headroom),
+        demand: session_rate,
+    });
+    let (served, mut events) = schedule(stream, serve, gate, None);
+    let v = served.vsync;
+    let link_rejected = events
+        .iter()
+        .filter(
+            |e| matches!(e, TraceEvent::SessionReject { reason, .. } if *reason == Gate::REASON),
+        )
+        .count() as u32;
 
     // ---- Pass 2: encode + link. Rendered frames enter the link in
     // encode-completion order (ties broken by (slot, frame)); the
     // renderer never observes the link, so deliveries are identical
     // under either client policy.
     let mut sends: Vec<(Cycle, u32, u32)> = Vec::new(); // (encode_end, slot, frame)
-    let mut edge_frames: Vec<Vec<EdgeFrame>> = frames
-        .iter()
+    let reports = &served.stream.reports;
+    let mut sessions: Vec<EdgeSession> = served
+        .sessions
+        .into_iter()
         .enumerate()
-        .map(|(slot, recs)| {
-            recs.iter()
-                .map(|rec| {
-                    let (encode_end, bytes) = if rec.dropped {
-                        (rec.end, 0)
+        .map(|(slot, s)| EdgeSession {
+            id: s.id,
+            arrival: s.arrival,
+            predicted: s.predicted,
+            frames: s
+                .frames
+                .into_iter()
+                .map(|record| {
+                    let (encode_end, bytes) = if record.dropped {
+                        (record.end, 0)
                     } else {
-                        let px = stream.reports[rec.report_index].counts.pixels_out;
-                        let px = ((px as f64) * rec.scale).round() as u64;
+                        let px = reports[record.report_index].counts.pixels_out;
+                        let px = ((px as f64) * record.scale).round() as u64;
                         let encode = px * cfg.link.encode_cycles_per_kpixel / 1000;
-                        sends.push((rec.end + encode, slot as u32, rec.frame));
-                        (rec.end + encode, bytes_of(px))
+                        sends.push((record.end + encode, slot as u32, record.frame));
+                        (record.end + encode, bytes_of(px))
                     };
                     EdgeFrame {
-                        record: rec.clone(),
+                        display: Display::Stale { age: record.frame + 1 },
+                        record,
                         encode_end,
                         bytes,
                         lost: false,
                         delivery: None,
-                        display: Display::Stale { age: rec.frame + 1 },
                         photon: 0,
                     }
                 })
-                .collect()
+                .collect(),
         })
         .collect();
     sends.sort_unstable();
     for &(encode_end, slot, frame) in &sends {
-        let id = sessions[slot as usize].id;
-        let ef = &mut edge_frames[slot as usize][frame as usize];
+        let session = &mut sessions[slot as usize];
+        let id = session.id;
+        let ef = &mut session.frames[frame as usize];
         events.push(TraceEvent::FrameSent {
             cycle: encode_end,
             session: id,
@@ -469,11 +298,11 @@ pub fn simulate_edge_metered(
     // delivery schedule — classification per vsync, ATW coverage, and
     // the motion-to-photon accounting.
     let warp_cycles = warp_cycles_for_pixels(steady_px.max(1), gpu) * cfg.client.warp_factor.max(1);
-    for (slot, session_frames) in edge_frames.iter_mut().enumerate() {
-        let id = sessions[slot].id;
+    for session in &mut sessions {
+        let id = session.id;
         // delivery[g] of each frame, for the reprojection predecessor scan.
-        let deliveries: Vec<Option<Cycle>> = session_frames.iter().map(|f| f.delivery).collect();
-        for ef in session_frames.iter_mut() {
+        let deliveries: Vec<Option<Cycle>> = session.frames.iter().map(|f| f.delivery).collect();
+        for ef in &mut session.frames {
             let frame = ef.record.frame;
             let deadline = ef.record.deadline;
             let (display, photon) = match ef.delivery {
@@ -536,15 +365,8 @@ pub fn simulate_edge_metered(
         }
     }
 
-    for (slot, f) in edge_frames.into_iter().enumerate() {
-        sessions[slot].frames = f;
-    }
-
     if let Some(rec) = trace {
-        events.sort_by_key(|e| e.cycle());
-        for e in events {
-            rec.record(e);
-        }
+        record_in_cycle_order(rec, events);
     }
     if let Some(reg) = metrics {
         let min_scale = sessions
@@ -562,7 +384,7 @@ pub fn simulate_edge_metered(
         vsync: v,
         warp_cycles,
         sessions,
-        rejects,
+        rejects: served.rejects,
         link_rejected,
     }
 }
@@ -711,6 +533,20 @@ mod tests {
             .filter(|e| matches!(e, TraceEvent::SessionReject { reason, .. } if *reason == "link"))
             .count();
         assert_eq!(link_rejects as u32, out.link_rejected);
+    }
+
+    #[test]
+    fn link_budget_clamps_headroom_like_compute() {
+        // Headroom above 1 clamps to 1 on both budgets, so a link
+        // provisioned for two sessions' demand admits at most two.
+        let cfg = EdgeConfig {
+            serve: ServeConfig { mean_interarrival: 0, headroom: 3.0, ..small(8, 6) },
+            link: LinkConfig { provision: 2.0 / 8.0, ..LinkConfig::default() },
+            client: ClientConfig::default(),
+        };
+        let out = simulate_edge(ServeScheme::OoVr, &spec(), &GpuConfig::default(), &cfg, None);
+        assert!(out.sessions.len() <= 2, "admitted {} sessions", out.sessions.len());
+        assert_eq!(out.sessions.len() + out.rejects.len(), 8);
     }
 
     #[test]

@@ -80,24 +80,57 @@ pub enum AdmissionDecision {
     },
 }
 
-struct Live {
-    departure: Cycle,
-    predicted: f64,
+/// A headroom-clamped budget over live sessions: each admitted session
+/// holds its demand until it departs. The Eq. 3 compute budget (one
+/// vsync of cycles) and the edge tier's link byte budget (bytes per
+/// cycle) are both instances.
+#[derive(Debug, Clone)]
+pub struct Budget {
+    limit: f64,
+    live: Vec<(Cycle, f64)>, // (departure, demand)
+}
+
+impl Budget {
+    /// A budget of `capacity` scaled by a headroom fraction, clamped to
+    /// `[0.05, 1]`.
+    pub fn new(capacity: f64, headroom: f64) -> Self {
+        Budget { limit: capacity * headroom.clamp(0.05, 1.0), live: Vec::new() }
+    }
+
+    /// Aggregate demand of sessions still live at `now`.
+    pub fn load(&mut self, now: Cycle) -> f64 {
+        self.live.retain(|&(departure, _)| departure > now);
+        self.live.iter().map(|&(_, demand)| demand).sum()
+    }
+
+    /// Number of sessions still live at the last [`load`](Self::load) or
+    /// [`fits`](Self::fits) call.
+    pub fn active(&self) -> u32 {
+        self.live.len() as u32
+    }
+
+    /// Whether `demand` more fits beside the sessions live at `now`.
+    pub fn fits(&mut self, now: Cycle, demand: f64) -> bool {
+        self.load(now) + demand <= self.limit
+    }
+
+    /// Holds `demand` until `departure`.
+    pub fn hold(&mut self, departure: Cycle, demand: f64) {
+        self.live.push((departure, demand));
+    }
 }
 
 /// Eq. 3-based admission controller over one vsync budget.
 pub struct AdmissionController {
     coeff: Coefficients,
-    vsync: Cycle,
-    headroom: f64,
-    live: Vec<Live>,
+    budget: Budget,
 }
 
 impl AdmissionController {
     /// Creates a controller for a vsync interval of `vsync` cycles with
     /// calibrated `coeff` and a headroom fraction in `(0, 1]`.
     pub fn new(coeff: Coefficients, vsync: Cycle, headroom: f64) -> Self {
-        AdmissionController { coeff, vsync, headroom: headroom.clamp(0.05, 1.0), live: Vec::new() }
+        AdmissionController { coeff, budget: Budget::new(vsync as f64, headroom) }
     }
 
     /// The calibrated predictor.
@@ -113,14 +146,13 @@ impl AdmissionController {
 
     /// Aggregate predicted demand of sessions still live at `now`.
     pub fn load(&mut self, now: Cycle) -> f64 {
-        self.live.retain(|s| s.departure > now);
-        self.live.iter().map(|s| s.predicted).sum()
+        self.budget.load(now)
     }
 
     /// Number of sessions still live at the last [`load`](Self::load) or
     /// [`offer`](Self::offer) call.
     pub fn active(&self) -> u32 {
-        self.live.len() as u32
+        self.budget.active()
     }
 
     /// Tests a session arriving at `now` whose steady frame carries
@@ -128,11 +160,9 @@ impl AdmissionController {
     /// (registering the session) or rejects.
     pub fn offer(&mut self, now: Cycle, triangles: u64, departure: Cycle) -> AdmissionDecision {
         let predicted = self.predict(triangles);
-        let budget = self.headroom * self.vsync as f64;
-        let load = self.load(now);
-        if load + predicted <= budget {
-            self.live.push(Live { departure, predicted });
-            AdmissionDecision::Admitted { active: self.live.len() as u32, predicted }
+        if self.budget.fits(now, predicted) {
+            self.budget.hold(departure, predicted);
+            AdmissionDecision::Admitted { active: self.budget.active(), predicted }
         } else {
             AdmissionDecision::Rejected { predicted, reason: "capacity" }
         }

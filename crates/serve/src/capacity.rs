@@ -34,7 +34,7 @@ use oovr_gpu::GpuConfig;
 use oovr_scene::BenchmarkSpec;
 use oovr_trace::Cycle;
 
-use crate::pose::PoseTrajectory;
+use crate::pose::session_trajectory;
 use crate::scheduler::ServeConfig;
 use crate::stream::{cost_stream, ServeScheme};
 
@@ -94,9 +94,9 @@ fn feasible(n: u32, cost: Cycle, vsync: Cycle, frames: u32) -> bool {
 
 /// Per-frame probe costs of one temporal session: frame 0 pays the full
 /// steady cost (no predecessor pose), later frames are priced by the pose
-/// delta of the session's seeded trajectory. The seed mixes the session
-/// index the same way the scheduler does, so session `i`'s cost vector is
-/// independent of how many sessions the probe runs.
+/// delta of the session's [`session_trajectory`] — the path the scheduler
+/// gives session `i` — so its cost vector is independent of how many
+/// sessions the probe runs.
 fn temporal_session_costs(
     profile: &TemporalProfile,
     threshold: f64,
@@ -105,7 +105,7 @@ fn temporal_session_costs(
     frames: u32,
 ) -> Vec<Cycle> {
     let steady = profile.steady_cycles().max(1);
-    let mut traj = PoseTrajectory::new(seed ^ (session + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+    let mut traj = session_trajectory(seed, session);
     let mut prev = traj.current();
     let mut costs = Vec::with_capacity(frames as usize);
     costs.push(steady);

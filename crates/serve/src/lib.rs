@@ -21,9 +21,11 @@
 //!   instead of a re-render).
 //! * [`admission`] — admission control from the paper's Eq. 3 predictor:
 //!   a session enters only if the predicted aggregate steady demand fits
-//!   inside one vsync interval with headroom.
+//!   inside one vsync interval with headroom. The live-session ledger is
+//!   a [`Budget`], which the edge tier reuses for its link bytes.
 //! * [`scheduler`] — the EDF vsync scheduler multiplexing admitted
-//!   sessions onto the single 4-GPM renderer, with stale-frame drops,
+//!   sessions onto the single 4-GPM renderer (the workspace's only EDF
+//!   loop; the edge tier calls its core, [`schedule`]), with stale-frame drops,
 //!   `ResilienceConfig`-driven load shedding, and full session-lifecycle
 //!   tracing through `oovr-trace`.
 //! * [`qos`] — per-session and aggregate p50/p99/p99.9 frame latency,
@@ -67,7 +69,8 @@ pub mod scheduler;
 pub mod stream;
 
 pub use admission::{
-    calibrate, calibrate_discounted, AdmissionController, AdmissionDecision, DEFAULT_HEADROOM,
+    calibrate, calibrate_discounted, AdmissionController, AdmissionDecision, Budget,
+    DEFAULT_HEADROOM,
 };
 pub use capacity::{capacity, capacity_table, MISS_BUDGET};
 pub use chaos::{chaos_table, cluster_policy_table, cluster_scale_table, ChaosCell};
@@ -80,11 +83,12 @@ pub use metrics::{
     FAULT_MISS_BUDGET, NOMINAL_MISS_BUDGET, SERVE_MISS_BUDGET, SHED_TIME_BUDGET,
 };
 pub use oovr_gpu::VSYNC_90HZ_CYCLES;
-pub use pose::{Pose, PoseModel, PoseTrajectory};
+pub use pose::{session_trajectory, Pose, PoseModel, PoseTrajectory};
 pub use qos::{aggregate_qos, percentile, session_qos, AggregateQos, SessionQos};
 pub use router::{Placement, RouterConfig, ServerView};
 pub use scheduler::{
-    simulate, simulate_metered, FrameRecord, Reject, ServeConfig, ServeOutcome, SessionOutcome,
+    record_in_cycle_order, schedule, simulate, simulate_metered, FrameRecord, Gate, Reject,
+    ServeConfig, ServeOutcome, SessionOutcome,
 };
 pub use stream::{
     cost_stream, serve_cache_stats, ServeCacheStats, ServeScheme, SessionCostStream,

@@ -26,6 +26,14 @@
 //!   from [`ResilienceConfig`], the same knobs the in-frame deadline
 //!   monitor uses), trading shade quality for timeliness; on-time frames
 //!   recover scale multiplicatively.
+//! * [`schedule`], the core behind [`simulate`], takes one optional
+//!   [`Gate`]: a second [`Budget`] checked before Eq. 3, with a
+//!   per-session demand and the reject reason `"link"` — the edge tier's
+//!   link byte budget is the only gate. A session the gate turns away is
+//!   rejected without touching the compute budget; the gate's demand is
+//!   held only once compute admits too. The gate draws no randomness, so
+//!   an ungated run and a run whose gate always passes schedule
+//!   identically.
 //!
 //! Every lifecycle transition (admit/reject/frame-start/span/miss/shed/
 //! drop) is emitted as an [`oovr_trace`] event, so `figures -- trace`
@@ -44,9 +52,9 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::admission::{
-    calibrate_discounted, AdmissionController, AdmissionDecision, DEFAULT_HEADROOM,
+    calibrate_discounted, AdmissionController, AdmissionDecision, Budget, DEFAULT_HEADROOM,
 };
-use crate::pose::{Pose, PoseTrajectory};
+use crate::pose::{session_trajectory, Pose};
 use crate::qos::{aggregate_qos, session_qos, AggregateQos, SessionQos};
 use crate::stream::{cost_stream, ServeScheme, SessionCostStream};
 
@@ -199,9 +207,57 @@ pub fn simulate_metered(
     gpu: &GpuConfig,
     cfg: &ServeConfig,
     trace: Option<&mut Recorder>,
-    mut metrics: Option<&mut Registry>,
+    metrics: Option<&mut Registry>,
 ) -> ServeOutcome {
-    let stream = cost_stream(scheme, spec, gpu);
+    let (out, events) = schedule(cost_stream(scheme, spec, gpu), cfg, None, metrics);
+    if let Some(rec) = trace {
+        record_in_cycle_order(rec, events);
+    }
+    out
+}
+
+/// Hands `events` to `rec` in cycle order. Emission order is simulation
+/// order; the exporters require non-decreasing timestamps per track, so
+/// the sort is by cycle and stable — same-cycle events keep their causal
+/// order.
+pub fn record_in_cycle_order(rec: &mut Recorder, mut events: Vec<TraceEvent>) {
+    events.sort_by_key(|e| e.cycle());
+    for e in events {
+        rec.record(e);
+    }
+}
+
+/// A second admission budget, checked before Eq. 3: the edge tier's link
+/// byte budget. A session whose `demand` does not fit is rejected with
+/// reason [`Gate::REASON`] and never offered to the compute controller;
+/// an admitted session holds `demand` until it departs. The gate draws no
+/// randomness, so a gated run consumes the arrival RNG exactly like an
+/// ungated one.
+#[derive(Debug, Clone)]
+pub struct Gate {
+    /// The budget the gate charges.
+    pub budget: Budget,
+    /// What each session charges against it.
+    pub demand: f64,
+}
+
+impl Gate {
+    /// Reject reason of a session the gate turns away.
+    pub const REASON: &'static str = "link";
+}
+
+/// The serving core behind [`simulate_metered`] and the edge tier: runs
+/// every arrival through the optional `gate` and Eq. 3 admission, then
+/// EDF-schedules the admitted sessions over `stream`. Returns the outcome
+/// and the lifecycle events in emission order (see
+/// [`record_in_cycle_order`]).
+pub fn schedule(
+    stream: Arc<SessionCostStream>,
+    cfg: &ServeConfig,
+    mut gate: Option<Gate>,
+    mut metrics: Option<&mut Registry>,
+) -> (ServeOutcome, Vec<TraceEvent>) {
+    let scheme = stream.scheme;
     let v = cfg.vsync_cycles.max(1);
     let total_frames = cfg.frames_per_session + 1; // warmup + paced
 
@@ -237,8 +293,18 @@ pub fn simulate_metered(
         // A session holds its budget until one interval past its last
         // deadline (slack for queueing delay).
         let departure = arrival + Cycle::from(total_frames + 1) * v;
-        match admission.offer(arrival, steady_tris, departure) {
+        let gated_out = gate.as_mut().is_some_and(|g| !g.budget.fits(arrival, g.demand));
+        let decision = match &gate {
+            Some(g) if gated_out => {
+                AdmissionDecision::Rejected { predicted: g.demand, reason: Gate::REASON }
+            }
+            _ => admission.offer(arrival, steady_tris, departure),
+        };
+        match decision {
             AdmissionDecision::Admitted { active, predicted } => {
+                if let Some(g) = &mut gate {
+                    g.budget.hold(departure, g.demand);
+                }
                 events.push(TraceEvent::SessionAdmit {
                     cycle: arrival,
                     session: id,
@@ -251,9 +317,7 @@ pub fn simulate_metered(
                 }
                 // The head-pose trajectory is per-session seeded: frame 0
                 // presents the rest pose, each paced frame steps the walk.
-                let mut traj = PoseTrajectory::new(
-                    cfg.seed ^ (id as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-                );
+                let mut traj = session_trajectory(cfg.seed, u64::from(id));
                 let mut path = vec![traj.current()];
                 path.extend((0..cfg.frames_per_session).map(|_| traj.step()));
                 poses.push(path);
@@ -420,16 +484,6 @@ pub fn simulate_metered(
         s.frames.sort_by_key(|f| f.frame);
     }
 
-    if let Some(rec) = trace {
-        // Emission order is simulation order; the exporters require
-        // non-decreasing timestamps per track, so sort by cycle (stable —
-        // same-cycle events keep their causal order).
-        events.sort_by_key(|e| e.cycle());
-        for e in events {
-            rec.record(e);
-        }
-    }
-
     if let Some(reg) = metrics {
         let min_scale = sessions
             .iter()
@@ -440,7 +494,8 @@ pub fn simulate_metered(
         reg.set_gauge("min_scale", "", min_scale);
     }
 
-    ServeOutcome { scheme, workload: spec.name.clone(), vsync: v, sessions, rejects, stream }
+    let workload = stream.workload.clone();
+    (ServeOutcome { scheme, workload, vsync: v, sessions, rejects, stream }, events)
 }
 
 #[cfg(test)]
