@@ -1579,31 +1579,9 @@ fn run_perf(scale: f64) {
         serve_cache.stream_hits, serve_cache.stream_misses
     );
 
-    // Batched-substrate counters: how much per-access bookkeeping the batch
-    // memory paths folded away, and how many raster tiles skipped per-pixel
-    // work. These explain the wall-clocks above; a regression (run lengths
-    // collapsing toward 1, accepted tiles toward 0) shows up here first.
-    let bs = oovr_mem::batch_stats();
-    println!(
-        "mem batches      {} batches, {} accesses, {} folded (mean run {:.2})",
-        bs.batches,
-        bs.ops,
-        bs.folded,
-        bs.mean_run_len()
-    );
-    // Tripwire (DESIGN.md §12): the fold counter has been exactly 0 across
-    // every measured run — batched accesses never coalesce under the current
-    // dedup. If an upstream change makes folds land, the batch-memory cost
-    // model shifts and every wall-clock above needs re-baselining.
-    if bs.folded > 0 {
-        eprintln!(
-            "WARNING: mem batch fold counter tripped — {} folds across {} accesses (was 0 in \
-             every baseline run). An upstream dedup/merge change altered the batch-memory \
-             path; re-validate the cost model and refresh perf baselines before trusting \
-             these numbers.",
-            bs.folded, bs.ops
-        );
-    }
+    // Raster tile counters: how many 8x8 tiles skipped per-pixel work. They
+    // explain the wall-clocks above; a classifier regression (accepted tiles
+    // collapsing toward 0) shows up here first.
     let ts = oovr_gpu::raster_tile_stats();
     println!(
         "raster tiles     {} accepted, {} rejected, {} per-pixel",
@@ -1703,14 +1681,6 @@ fn run_perf(scale: f64) {
     json.push_str(&format!(
         "  \"serve_cache\": {{\"stream_hits\": {}, \"stream_misses\": {}}},\n",
         serve_cache.stream_hits, serve_cache.stream_misses
-    ));
-    json.push_str(&format!(
-        "  \"mem_batches\": {{\"batches\": {}, \"accesses\": {}, \"folded\": {}, \
-         \"mean_run_len\": {:.3}}},\n",
-        bs.batches,
-        bs.ops,
-        bs.folded,
-        bs.mean_run_len()
     ));
     json.push_str(&format!(
         "  \"raster_tiles\": {{\"accepted\": {}, \"rejected\": {}, \"partial\": {}}},\n",

@@ -169,12 +169,6 @@ pub struct Executor<'s> {
     /// Fragment-compute scale in `(0, 1]`: the deadline monitor's foveation
     /// knob. `1.0` (the default) is bit-identical to the unscaled model.
     shade_scale: f64,
-    /// Batched-memory counter aggregate `(sessions, ops, folded)`: the
-    /// fragment sink streams each triangle's accesses through one
-    /// [`BatchSession`](oovr_mem::BatchSession) and tallies its counts
-    /// here; `Drop` flushes the totals to the process-wide substrate
-    /// counters in one shot, keeping atomics off the per-triangle path.
-    batch_counts: (u64, u64, u64),
     /// Precomputed anisotropic sample offsets `s × aniso_spread` for
     /// `s in 0..texel_samples_per_quad`: the per-sample int→float convert
     /// and multiply would otherwise run once per quad sample.
@@ -291,7 +285,6 @@ impl<'s> Executor<'s> {
             throttle_cursor: vec![0; throttle.len()],
             throttle,
             shade_scale: 1.0,
-            batch_counts: (0, 0, 0),
             du_table: (0..cfg_du_samples).map(|s| s as f32 * cfg_du_spread).collect(),
             tracer: None,
             object_busy: vec![0; scene.objects().len() * n],
@@ -655,12 +648,8 @@ impl<'s> Executor<'s> {
                 }
                 let desc = self.scene.texture(tri.texture);
                 let tex_region = self.layout.texture_region(tri.texture);
-                // Split borrows for the rasterization sink. Memory traffic
-                // goes through a streaming batch session (one per triangle):
-                // the fold collapses same-line runs into counted MRU hits
-                // with bit-identical outcomes, and the exclusive borrow it
-                // holds is exactly the fold's soundness premise.
-                let mut batch = self.mem.batch(gpm);
+                // Split borrows for the rasterization sink.
+                let mem = &mut self.mem;
                 let zbuf = &mut self.zbuf;
                 let layout = &self.layout;
                 let counts = &mut self.counts;
@@ -685,25 +674,25 @@ impl<'s> Executor<'s> {
                         let off = row + desc.col_offset((q.uv.x + du) as i64);
                         let addr = tex_region.at(off.min(tex_region.size - 1));
                         if addr.line() != last_line {
-                            batch.read_l1(addr, TrafficClass::Texture);
+                            mem.read(gpm, addr, TrafficClass::Texture, true);
                             last_line = addr.line();
                             samples += 1;
                         }
                     }
                     // Depth test: read the Z line, write back if any pass.
                     let zaddr = layout.zb_addr(q.x, q.y);
-                    batch.read_l2(zaddr, TrafficClass::Depth);
+                    mem.read(gpm, zaddr, TrafficClass::Depth, false);
                     let mut quad_passed = 0u64;
                     for (px, py) in q.pixels() {
                         if zbuf.test_and_set(px, py, q.z) {
                             quad_passed += 1;
                             match color_mode {
                                 ColorMode::Direct => {
-                                    batch.write(layout.fb_addr(px, py), TrafficClass::Color);
+                                    mem.write(gpm, layout.fb_addr(px, py), TrafficClass::Color);
                                 }
                                 ColorMode::Deferred => {
-                                    batch
-                                        .write(layout.scratch_addr(g, px, py), TrafficClass::Color);
+                                    let addr = layout.scratch_addr(g, px, py);
+                                    mem.write(gpm, addr, TrafficClass::Color);
                                     let p = match fb_org {
                                         FbOrg::Single(root) => root.index(),
                                         FbOrg::Rows => row_owner[py as usize] as usize,
@@ -715,14 +704,10 @@ impl<'s> Executor<'s> {
                         }
                     }
                     if quad_passed > 0 {
-                        batch.write(zaddr, TrafficClass::Depth);
+                        mem.write(gpm, zaddr, TrafficClass::Depth);
                         passed += quad_passed;
                     }
                 });
-                let (ops, folded) = batch.finish();
-                self.batch_counts.0 += 1;
-                self.batch_counts.1 += ops;
-                self.batch_counts.2 += folded;
                 self.counts.quads += quads;
                 self.counts.pixels_out += passed;
                 self.gpms[g].shaded_pixels += passed;
@@ -963,16 +948,6 @@ impl<'s> Executor<'s> {
         }
     }
 
-    /// Flushes the batched-memory counter aggregate to the process-wide
-    /// substrate counters. Called from `Drop`, so every executor —
-    /// single-frame, warm frame-sequence, or abandoned — reports exactly
-    /// once, with one atomic round-trip per executor lifetime.
-    fn flush_batch_counts(&mut self) {
-        let (batches, ops, folded) = self.batch_counts;
-        self.batch_counts = (0, 0, 0);
-        oovr_mem::record_batch_group(batches, ops, folded);
-    }
-
     /// Composes and produces the frame report.
     pub fn finish(mut self, scheme: &str, comp: Composition) -> FrameReport {
         let end = self.compose(comp);
@@ -1043,12 +1018,6 @@ pub fn partition_of_column(x: u32, stereo_width: u32, n: usize) -> usize {
 pub fn partition_of_row(y: u32, height: u32, n: usize) -> usize {
     let h = (height as usize).div_ceil(n);
     ((y as usize) / h).min(n - 1)
-}
-
-impl Drop for Executor<'_> {
-    fn drop(&mut self) {
-        self.flush_batch_counts();
-    }
 }
 
 #[cfg(test)]
@@ -1375,15 +1344,29 @@ mod tests {
     #[test]
     fn try_new_rejects_invalid_config() {
         let s = scene();
+        let try_new = |cfg| {
+            Executor::try_new(
+                cfg,
+                &s,
+                Placement::FirstTouch,
+                FbOrg::InterleavedPages,
+                ColorMode::Direct,
+            )
+        };
         let cfg = GpuConfig { dram_gbps: -1.0, ..GpuConfig::default() };
-        let r = Executor::try_new(
-            cfg,
-            &s,
-            Placement::FirstTouch,
-            FbOrg::InterleavedPages,
-            ColorMode::Direct,
-        );
-        assert!(matches!(r, Err(crate::error::GpuError::InvalidConfig(_))));
+        assert!(matches!(try_new(cfg), Err(GpuError::InvalidConfig(_))));
+        // Cache geometries the cache model cannot build: zero ways, and an
+        // L2 smaller than one set of its ways.
+        let base = GpuConfig::default();
+        let zero_ways = oovr_mem::MemConfig { l1_ways: 0, ..base.mem };
+        let tiny_l2 = oovr_mem::MemConfig {
+            l2_bytes: base.mem.l2_ways as u64 * oovr_mem::LINE_SIZE - 1,
+            ..base.mem
+        };
+        for mem in [zero_ways, tiny_l2] {
+            let cfg = GpuConfig { mem, ..base.clone() };
+            assert!(matches!(try_new(cfg), Err(GpuError::Mem(_))));
+        }
     }
 
     #[test]

@@ -35,11 +35,11 @@ const TILE: u32 = 8;
 
 /// Minimum walk-rect span (either axis, in pixels) for the tiled path.
 /// Below this the classifier setup costs more than the per-pixel tests it
-/// could skip, so [`rasterize`] bails to [`rasterize_scalar`].
+/// could skip, so [`rasterize`] bails to the per-pixel walk.
 const MIN_TILED_SPAN: u32 = 16;
 
 /// Widest frame (in tile columns) the tiled walk handles with its stack
-/// buffer; wider frames fall back to the per-pixel reference.
+/// buffer; wider frames fall back to the per-pixel walk.
 const MAX_TILE_COLS: usize = 1024;
 
 static TILES_ACCEPTED: AtomicU64 = AtomicU64::new(0);
@@ -156,10 +156,11 @@ fn emit_quad_scalar(
     }
 }
 
-/// Retained per-pixel reference rasterizer: the pre-tiling walk, kept as
-/// the scalar model the tiled [`rasterize`] is differentially tested
-/// against (and as the fallback for frames wider than the tiled walk's
-/// stack buffer).
+/// Per-pixel reference rasterizer: the pre-tiling walk, kept as the scalar
+/// model the tiled [`rasterize`] is differentially tested against. It is a
+/// thin wrapper over `scalar_walk`, the same walk `rasterize` calls
+/// directly for small triangles and for frames wider than the tiled walk's
+/// stack buffer; nothing in the simulator calls this wrapper.
 pub fn rasterize_scalar(
     tri: &ScreenTriangle,
     clip: Option<&Rect>,

@@ -220,27 +220,6 @@ impl SetAssocCache {
         self.access_slow(set, want, write)
     }
 
-    /// Records one access that the caller has proven to be a read hit on
-    /// its set's MRU way, without recomputing the set index or probing the
-    /// tag. This is exactly the MRU fast path of [`access`](Self::access)
-    /// for `write == false` — the clock advances and a hit is counted; the
-    /// MRU way's stamp is (provably, see `access`) never refreshed, so no
-    /// other state can change.
-    ///
-    /// # Soundness
-    ///
-    /// Callers must guarantee the accessed line is currently the MRU of its
-    /// set. The batch paths in [`crate::system::MemorySystem`] establish
-    /// this by only folding an access whose line equals the line of the
-    /// immediately preceding access *to this cache*: every hit or fill
-    /// leaves the touched line as its set's MRU, and no other set's state
-    /// can invalidate that.
-    #[inline]
-    pub(crate) fn count_mru_hit(&mut self) {
-        self.clock += 1;
-        self.stats.hits += 1;
-    }
-
     /// Non-MRU continuation of [`access`](Self::access): full set scan,
     /// victim selection, and fill. Outlined to keep the inlined fast path
     /// small.

@@ -7,6 +7,7 @@
 
 use std::fmt;
 
+use crate::address::LINE_SIZE;
 use crate::placement::MAX_GPMS;
 
 /// Errors raised by the memory substrate.
@@ -24,6 +25,15 @@ pub enum MemError {
         /// Pages the table can hold.
         capacity_pages: u64,
     },
+    /// A cache level has zero ways or too few bytes for one set of lines.
+    BadCacheGeometry {
+        /// `"L1"` or `"L2"`.
+        level: &'static str,
+        /// The configured capacity in bytes.
+        bytes: u64,
+        /// The configured associativity.
+        ways: usize,
+    },
 }
 
 impl fmt::Display for MemError {
@@ -36,6 +46,11 @@ impl fmt::Display for MemError {
                 f,
                 "page table exhausted: {requested_pages} pages requested, \
                  capacity is {capacity_pages}"
+            ),
+            MemError::BadCacheGeometry { level, bytes, ways } => write!(
+                f,
+                "{level} cache geometry {bytes} B x {ways} ways is invalid: \
+                 needs at least one way and one set of {LINE_SIZE} B lines"
             ),
         }
     }

@@ -44,8 +44,8 @@ echo "==> figures smoke run (reduced scale: fig15 + resilience + cluster + chaos
 # pre-commit hook. The run is timed against
 # scripts/perf_baseline.txt (committed seconds for this smoke): a
 # wall-clock blow-up past ~2x the baseline fails the gate loudly, so
-# substrate regressions (a broken fold, a classifier that stops
-# accepting, a cluster-scheduler rescan creeping back in, an unbounded
+# substrate regressions (a classifier that stops accepting, a
+# cluster-scheduler rescan creeping back in, an unbounded
 # per-session pose cache) surface here instead of in a multi-minute
 # figures run.
 SMOKE_START=$(date +%s.%N)
