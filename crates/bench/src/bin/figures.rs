@@ -1198,10 +1198,12 @@ fn run_serve_trace_scheme(scheme: ServeScheme, workload: &str, scale: f64) -> Re
 /// `figures -- trace cluster <workload>`: runs a small traced fleet under a
 /// link-down fault that provably kills a server mid-run (seeds scanned like
 /// the chaos sweep), so the artifacts always show the full cluster event
-/// vocabulary — routes, retries, the server down/up edge, failovers, and
-/// migrations — alongside the per-session frame spans.
+/// vocabulary — routes, retries, the server down/up edge, failovers,
+/// migrations, and per-paced-frame outcomes with at least one missed
+/// vsync — alongside the per-session frame spans.
 fn run_cluster_trace(workload: &str, scale: f64) -> Result<(), String> {
     use oovr_trace::export::{chrome_trace, csv_timeline, flight_digest};
+    use oovr_trace::TraceEvent;
     let t0 = std::time::Instant::now();
     let spec = trace_workload(workload, scale)?;
     let gpu = oovr_gpu::GpuConfig::default();
@@ -1209,39 +1211,48 @@ fn run_cluster_trace(workload: &str, scale: f64) -> Result<(), String> {
     // Least-loaded placement spreads sessions across every server, so the
     // link-down victim always holds residents and the failover path shows
     // up in the timeline (affinity would pack them all off the victim).
-    let mut cfg = ClusterConfig {
+    // The vsync grid holds only a few steady frames per server, so the
+    // fleet is full: sessions retry and are rejected, and the survivors
+    // can miss vsyncs when the victim's residents fail over. Whether one
+    // does depends on the grid and the outage windows, so both are
+    // scanned: four to eight steady frames per interval, 256 plan seeds
+    // each.
+    let steady = cost_stream(ServeScheme::OoVr, &spec, &gpu).steady().frame_cycles;
+    let base = ClusterConfig {
         sessions: 24,
         frames_per_session: 24,
         policy: Placement::LeastLoaded,
         ..ClusterConfig::default()
     };
-    let v = cfg.vsync_cycles;
-    let horizon = (cfg.arrival_intervals.saturating_sub(1) + cfg.frames_per_session) as u64 * v;
-    let plan = (0..256u64)
-        .map(|s| {
-            oovr_gpu::FaultPlan::new(
-                oovr_gpu::FaultScenario::LinkDown,
-                0.8,
-                cfg.seed.wrapping_add(s),
-            )
-            .with_horizon(horizon)
-        })
-        .find(|p| p.disturbs_servers(cfg.servers as usize, v))
-        .ok_or("no link-down seed disturbs a server within the trace horizon")?;
-    cfg.fault = Some(plan);
-    let mut rec = oovr_trace::Recorder::new(oovr_trace::TraceConfig::default());
-    let out = simulate_cluster(&mix, &gpu, &cfg, Some(&mut rec));
+    let intervals = u64::from(base.arrival_intervals.saturating_sub(1) + base.frames_per_session);
+    let settled = (4..=8u64).flat_map(|k| (0..256u64).map(move |s| (k, s))).find_map(|(k, s)| {
+        let v = steady * k;
+        let plan = oovr_gpu::FaultPlan::new(
+            oovr_gpu::FaultScenario::LinkDown,
+            0.8,
+            base.seed.wrapping_add(s),
+        )
+        .with_horizon(intervals * v);
+        if !plan.disturbs_servers(base.servers as usize, v) {
+            return None;
+        }
+        let cfg = ClusterConfig { vsync_cycles: v, fault: Some(plan), ..base.clone() };
+        let mut rec = oovr_trace::Recorder::new(oovr_trace::TraceConfig::default());
+        let out = simulate_cluster(&mix, &gpu, &cfg, Some(&mut rec));
+        let missed = rec
+            .events()
+            .filter(|e| matches!(e, TraceEvent::ClusterFrame { on_time: false, .. }))
+            .count();
+        (out.downs > 0 && out.failovers > 0 && missed > 0).then_some((out, rec))
+    });
+    let (out, rec) = settled.ok_or_else(|| {
+        format!(
+            "cluster trace of {workload}: no vsync grid and link-down seed produced a server \
+             down, a failover and a missed paced frame"
+        )
+    })?;
     let dropped = rec.dropped();
     let events = rec.into_events();
-    if events.is_empty() {
-        return Err(format!("cluster trace of {workload} recorded no events"));
-    }
-    if out.downs == 0 {
-        return Err(format!("cluster trace of {workload} observed no server downs"));
-    }
-    if out.failovers == 0 {
-        return Err(format!("cluster trace of {workload} exercised no failovers"));
-    }
     let json = chrome_trace(&events, gpu.n_gpms, dropped);
     let csv = csv_timeline(&events, dropped);
     let digest = flight_digest(&events, dropped);
@@ -1252,7 +1263,7 @@ fn run_cluster_trace(workload: &str, scale: f64) -> Result<(), String> {
     }
     println!(
         "== trace — cluster ({} servers, link-down fault) on {} in {:.1?} ==",
-        cfg.servers,
+        base.servers,
         spec.name,
         t0.elapsed()
     );

@@ -16,9 +16,10 @@
 //!   silently tests nothing.
 //! * [`edge_scenario_table`] — every fault scenario × severity on one
 //!   workload, for scenario coverage.
-//! * [`edge_slos`] / [`edge_health_table`] — the SLO catalogue over the
-//!   metrics [`simulate_edge_metered`] emits, evaluated nominal and
-//!   under the seed-scanned severity-1.0 link-down plan per workload;
+//! * [`meter_edge`] / [`edge_slos`] / [`edge_health_table`] — the
+//!   post-run fold that is the only writer of the edge metric names, the
+//!   SLO catalogue over them, evaluated nominal and under the
+//!   seed-scanned severity-1.0 link-down plan per workload;
 //!   `figures -- health` gates on every cell being healthy.
 
 use oovr::experiments::{par_map, FigureTable};
@@ -74,8 +75,40 @@ pub fn edge_nominal_mtp_target(vsync: Cycle, link_latency: Cycle) -> f64 {
     2.0 * (2.0 * vsync as f64 + link_latency as f64)
 }
 
-/// The edge-tier objectives over the metrics
-/// [`simulate_edge_metered`](crate::sim::simulate_edge_metered) emits.
+/// Folds one finished edge run into `reg`. Every paced frame counts at
+/// its photon cycle (the cycle it reached the eye, or the vsync it was
+/// warped or went dark at) with its motion-to-photon latency, classified
+/// by how the client displayed it; lost frames count as well. The
+/// warmup frame is outside the SLO accounting. The `min_scale` gauge is
+/// the lowest scale a rendered frame ran at.
+pub fn meter_edge(reg: &mut Registry, out: &EdgeOutcome) {
+    let frames = || out.sessions.iter().flat_map(|s| s.frames.iter());
+    for ef in frames().filter(|f| f.record.frame > 0) {
+        let photon = ef.photon;
+        reg.inc("frames", "", photon, 1);
+        reg.observe("motion_to_photon_cycles", "", photon, photon - ef.record.release);
+        match ef.display {
+            Display::Fresh => reg.inc("frames_delivered", "", photon, 1),
+            Display::Late => {
+                reg.inc("frames_delivered", "", photon, 1);
+                reg.inc("frames_missed", "", photon, 1);
+            }
+            Display::Reprojected { .. } => reg.inc("frames_reprojected", "", photon, 1),
+            Display::Stale { .. } => {
+                reg.inc("frames_stale", "", photon, 1);
+                reg.inc("frames_missed", "", photon, 1);
+            }
+        }
+        if ef.lost {
+            reg.inc("frames_lost", "", photon, 1);
+        }
+    }
+    let min_scale =
+        frames().filter(|f| !f.record.dropped).map(|f| f.record.scale).fold(1.0f64, f64::min);
+    reg.set_gauge("min_scale", "", min_scale);
+}
+
+/// The edge-tier objectives over the metrics [`meter_edge`] writes.
 /// `mtp_target` is the p99 motion-to-photon budget in cycles:
 /// [`edge_nominal_mtp_target`] for healthy-link runs,
 /// [`EDGE_FAULT_MTP_VSYNCS`]`·V` for runs under a fault plan (outage

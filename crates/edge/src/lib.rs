@@ -48,9 +48,9 @@ pub mod sim;
 
 pub use chaos::{
     edge_chaos_cell, edge_chaos_table, edge_health_table, edge_ladder, edge_ladder_table,
-    edge_nominal_mtp_target, edge_scenario_table, edge_slos, EdgeChaosCell, EdgeHealthCell,
-    EDGE_FAULT_MISS_BUDGET, EDGE_FAULT_MTP_VSYNCS, EDGE_NOMINAL_MISS_BUDGET, EDGE_REPROJECT_BUDGET,
-    EDGE_SEVERITIES,
+    edge_nominal_mtp_target, edge_scenario_table, edge_slos, meter_edge, EdgeChaosCell,
+    EdgeHealthCell, EDGE_FAULT_MISS_BUDGET, EDGE_FAULT_MTP_VSYNCS, EDGE_NOMINAL_MISS_BUDGET,
+    EDGE_REPROJECT_BUDGET, EDGE_SEVERITIES,
 };
 pub use link::{LinkConfig, NetworkLink};
 pub use qos::{edge_qos, MotionToPhoton};

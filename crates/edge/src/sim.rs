@@ -37,6 +37,7 @@ use oovr_serve::{
 };
 use oovr_trace::{Cycle, Recorder, TraceEvent};
 
+use crate::chaos::meter_edge;
 use crate::link::{LinkConfig, NetworkLink};
 use crate::qos::{edge_qos, motion_to_photon, AggregateQos, MotionToPhoton};
 
@@ -173,6 +174,27 @@ impl EdgeOutcome {
     }
 }
 
+/// [`simulate_edge`], then [`meter_edge`] folds the finished run into
+/// the optional [`Registry`]: paced frame counts, edge-level misses, link
+/// deliveries/losses, reprojections, dark vsyncs, and the
+/// `motion_to_photon_cycles` histogram behind [`crate::chaos::edge_slos`].
+/// Metering reads only the returned outcome, so a metered run is
+/// bit-identical to an unmetered one.
+pub fn simulate_edge_metered(
+    scheme: ServeScheme,
+    spec: &BenchmarkSpec,
+    gpu: &GpuConfig,
+    cfg: &EdgeConfig,
+    trace: Option<&mut Recorder>,
+    metrics: Option<&mut Registry>,
+) -> EdgeOutcome {
+    let out = simulate_edge(scheme, spec, gpu, cfg, trace);
+    if let Some(reg) = metrics {
+        meter_edge(reg, &out);
+    }
+    out
+}
+
 /// Runs one deterministic split client–edge experiment. `trace`, when
 /// given, receives the full session + link + client lifecycle in cycle
 /// order.
@@ -182,22 +204,6 @@ pub fn simulate_edge(
     gpu: &GpuConfig,
     cfg: &EdgeConfig,
     trace: Option<&mut Recorder>,
-) -> EdgeOutcome {
-    simulate_edge_metered(scheme, spec, gpu, cfg, trace, None)
-}
-
-/// [`simulate_edge`] with an optional [`Registry`] receiving edge-layer
-/// metrics: paced frame counts, edge-level misses, link deliveries/
-/// losses, reprojections, dark vsyncs, and the `motion_to_photon_cycles`
-/// histogram behind [`crate::chaos::edge_slos`]. The registry is a pure
-/// observer — a metered run is bit-identical to an unmetered one.
-pub fn simulate_edge_metered(
-    scheme: ServeScheme,
-    spec: &BenchmarkSpec,
-    gpu: &GpuConfig,
-    cfg: &EdgeConfig,
-    trace: Option<&mut Recorder>,
-    mut metrics: Option<&mut Registry>,
 ) -> EdgeOutcome {
     let stream = cost_stream(scheme, spec, gpu);
     let serve = &cfg.serve;
@@ -217,7 +223,7 @@ pub fn simulate_edge_metered(
         budget: Budget::new(capacity, serve.headroom),
         demand: session_rate,
     });
-    let (served, mut events) = schedule(stream, serve, gate, None);
+    let (served, mut events) = schedule(stream, serve, gate);
     let v = served.vsync;
     let link_rejected = events
         .iter()
@@ -337,45 +343,11 @@ pub fn simulate_edge_metered(
             };
             ef.display = display;
             ef.photon = photon;
-            if frame > 0 {
-                if let Some(reg) = metrics.as_deref_mut() {
-                    reg.inc("frames", "", photon, 1);
-                    reg.observe("motion_to_photon_cycles", "", photon, photon - ef.record.release);
-                    match display {
-                        Display::Fresh => {
-                            reg.inc("frames_delivered", "", photon, 1);
-                        }
-                        Display::Late => {
-                            reg.inc("frames_delivered", "", photon, 1);
-                            reg.inc("frames_missed", "", photon, 1);
-                        }
-                        Display::Reprojected { .. } => {
-                            reg.inc("frames_reprojected", "", photon, 1);
-                        }
-                        Display::Stale { .. } => {
-                            reg.inc("frames_stale", "", photon, 1);
-                            reg.inc("frames_missed", "", photon, 1);
-                        }
-                    }
-                    if ef.lost {
-                        reg.inc("frames_lost", "", photon, 1);
-                    }
-                }
-            }
         }
     }
 
     if let Some(rec) = trace {
         record_in_cycle_order(rec, events);
-    }
-    if let Some(reg) = metrics {
-        let min_scale = sessions
-            .iter()
-            .flat_map(|s| s.frames.iter())
-            .filter(|f| !f.record.dropped)
-            .map(|f| f.record.scale)
-            .fold(1.0f64, f64::min);
-        reg.set_gauge("min_scale", "", min_scale);
     }
 
     EdgeOutcome {

@@ -46,7 +46,6 @@ pub mod fault;
 pub mod layout;
 pub mod raster;
 pub mod report;
-pub mod sample;
 pub mod tasks;
 mod trace;
 

@@ -8,19 +8,19 @@
 //! that govern tracing govern metering:
 //!
 //! 1. **Observers read, never perturb.** Nothing in this crate can mutate
-//!    simulation state; every hook in the simulator is `Option`-gated, so a
-//!    metered run is bit-identical to an unmetered one (pinned by proptest
-//!    in `tests/prop_metrics.rs`).
+//!    simulation state, and the simulation loops carry no registry:
+//!    metering is a post-run fold. Each serving tier has one `meter`
+//!    function (`oovr_serve::meter_serve`, `oovr_serve::meter_cluster`,
+//!    `oovr_edge::meter_edge`) that folds a finished run's outcome and
+//!    event vector into a [`Registry`], so a metered run is bit-identical
+//!    to an unmetered one (pinned by proptest in `tests/prop_metrics.rs`).
 //! 2. **Simulated cycles only.** Wall-clock time never enters the registry,
 //!    so two runs of the same configuration export byte-identical metrics.
 //!
 //! On top of the registry sits [`slo`]: declarative objectives (missed-vsync
 //! rate, p99 motion-to-photon latency, shed-time fraction) with error
 //! budgets and multi-window burn rates, and [`export`]: Prometheus text
-//! exposition plus a per-window CSV. [`ingest_trace`] derives registry
-//! counters from a drained flight-recorder stream, which is how the GPU
-//! executor and memory-window samplers feed the metrics plane without a new
-//! set of hooks in the hot path.
+//! exposition plus a per-window CSV.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -33,7 +33,6 @@ use std::collections::BTreeMap;
 
 pub use hist::Hist;
 pub use oovr_trace::Cycle;
-use oovr_trace::TraceEvent;
 
 /// Metric key: a static metric name plus a free-form label (server index,
 /// session class, pipeline phase, ...). The empty label is the unlabelled
@@ -54,7 +53,10 @@ struct Counter {
 /// All mutation is keyed by a simulated [`Cycle`] timestamp; the registry
 /// slots each increment into the vsync interval (`cycle / window_cycles`)
 /// it occurred in, building the time series the SLO burn-rate evaluation
-/// reads. Creation allocates nothing until the first metric is touched.
+/// reads. Counters, windows and histograms are sums, so the order of
+/// calls does not matter: folding a run's facts after it finishes builds
+/// the same registry as recording them as they happen. Creation
+/// allocates nothing until the first metric is touched.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Registry {
     window_cycles: Cycle,
@@ -173,80 +175,6 @@ impl Registry {
     }
 }
 
-/// Derive registry counters from a drained flight-recorder stream.
-///
-/// This is how the GPU executor and the memory-window samplers feed the
-/// metrics plane: the executor already emits phase spans, cache windows,
-/// and bandwidth-server windows when traced, and this adapter folds that
-/// stream into counters and histograms without adding a second set of
-/// hooks to the render hot path. Serve-layer events fold too, so a trace
-/// captured from the scheduler or cluster tier yields the same counter
-/// families the direct metering hooks produce.
-pub fn ingest_trace(reg: &mut Registry, events: &[TraceEvent]) {
-    for e in events {
-        match *e {
-            TraceEvent::PhaseSpan { phase, start, end, stall, .. } => {
-                reg.inc("gpu_phase_cycles", phase.name(), start, end - start);
-                reg.inc("gpu_stall_cycles", phase.name(), start, stall);
-            }
-            TraceEvent::CompositionSpan { start, end } => {
-                reg.inc("gpu_composition_cycles", "", start, end - start);
-            }
-            TraceEvent::PreAlloc { cycle, bytes, .. } => {
-                reg.inc("gpu_prealloc_bytes", "", cycle, bytes);
-            }
-            TraceEvent::Shed { cycle, .. } => reg.inc("gpu_sheds", "", cycle, 1),
-            TraceEvent::Migrate { cycle, .. } => reg.inc("gpu_migrations", "", cycle, 1),
-            TraceEvent::PaRetry { cycle, .. } => reg.inc("gpu_pa_retries", "", cycle, 1),
-            TraceEvent::PaFallback { cycle, .. } => reg.inc("gpu_pa_fallbacks", "", cycle, 1),
-            TraceEvent::LinkWindow { end, bytes, .. } => {
-                reg.inc("mem_link_bytes", "", end, bytes);
-                reg.observe("mem_link_window_bytes", "", end, bytes);
-            }
-            TraceEvent::DramWindow { end, bytes, .. } => {
-                reg.inc("mem_dram_bytes", "", end, bytes);
-            }
-            TraceEvent::CacheWindow { end, l1_accesses, l1_hits, l2_accesses, l2_hits, .. } => {
-                reg.inc("mem_l1_accesses", "", end, l1_accesses);
-                reg.inc("mem_l1_hits", "", end, l1_hits);
-                reg.inc("mem_l2_accesses", "", end, l2_accesses);
-                reg.inc("mem_l2_hits", "", end, l2_hits);
-            }
-            TraceEvent::SessionAdmit { cycle, .. } => reg.inc("sessions_admitted", "", cycle, 1),
-            TraceEvent::SessionReject { cycle, .. } => reg.inc("sessions_rejected", "", cycle, 1),
-            TraceEvent::FrameSpan { start, end, .. } => {
-                reg.observe("frame_service_cycles", "", start, end - start);
-            }
-            TraceEvent::DeadlineMiss { cycle, .. } => reg.inc("frames_missed", "", cycle, 1),
-            TraceEvent::FrameShed { cycle, .. } => reg.inc("frames_shed", "", cycle, 1),
-            TraceEvent::FrameDrop { cycle, .. } => reg.inc("frames_dropped", "", cycle, 1),
-            TraceEvent::TemporalReuse { cycle, reused, rerendered, saved, .. } => {
-                reg.inc("temporal_frames", "", cycle, 1);
-                reg.inc("temporal_objects_reused", "", cycle, u64::from(reused));
-                reg.inc("temporal_objects_rerendered", "", cycle, u64::from(rerendered));
-                reg.inc("temporal_saved_cycles", "", cycle, saved);
-            }
-            TraceEvent::ServerUp { cycle, server } => {
-                reg.inc("server_up_transitions", &format!("srv{server}"), cycle, 1);
-            }
-            TraceEvent::ServerDown { cycle, server, .. } => {
-                reg.inc("server_down_transitions", &format!("srv{server}"), cycle, 1);
-            }
-            TraceEvent::SessionRoute { cycle, server, .. } => {
-                reg.inc("sessions_routed", &format!("srv{server}"), cycle, 1);
-            }
-            TraceEvent::RouteRetry { cycle, .. } => reg.inc("route_retries", "", cycle, 1),
-            TraceEvent::SessionMigrate { cycle, .. } => {
-                reg.inc("session_migrations", "", cycle, 1);
-            }
-            TraceEvent::SessionFailover { cycle, .. } => {
-                reg.inc("session_failovers", "", cycle, 1);
-            }
-            _ => {}
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -280,29 +208,5 @@ mod tests {
         let mut r = Registry::new(0);
         r.inc("x", "", 5, 1);
         assert_eq!(r.window_of(5), 5);
-    }
-
-    #[test]
-    fn ingest_folds_serve_and_memory_events() {
-        let mut r = Registry::new(1_000);
-        let events = vec![
-            TraceEvent::SessionAdmit { cycle: 0, session: 0, predicted: 1.0, active: 1 },
-            TraceEvent::DeadlineMiss { cycle: 1_500, session: 0, frame: 1, deadline: 1_000 },
-            TraceEvent::CacheWindow {
-                gpm: 0,
-                start: 0,
-                end: 500,
-                l1_accesses: 10,
-                l1_hits: 8,
-                l2_accesses: 2,
-                l2_hits: 1,
-            },
-            TraceEvent::ServerDown { cycle: 2_000, server: 3, reason: "link-down" },
-        ];
-        ingest_trace(&mut r, &events);
-        assert_eq!(r.counter("sessions_admitted", ""), 1);
-        assert_eq!(r.counter("frames_missed", ""), 1);
-        assert_eq!(r.counter("mem_l1_hits", ""), 8);
-        assert_eq!(r.counter("server_down_transitions", "srv3"), 1);
     }
 }

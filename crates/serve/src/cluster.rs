@@ -29,8 +29,11 @@
 //! robustness feature has to *earn* its place in the chaos tables.
 //!
 //! Everything the router does — route, retry, failover, migrate, shed,
-//! evict — lands in the trace as cluster-level [`TraceEvent`]s when a
-//! recorder is supplied.
+//! evict — and the outcome of every paced frame that comes due on a
+//! server ([`TraceEvent::ClusterFrame`]) is emitted as a cluster-level
+//! [`TraceEvent`] when the run is traced or metered; the fleet metrics
+//! are folded from those events after the run
+//! ([`crate::metrics::meter_cluster`]).
 
 use std::sync::Arc;
 
@@ -38,13 +41,15 @@ use oovr::{ResilienceConfig, TemporalConfig};
 use oovr_gpu::{FaultPlan, GpuConfig, VSYNC_90HZ_CYCLES};
 use oovr_metrics::Registry;
 use oovr_scene::BenchmarkSpec;
-use oovr_trace::{Cycle, Recorder, TraceEvent, TraceSink};
+use oovr_trace::{Cycle, Recorder, TraceEvent};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::admission::{calibrate_discounted, DEFAULT_HEADROOM};
 use crate::capacity::MISS_BUDGET;
+use crate::metrics::meter_cluster;
 use crate::router::{Placement, RouterConfig, ServerView};
+use crate::scheduler::record_in_cycle_order;
 use crate::stream::{cost_stream, ServeScheme, SessionCostStream};
 
 /// Probe horizon of [`cluster_capacity`], in vsync intervals (matches the
@@ -209,12 +214,6 @@ struct Sess {
     degraded: u64,
     misses_in_a_row: u32,
     moves: u32,
-    /// Paced frames the metrics registry has accounted (served or missed
-    /// while `Active`). Only advanced when a registry is attached; the
-    /// end-of-run reconciliation charges `frames − metered` to the
-    /// `unrouted` label so the aggregate SLO miss rate equals
-    /// [`ClusterOutcome::miss_rate`] exactly.
-    metered: u64,
 }
 
 /// The deduplicated cost streams of a session mix, plus per-stream derived
@@ -296,16 +295,15 @@ pub fn simulate_cluster(
     simulate_cluster_metered(mix, gpu, cfg, trace, None)
 }
 
-/// [`simulate_cluster`] with an optional [`Registry`] receiving fleet
-/// metrics: per-server frame/miss/degrade counters (`srv0…srvN`), per
-/// session-class counters keyed by workload name, router activity
-/// (routes, retries, failovers, migrations, evictions, sheds) and server
-/// up/down transitions. Frames of sessions that were never admitted —
-/// rejected, lost to backoff, or evicted mid-run — are reconciled into an
-/// `unrouted` label at the end of the run, so the aggregate metered miss
-/// rate equals [`ClusterOutcome::miss_rate`] exactly. Observation-only:
-/// a metered run is bit-identical to an unmetered one (pinned by
-/// `prop_metrics`).
+/// [`simulate_cluster`], then [`meter_cluster`] folds the finished run
+/// into the optional [`Registry`]: per-server frame/miss/degrade counters
+/// (`srv0…srvN`), per session-class counters keyed by workload name,
+/// router activity (routes, retries, failovers, migrations, evictions,
+/// sheds), server up/down transitions, and the `unrouted` reconciliation
+/// that makes the aggregate metered miss rate equal
+/// [`ClusterOutcome::miss_rate`] exactly. Metering reads only the
+/// returned outcome and events, so a metered run is bit-identical to an
+/// unmetered one (pinned by `prop_metrics`).
 ///
 /// # Panics
 ///
@@ -315,8 +313,28 @@ pub fn simulate_cluster_metered(
     gpu: &GpuConfig,
     cfg: &ClusterConfig,
     trace: Option<&mut Recorder>,
-    mut metrics: Option<&mut Registry>,
+    metrics: Option<&mut Registry>,
 ) -> ClusterOutcome {
+    let (out, events) = run_cluster(mix, gpu, cfg, trace.is_some() || metrics.is_some());
+    if let Some(reg) = metrics {
+        meter_cluster(reg, mix, cfg, &out, &events);
+    }
+    if let Some(rec) = trace {
+        record_in_cycle_order(rec, events);
+    }
+    out
+}
+
+/// The cluster core: runs the fleet and, when `observe` is set, returns
+/// its events in emission order (router activity, server transitions, and
+/// one [`TraceEvent::ClusterFrame`] per paced frame that came due on a
+/// server). Unobserved runs return no events.
+fn run_cluster(
+    mix: &[(ServeScheme, BenchmarkSpec)],
+    gpu: &GpuConfig,
+    cfg: &ClusterConfig,
+    observe: bool,
+) -> (ClusterOutcome, Vec<TraceEvent>) {
     assert!(!mix.is_empty(), "cluster mix must name at least one workload");
     let n = cfg.servers as usize;
     assert!(n > 0, "cluster needs at least one server");
@@ -347,27 +365,11 @@ pub fn simulate_cluster_metered(
                 degraded: 0,
                 misses_in_a_row: 0,
                 moves: 0,
-                metered: 0,
             }
         })
         .collect();
 
-    // Session-class label per stream (the workload name of the first mix
-    // entry backing it); built only when a registry is attached.
-    let class_of_stream: Vec<String> = if metrics.is_some() {
-        let mut classes = vec![String::new(); st.demand.len()];
-        for (j, &si) in st.of_mix.iter().enumerate() {
-            if classes[si].is_empty() {
-                classes[si] = mix[j].1.name.clone();
-            }
-        }
-        classes
-    } else {
-        Vec::new()
-    };
-
     let mut events: Vec<TraceEvent> = Vec::new();
-    let tracing = trace.is_some();
     let mut alive_prev = vec![false; n];
     let mut scale = 1.0f64;
     let mut min_scale = 1.0f64;
@@ -453,23 +455,17 @@ pub fn simulate_cluster_metered(
         let alive: Vec<bool> = rates.iter().map(|&r| r > 0.0).collect();
         for s in 0..n {
             if alive[s] && !alive_prev[s] {
-                if tracing {
+                if observe {
                     events.push(TraceEvent::ServerUp { cycle: t, server: s as u32 });
-                }
-                if let Some(reg) = metrics.as_deref_mut() {
-                    reg.inc("server_up_transitions", &format!("srv{s}"), t, 1);
                 }
             } else if !alive[s] && alive_prev[s] {
                 downs += 1;
-                if tracing {
+                if observe {
                     events.push(TraceEvent::ServerDown {
                         cycle: t,
                         server: s as u32,
                         reason: fault_reason,
                     });
-                }
-                if let Some(reg) = metrics.as_deref_mut() {
-                    reg.inc("server_down_transitions", &format!("srv{s}"), t, 1);
                 }
             }
         }
@@ -502,16 +498,13 @@ pub fn simulate_cluster_metered(
                     sess.cold_pending = true;
                     sess.last_move = k;
                     sess.server = d;
-                    if tracing {
+                    if observe {
                         events.push(TraceEvent::SessionFailover {
                             cycle: t,
                             session: i as u32,
                             from: server as u32,
                             to: d as u32,
                         });
-                    }
-                    if let Some(reg) = metrics.as_deref_mut() {
-                        reg.inc("session_failovers", "", t, 1);
                     }
                 }
             }
@@ -530,16 +523,13 @@ pub fn simulate_cluster_metered(
             if k > sess.arrival + frames {
                 // Backed off past its own last frame: nothing left to serve.
                 sess.state = State::Rejected;
-                if tracing {
+                if observe {
                     events.push(TraceEvent::SessionReject {
                         cycle: t,
                         session: i as u32,
                         predicted: st.demand[sess.stream],
                         reason: "backoff-expired",
                     });
-                }
-                if let Some(reg) = metrics.as_deref_mut() {
-                    reg.inc("sessions_rejected", "", t, 1);
                 }
                 continue;
             }
@@ -571,7 +561,7 @@ pub fn simulate_cluster_metered(
                 sess.admitted_at = Some(k);
                 sess.last_move = k;
                 sess.cold_pending = true;
-                if tracing {
+                if observe {
                     events.push(TraceEvent::SessionRoute {
                         cycle: t,
                         session: i as u32,
@@ -579,14 +569,11 @@ pub fn simulate_cluster_metered(
                         attempt,
                     });
                 }
-                if let Some(reg) = metrics.as_deref_mut() {
-                    reg.inc("sessions_admitted", &format!("srv{cand}"), t, 1);
-                }
             } else if cfg.router.retry && attempt < cfg.router.max_attempts {
                 let backoff = cfg.router.backoff_for(attempt);
                 sess.next_attempt = k + backoff;
                 retries += 1;
-                if tracing {
+                if observe {
                     events.push(TraceEvent::RouteRetry {
                         cycle: t,
                         session: i as u32,
@@ -594,21 +581,15 @@ pub fn simulate_cluster_metered(
                         backoff: backoff as Cycle * v,
                     });
                 }
-                if let Some(reg) = metrics.as_deref_mut() {
-                    reg.inc("route_retries", "", t, 1);
-                }
             } else {
                 sess.state = State::Rejected;
-                if tracing {
+                if observe {
                     events.push(TraceEvent::SessionReject {
                         cycle: t,
                         session: i as u32,
                         predicted: demand,
                         reason: "capacity",
                     });
-                }
-                if let Some(reg) = metrics.as_deref_mut() {
-                    reg.inc("sessions_rejected", "", t, 1);
                 }
             }
         }
@@ -657,7 +638,7 @@ pub fn simulate_cluster_metered(
                     sessions[i].last_move = k;
                     let from = sessions[i].server;
                     sessions[i].server = d;
-                    if tracing {
+                    if observe {
                         events.push(TraceEvent::SessionMigrate {
                             cycle: t,
                             session: i as u32,
@@ -665,9 +646,6 @@ pub fn simulate_cluster_metered(
                             to: d as u32,
                             reason: "overload",
                         });
-                    }
-                    if let Some(reg) = metrics.as_deref_mut() {
-                        reg.inc("session_migrations", "", t, 1);
                     }
                 }
             }
@@ -693,15 +671,12 @@ pub fn simulate_cluster_metered(
                 if target < scale {
                     scale = target;
                     min_scale = min_scale.min(scale);
-                    if tracing {
+                    if observe {
                         events.push(TraceEvent::Shed {
                             cycle: t,
                             scale,
                             reason: "cluster-overload",
                         });
-                    }
-                    if let Some(reg) = metrics.as_deref_mut() {
-                        reg.inc("cluster_sheds", "", t, 1);
                     }
                 }
             } else if scale < 1.0 {
@@ -722,7 +697,7 @@ pub fn simulate_cluster_metered(
                     .saturating_sub(switch_tax * distinct(&srv[s]).saturating_sub(1) as u64)
             })
             .collect();
-        for sess in sessions.iter_mut() {
+        for (i, sess) in sessions.iter_mut().enumerate() {
             if sess.state != State::Active || k < sess.arrival {
                 continue;
             }
@@ -737,7 +712,9 @@ pub fn simulate_cluster_metered(
                 st.steady[sess.stream]
             };
             let cost = (((full as f64) * eff_scale).round() as u64).max(1);
-            if alive[s] && cost <= remaining[s] {
+            let on_time = alive[s] && cost <= remaining[s];
+            let degraded = on_time && eff_scale < 1.0;
+            if on_time {
                 remaining[s] -= cost;
                 if sess.cold_pending {
                     srv[s].cost = srv[s].cost - st.cold[sess.stream] + st.steady[sess.stream];
@@ -746,33 +723,19 @@ pub fn simulate_cluster_metered(
                 sess.misses_in_a_row = 0;
                 if f >= 1 {
                     sess.on_time += 1;
-                    if eff_scale < 1.0 {
-                        sess.degraded += 1;
-                    }
-                    if let Some(reg) = metrics.as_deref_mut() {
-                        sess.metered += 1;
-                        let label = format!("srv{s}");
-                        reg.inc("frames", &label, t, 1);
-                        if eff_scale < 1.0 {
-                            reg.inc("frames_degraded", &label, t, 1);
-                        }
-                        let class = &class_of_stream[sess.stream];
-                        reg.inc("class_frames", class, t, 1);
-                    }
+                    sess.degraded += u64::from(degraded);
                 }
             } else {
                 sess.misses_in_a_row += 1;
-                if f >= 1 {
-                    if let Some(reg) = metrics.as_deref_mut() {
-                        sess.metered += 1;
-                        let label = format!("srv{s}");
-                        reg.inc("frames", &label, t, 1);
-                        reg.inc("frames_missed", &label, t, 1);
-                        let class = &class_of_stream[sess.stream];
-                        reg.inc("class_frames", class, t, 1);
-                        reg.inc("class_frames_missed", class, t, 1);
-                    }
-                }
+            }
+            if observe && f >= 1 {
+                events.push(TraceEvent::ClusterFrame {
+                    cycle: t,
+                    session: i as u32,
+                    server: s as u32,
+                    on_time,
+                    degraded,
+                });
             }
             if f == frames {
                 let held =
@@ -798,16 +761,13 @@ pub fn simulate_cluster_metered(
                     };
                     detach(&mut srv, sess.server, sess.stream, st.demand[sess.stream], held);
                     sess.state = State::Evicted;
-                    if tracing {
+                    if observe {
                         events.push(TraceEvent::FrameDrop {
                             cycle: t,
                             session: i as u32,
                             frame: k - sess.arrival,
                             reason: "evicted",
                         });
-                    }
-                    if let Some(reg) = metrics.as_deref_mut() {
-                        reg.inc("sessions_evicted", "", t, 1);
                     }
                 }
             }
@@ -819,35 +779,6 @@ pub fn simulate_cluster_metered(
         {
             break;
         }
-    }
-
-    if let Some(rec) = trace {
-        // Exporters require non-decreasing timestamps per track; stable
-        // sort keeps causal order within a cycle.
-        events.sort_by_key(|e| e.cycle());
-        for e in events {
-            rec.record(e);
-        }
-    }
-
-    if let Some(reg) = metrics {
-        // Reconcile never-served frames: goodput charges rejected, lost and
-        // evicted sessions' frames against the cluster, so the registry
-        // must too. Whatever phase 6 did not account lands on the
-        // `unrouted` label at the session's last deadline, making
-        // `frames_missed/frames` over all labels equal `miss_rate()`.
-        for s in &sessions {
-            let lost = u64::from(frames).saturating_sub(s.metered);
-            if lost > 0 {
-                let t_last = Cycle::from(s.arrival + frames) * v;
-                reg.inc("frames", "unrouted", t_last, lost);
-                reg.inc("frames_missed", "unrouted", t_last, lost);
-                let class = &class_of_stream[s.stream];
-                reg.inc("class_frames", class, t_last, lost);
-                reg.inc("class_frames_missed", class, t_last, lost);
-            }
-        }
-        reg.set_gauge("min_scale", "", min_scale);
     }
 
     let outcomes: Vec<ClusterSession> = sessions
@@ -866,7 +797,7 @@ pub fn simulate_cluster_metered(
         })
         .collect();
     let admitted = outcomes.iter().filter(|s| s.admitted_at.is_some()).count() as u32;
-    ClusterOutcome {
+    let out = ClusterOutcome {
         servers: cfg.servers,
         offered: cfg.sessions,
         admitted,
@@ -881,7 +812,8 @@ pub fn simulate_cluster_metered(
         degraded: outcomes.iter().map(|s| s.degraded).sum(),
         min_scale,
         sessions: outcomes,
-    }
+    };
+    (out, events)
 }
 
 /// Exact feasibility of `m` warm sessions of `mix` on `n` fault-free

@@ -79,8 +79,8 @@ pub use cluster::{
     ClusterSession,
 };
 pub use metrics::{
-    cluster_slos, health_cell, health_table, metrics_table, serve_slos, HealthCell,
-    FAULT_MISS_BUDGET, NOMINAL_MISS_BUDGET, SERVE_MISS_BUDGET, SHED_TIME_BUDGET,
+    cluster_slos, health_cell, health_table, meter_cluster, meter_serve, metrics_table, serve_slos,
+    HealthCell, FAULT_MISS_BUDGET, NOMINAL_MISS_BUDGET, SERVE_MISS_BUDGET, SHED_TIME_BUDGET,
 };
 pub use oovr_gpu::VSYNC_90HZ_CYCLES;
 pub use pose::{session_trajectory, Pose, PoseModel, PoseTrajectory};

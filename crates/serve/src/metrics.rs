@@ -1,8 +1,14 @@
-//! Serve-layer SLO catalogues and the fleet health gate.
+//! Serve-layer meters, SLO catalogues and the fleet health gate.
 //!
-//! This module binds the generic `oovr-metrics` SLO machinery to the
-//! metric names [`crate::scheduler::simulate_metered`] and
-//! [`crate::cluster::simulate_cluster_metered`] emit:
+//! Metering is a post-run fold: the scheduler and cluster loops carry no
+//! registry. [`meter_serve`] and [`meter_cluster`] are the only writers
+//! of their tiers' metric names. Each folds what a finished run returns
+//! (the outcome and its event vector) into a [`Registry`], at the
+//! simulated cycle each fact happened. The registry is keyed by cycle and
+//! ignores call order, so the fold equals metering in the loop.
+//! [`crate::scheduler::simulate_metered`] and
+//! [`crate::cluster::simulate_cluster_metered`] run the core, then meter.
+//! The catalogues below read those names:
 //!
 //! * [`serve_slos`] — the single-server objectives: missed-vsync rate,
 //!   release-to-retire p99 motion-to-photon latency, and shed-time
@@ -32,12 +38,12 @@ use oovr_gpu::{FaultPlan, FaultScenario, GpuConfig};
 use oovr_metrics::slo::{evaluate, Objective, Slo, SloEval};
 use oovr_metrics::Registry;
 use oovr_scene::BenchmarkSpec;
-use oovr_trace::Cycle;
+use oovr_trace::{Cycle, TraceEvent};
 
 use crate::chaos::{effective_plan, CHAOS_LOAD};
-use crate::cluster::{cluster_capacity, simulate_cluster_metered, ClusterConfig};
+use crate::cluster::{cluster_capacity, simulate_cluster_metered, ClusterConfig, ClusterOutcome};
 use crate::router::{Placement, RouterConfig};
-use crate::scheduler::{simulate_metered, ServeConfig};
+use crate::scheduler::{simulate_metered, ServeConfig, ServeOutcome};
 use crate::stream::ServeScheme;
 
 /// Missed-vsync budget of a fault-free fleet at [`CHAOS_LOAD`] of its
@@ -64,8 +70,124 @@ pub const SHED_TIME_BUDGET: f64 = 0.5;
 /// Single-server missed-vsync budget for [`serve_slos`].
 pub const SERVE_MISS_BUDGET: f64 = 0.05;
 
+/// Folds one finished serving run into `reg`. Sessions count at their
+/// arrival, paced frames at retire (the warmup frame is outside the SLO
+/// accounting, matching [`crate::qos::session_qos`]), and temporal
+/// decisions at service start from their [`TraceEvent::TemporalReuse`]
+/// events. The `min_scale` gauge is the lowest scale a rendered frame ran
+/// at.
+pub fn meter_serve(reg: &mut Registry, out: &ServeOutcome, events: &[TraceEvent]) {
+    for s in &out.sessions {
+        reg.inc("sessions_admitted", "", s.arrival, 1);
+        reg.observe("admission_predicted_cycles", "", s.arrival, s.predicted as Cycle);
+        for f in s.frames.iter().filter(|f| f.frame > 0) {
+            reg.inc("frames", "", f.end, 1);
+            if f.missed {
+                reg.inc("frames_missed", "", f.end, 1);
+            }
+            if f.dropped {
+                reg.inc("frames_dropped", "", f.end, 1);
+                continue;
+            }
+            reg.observe("frame_latency_cycles", "", f.end, f.end - f.release);
+            if f.scale < 1.0 {
+                reg.inc("frames_shed", "", f.end, 1);
+            }
+        }
+    }
+    for r in &out.rejects {
+        reg.inc("sessions_rejected", "", r.arrival, 1);
+    }
+    for e in events {
+        if let TraceEvent::TemporalReuse { cycle, reused, rerendered, saved, .. } = *e {
+            reg.inc("temporal_frames", "", cycle, 1);
+            reg.inc("temporal_objects_reused", "", cycle, u64::from(reused));
+            reg.inc("temporal_objects_rerendered", "", cycle, u64::from(rerendered));
+            reg.inc("temporal_saved_cycles", "", cycle, saved);
+        }
+    }
+    let min_scale = out
+        .sessions
+        .iter()
+        .flat_map(|s| s.frames.iter())
+        .filter(|f| !f.dropped)
+        .map(|f| f.scale)
+        .fold(1.0f64, f64::min);
+    reg.set_gauge("min_scale", "", min_scale);
+}
+
+/// Folds one finished cluster run of `mix` into `reg`: router activity
+/// and server transitions from their events, and per-server
+/// (`srv0…srvN`) and per-class (workload name) frame counters from the
+/// per-paced-frame [`TraceEvent::ClusterFrame`] events. Paced frames no
+/// server accounted (sessions rejected, lost to backoff, or evicted) land
+/// on the `unrouted` label at the session's last deadline, so the
+/// aggregate metered miss rate equals [`ClusterOutcome::miss_rate`]
+/// exactly.
+pub fn meter_cluster(
+    reg: &mut Registry,
+    mix: &[(ServeScheme, BenchmarkSpec)],
+    cfg: &ClusterConfig,
+    out: &ClusterOutcome,
+    events: &[TraceEvent],
+) {
+    // Sessions round-robin the mix entries; a session's class is its
+    // entry's workload name.
+    let class = |session: usize| mix[session % mix.len()].1.name.as_str();
+    let srv = |server: u32| format!("srv{server}");
+    let mut accounted = vec![0u32; out.sessions.len()];
+    for e in events {
+        match *e {
+            TraceEvent::ServerUp { cycle, server } => {
+                reg.inc("server_up_transitions", &srv(server), cycle, 1);
+            }
+            TraceEvent::ServerDown { cycle, server, .. } => {
+                reg.inc("server_down_transitions", &srv(server), cycle, 1);
+            }
+            TraceEvent::SessionRoute { cycle, server, .. } => {
+                reg.inc("sessions_admitted", &srv(server), cycle, 1);
+            }
+            TraceEvent::SessionReject { cycle, .. } => reg.inc("sessions_rejected", "", cycle, 1),
+            TraceEvent::RouteRetry { cycle, .. } => reg.inc("route_retries", "", cycle, 1),
+            TraceEvent::SessionFailover { cycle, .. } => {
+                reg.inc("session_failovers", "", cycle, 1);
+            }
+            TraceEvent::SessionMigrate { cycle, .. } => {
+                reg.inc("session_migrations", "", cycle, 1);
+            }
+            TraceEvent::Shed { cycle, .. } => reg.inc("cluster_sheds", "", cycle, 1),
+            TraceEvent::FrameDrop { cycle, .. } => reg.inc("sessions_evicted", "", cycle, 1),
+            TraceEvent::ClusterFrame { cycle, session, server, on_time, degraded } => {
+                let (label, class) = (srv(server), class(session as usize));
+                accounted[session as usize] += 1;
+                reg.inc("frames", &label, cycle, 1);
+                reg.inc("class_frames", class, cycle, 1);
+                if !on_time {
+                    reg.inc("frames_missed", &label, cycle, 1);
+                    reg.inc("class_frames_missed", class, cycle, 1);
+                } else if degraded {
+                    reg.inc("frames_degraded", &label, cycle, 1);
+                }
+            }
+            _ => {}
+        }
+    }
+    let frames = cfg.frames_per_session;
+    for (i, (s, &n)) in out.sessions.iter().zip(&accounted).enumerate() {
+        let lost = u64::from(frames.saturating_sub(n));
+        if lost > 0 {
+            let t_last = Cycle::from(s.arrival + frames) * cfg.vsync_cycles.max(1);
+            reg.inc("frames", "unrouted", t_last, lost);
+            reg.inc("frames_missed", "unrouted", t_last, lost);
+            reg.inc("class_frames", class(i), t_last, lost);
+            reg.inc("class_frames_missed", class(i), t_last, lost);
+        }
+    }
+    reg.set_gauge("min_scale", "", out.min_scale);
+}
+
 /// The single-server serving objectives over the metrics
-/// [`simulate_metered`](crate::scheduler::simulate_metered) emits.
+/// [`meter_serve`] writes.
 pub fn serve_slos(vsync: Cycle) -> Vec<Slo> {
     vec![
         Slo {
@@ -88,9 +210,8 @@ pub fn serve_slos(vsync: Cycle) -> Vec<Slo> {
     ]
 }
 
-/// The fleet objectives over the metrics
-/// [`simulate_cluster_metered`](crate::cluster::simulate_cluster_metered)
-/// emits, at the given missed-vsync budget.
+/// The fleet objectives over the metrics [`meter_cluster`] writes, at the
+/// given missed-vsync budget.
 pub fn cluster_slos(miss_budget: f64) -> Vec<Slo> {
     vec![
         Slo {
@@ -291,6 +412,7 @@ pub fn metrics_table(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stream::cost_stream;
     use oovr_scene::benchmarks;
 
     fn spec() -> BenchmarkSpec {
@@ -320,13 +442,39 @@ mod tests {
     #[test]
     fn metered_cluster_miss_rate_matches_outcome() {
         let gpu = GpuConfig::default();
-        let cfg =
-            ClusterConfig { sessions: 40, frames_per_session: 16, ..ClusterConfig::default() };
-        let mix = vec![(ServeScheme::OoVr, spec())];
+        // A two-workload mix on a vsync grid of a few WE frames per server,
+        // offered more than the fleet holds: sessions are rejected, so
+        // the `unrouted` label and both class labels carry frames.
+        let we = benchmarks::we().scaled(0.05);
+        let v = cost_stream(ServeScheme::OoVr, &we, &gpu).steady().frame_cycles * 8;
+        let cfg = ClusterConfig {
+            vsync_cycles: v,
+            sessions: 80,
+            frames_per_session: 16,
+            ..ClusterConfig::default()
+        };
+        let mix = vec![(ServeScheme::OoVr, spec()), (ServeScheme::OoVr, we)];
         let mut reg = Registry::new(cfg.vsync_cycles);
         let out = simulate_cluster_metered(&mix, &gpu, &cfg, None, Some(&mut reg));
+        assert!(out.rejected > 0, "the mix must overload the fleet");
         assert_eq!(reg.counter_sum("frames"), out.frames_offered);
         assert_eq!(reg.counter_sum("frames_missed"), out.frames_offered - out.on_time);
+        // Per-server plus unrouted frames cover every offered frame.
+        let servers: u64 =
+            (0..cfg.servers).map(|s| reg.counter("frames", &format!("srv{s}"))).sum();
+        assert!(reg.counter("frames", "unrouted") > 0);
+        assert_eq!(servers + reg.counter("frames", "unrouted"), out.frames_offered);
+        // Sessions round-robin the mix: each class is offered its share.
+        for (j, (_, spec)) in mix.iter().enumerate() {
+            let sessions = (j as u32..cfg.sessions).step_by(mix.len()).count() as u64;
+            assert_eq!(
+                reg.counter("class_frames", &spec.name),
+                sessions * u64::from(cfg.frames_per_session),
+                "class {}",
+                spec.name
+            );
+        }
+        assert_eq!(reg.counter_labels("class_frames").len(), mix.len());
         let evals = evaluate(&reg, &cluster_slos(NOMINAL_MISS_BUDGET));
         let agg = evals.iter().find(|e| e.slo == "missed-vsync-rate" && e.label == "*").unwrap();
         assert!((agg.achieved - out.miss_rate()).abs() < 1e-12);

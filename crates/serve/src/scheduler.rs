@@ -54,6 +54,7 @@ use rand::{Rng, SeedableRng};
 use crate::admission::{
     calibrate_discounted, AdmissionController, AdmissionDecision, Budget, DEFAULT_HEADROOM,
 };
+use crate::metrics::meter_serve;
 use crate::pose::{session_trajectory, Pose};
 use crate::qos::{aggregate_qos, session_qos, AggregateQos, SessionQos};
 use crate::stream::{cost_stream, ServeScheme, SessionCostStream};
@@ -194,13 +195,12 @@ pub fn simulate(
     simulate_metered(scheme, spec, gpu, cfg, trace, None)
 }
 
-/// [`simulate`] with an optional [`Registry`] receiving serve-layer
-/// metrics (frame counts, misses, sheds, the release-to-retire latency
-/// histogram, admission and temporal counters), windowed by the vsync
-/// interval. The registry is a pure observer: a metered run is
-/// bit-identical to an unmetered one (pinned by `prop_metrics`), and with
-/// `None` the only cost is one untaken `Option` branch per event site —
-/// the same contract the trace recorder honours.
+/// [`simulate`], then [`meter_serve`] folds the finished run into the
+/// optional [`Registry`]: frame counts, misses, sheds, the
+/// release-to-retire latency histogram, admission and temporal counters,
+/// windowed by the vsync interval. Metering reads only the returned
+/// outcome and events, so a metered run is bit-identical to an unmetered
+/// one (pinned by `prop_metrics`).
 pub fn simulate_metered(
     scheme: ServeScheme,
     spec: &BenchmarkSpec,
@@ -209,7 +209,10 @@ pub fn simulate_metered(
     trace: Option<&mut Recorder>,
     metrics: Option<&mut Registry>,
 ) -> ServeOutcome {
-    let (out, events) = schedule(cost_stream(scheme, spec, gpu), cfg, None, metrics);
+    let (out, events) = schedule(cost_stream(scheme, spec, gpu), cfg, None);
+    if let Some(reg) = metrics {
+        meter_serve(reg, &out, &events);
+    }
     if let Some(rec) = trace {
         record_in_cycle_order(rec, events);
     }
@@ -255,7 +258,6 @@ pub fn schedule(
     stream: Arc<SessionCostStream>,
     cfg: &ServeConfig,
     mut gate: Option<Gate>,
-    mut metrics: Option<&mut Registry>,
 ) -> (ServeOutcome, Vec<TraceEvent>) {
     let scheme = stream.scheme;
     let v = cfg.vsync_cycles.max(1);
@@ -311,10 +313,6 @@ pub fn schedule(
                     predicted,
                     active,
                 });
-                if let Some(reg) = metrics.as_deref_mut() {
-                    reg.inc("sessions_admitted", "", arrival, 1);
-                    reg.observe("admission_predicted_cycles", "", arrival, predicted as Cycle);
-                }
                 // The head-pose trajectory is per-session seeded: frame 0
                 // presents the rest pose, each paced frame steps the walk.
                 let mut traj = session_trajectory(cfg.seed, u64::from(id));
@@ -335,9 +333,6 @@ pub fn schedule(
                     predicted,
                     reason,
                 });
-                if let Some(reg) = metrics.as_deref_mut() {
-                    reg.inc("sessions_rejected", "", arrival, 1);
-                }
                 rejects.push(Reject { id, arrival, predicted });
             }
         }
@@ -381,15 +376,6 @@ pub fn schedule(
             // More than one interval stale: presenting it would only push
             // younger frames later. Drop without consuming render time.
             events.push(TraceEvent::FrameDrop { cycle: now, session: id, frame, reason: "stale" });
-            if frame > 0 {
-                // Paced frames only — warmup is outside the SLO accounting,
-                // matching `qos::session_qos`.
-                if let Some(reg) = metrics.as_deref_mut() {
-                    reg.inc("frames", "", now, 1);
-                    reg.inc("frames_missed", "", now, 1);
-                    reg.inc("frames_dropped", "", now, 1);
-                }
-            }
             session.frames.push(FrameRecord {
                 frame,
                 report_index,
@@ -439,12 +425,6 @@ pub fn schedule(
                 rerendered: d.rerendered,
                 saved: d.saved,
             });
-            if let Some(reg) = metrics.as_deref_mut() {
-                reg.inc("temporal_frames", "", start, 1);
-                reg.inc("temporal_objects_reused", "", start, u64::from(d.reused));
-                reg.inc("temporal_objects_rerendered", "", start, u64::from(d.rerendered));
-                reg.inc("temporal_saved_cycles", "", start, d.saved);
-            }
         }
         let missed = end > deadline;
         if missed {
@@ -452,18 +432,6 @@ pub fn schedule(
         } else if sheds && scale < 1.0 {
             // Backpressure released: recover shade quality multiplicatively.
             scales[slot as usize] = (scale / step).min(1.0);
-        }
-        if frame > 0 {
-            if let Some(reg) = metrics.as_deref_mut() {
-                reg.inc("frames", "", end, 1);
-                reg.observe("frame_latency_cycles", "", end, end - release);
-                if missed {
-                    reg.inc("frames_missed", "", end, 1);
-                }
-                if scale < 1.0 {
-                    reg.inc("frames_shed", "", end, 1);
-                }
-            }
         }
         session.frames.push(FrameRecord {
             frame,
@@ -482,16 +450,6 @@ pub fn schedule(
 
     for s in &mut sessions {
         s.frames.sort_by_key(|f| f.frame);
-    }
-
-    if let Some(reg) = metrics {
-        let min_scale = sessions
-            .iter()
-            .flat_map(|s| s.frames.iter())
-            .filter(|f| !f.dropped)
-            .map(|f| f.scale)
-            .fold(1.0f64, f64::min);
-        reg.set_gauge("min_scale", "", min_scale);
     }
 
     let workload = stream.workload.clone();

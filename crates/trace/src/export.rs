@@ -315,6 +315,11 @@ pub fn chrome_trace(events: &[TraceEvent], n_gpms: usize, dropped: u64) -> Strin
                 let args = format!("\"session\":{session},\"from\":{from}");
                 entries.push(instant(gpm_pid(to), TID_EVENTS, "session_failover", cycle, &args));
             }
+            TraceEvent::ClusterFrame { cycle, session, server, on_time, degraded } => {
+                let args =
+                    format!("\"session\":{session},\"on_time\":{on_time},\"degraded\":{degraded}");
+                entries.push(instant(gpm_pid(server), TID_EVENTS, "cluster_frame", cycle, &args));
+            }
             TraceEvent::FrameSent { cycle, session, frame, bytes } => {
                 let args = format!("\"session\":{session},\"frame\":{frame},\"bytes\":{bytes}");
                 entries.push(instant(engine, TID_EVENTS, "frame_sent", cycle, &args));
@@ -484,6 +489,14 @@ pub fn csv_timeline(events: &[TraceEvent], dropped: u64) -> String {
             TraceEvent::SessionFailover { cycle, session, from, to } => {
                 format!("session_failover,{cycle},{cycle},{to},{session},,{from},")
             }
+            TraceEvent::ClusterFrame { cycle, session, server, on_time, degraded } => {
+                let outcome = match (on_time, degraded) {
+                    (false, _) => "missed",
+                    (true, true) => "degraded",
+                    (true, false) => "on_time",
+                };
+                format!("cluster_frame,{cycle},{cycle},{server},{session},{outcome},,")
+            }
             TraceEvent::FrameSent { cycle, session, frame, bytes } => {
                 format!("frame_sent,{cycle},{cycle},,{session},,{frame},{bytes}")
             }
@@ -542,6 +555,9 @@ pub fn flight_digest(events: &[TraceEvent], dropped: u64) -> String {
     let mut route_retries = 0u64;
     let mut failovers = 0u64;
     let mut cluster_migrations = 0u64;
+    let mut cluster_frames = 0u64;
+    let mut cluster_missed = 0u64;
+    let mut cluster_degraded = 0u64;
     let mut frames_sent = 0u64;
     let mut frames_delivered = 0u64;
     let mut frames_lost = 0u64;
@@ -606,6 +622,11 @@ pub fn flight_digest(events: &[TraceEvent], dropped: u64) -> String {
             TraceEvent::RouteRetry { .. } => route_retries += 1,
             TraceEvent::SessionMigrate { .. } => cluster_migrations += 1,
             TraceEvent::SessionFailover { .. } => failovers += 1,
+            TraceEvent::ClusterFrame { on_time, degraded, .. } => {
+                cluster_frames += 1;
+                cluster_missed += u64::from(!on_time);
+                cluster_degraded += u64::from(degraded);
+            }
             TraceEvent::FrameSent { .. } => frames_sent += 1,
             TraceEvent::FrameDelivered { latency, session, frame, .. } => {
                 frames_delivered += 1;
@@ -659,11 +680,19 @@ pub fn flight_digest(events: &[TraceEvent], dropped: u64) -> String {
         ));
     }
     // Cluster-tier counters, presence-gated for the same reason.
-    if server_ups + server_downs + routes + route_retries + cluster_migrations + failovers > 0 {
+    if server_ups + server_downs + routes + route_retries + cluster_migrations + failovers > 0
+        || cluster_frames > 0
+    {
         out.push_str(&format!(
             "cluster             : ups={server_ups} downs={server_downs} routes={routes} \
              retries={route_retries} migrations={cluster_migrations} failovers={failovers}\n"
         ));
+        if cluster_frames > 0 {
+            out.push_str(&format!(
+                "  paced frames      : due={cluster_frames} missed={cluster_missed} \
+                 degraded={cluster_degraded}\n"
+            ));
+        }
     }
     // Edge-tier counters, presence-gated for the same reason.
     if frames_sent + frames_delivered + frames_lost + reprojections + stale_frames > 0 {
@@ -873,19 +902,37 @@ mod tests {
                 to: 1,
                 reason: "overload",
             },
+            TraceEvent::ClusterFrame {
+                cycle: 200_000,
+                session: 1,
+                server: 0,
+                on_time: true,
+                degraded: true,
+            },
+            TraceEvent::ClusterFrame {
+                cycle: 200_000,
+                session: 0,
+                server: 1,
+                on_time: false,
+                degraded: false,
+            },
         ];
         let json = chrome_trace(&events, 2, 0);
         let parsed = crate::json::parse(&json).expect("cluster trace parses");
         let stats = crate::json::validate_chrome_trace(&parsed, 2).expect("cluster validates");
-        assert_eq!(stats.instants, 8);
+        assert_eq!(stats.instants, 10);
+        assert!(json.contains("\"on_time\":false"));
         let csv = csv_timeline(&events, 0);
         assert!(csv.contains("server_down,200000,200000,1,,link-down,,"));
         assert!(csv.contains("session_route,123476,123476,0,1,,2,"));
         assert!(csv.contains("route_retry,20,20,,1,,1,123456"));
         assert!(csv.contains("session_failover,200000,200000,0,0,,1,"));
         assert!(csv.contains("session_migrate,300000,300000,1,0,overload,0,"));
+        assert!(csv.contains("cluster_frame,200000,200000,0,1,degraded,,"));
+        assert!(csv.contains("cluster_frame,200000,200000,1,0,missed,,"));
         let digest = flight_digest(&events, 0);
         assert!(digest.contains("ups=2 downs=1 routes=2 retries=1 migrations=1 failovers=1"));
+        assert!(digest.contains("paced frames      : due=2 missed=1 degraded=1"));
         // A digest without cluster events must not mention the cluster section.
         assert!(!flight_digest(&sample_events(), 0).contains("cluster"));
     }

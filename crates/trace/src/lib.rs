@@ -403,6 +403,20 @@ pub enum TraceEvent {
         /// Destination server index.
         to: u32,
     },
+    /// A cluster session's paced frame came due on its server: presented
+    /// within its vsync (at full or degraded shade scale) or missed.
+    ClusterFrame {
+        /// Start cycle of the interval the frame was due in.
+        cycle: Cycle,
+        /// Session id.
+        session: u32,
+        /// Server the session was resident on.
+        server: u32,
+        /// Whether the frame presented within its vsync.
+        on_time: bool,
+        /// Whether an on-time frame was served below full shade scale.
+        degraded: bool,
+    },
     /// The edge server finished encoding a frame and handed it to the link.
     FrameSent {
         /// Cycle the frame entered the link (encode completion).
@@ -492,6 +506,7 @@ impl TraceEvent {
             TraceEvent::RouteRetry { cycle, .. } => cycle,
             TraceEvent::SessionMigrate { cycle, .. } => cycle,
             TraceEvent::SessionFailover { cycle, .. } => cycle,
+            TraceEvent::ClusterFrame { cycle, .. } => cycle,
             TraceEvent::FrameSent { cycle, .. } => cycle,
             TraceEvent::FrameDelivered { cycle, .. } => cycle,
             TraceEvent::FrameLost { cycle, .. } => cycle,

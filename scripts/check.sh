@@ -10,6 +10,11 @@ cd "$(dirname "$0")/.."
 echo "==> cargo build --release"
 cargo build --release
 
+echo "==> cargo build --release --offline --manifest-path oobench/Cargo.toml"
+# The benchmark is a package of its own outside the workspace; building it
+# here catches a change to the library API it compiles against.
+cargo build --release --offline --manifest-path oobench/Cargo.toml
+
 echo "==> cargo test -q --no-fail-fast"
 cargo test -q --no-fail-fast
 
@@ -81,8 +86,10 @@ cargo run -q --release -p oovr-bench --bin figures -- trace-check
 
 echo "==> figures trace cluster (fleet failover smoke: link-down timeline)"
 # Runs a small traced fleet under a seed-scanned link-down fault and
-# fails unless the timeline actually shows server downs AND failovers —
-# the cluster event vocabulary stays exercised end to end.
+# fails unless the timeline actually shows server downs, failovers AND a
+# missed per-paced-frame cluster_frame event — the cluster event
+# vocabulary, which the fleet metrics are folded from, stays exercised
+# end to end through all three exporters.
 cargo run -q --release -p oovr-bench --bin figures -- --scale 0.05 trace cluster hl2-640
 
 echo "==> figures trace temporal (reuse smoke: per-frame reuse events fire)"

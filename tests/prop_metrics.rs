@@ -1,11 +1,13 @@
 //! Property tests for the metrics layer: metering observes, never
 //! perturbs — and the derived numbers are honest.
 //!
-//! `oovr-metrics` threads an optional registry through the EDF scheduler
-//! and the cluster tier the same way `oovr-trace` threads a recorder:
-//! every hook is gated on `Option`, so a metered run must be
-//! *bit-identical* to an unmetered one across serve schemes, temporal
-//! thresholds, fault plans, and router configurations. On top of parity,
+//! Metering is a post-run fold: the EDF scheduler and the cluster tier
+//! carry no registry, and `meter_serve` / `meter_cluster` fold a finished
+//! run's outcome and events into one afterwards. A metered run must
+//! therefore be *bit-identical* to an unmetered one across serve
+//! schemes, temporal thresholds, fault plans, and router configurations
+//! (for the cluster, metering turns on the event vector the meter reads,
+//! which must not steer the run either). On top of parity,
 //! this file pins the accounting itself: histogram quantiles stay within
 //! one octave of `qos`'s exact nearest-rank percentiles, the metered
 //! cluster miss rate reconciles exactly with `ClusterOutcome::miss_rate`,
