@@ -14,12 +14,17 @@
 //!   decreases the reuse ratio and never increases any frame's cost (or
 //!   their total): a larger bound only grows the reuse set, and each
 //!   reused object's warp is clamped to the busy it replaces.
+//!
+//! Neither property pins a value, so a golden test also hashes every
+//! probe's motion bits and the decisions they drive over fixed pose
+//! pairs, against digests recorded before the walk's invariants were
+//! hoisted out of the per-object loop.
 
 use proptest::prelude::*;
 
 use oovr::temporal::TemporalConfig;
 use oovr_gpu::GpuConfig;
-use oovr_scene::benchmarks;
+use oovr_scene::{benchmarks, Pose};
 use oovr_serve::{cost_stream, simulate, PoseTrajectory, ServeConfig, ServeScheme};
 use oovr_trace::Cycle;
 
@@ -141,4 +146,59 @@ proptest! {
         };
         prop_assert!(at_lo <= plain, "temporal serving must never cost more than plain OO-VR");
     }
+}
+
+/// Thresholds the golden decisions are taken at, from nearly-exact to
+/// reuse-everything.
+const GOLDEN_THRESHOLDS: [f64; 5] = [0.5, 4.0, 16.0, 64.0, f64::INFINITY];
+
+/// Per scene (HL2-640, DM3-1600, WE, each at scale 0.12): the first 16 hex
+/// digits of SHA-256 over the `Debug` text of every probe's motion bits
+/// and the `(reused, rerendered, saved)` decision at each golden
+/// threshold, for every pinned pose pair.
+const GOLDEN_DIGESTS: [&str; 3] = ["dd7f34b3f05fa28c", "0a4cc5009a5526f0", "a765d428c7f35b55"];
+
+/// The pinned pose pairs: 32 consecutive steps of two seeded trajectories,
+/// then a half-turn of yaw that carries every corner ray behind the viewer.
+fn golden_pose_pairs() -> Vec<(Pose, Pose)> {
+    let mut pairs = Vec::new();
+    for seed in [3, 1009] {
+        let mut traj = PoseTrajectory::new(seed);
+        let mut prev = traj.current();
+        for _ in 0..32 {
+            let cur = traj.step();
+            pairs.push((prev, cur));
+            prev = cur;
+        }
+    }
+    pairs.push((Pose::identity(), Pose { yaw: std::f64::consts::PI, ..Pose::identity() }));
+    pairs
+}
+
+#[test]
+fn motions_and_decisions_match_recorded_digests() {
+    let gpu = GpuConfig::default();
+    let pairs = golden_pose_pairs();
+    let (mut partial, mut got) = (0, Vec::new());
+    for spec in [benchmarks::hl2_640(), benchmarks::dm3_1600(), benchmarks::we()] {
+        let spec = spec.scaled(0.12);
+        let probes = spec.build().motion_probes();
+        let stream = cost_stream(ServeScheme::OoVrTemporal, &spec, &gpu);
+        let profile = stream.temporal.as_ref().expect("temporal stream carries a profile");
+        let mut motions = Vec::new();
+        let mut decisions = Vec::new();
+        for (from, to) in &pairs {
+            motions.push(probes.iter().map(|p| p.motion(from, to).to_bits()).collect::<Vec<_>>());
+            decisions.push(GOLDEN_THRESHOLDS.map(|t| {
+                let d = profile.decide(from, to, t);
+                partial += usize::from(d.reused > 0 && d.rerendered > 0);
+                (d.reused, d.rerendered, d.saved)
+            }));
+        }
+        let text = format!("{:?}", (motions, decisions));
+        got.push(oovr_hash::hex_digest(text.as_bytes())[..16].to_string());
+    }
+    // The pins only mean something if some decisions split the scene.
+    assert!(partial > 0, "no pinned decision reuses part of a scene");
+    assert_eq!(got, GOLDEN_DIGESTS);
 }
