@@ -2,7 +2,9 @@
 //! decision (a probe walk over every object's projected-bound motion) and
 //! the OU pose step that feeds it. Both run once per session per frame in
 //! the serving layer, so their cost bounds how many concurrent sessions
-//! the capacity probe can price.
+//! the capacity probe can price. The decision is timed on the short
+//! HL2-640 walk and on the draw-heavy WE scene, where the per-object
+//! walk dominates and the pose delta is shared by the most probes.
 
 mod common;
 
@@ -24,6 +26,14 @@ fn bench(c: &mut Criterion) {
     // object's motion probe and rebuilds the per-GPM load vector.
     c.bench_function("temporal_reuse_decision", |b| {
         b.iter(|| black_box(profile.decide(&from, &to, DEFAULT_REUSE_THRESHOLD).saved))
+    });
+
+    // The same decision on the draw-heavy scene: the walk is ~5x longer,
+    // so the per-probe cost dominates the once-per-call pose delta.
+    let we = common::scenes().remove(1);
+    let (_, we_profile) = OoVr::new().render_frames_profiled(&we, &cfg, 2);
+    c.bench_function("temporal_reuse_decision_we", |b| {
+        b.iter(|| black_box(we_profile.decide(&from, &to, DEFAULT_REUSE_THRESHOLD).saved))
     });
 
     // The exact path short-circuits before the probe walk; its cost is the

@@ -43,7 +43,7 @@
 use oovr_frameworks::atw;
 use oovr_gpu::GpuConfig;
 use oovr_mem::Cycle;
-use oovr_scene::{MotionProbe, Pose, Scene};
+use oovr_scene::{MotionProbe, Pose, PoseDelta, Scene};
 
 /// Default reuse threshold in pixels of projected-bound motion.
 ///
@@ -215,10 +215,11 @@ impl TemporalProfile {
             // reuse. Skip the probe walk so the exact path costs nothing.
             return TemporalDecision { reused: 0, rerendered: n, saved: 0 };
         }
+        let delta = PoseDelta::new(from, to);
         let mut loads = self.full.clone();
         let mut reused = 0u32;
         for (o, probe) in self.probes.iter().enumerate() {
-            if probe.motion(from, to) < threshold {
+            if probe.motion_in(&delta) < threshold {
                 reused += 1;
                 for (l, b) in loads.iter_mut().zip(&self.busy[o * self.n_gpms..]) {
                     *l -= b;
@@ -309,6 +310,18 @@ mod tests {
         let p = Pose::identity();
         let d = profile.decide(&p, &p, 1e-9);
         assert_eq!(d.reused, profile.n_objects() as u32, "zero motion reuses all");
+    }
+
+    #[test]
+    fn backward_facing_delta_reuses_only_at_an_infinite_threshold() {
+        let (_, profile) = profiled();
+        let ahead = Pose::identity();
+        let behind = Pose { yaw: std::f64::consts::PI, ..ahead };
+        // Every object leaves the frustum and measures the full diagonal.
+        let d = profile.decide(&ahead, &behind, DEFAULT_REUSE_THRESHOLD);
+        assert_eq!((d.reused, d.saved), (0, 0));
+        let d = profile.decide(&ahead, &behind, f64::INFINITY);
+        assert_eq!(d.reused, profile.n_objects() as u32);
     }
 
     #[test]

@@ -133,11 +133,17 @@ impl RenderObject {
         let vp = self.viewport(res, Eye::Left);
         let (x0, y0, x1, y1) =
             (f64::from(vp.x), f64::from(vp.y), f64::from(vp.x1()), f64::from(vp.y1()));
+        let (width, height) = (f64::from(res.width), f64::from(res.height));
+        let corners = [[x0, y0], [x1, y0], [x0, y1], [x1, y1]];
+        // Pixel -> NDC -> view-space ray under the canonical frustum.
+        let ndc = corners.map(|[px, py]| [px / width * 2.0 - 1.0, py / height * 2.0 - 1.0, 1.0]);
         MotionProbe {
-            corners: [[x0, y0], [x1, y0], [x0, y1], [x1, y1]],
+            corners,
+            ndc,
             depth: f64::from(self.depth),
-            width: f64::from(res.width),
-            height: f64::from(res.height),
+            width,
+            height,
+            diag: (width * width + height * height).sqrt(),
         }
     }
 
@@ -273,12 +279,49 @@ impl ExactSizeIterator for Triangles<'_> {}
 pub struct MotionProbe {
     /// Pixel-space corners of the left-eye viewport bound.
     corners: [[f64; 2]; 4],
+    /// The corners' view-space rays (NDC `x`, `y` at `z = 1`).
+    ndc: [[f64; 3]; 4],
     /// Object depth in `(0,1)`; nearer objects parallax-shift more.
     depth: f64,
     /// Per-eye viewport width in pixels.
     width: f64,
     /// Per-eye viewport height in pixels.
     height: f64,
+    /// Viewport diagonal in pixels: the full-screen move motion saturates at.
+    diag: f64,
+}
+
+/// The pose-only half of a projected-motion measurement: both view bases
+/// and the head-position shift between two poses. One delta serves every
+/// probe of a frame, so a walk over a scene's objects pays the
+/// trigonometry and the shift's square root once.
+#[derive(Debug, Clone, Copy)]
+pub struct PoseDelta {
+    /// The poses are equal: every probe measures zero motion.
+    still: bool,
+    /// View matrix of the old pose.
+    from: [[f64; 3]; 3],
+    /// View matrix of the new pose.
+    to: [[f64; 3]; 3],
+    /// Euclidean head-position shift in meters.
+    shift: f64,
+}
+
+impl PoseDelta {
+    /// The delta that carries view rays from `from` into `to`.
+    pub fn new(from: &Pose, to: &Pose) -> Self {
+        let dp = [
+            to.position[0] - from.position[0],
+            to.position[1] - from.position[1],
+            to.position[2] - from.position[2],
+        ];
+        PoseDelta {
+            still: from == to,
+            from: from.view_matrix(),
+            to: to.view_matrix(),
+            shift: (dp[0] * dp[0] + dp[1] * dp[1] + dp[2] * dp[2]).sqrt(),
+        }
+    }
 }
 
 impl MotionProbe {
@@ -289,18 +332,22 @@ impl MotionProbe {
     /// reprojected ray leaves the forward frustum counts as a full-screen
     /// move (the object must be re-rendered, not warped).
     pub fn motion(&self, from: &Pose, to: &Pose) -> f64 {
-        if from == to {
+        self.motion_in(&PoseDelta::new(from, to))
+    }
+
+    /// [`motion`](Self::motion) under a prebuilt [`PoseDelta`], for callers
+    /// that measure many probes against one pose pair.
+    pub fn motion_in(&self, delta: &PoseDelta) -> f64 {
+        if delta.still {
             return 0.0;
         }
-        let rf = from.view_matrix();
-        let rt = to.view_matrix();
-        let diag = (self.width * self.width + self.height * self.height).sqrt();
+        let (rf, rt) = (&delta.from, &delta.to);
         let mut worst = 0.0f64;
-        for &[px, py] in &self.corners {
-            // Pixel -> NDC -> view-space ray under the canonical frustum.
-            let v = [px / self.width * 2.0 - 1.0, py / self.height * 2.0 - 1.0, 1.0];
+        for (&[px, py], v) in self.corners.iter().zip(&self.ndc) {
             // View matrices map world->view with orthonormal rows, so the
             // world ray is R_from^T · v and the new view ray R_to · world.
+            // The two products stay separate: fusing them into one matrix
+            // would round differently and move every motion's low bits.
             let mut w = [0.0f64; 3];
             for (i, vi) in v.iter().enumerate() {
                 for (j, wj) in w.iter_mut().enumerate() {
@@ -314,21 +361,15 @@ impl MotionProbe {
                 }
             }
             if n[2] <= 1e-9 {
-                return diag;
+                return self.diag;
             }
             let nx = (n[0] / n[2] + 1.0) * 0.5 * self.width;
             let ny = (n[1] / n[2] + 1.0) * 0.5 * self.height;
             let d = ((nx - px) * (nx - px) + (ny - py) * (ny - py)).sqrt();
             worst = worst.max(d);
         }
-        let dp = [
-            to.position[0] - from.position[0],
-            to.position[1] - from.position[1],
-            to.position[2] - from.position[2],
-        ];
-        let shift = (dp[0] * dp[0] + dp[1] * dp[1] + dp[2] * dp[2]).sqrt();
-        let parallax = shift * (1.0 - self.depth) * 0.5 * self.width;
-        (worst + parallax).min(diag)
+        let parallax = delta.shift * (1.0 - self.depth) * 0.5 * self.width;
+        (worst + parallax).min(self.diag)
     }
 }
 
@@ -569,6 +610,22 @@ mod tests {
             assert!((0.0..=diag).contains(&m), "motion {m} outside [0, diag]");
             prev = next;
         }
+    }
+
+    #[test]
+    fn backward_facing_delta_is_a_full_screen_move() {
+        let o = obj();
+        let res = Resolution::new(128, 96);
+        let probe = o.motion_probe(res);
+        let diag = (128.0f64 * 128.0 + 96.0 * 96.0).sqrt();
+        let ahead = Pose::identity();
+        // A half-turn of yaw carries every corner ray behind the viewer
+        // (`n_z <= 1e-9`), which short-circuits to exactly the diagonal
+        // before any parallax is added, even with the head moving too.
+        let behind = Pose { yaw: std::f64::consts::PI, position: [0.3, 0.0, 0.0], ..ahead };
+        assert_eq!(probe.motion_in(&PoseDelta::new(&ahead, &behind)), diag);
+        assert_eq!(probe.motion(&behind, &ahead), diag);
+        assert!(probe.motion(&ahead, &Pose { yaw: 0.1, ..ahead }) < diag);
     }
 
     #[test]

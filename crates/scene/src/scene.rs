@@ -79,16 +79,12 @@ impl Scene {
     }
 
     /// One reprojection probe per object at this scene's resolution, in
-    /// submission order — the precomputed form of
-    /// [`RenderObject::projected_motion`] the temporal-reuse layer keys on.
+    /// submission order. Measuring every probe under one
+    /// [`PoseDelta`](crate::object::PoseDelta) gives each object's
+    /// [`RenderObject::projected_motion`]; the temporal-reuse layer keys on
+    /// exactly that walk.
     pub fn motion_probes(&self) -> Vec<crate::object::MotionProbe> {
         self.objects.iter().map(|o| o.motion_probe(self.resolution)).collect()
-    }
-
-    /// Projected-bound motion (pixels) of every object between two poses,
-    /// in submission order.
-    pub fn projected_motions(&self, from: &crate::pose::Pose, to: &crate::pose::Pose) -> Vec<f64> {
-        self.objects.iter().map(|o| o.projected_motion(self.resolution, from, to)).collect()
     }
 }
 
