@@ -1,10 +1,12 @@
 //! Microbenchmarks of the temporal-reuse hot path: the per-frame reuse
-//! decision (a probe walk over every object's projected-bound motion) and
-//! the OU pose step that feeds it. Both run once per session per frame in
-//! the serving layer, so their cost bounds how many concurrent sessions
-//! the capacity probe can price. The decision is timed on the short
-//! HL2-640 walk and on the draw-heavy WE scene, where the per-object
-//! walk dominates and the pose delta is shared by the most probes.
+//! decision and the OU pose step that feeds it. Both run once per session
+//! per frame in the serving layer, so their cost bounds how many
+//! concurrent sessions the capacity probe can price. A decision is two
+//! stages: the motion kernel measures every object's projected-bound
+//! motion in one flat loop over all corners, and a branch-free fold sums
+//! the per-GPM loads. The decision is timed on the short HL2-640 walk and
+//! on the draw-heavy WE scene, and the kernel alone on WE, so the split
+//! between the two stages stays visible.
 
 mod common;
 
@@ -12,7 +14,7 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use oovr::schemes::OoVr;
 use oovr::temporal::DEFAULT_REUSE_THRESHOLD;
 use oovr_gpu::GpuConfig;
-use oovr_scene::PoseTrajectory;
+use oovr_scene::{PoseDelta, PoseTrajectory};
 
 fn bench(c: &mut Criterion) {
     let scene = common::scene();
@@ -22,8 +24,8 @@ fn bench(c: &mut Criterion) {
     let from = traj.current();
     let to = traj.step();
 
-    // The per-frame reuse decision at the default threshold: walks every
-    // object's motion probe and rebuilds the per-GPM load vector.
+    // The per-frame reuse decision at the default threshold: measures every
+    // object's motion and folds the per-GPM load vector.
     c.bench_function("temporal_reuse_decision", |b| {
         b.iter(|| black_box(profile.decide(&from, &to, DEFAULT_REUSE_THRESHOLD).saved))
     });
@@ -34,6 +36,18 @@ fn bench(c: &mut Criterion) {
     let (_, we_profile) = OoVr::new().render_frames_profiled(&we, &cfg, 2);
     c.bench_function("temporal_reuse_decision_we", |b| {
         b.iter(|| black_box(we_profile.decide(&from, &to, DEFAULT_REUSE_THRESHOLD).saved))
+    });
+
+    // The motion kernel alone on the same scene and pose pair: the
+    // decision above minus the pose delta and the load fold.
+    let we_kernel = we.motion_kernel();
+    let delta = PoseDelta::new(&from, &to);
+    c.bench_function("motion_kernel_we", |b| {
+        b.iter(|| {
+            we_kernel.for_each_block(&delta, |_, motions| {
+                black_box(motions);
+            })
+        })
     });
 
     // The exact path short-circuits before the probe walk; its cost is the

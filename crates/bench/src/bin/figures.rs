@@ -581,15 +581,11 @@ fn temporal_sweep_tables(specs: &[BenchmarkSpec]) -> Result<(FigureTable, Figure
         let mut reuse_vals = Vec::with_capacity(TEMPORAL_THRESHOLDS.len());
         let mut cost_vals = Vec::with_capacity(TEMPORAL_THRESHOLDS.len());
         for &threshold in TEMPORAL_THRESHOLDS {
-            let mut traj = PoseTrajectory::new(cfg.seed);
-            let mut prev = traj.current();
             let (mut ratio, mut cost) = (0.0f64, 0.0f64);
-            for _ in 0..TEMPORAL_REF_FRAMES {
-                let cur = traj.step();
-                let d = profile.decide(&prev, &cur, threshold);
+            let walk = profile.decisions(PoseTrajectory::new(cfg.seed), threshold);
+            for d in walk.take(TEMPORAL_REF_FRAMES as usize) {
                 ratio += d.reuse_ratio();
                 cost += d.apply(profile.steady_cycles().max(1)) as f64;
-                prev = cur;
             }
             let frames = f64::from(TEMPORAL_REF_FRAMES);
             reuse_vals.push(100.0 * ratio / frames);

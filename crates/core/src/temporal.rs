@@ -43,7 +43,7 @@
 use oovr_frameworks::atw;
 use oovr_gpu::GpuConfig;
 use oovr_mem::Cycle;
-use oovr_scene::{MotionProbe, Pose, PoseDelta, Scene};
+use oovr_scene::{MotionKernel, Pose, PoseDelta, PoseTrajectory, Scene};
 
 /// Default reuse threshold in pixels of projected-bound motion.
 ///
@@ -112,16 +112,16 @@ impl TemporalDecision {
 /// delta.
 #[derive(Debug, Clone)]
 pub struct TemporalProfile {
-    probes: Vec<MotionProbe>,
-    /// Steady-frame busy attribution, flattened `[object × n_gpms + gpm]`.
-    busy: Vec<Cycle>,
-    /// Per-object ATW warp cost, clamped to the busy it would replace.
-    warp: Vec<Cycle>,
-    /// Per-object resident GPM (argmax busy, ties to the lowest index).
-    resident: Vec<u8>,
-    n_gpms: usize,
-    /// Per-GPM full-re-render busy totals.
-    full: Vec<Cycle>,
+    /// One motion probe per object, in object order.
+    motion: MotionKernel,
+    /// What each object costs each GPM if it re-renders: its steady-frame
+    /// busy, in per-GPM columns `[gpm × n_objects + object]`.
+    rerender: Vec<Cycle>,
+    /// What each object costs each GPM if it is reused: its ATW warp cost,
+    /// clamped to the busy it replaces, on its resident GPM (argmax busy,
+    /// ties to the lowest index) and zero on every other. Laid out like
+    /// `rerender`.
+    reuse: Vec<Cycle>,
     /// Critical-path GPM load of a full re-render.
     full_max: Cycle,
     /// The profiled steady frame's total cost (busy max + composition).
@@ -148,50 +148,31 @@ impl TemporalProfile {
         let n = scene.objects().len();
         assert_eq!(busy.len(), n * n_gpms, "busy attribution extent");
         assert_eq!(pixels.len(), n, "pixel attribution extent");
-        let mut full = vec![0; n_gpms];
-        for o in 0..n {
-            for (f, b) in full.iter_mut().zip(&busy[o * n_gpms..(o + 1) * n_gpms]) {
-                *f += b;
+        let mut rerender = vec![0; n * n_gpms];
+        let mut reuse = vec![0; n * n_gpms];
+        for (o, (row, &px)) in busy.chunks_exact(n_gpms.max(1)).zip(pixels).enumerate() {
+            let (resident, &resident_busy) = row
+                .iter()
+                .enumerate()
+                .max_by(|(ga, a), (gb, b)| a.cmp(b).then(gb.cmp(ga)))
+                .expect("at least one GPM");
+            for (g, &b) in row.iter().enumerate() {
+                rerender[g * n + o] = b;
             }
+            // Clamp each warp to the busy it replaces: reusing an object
+            // must never cost more than rendering it, or the threshold
+            // sweep would lose its monotonicity (and a degenerate
+            // off-screen object could make reuse a pessimization).
+            reuse[resident * n + o] = atw::warp_cycles_for_pixels(px, cfg).min(resident_busy);
         }
-        let full_max = full.iter().copied().max().unwrap_or(0);
-        let resident: Vec<u8> = (0..n)
-            .map(|o| {
-                let row = &busy[o * n_gpms..(o + 1) * n_gpms];
-                let (g, _) = row
-                    .iter()
-                    .enumerate()
-                    .max_by(|(ga, a), (gb, b)| a.cmp(b).then(gb.cmp(ga)))
-                    .expect("at least one GPM");
-                g as u8
-            })
-            .collect();
-        // Clamp each warp to the busy it replaces: reusing an object must
-        // never cost more than rendering it, or the threshold sweep would
-        // lose its monotonicity (and a degenerate off-screen object could
-        // make reuse a pessimization).
-        let warp: Vec<Cycle> = pixels
-            .iter()
-            .enumerate()
-            .map(|(o, &px)| {
-                atw::warp_cycles_for_pixels(px, cfg).min(busy[o * n_gpms + resident[o] as usize])
-            })
-            .collect();
-        TemporalProfile {
-            probes: scene.motion_probes(),
-            busy,
-            warp,
-            resident,
-            n_gpms,
-            full,
-            full_max,
-            steady_cycles,
-        }
+        let full_max =
+            rerender.chunks_exact(n.max(1)).map(|col| col.iter().sum()).max().unwrap_or(0);
+        TemporalProfile { motion: scene.motion_kernel(), rerender, reuse, full_max, steady_cycles }
     }
 
     /// Number of profiled objects.
     pub fn n_objects(&self) -> usize {
-        self.probes.len()
+        self.motion.len()
     }
 
     /// The profiled steady frame's full-re-render cost.
@@ -209,26 +190,55 @@ impl TemporalProfile {
     /// Deterministic f64 throughout — same poses and threshold, same
     /// decision, on every call and every host.
     pub fn decide(&self, from: &Pose, to: &Pose, threshold: f64) -> TemporalDecision {
-        let n = self.probes.len() as u32;
+        let n = self.motion.len();
+        let objects = n as u32;
         if threshold <= 0.0 || n == 0 {
             // Motion is non-negative and the comparison strict: nothing can
             // reuse. Skip the probe walk so the exact path costs nothing.
-            return TemporalDecision { reused: 0, rerendered: n, saved: 0 };
+            return TemporalDecision { reused: 0, rerendered: objects, saved: 0 };
         }
-        let delta = PoseDelta::new(from, to);
-        let mut loads = self.full.clone();
+        let mut loads = vec![0; self.rerender.len() / n];
         let mut reused = 0u32;
-        for (o, probe) in self.probes.iter().enumerate() {
-            if probe.motion_in(&delta) < threshold {
-                reused += 1;
-                for (l, b) in loads.iter_mut().zip(&self.busy[o * self.n_gpms..]) {
-                    *l -= b;
-                }
-                loads[self.resident[o] as usize] += self.warp[o];
+        self.motion.for_each_block(&PoseDelta::new(from, to), |first, motions| {
+            // All ones for a reused object, zero for a re-rendered one.
+            let mut masks = [0; MotionKernel::BLOCK];
+            for (m, &motion) in masks.iter_mut().zip(motions) {
+                *m = Cycle::from(motion < threshold).wrapping_neg();
+                reused += (*m & 1) as u32;
             }
-        }
+            // Each GPM's load sums the block's re-rendered busy and reused
+            // warp, selected by mask rather than by a branch per object.
+            // The sums are integers, so their order is free.
+            for (g, load) in loads.iter_mut().enumerate() {
+                let col = g * n + first..g * n + first + motions.len();
+                let costs = self.rerender[col.clone()].iter().zip(&self.reuse[col]);
+                let select = |(&m, (&b, &w)): (&Cycle, (&Cycle, &Cycle))| (b & !m) | (w & m);
+                *load += masks.iter().zip(costs).map(select).sum::<Cycle>();
+            }
+        });
         let reduced_max = loads.iter().copied().max().unwrap_or(0);
-        TemporalDecision { reused, rerendered: n - reused, saved: self.full_max - reduced_max }
+        TemporalDecision {
+            reused,
+            rerendered: objects - reused,
+            saved: self.full_max - reduced_max,
+        }
+    }
+
+    /// The decisions along `traj`: step `k` decides the pose delta from
+    /// the trajectory's pose after `k` steps to the one after `k + 1`.
+    /// Endless; callers `take` the frames they price.
+    pub fn decisions(
+        &self,
+        mut traj: PoseTrajectory,
+        threshold: f64,
+    ) -> impl Iterator<Item = TemporalDecision> + '_ {
+        let mut prev = traj.current();
+        std::iter::from_fn(move || {
+            let cur = traj.step();
+            let d = self.decide(&prev, &cur, threshold);
+            prev = cur;
+            Some(d)
+        })
     }
 }
 

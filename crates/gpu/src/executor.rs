@@ -778,12 +778,6 @@ impl<'s> Executor<'s> {
         self.shade_scale
     }
 
-    /// The fault-schedule rate multiplier of the directed link `from → to`
-    /// at cycle `at` (`1.0` when healthy).
-    pub fn link_multiplier(&self, from: GpmId, to: GpmId, at: Cycle) -> f64 {
-        self.fabric.link_multiplier_at(from, to, at)
-    }
-
     /// Whether every incoming link of `gpm` is up at cycle `at`. The PA
     /// pre-allocation path probes this before copying data toward a GPM: a
     /// retraining link would stall the copy past its usefulness, so the

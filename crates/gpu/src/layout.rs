@@ -101,12 +101,6 @@ impl SceneLayout {
         self.zbuffer.at((u64::from(y) * self.stereo_width + u64::from(x)) * ZB_BYTES_PER_PIXEL)
     }
 
-    /// Address of texel `(tx, ty)` of texture `tex` (wrapping is handled by
-    /// the caller via [`oovr_scene::TextureDesc::texel_offset`]).
-    pub fn texel_addr(&self, tex: TextureId, offset: u64) -> Addr {
-        self.texture_regions[tex.0 as usize].at(offset)
-    }
-
     /// Sub-region of the framebuffer covering full pixel rows `[y0, y1)`,
     /// used to pin horizontal partitions. (Vertical partitions are expressed
     /// per-write instead, since rows interleave owners.)

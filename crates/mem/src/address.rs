@@ -108,11 +108,6 @@ impl AddressSpace {
         self.next += padded;
         Region { base, size: size.max(1) }
     }
-
-    /// Total bytes reserved so far (including alignment padding).
-    pub fn reserved(&self) -> u64 {
-        self.next
-    }
 }
 
 #[cfg(test)]

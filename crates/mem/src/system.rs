@@ -298,20 +298,6 @@ impl MemorySystem {
     pub fn l2_stats(&self, gpm: GpmId) -> CacheStats {
         self.l2[gpm.index()].stats()
     }
-
-    /// Aggregate `(L1, L2)` statistics across every GPM, for samplers that
-    /// want a fleet-level cache view without iterating GPMs themselves.
-    pub fn cache_totals(&self) -> (CacheStats, CacheStats) {
-        let fold = |caches: &[crate::SetAssocCache]| {
-            caches.iter().map(|c| c.stats()).fold(CacheStats::default(), |mut acc, s| {
-                acc.accesses += s.accesses;
-                acc.hits += s.hits;
-                acc.writebacks += s.writebacks;
-                acc
-            })
-        };
-        (fold(&self.l1), fold(&self.l2))
-    }
 }
 
 #[cfg(test)]

@@ -316,11 +316,6 @@ impl NumaTiming {
         self.links[from.index() * self.n + to.index()].set_schedule(schedule);
     }
 
-    /// Installs a fault schedule on one GPM's DRAM server.
-    pub fn set_dram_schedule(&mut self, gpm: GpmId, schedule: Option<RateSchedule>) {
-        self.dram[gpm.index()].set_schedule(schedule);
-    }
-
     /// The rate multiplier on the directed link `from → to` at cycle `t`
     /// (`1.0` when no schedule is installed). The runtime's reachability
     /// probe: a multiplier of `0` means the link is down (retraining).

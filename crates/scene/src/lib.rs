@@ -57,7 +57,7 @@ pub mod vr;
 pub use error::SceneError;
 pub use generator::{BenchmarkSpec, Personality};
 pub use geometry::{Rect, ScreenTriangle, TriSampler, Vec2};
-pub use object::{MotionProbe, ObjectBuilder, PoseDelta, RenderObject, TextureUse};
+pub use object::{MotionKernel, MotionProbe, ObjectBuilder, PoseDelta, RenderObject, TextureUse};
 pub use pose::{Pose, PoseModel, PoseTrajectory};
 pub use scene::{Scene, SceneBuilder};
 pub use texture::TextureDesc;

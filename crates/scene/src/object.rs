@@ -127,24 +127,10 @@ impl RenderObject {
 
     /// Precomputed reprojection probe of this object's viewport bound at
     /// `res`: everything [`projected_motion`](Self::projected_motion) needs,
-    /// detached from the object so callers that test many pose pairs against
-    /// many objects (the temporal-reuse hot path) pay the viewport math once.
+    /// detached from the object and measured by the same [`MotionKernel`]
+    /// that walks a whole scene.
     pub fn motion_probe(&self, res: Resolution) -> MotionProbe {
-        let vp = self.viewport(res, Eye::Left);
-        let (x0, y0, x1, y1) =
-            (f64::from(vp.x), f64::from(vp.y), f64::from(vp.x1()), f64::from(vp.y1()));
-        let (width, height) = (f64::from(res.width), f64::from(res.height));
-        let corners = [[x0, y0], [x1, y0], [x0, y1], [x1, y1]];
-        // Pixel -> NDC -> view-space ray under the canonical frustum.
-        let ndc = corners.map(|[px, py]| [px / width * 2.0 - 1.0, py / height * 2.0 - 1.0, 1.0]);
-        MotionProbe {
-            corners,
-            ndc,
-            depth: f64::from(self.depth),
-            width,
-            height,
-            diag: (width * width + height * height).sqrt(),
-        }
+        MotionProbe(MotionKernel::new(std::slice::from_ref(self), res))
     }
 
     /// Projected-bound motion (pixels) of this object between two poses:
@@ -271,24 +257,21 @@ impl Iterator for Triangles<'_> {
 
 impl ExactSizeIterator for Triangles<'_> {}
 
-/// Precomputed reprojection data of one object's viewport bound — see
-/// [`RenderObject::motion_probe`]. The probe assumes the canonical 90°
-/// symmetric frustum (`tan(fov/2) = 1` on both axes), which is all the
-/// motion *metric* needs: it ranks pose deltas, it does not rasterize.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MotionProbe {
-    /// Pixel-space corners of the left-eye viewport bound.
-    corners: [[f64; 2]; 4],
-    /// The corners' view-space rays (NDC `x`, `y` at `z = 1`).
-    ndc: [[f64; 3]; 4],
-    /// Object depth in `(0,1)`; nearer objects parallax-shift more.
-    depth: f64,
-    /// Per-eye viewport width in pixels.
-    width: f64,
-    /// Per-eye viewport height in pixels.
-    height: f64,
-    /// Viewport diagonal in pixels: the full-screen move motion saturates at.
-    diag: f64,
+/// One reprojection probe of an object's viewport bound — see
+/// [`RenderObject::motion_probe`]. It is a one-object [`MotionKernel`], so
+/// a single probe measures with exactly the arithmetic of the whole-scene
+/// walk.
+#[derive(Debug, Clone, PartialEq)]
+pub struct MotionProbe(MotionKernel);
+
+impl MotionProbe {
+    /// Projected-bound motion in pixels between `from` and `to` — see
+    /// [`MotionKernel`].
+    pub fn motion(&self, from: &Pose, to: &Pose) -> f64 {
+        let mut motion = 0.0;
+        self.0.for_each_block(&PoseDelta::new(from, to), |_, m| motion = m[0]);
+        motion
+    }
 }
 
 /// The pose-only half of a projected-motion measurement: both view bases
@@ -324,52 +307,139 @@ impl PoseDelta {
     }
 }
 
-impl MotionProbe {
-    /// Projected-bound motion in pixels between `from` and `to`: the
-    /// maximum screen displacement of the bound's corners when their view
-    /// rays are carried from the old view basis into the new one, plus a
-    /// positional parallax term scaled by `(1 - depth)`. A corner whose
-    /// reprojected ray leaves the forward frustum counts as a full-screen
-    /// move (the object must be re-rendered, not warped).
-    pub fn motion(&self, from: &Pose, to: &Pose) -> f64 {
-        self.motion_in(&PoseDelta::new(from, to))
+/// Projected-bound motion of many objects' viewport bounds, laid out as
+/// structure-of-arrays columns so flat loops walk every corner.
+///
+/// A probe's motion between two poses is the maximum screen displacement
+/// of its bound's four corners when their view rays are carried from the
+/// old view basis into the new one, plus a positional parallax term
+/// scaled by `(1 - depth)`, capped at the viewport diagonal. A corner
+/// whose reprojected ray leaves the forward frustum counts as a
+/// full-screen move (the object must be re-rendered, not warped). The
+/// kernel assumes the canonical 90° symmetric frustum (`tan(fov/2) = 1` on
+/// both axes), which is all the motion *metric* needs: it ranks pose
+/// deltas, it does not rasterize. Deterministic f64 — identical pose pairs
+/// measure bit-identical motions on every host (DESIGN §14 says why each
+/// rewrite of the per-corner arithmetic keeps every bit).
+#[derive(Debug, Clone, PartialEq)]
+pub struct MotionKernel {
+    /// Corner view rays' NDC `x` at `z = 1`, four per probe
+    /// (`[probe × 4 + corner]`).
+    ray_x: Vec<f64>,
+    /// Corner view rays' NDC `y`, laid out like `ray_x`.
+    ray_y: Vec<f64>,
+    /// Pixel-space corner `x` of each left-eye viewport bound.
+    px: Vec<f64>,
+    /// Pixel-space corner `y`, laid out like `px`.
+    py: Vec<f64>,
+    /// Per-probe parallax weight `1 - depth`: nearer objects shift more.
+    near: Vec<f64>,
+    /// Half the per-eye viewport width in pixels.
+    half_width: f64,
+    /// Half the per-eye viewport height in pixels.
+    half_height: f64,
+    /// Viewport diagonal in pixels: the full-screen move motion saturates at.
+    diag: f64,
+}
+
+impl MotionKernel {
+    /// Probes measured per block: the kernel's stack scratch holds one
+    /// block's corner distances and motions.
+    pub const BLOCK: usize = 64;
+
+    /// The kernel over `objects`' left-eye viewport bounds at `res`, one
+    /// probe per object in order.
+    pub fn new(objects: &[RenderObject], res: Resolution) -> Self {
+        let (width, height) = (f64::from(res.width), f64::from(res.height));
+        let corners = 4 * objects.len();
+        let mut kernel = MotionKernel {
+            ray_x: Vec::with_capacity(corners),
+            ray_y: Vec::with_capacity(corners),
+            px: Vec::with_capacity(corners),
+            py: Vec::with_capacity(corners),
+            near: Vec::with_capacity(objects.len()),
+            half_width: 0.5 * width,
+            half_height: 0.5 * height,
+            diag: (width * width + height * height).sqrt(),
+        };
+        for o in objects {
+            let vp = o.viewport(res, Eye::Left);
+            let (x0, y0, x1, y1) =
+                (f64::from(vp.x), f64::from(vp.y), f64::from(vp.x1()), f64::from(vp.y1()));
+            for [px, py] in [[x0, y0], [x1, y0], [x0, y1], [x1, y1]] {
+                // Pixel -> NDC -> view-space ray `(x, y, 1)`.
+                kernel.ray_x.push(px / width * 2.0 - 1.0);
+                kernel.ray_y.push(py / height * 2.0 - 1.0);
+                kernel.px.push(px);
+                kernel.py.push(py);
+            }
+            kernel.near.push(1.0 - f64::from(o.depth));
+        }
+        kernel
     }
 
-    /// [`motion`](Self::motion) under a prebuilt [`PoseDelta`], for callers
-    /// that measure many probes against one pose pair.
-    pub fn motion_in(&self, delta: &PoseDelta) -> f64 {
-        if delta.still {
-            return 0.0;
-        }
+    /// Number of probes.
+    pub fn len(&self) -> usize {
+        self.near.len()
+    }
+
+    /// True if the kernel holds no probe.
+    pub fn is_empty(&self) -> bool {
+        self.near.is_empty()
+    }
+
+    /// Measures every probe's motion under `delta` and hands them out in
+    /// probe order, one block of at most [`BLOCK`](Self::BLOCK) at a time:
+    /// `each(first, motions)` receives the motions of probes
+    /// `first..first + motions.len()`. Allocates nothing.
+    pub fn for_each_block(&self, delta: &PoseDelta, mut each: impl FnMut(usize, &[f64])) {
         let (rf, rt) = (&delta.from, &delta.to);
-        let mut worst = 0.0f64;
-        for (&[px, py], v) in self.corners.iter().zip(&self.ndc) {
-            // View matrices map world->view with orthonormal rows, so the
-            // world ray is R_from^T · v and the new view ray R_to · world.
-            // The two products stay separate: fusing them into one matrix
-            // would round differently and move every motion's low bits.
-            let mut w = [0.0f64; 3];
-            for (i, vi) in v.iter().enumerate() {
-                for (j, wj) in w.iter_mut().enumerate() {
-                    *wj += rf[i][j] * vi;
+        // The block's corners' rays in the new view, then their squared
+        // screen displacements.
+        let mut view = [[0.0f64; 4 * Self::BLOCK]; 3];
+        let mut dist2 = [0.0f64; 4 * Self::BLOCK];
+        // A still delta never writes: every motion stays exactly zero.
+        let mut motions = [0.0f64; Self::BLOCK];
+        for first in (0..self.len()).step_by(Self::BLOCK) {
+            let n = Self::BLOCK.min(self.len() - first);
+            if !delta.still {
+                let c = 4 * first..4 * (first + n);
+                let [vx, vy, vz] = &mut view;
+                let rays = self.ray_x[c.clone()].iter().zip(&self.ray_y[c.clone()]);
+                let out = vx.iter_mut().zip(vy.iter_mut()).zip(vz.iter_mut());
+                // Products and sums only, so this pass vectorizes; the
+                // divisions below would keep a fused loop scalar.
+                for (((nx, ny), nz), (&x, &y)) in out.zip(rays) {
+                    // View matrices map world->view with orthonormal rows,
+                    // so the world ray is R_fromᵀ·(x, y, 1) and the new view
+                    // ray R_to·w. The two products stay separate: fusing
+                    // them into one matrix would round differently and move
+                    // every motion's low bits.
+                    let w0 = rf[0][0] * x + rf[1][0] * y + rf[2][0];
+                    let w1 = rf[0][1] * x + rf[1][1] * y + rf[2][1];
+                    let w2 = rf[0][2] * x + rf[1][2] * y + rf[2][2];
+                    *nx = rt[0][0] * w0 + rt[0][1] * w1 + rt[0][2] * w2;
+                    *ny = rt[1][0] * w0 + rt[1][1] * w1 + rt[1][2] * w2;
+                    *nz = rt[2][0] * w0 + rt[2][1] * w1 + rt[2][2] * w2;
+                }
+                let rays = vx.iter().zip(vy.iter()).zip(vz.iter());
+                let pixels = self.px[c.clone()].iter().zip(&self.py[c]);
+                for (d2, (((&nx, &ny), &nz), (&px, &py))) in dist2.iter_mut().zip(rays.zip(pixels))
+                {
+                    let dx = (nx / nz + 1.0) * self.half_width - px;
+                    let dy = (ny / nz + 1.0) * self.half_height - py;
+                    // A corner behind the eye is an infinite move, which
+                    // the diagonal cap below turns into exactly `diag`.
+                    *d2 = if nz <= 1e-9 { f64::INFINITY } else { dx * dx + dy * dy };
+                }
+                let probes = motions.iter_mut().zip(dist2.chunks_exact(4)).zip(&self.near[first..]);
+                for ((m, d2), &near) in probes {
+                    let worst = d2.iter().fold(0.0f64, |a, &b| a.max(b)).sqrt();
+                    *m = (worst + delta.shift * near * self.half_width).min(self.diag);
                 }
             }
-            let mut n = [0.0f64; 3];
-            for (i, ni) in n.iter_mut().enumerate() {
-                for (j, wj) in w.iter().enumerate() {
-                    *ni += rt[i][j] * wj;
-                }
-            }
-            if n[2] <= 1e-9 {
-                return self.diag;
-            }
-            let nx = (n[0] / n[2] + 1.0) * 0.5 * self.width;
-            let ny = (n[1] / n[2] + 1.0) * 0.5 * self.height;
-            let d = ((nx - px) * (nx - px) + (ny - py) * (ny - py)).sqrt();
-            worst = worst.max(d);
+            each(first, &motions[..n]);
         }
-        let parallax = delta.shift * (1.0 - self.depth) * 0.5 * self.width;
-        (worst + parallax).min(self.diag)
     }
 }
 
@@ -620,10 +690,13 @@ mod tests {
         let diag = (128.0f64 * 128.0 + 96.0 * 96.0).sqrt();
         let ahead = Pose::identity();
         // A half-turn of yaw carries every corner ray behind the viewer
-        // (`n_z <= 1e-9`), which short-circuits to exactly the diagonal
-        // before any parallax is added, even with the head moving too.
+        // (`n_z <= 1e-9`), which measures exactly the diagonal, even with
+        // the head moving too: the parallax cannot lift it past the cap.
         let behind = Pose { yaw: std::f64::consts::PI, position: [0.3, 0.0, 0.0], ..ahead };
-        assert_eq!(probe.motion_in(&PoseDelta::new(&ahead, &behind)), diag);
+        let kernel = MotionKernel::new(std::slice::from_ref(&o), res);
+        let mut motions = Vec::<f64>::new();
+        kernel.for_each_block(&PoseDelta::new(&ahead, &behind), |_, m| motions.extend(m));
+        assert_eq!(motions, [diag]);
         assert_eq!(probe.motion(&behind, &ahead), diag);
         assert!(probe.motion(&ahead, &Pose { yaw: 0.1, ..ahead }) < diag);
     }

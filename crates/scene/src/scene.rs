@@ -78,11 +78,16 @@ impl Scene {
         self.objects.len()
     }
 
+    /// The reprojection kernel over every object at this scene's
+    /// resolution, one probe per object in submission order: the
+    /// temporal-reuse layer measures a whole frame's motions with one call.
+    pub fn motion_kernel(&self) -> crate::object::MotionKernel {
+        crate::object::MotionKernel::new(&self.objects, self.resolution)
+    }
+
     /// One reprojection probe per object at this scene's resolution, in
-    /// submission order. Measuring every probe under one
-    /// [`PoseDelta`](crate::object::PoseDelta) gives each object's
-    /// [`RenderObject::projected_motion`]; the temporal-reuse layer keys on
-    /// exactly that walk.
+    /// submission order; probe `i` measures the same motion as probe `i`
+    /// of [`motion_kernel`](Self::motion_kernel).
     pub fn motion_probes(&self) -> Vec<crate::object::MotionProbe> {
         self.objects.iter().map(|o| o.motion_probe(self.resolution)).collect()
     }

@@ -105,16 +105,9 @@ fn temporal_session_costs(
     frames: u32,
 ) -> Vec<Cycle> {
     let steady = profile.steady_cycles().max(1);
-    let mut traj = session_trajectory(seed, session);
-    let mut prev = traj.current();
-    let mut costs = Vec::with_capacity(frames as usize);
-    costs.push(steady);
-    for _ in 1..frames {
-        let cur = traj.step();
-        costs.push(profile.decide(&prev, &cur, threshold).apply(steady));
-        prev = cur;
-    }
-    costs
+    let warm = profile.decisions(session_trajectory(seed, session), threshold);
+    let warm = warm.take(frames.saturating_sub(1) as usize).map(|d| d.apply(steady));
+    std::iter::once(steady).chain(warm).collect()
 }
 
 /// Steady per-frame cost the probe charges `scheme` (shedding schemes are

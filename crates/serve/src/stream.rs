@@ -180,14 +180,8 @@ impl SessionCostStream {
         if frames == 0 {
             return 0;
         }
-        let mut traj = PoseTrajectory::new(seed);
-        let mut prev = traj.current();
-        let mut total: u128 = 0;
-        for _ in 0..frames {
-            let cur = traj.step();
-            total += u128::from(profile.decide(&prev, &cur, threshold).saved);
-            prev = cur;
-        }
+        let walk = profile.decisions(PoseTrajectory::new(seed), threshold).take(frames as usize);
+        let total: u128 = walk.map(|d| u128::from(d.saved)).sum();
         (total / u128::from(frames)) as Cycle
     }
 }

@@ -19,12 +19,17 @@
 //! probe's motion bits and the decisions they drive over fixed pose
 //! pairs, against digests recorded before the walk's invariants were
 //! hoisted out of the per-object loop.
+//!
+//! A differential test compares the structure-of-arrays motion kernel and
+//! the masked load fold with a verbatim copy of the scalar corner loop and
+//! branchy fold they replaced, bit for bit.
 
 use proptest::prelude::*;
 
-use oovr::temporal::TemporalConfig;
+use oovr::temporal::{TemporalConfig, TemporalProfile};
+use oovr_frameworks::atw;
 use oovr_gpu::GpuConfig;
-use oovr_scene::{benchmarks, Pose};
+use oovr_scene::{benchmarks, Eye, MotionKernel, Pose, RenderObject, Resolution, SceneBuilder};
 use oovr_serve::{cost_stream, simulate, PoseTrajectory, ServeConfig, ServeScheme};
 use oovr_trace::Cycle;
 
@@ -201,4 +206,230 @@ fn motions_and_decisions_match_recorded_digests() {
     // The pins only mean something if some decisions split the scene.
     assert!(partial > 0, "no pinned decision reuses part of a scene");
     assert_eq!(got, GOLDEN_DIGESTS);
+}
+
+/// Reference view ray: the pre-kernel per-corner products, verbatim —
+/// `R_fromᵀ · v` accumulated from zero, then `R_to · w` the same way.
+fn reference_ray(rf: &[[f64; 3]; 3], rt: &[[f64; 3]; 3], v: &[f64; 3]) -> [f64; 3] {
+    let mut w = [0.0f64; 3];
+    for (i, vi) in v.iter().enumerate() {
+        for (j, wj) in w.iter_mut().enumerate() {
+            *wj += rf[i][j] * vi;
+        }
+    }
+    let mut n = [0.0f64; 3];
+    for (i, ni) in n.iter_mut().enumerate() {
+        for (j, wj) in w.iter().enumerate() {
+            *ni += rt[i][j] * wj;
+        }
+    }
+    n
+}
+
+/// Reference motion of one object: the scalar corner loop the motion
+/// kernel replaced, verbatim, with the probe and pose-delta set-up it
+/// read. Also returns how many corners reproject behind the eye.
+fn reference_motion(o: &RenderObject, res: Resolution, from: &Pose, to: &Pose) -> (f64, usize) {
+    let vp = o.viewport(res, Eye::Left);
+    let (x0, y0, x1, y1) =
+        (f64::from(vp.x), f64::from(vp.y), f64::from(vp.x1()), f64::from(vp.y1()));
+    let (width, height) = (f64::from(res.width), f64::from(res.height));
+    let corners = [[x0, y0], [x1, y0], [x0, y1], [x1, y1]];
+    let ndc = corners.map(|[px, py]| [px / width * 2.0 - 1.0, py / height * 2.0 - 1.0, 1.0]);
+    let depth = f64::from(o.depth());
+    let diag = (width * width + height * height).sqrt();
+    if from == to {
+        return (0.0, 0);
+    }
+    let (rf, rt) = (&from.view_matrix(), &to.view_matrix());
+    let behind = ndc.iter().filter(|v| reference_ray(rf, rt, v)[2] <= 1e-9).count();
+    let dp = [
+        to.position[0] - from.position[0],
+        to.position[1] - from.position[1],
+        to.position[2] - from.position[2],
+    ];
+    let shift = (dp[0] * dp[0] + dp[1] * dp[1] + dp[2] * dp[2]).sqrt();
+    let mut worst = 0.0f64;
+    for (&[px, py], v) in corners.iter().zip(&ndc) {
+        let n = reference_ray(rf, rt, v);
+        if n[2] <= 1e-9 {
+            return (diag, behind);
+        }
+        let nx = (n[0] / n[2] + 1.0) * 0.5 * width;
+        let ny = (n[1] / n[2] + 1.0) * 0.5 * height;
+        let d = ((nx - px) * (nx - px) + (ny - py) * (ny - py)).sqrt();
+        worst = worst.max(d);
+    }
+    let parallax = shift * (1.0 - depth) * 0.5 * width;
+    ((worst + parallax).min(diag), behind)
+}
+
+/// Reference decision: the branchy per-object fold the masked one
+/// replaced, over the reference motions.
+fn reference_decision(
+    motions: &[f64],
+    busy: &[Cycle],
+    pixels: &[u64],
+    n_gpms: usize,
+    threshold: f64,
+) -> (u32, u32, Cycle) {
+    let n = motions.len();
+    let mut full = vec![0; n_gpms];
+    for o in 0..n {
+        for (f, b) in full.iter_mut().zip(&busy[o * n_gpms..(o + 1) * n_gpms]) {
+            *f += b;
+        }
+    }
+    let full_max = full.iter().copied().max().unwrap_or(0);
+    let resident: Vec<usize> = (0..n)
+        .map(|o| {
+            let row = &busy[o * n_gpms..(o + 1) * n_gpms];
+            let (g, _) = row
+                .iter()
+                .enumerate()
+                .max_by(|(ga, a), (gb, b)| a.cmp(b).then(gb.cmp(ga)))
+                .expect("at least one GPM");
+            g
+        })
+        .collect();
+    let gpu = GpuConfig::default();
+    let warp: Vec<Cycle> = (0..n)
+        .map(|o| atw::warp_cycles_for_pixels(pixels[o], &gpu).min(busy[o * n_gpms + resident[o]]))
+        .collect();
+    if threshold <= 0.0 || n == 0 {
+        return (0, n as u32, 0);
+    }
+    let mut loads = full.clone();
+    let mut reused = 0u32;
+    for (o, &motion) in motions.iter().enumerate() {
+        if motion < threshold {
+            reused += 1;
+            for (l, b) in loads.iter_mut().zip(&busy[o * n_gpms..]) {
+                *l -= b;
+            }
+            loads[resident[o]] += warp[o];
+        }
+    }
+    let reduced_max = loads.iter().copied().max().unwrap_or(0);
+    (reused, n as u32 - reused, full_max - reduced_max)
+}
+
+/// A deterministic pseudo-random cycle count in `0..200_000` (about one
+/// in eight is zero), so busy rows have ties and idle GPMs.
+fn busy_cycle(seed: u64, g: usize) -> Cycle {
+    let mut x = seed ^ (g as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    x = (x ^ (x >> 31)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    x ^= x >> 29;
+    if x.is_multiple_of(8) {
+        0
+    } else {
+        x % 200_000
+    }
+}
+
+/// The yaw offset of a drawn pose pair: a 90 Hz jitter, a quarter turn
+/// either way (corners straddle the eye plane), or a half turn.
+fn yaw_step(kind: u8, offset: f64) -> f64 {
+    use std::f64::consts::{FRAC_PI_2, PI};
+    match kind {
+        0 => 0.05 * offset,
+        1 => FRAC_PI_2 + offset,
+        2 => -FRAC_PI_2 + offset,
+        _ => PI + offset,
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The motion kernel and the masked fold are bit-identical to the
+    /// scalar corner loop and the branchy fold they replaced: every
+    /// motion's bits and every decision agree, over random rects, depths,
+    /// resolutions and GPM counts, probe counts that leave a partial
+    /// kernel block, and pose pairs that carry some but not all corners of
+    /// a probe behind the eye.
+    #[test]
+    fn motion_kernel_and_fold_match_the_scalar_reference(
+        objects in prop::collection::vec(
+            ((-0.3f32..1.0, -0.3f32..1.0, 0.0f32..1.2, 0.0f32..1.2), 0.01f32..0.99, 0u64..u64::MAX, 0u64..400_000),
+            1..4 * MotionKernel::BLOCK,
+        ),
+        (width, height, n_gpms) in (8u32..2048, 8u32..2048, 1usize..6),
+        poses in prop::collection::vec(
+            ((-0.5f64..0.5, -0.5f64..0.5, -0.3f64..0.3), (0u8..5, -0.6f64..0.6, -0.4f64..0.4), (-0.2f64..0.2, -0.2f64..0.2, -0.2f64..0.2)),
+            4..9,
+        ),
+        (probe_ix, threshold) in (0usize..4 * MotionKernel::BLOCK, 0.0f64..64.0),
+    ) {
+        // One object straddles the screen centre, so a quarter turn always
+        // splits its corners across the eye plane.
+        let mut objects = objects;
+        objects.insert(0, ((0.25, 0.25, 0.5, 0.5), 0.5, 1, 1000));
+        if objects.len() % MotionKernel::BLOCK == 0 {
+            objects.pop();
+        }
+        let mut builder = SceneBuilder::new(width, height).texture("t", 64, 64);
+        for (i, &((x, y, w, h), depth, _, _)) in objects.iter().enumerate() {
+            builder = builder.object(&format!("o{i}"), |b| {
+                b.rect(x, y, w, h).depth(depth).texture("t", 1.0);
+            });
+        }
+        let scene = builder.build();
+        let res = scene.resolution();
+        let busy: Vec<Cycle> =
+            objects.iter().flat_map(|o| (0..n_gpms).map(move |g| busy_cycle(o.2, g))).collect();
+        let pixels: Vec<u64> = objects.iter().map(|o| o.3).collect();
+        let profile = TemporalProfile::new(&scene, &GpuConfig::default(), n_gpms, busy.clone(), &pixels, 1 << 30);
+        let kernel = scene.motion_kernel();
+        let probes = scene.motion_probes();
+
+        let mut pairs: Vec<(Pose, Pose)> = poses
+            .iter()
+            .map(|&((yaw, pitch, roll), (kind, offset, dpitch), (dx, dy, dz))| {
+                let from = Pose { yaw, pitch, roll, position: [0.0; 3] };
+                let to = if kind == 4 {
+                    from
+                } else {
+                    Pose {
+                        yaw: yaw + yaw_step(kind, offset),
+                        pitch: pitch + dpitch,
+                        position: [dx, dy, dz],
+                        ..from
+                    }
+                };
+                (from, to)
+            })
+            .collect();
+        pairs.push((Pose::identity(), Pose { yaw: std::f64::consts::FRAC_PI_2, ..Pose::identity() }));
+
+        let mut partial = 0;
+        for (from, to) in &pairs {
+            let reference: Vec<(f64, usize)> =
+                scene.objects().iter().map(|o| reference_motion(o, res, from, to)).collect();
+            partial += reference.iter().filter(|&&(_, behind)| (1..4).contains(&behind)).count();
+            let expected: Vec<u64> = reference.iter().map(|&(m, _)| m.to_bits()).collect();
+            let mut got = Vec::new();
+            kernel.for_each_block(&oovr_scene::PoseDelta::new(from, to), |first, motions| {
+                assert_eq!(first, got.len(), "blocks arrive in probe order");
+                got.extend(motions.iter().map(|m| m.to_bits()));
+            });
+            prop_assert_eq!(&got, &expected, "motions under {:?} -> {:?}", from, to);
+            let single: Vec<u64> = probes.iter().map(|p| p.motion(from, to).to_bits()).collect();
+            prop_assert_eq!(&single, &expected, "single-probe motions under {:?} -> {:?}", from, to);
+
+            // Thresholds at, just above and between exact motions put the
+            // strict comparison on its boundary.
+            let motions: Vec<f64> = reference.iter().map(|&(m, _)| m).collect();
+            let at = motions[probe_ix % motions.len()];
+            for t in [0.0, threshold, at, at.next_up(), 1e-12, f64::INFINITY] {
+                let d = profile.decide(from, to, t);
+                prop_assert_eq!(
+                    (d.reused, d.rerendered, d.saved),
+                    reference_decision(&motions, &busy, &pixels, n_gpms, t),
+                    "decision at threshold {} under {:?} -> {:?}", t, from, to
+                );
+            }
+        }
+        prop_assert!(partial > 0, "no probe had only some corners behind the eye");
+    }
 }
