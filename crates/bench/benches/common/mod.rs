@@ -19,9 +19,14 @@ pub fn scenes() -> Vec<Scene> {
     ]
 }
 
-/// One mid-size scene.
+/// One mid-size workload: HL2 at [`BENCH_SCALE`].
+pub fn spec() -> BenchmarkSpec {
+    benchmarks::hl2_640().scaled(BENCH_SCALE)
+}
+
+/// One mid-size scene: [`spec`], built.
 pub fn scene() -> Scene {
-    benchmarks::hl2_640().scaled(BENCH_SCALE).build()
+    spec().build()
 }
 
 /// The scaled nine-point suite (for benches that sweep).

@@ -24,6 +24,8 @@
 //! to the committed `results/golden_digest.txt` — a fast bit-identity
 //! guard for the figure pipeline. `verify-write` refreshes the file.
 
+#![forbid(unsafe_code)]
+
 use std::io::Write as _;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -34,12 +36,12 @@ use oovr::experiments::{
 };
 use oovr::overhead::EngineOverhead;
 use oovr::OoVr;
-use oovr_bench::sha256;
 use oovr_edge::{
     edge_chaos_table, edge_health_table, edge_ladder_table, edge_scenario_table, simulate_edge,
     EdgeChaosCell, EdgeConfig, LinkConfig,
 };
 use oovr_frameworks::{Baseline, ObjectSfr, RenderScheme};
+use oovr_hash::{to_hex, Sha256};
 use oovr_scene::stats::SceneStats;
 use oovr_scene::vr::{GAMING_PC, STEREO_VR};
 use oovr_scene::BenchmarkSpec;
@@ -317,14 +319,14 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// deterministic table at `VERIFY_SCALE`, in `VERIFY_IDS` order.
 fn golden_digest() -> String {
     let specs = experiments::paper_workloads(VERIFY_SCALE);
-    let mut h = sha256::Sha256::new();
+    let mut h = Sha256::new();
     for id in VERIFY_IDS {
         let t = build_table(id, &specs).expect("verify ids are known");
         h.update(t.id.as_bytes());
         h.update(b"\n");
         h.update(t.to_csv().as_bytes());
     }
-    sha256::to_hex(&h.finalize())
+    to_hex(&h.finalize())
 }
 
 /// `figures -- verify` / `verify-write`: regenerate, hash, compare (or

@@ -5,11 +5,11 @@
 //!
 //! 1. **Edge render pass** — a call to the `oovr-serve` scheduler core
 //!    ([`oovr_serve::schedule`]: arrivals, Eq. 3 admission, EDF, stale
-//!    drops, shedding, temporal reuse) with the link byte budget as its
-//!    [`Gate`]. A session whose steady encoded-byte rate does not fit in
-//!    the remaining link headroom is rejected with reason `"link"` and
-//!    never touches the Eq. 3 budget. An unbounded link has no gate, so
-//!    over it this pass *is* local [`oovr_serve::simulate`].
+//!    drops, shedding, temporal reuse) with the link byte [`Budget`]. A
+//!    session whose steady encoded-byte rate does not fit in the remaining
+//!    link headroom is rejected with reason [`LINK_REASON`] and never
+//!    touches the Eq. 3 budget. An unbounded link has no budget, so over
+//!    it this pass *is* local [`oovr_serve::simulate`].
 //! 2. **Encode + link pass** — every rendered frame is encoded on the
 //!    edge (priced per shaded pixel at the frame's shade scale) and
 //!    enters the [`NetworkLink`] in encode-completion order. The link
@@ -32,8 +32,8 @@ use oovr_gpu::GpuConfig;
 use oovr_metrics::Registry;
 use oovr_scene::BenchmarkSpec;
 use oovr_serve::{
-    cost_stream, record_in_cycle_order, schedule, Budget, FrameRecord, Gate, Reject, ServeConfig,
-    ServeScheme,
+    cost_stream, record_in_cycle_order, schedule, Budget, FrameRecord, Reject, ServeConfig,
+    ServeScheme, LINK_REASON,
 };
 use oovr_trace::{Cycle, Recorder, TraceEvent};
 
@@ -215,21 +215,16 @@ pub fn simulate_edge(
     let mut net = NetworkLink::new(&cfg.link, session_rate, serve.sessions, serve.seed);
 
     // ---- Pass 1: edge render. The serve core runs with the link byte
-    // budget as its gate: a session the link cannot carry must not
-    // consume compute headroom rendering undeliverable frames. An
-    // unbounded link has no gate, so the degenerate split is local
-    // serving.
-    let gate = net.bytes_per_cycle().map(|capacity| Gate {
-        budget: Budget::new(capacity, serve.headroom),
-        demand: session_rate,
-    });
-    let (served, mut events) = schedule(stream, serve, gate);
+    // budget: a session the link cannot carry must not consume compute
+    // headroom rendering undeliverable frames. An unbounded link has no
+    // budget, so the degenerate split is local serving.
+    let link =
+        net.bytes_per_cycle().map(|capacity| Budget::new(capacity, serve.headroom, session_rate));
+    let (served, mut events) = schedule(stream, serve, link);
     let v = served.vsync;
     let link_rejected = events
         .iter()
-        .filter(
-            |e| matches!(e, TraceEvent::SessionReject { reason, .. } if *reason == Gate::REASON),
-        )
+        .filter(|e| matches!(e, TraceEvent::SessionReject { reason, .. } if *reason == LINK_REASON))
         .count() as u32;
 
     // ---- Pass 2: encode + link. Rendered frames enter the link in

@@ -13,11 +13,14 @@
 //! from observed `(triangles, tv, pixels, cycles)` samples of the measured
 //! cost stream ([`calibrate`]), not from oracle knowledge of future frames.
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
 use oovr::predictor::{BatchSample, Coefficients};
 use oovr_gpu::FrameReport;
 use oovr_trace::Cycle;
 
-/// Default fraction of a vsync interval the controller is willing to
+/// Default fraction of a vsync interval admission is willing to
 /// promise to steady-state demand.
 pub const DEFAULT_HEADROOM: f64 = 0.90;
 
@@ -59,112 +62,67 @@ pub fn calibrate_discounted(reports: &[&FrameReport], warm_discount: Cycle) -> C
     Coefficients::fit(&samples)
 }
 
-/// Outcome of one admission test.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum AdmissionDecision {
-    /// Session admitted; `active` is the number of live sessions after
-    /// admission and `predicted` the session's per-vsync demand in cycles.
-    Admitted {
-        /// Live sessions including the newcomer.
-        active: u32,
-        /// Predicted steady-state cycles per vsync for this session.
-        predicted: f64,
-    },
-    /// Session rejected; the aggregate predicted demand would overflow the
-    /// headroom budget.
-    Rejected {
-        /// Predicted steady-state cycles per vsync for the rejected session.
-        predicted: f64,
-        /// Human-readable rejection reason (stable, used in traces).
-        reason: &'static str,
-    },
-}
-
-/// A headroom-clamped budget over live sessions: each admitted session
-/// holds its demand until it departs. The Eq. 3 compute budget (one
-/// vsync of cycles) and the edge tier's link byte budget (bytes per
-/// cycle) are both instances.
+/// A headroom-clamped budget over live sessions that all charge the same
+/// `demand`: each admitted session holds it until it departs. The Eq. 3
+/// compute budget (one vsync of cycles, charged the predicted steady
+/// demand) and the edge tier's link byte budget (bytes per cycle, charged
+/// one session's steady byte rate) are both instances.
+///
+/// An offer costs O(log live): departures sit in a min-heap and are
+/// popped once they pass, and the load of `k` live sessions is looked up
+/// in `sums`, the in-order `f64` fold of `k` copies of `demand` — the
+/// exact bits a retain-and-sum over the live sessions would produce.
+/// (`k as f64 * demand` rounds differently, so the table stays.)
 #[derive(Debug, Clone)]
 pub struct Budget {
     limit: f64,
-    live: Vec<(Cycle, f64)>, // (departure, demand)
+    demand: f64,
+    departures: BinaryHeap<Reverse<Cycle>>,
+    sums: Vec<f64>, // sums[k]: k-fold sum of `demand`; longer than `departures`
 }
 
 impl Budget {
     /// A budget of `capacity` scaled by a headroom fraction, clamped to
-    /// `[0.05, 1]`.
-    pub fn new(capacity: f64, headroom: f64) -> Self {
-        Budget { limit: capacity * headroom.clamp(0.05, 1.0), live: Vec::new() }
+    /// `[0.05, 1]`, whose sessions each charge `demand`.
+    pub fn new(capacity: f64, headroom: f64, demand: f64) -> Self {
+        Budget {
+            limit: capacity * headroom.clamp(0.05, 1.0),
+            demand,
+            departures: BinaryHeap::new(),
+            sums: vec![std::iter::empty::<f64>().sum()],
+        }
+    }
+
+    /// What each session charges against the budget.
+    pub fn demand(&self) -> f64 {
+        self.demand
     }
 
     /// Aggregate demand of sessions still live at `now`.
     pub fn load(&mut self, now: Cycle) -> f64 {
-        self.live.retain(|&(departure, _)| departure > now);
-        self.live.iter().map(|&(_, demand)| demand).sum()
+        while self.departures.peek().is_some_and(|&Reverse(departure)| departure <= now) {
+            self.departures.pop();
+        }
+        self.sums[self.departures.len()]
     }
 
     /// Number of sessions still live at the last [`load`](Self::load) or
-    /// [`fits`](Self::fits) call.
+    /// [`fits`](Self::fits) call, plus those held since.
     pub fn active(&self) -> u32 {
-        self.live.len() as u32
+        self.departures.len() as u32
     }
 
-    /// Whether `demand` more fits beside the sessions live at `now`.
-    pub fn fits(&mut self, now: Cycle, demand: f64) -> bool {
-        self.load(now) + demand <= self.limit
+    /// Whether one more session fits beside those live at `now`.
+    pub fn fits(&mut self, now: Cycle) -> bool {
+        self.load(now) + self.demand <= self.limit
     }
 
-    /// Holds `demand` until `departure`.
-    pub fn hold(&mut self, departure: Cycle, demand: f64) {
-        self.live.push((departure, demand));
-    }
-}
-
-/// Eq. 3-based admission controller over one vsync budget.
-pub struct AdmissionController {
-    coeff: Coefficients,
-    budget: Budget,
-}
-
-impl AdmissionController {
-    /// Creates a controller for a vsync interval of `vsync` cycles with
-    /// calibrated `coeff` and a headroom fraction in `(0, 1]`.
-    pub fn new(coeff: Coefficients, vsync: Cycle, headroom: f64) -> Self {
-        AdmissionController { coeff, budget: Budget::new(vsync as f64, headroom) }
-    }
-
-    /// The calibrated predictor.
-    pub fn coefficients(&self) -> &Coefficients {
-        &self.coeff
-    }
-
-    /// Predicted per-vsync demand (cycles) of a session whose steady frame
-    /// carries `triangles`.
-    pub fn predict(&self, triangles: u64) -> f64 {
-        self.coeff.predict_total(triangles.max(1))
-    }
-
-    /// Aggregate predicted demand of sessions still live at `now`.
-    pub fn load(&mut self, now: Cycle) -> f64 {
-        self.budget.load(now)
-    }
-
-    /// Number of sessions still live at the last [`load`](Self::load) or
-    /// [`offer`](Self::offer) call.
-    pub fn active(&self) -> u32 {
-        self.budget.active()
-    }
-
-    /// Tests a session arriving at `now` whose steady frame carries
-    /// `triangles` and which, if admitted, departs at `departure`. Admits
-    /// (registering the session) or rejects.
-    pub fn offer(&mut self, now: Cycle, triangles: u64, departure: Cycle) -> AdmissionDecision {
-        let predicted = self.predict(triangles);
-        if self.budget.fits(now, predicted) {
-            self.budget.hold(departure, predicted);
-            AdmissionDecision::Admitted { active: self.budget.active(), predicted }
-        } else {
-            AdmissionDecision::Rejected { predicted, reason: "capacity" }
+    /// Holds one session's demand until `departure`.
+    pub fn hold(&mut self, departure: Cycle) {
+        self.departures.push(Reverse(departure));
+        if self.sums.len() == self.departures.len() {
+            let top = self.sums[self.sums.len() - 1];
+            self.sums.push(top + self.demand);
         }
     }
 }
@@ -178,38 +136,46 @@ mod tests {
         Coefficients::fit(&[BatchSample { triangles: 10, tv: 10, pixels: 10, cycles: 1_000 }])
     }
 
+    /// The compute budget `schedule` builds: one vsync of 1000 cycles,
+    /// each session predicted at one triangle's cost (100 cycles).
+    fn unit_budget(headroom: f64) -> Budget {
+        Budget::new(1_000.0, headroom, unit_coeff().predict_total(1))
+    }
+
     #[test]
     fn admits_until_the_headroom_budget_is_full() {
         // vsync 1000, headroom 1.0, each session predicts 100 cycles → 10 fit.
-        let mut ac = AdmissionController::new(unit_coeff(), 1_000, 1.0);
+        let mut b = unit_budget(1.0);
         for i in 0..10 {
-            match ac.offer(0, 1, 10_000) {
-                AdmissionDecision::Admitted { active, .. } => assert_eq!(active, i + 1),
-                other => panic!("session {i} unexpectedly rejected: {other:?}"),
-            }
+            assert!(b.fits(0), "session {i} unexpectedly rejected");
+            b.hold(10_000);
+            assert_eq!(b.active(), i + 1);
         }
-        assert!(matches!(ac.offer(0, 1, 10_000), AdmissionDecision::Rejected { .. }));
+        assert!(!b.fits(0));
     }
 
     #[test]
     fn headroom_reserves_slack() {
-        let mut ac = AdmissionController::new(unit_coeff(), 1_000, 0.5);
+        let mut b = unit_budget(0.5);
         for _ in 0..5 {
-            assert!(matches!(ac.offer(0, 1, 10_000), AdmissionDecision::Admitted { .. }));
+            assert!(b.fits(0));
+            b.hold(10_000);
         }
-        assert!(matches!(ac.offer(0, 1, 10_000), AdmissionDecision::Rejected { .. }));
+        assert!(!b.fits(0));
     }
 
     #[test]
     fn departed_sessions_free_their_budget() {
-        let mut ac = AdmissionController::new(unit_coeff(), 1_000, 1.0);
+        let mut b = unit_budget(1.0);
         for _ in 0..10 {
-            assert!(matches!(ac.offer(0, 1, 500), AdmissionDecision::Admitted { .. }));
+            assert!(b.fits(0));
+            b.hold(500);
         }
-        assert!(matches!(ac.offer(100, 1, 2_000), AdmissionDecision::Rejected { .. }));
-        // All ten depart at cycle 500; the controller has room again.
-        assert!(matches!(ac.offer(600, 1, 2_000), AdmissionDecision::Admitted { .. }));
-        assert_eq!(ac.active(), 1);
+        assert!(!b.fits(100));
+        // All ten depart at cycle 500; the budget has room again.
+        assert!(b.fits(600));
+        b.hold(2_000);
+        assert_eq!(b.active(), 1);
     }
 
     #[test]
@@ -230,8 +196,9 @@ mod tests {
 
     #[test]
     fn prediction_matches_single_sample_rate() {
-        let ac = AdmissionController::new(unit_coeff(), 1_000, 1.0);
-        assert!((ac.predict(10) - 1_000.0).abs() < 1e-9);
-        assert!((ac.coefficients().predict_total(5) - 500.0).abs() < 1e-9);
+        let coeff = unit_coeff();
+        let b = Budget::new(1_000.0, 1.0, coeff.predict_total(10));
+        assert!((b.demand() - 1_000.0).abs() < 1e-9);
+        assert!((coeff.predict_total(5) - 500.0).abs() < 1e-9);
     }
 }

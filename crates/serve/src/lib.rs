@@ -22,7 +22,8 @@
 //! * [`admission`] — admission control from the paper's Eq. 3 predictor:
 //!   a session enters only if the predicted aggregate steady demand fits
 //!   inside one vsync interval with headroom. The live-session ledger is
-//!   a [`Budget`], which the edge tier reuses for its link bytes.
+//!   a fixed-demand [`Budget`], which the edge tier reuses for its link
+//!   bytes.
 //! * [`scheduler`] — the EDF vsync scheduler multiplexing admitted
 //!   sessions onto the single 4-GPM renderer (the workspace's only EDF
 //!   loop; the edge tier calls its core, [`schedule`]), with stale-frame drops,
@@ -68,10 +69,7 @@ pub mod router;
 pub mod scheduler;
 pub mod stream;
 
-pub use admission::{
-    calibrate, calibrate_discounted, AdmissionController, AdmissionDecision, Budget,
-    DEFAULT_HEADROOM,
-};
+pub use admission::{calibrate, calibrate_discounted, Budget, DEFAULT_HEADROOM};
 pub use capacity::{capacity, capacity_table, MISS_BUDGET};
 pub use chaos::{chaos_table, cluster_policy_table, cluster_scale_table, ChaosCell};
 pub use cluster::{
@@ -87,8 +85,8 @@ pub use pose::{session_trajectory, Pose, PoseModel, PoseTrajectory};
 pub use qos::{aggregate_qos, percentile, session_qos, AggregateQos, SessionQos};
 pub use router::{Placement, RouterConfig, ServerView};
 pub use scheduler::{
-    record_in_cycle_order, schedule, simulate, simulate_metered, FrameRecord, Gate, Reject,
-    ServeConfig, ServeOutcome, SessionOutcome,
+    record_in_cycle_order, schedule, simulate, simulate_metered, FrameRecord, Reject, ServeConfig,
+    ServeOutcome, SessionOutcome, LINK_REASON,
 };
 pub use stream::{
     cost_stream, serve_cache_stats, ServeCacheStats, ServeScheme, SessionCostStream,

@@ -26,14 +26,13 @@
 //!   from [`ResilienceConfig`], the same knobs the in-frame deadline
 //!   monitor uses), trading shade quality for timeliness; on-time frames
 //!   recover scale multiplicatively.
-//! * [`schedule`], the core behind [`simulate`], takes one optional
-//!   [`Gate`]: a second [`Budget`] checked before Eq. 3, with a
-//!   per-session demand and the reject reason `"link"` — the edge tier's
-//!   link byte budget is the only gate. A session the gate turns away is
-//!   rejected without touching the compute budget; the gate's demand is
-//!   held only once compute admits too. The gate draws no randomness, so
-//!   an ungated run and a run whose gate always passes schedule
-//!   identically.
+//! * [`schedule`], the core behind [`simulate`], takes one optional link
+//!   [`Budget`] checked before Eq. 3, with the reject reason
+//!   [`LINK_REASON`] — the edge tier's link byte budget is the only one.
+//!   A session the link turns away is rejected without touching the
+//!   compute budget; its link demand is held only once compute admits
+//!   too. The link budget draws no randomness, so a run without one and a
+//!   run whose link always fits schedule identically.
 //!
 //! Every lifecycle transition (admit/reject/frame-start/span/miss/shed/
 //! drop) is emitted as an [`oovr_trace`] event, so `figures -- trace`
@@ -51,9 +50,7 @@ use oovr_trace::{Cycle, Recorder, TraceEvent, TraceSink};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::admission::{
-    calibrate_discounted, AdmissionController, AdmissionDecision, Budget, DEFAULT_HEADROOM,
-};
+use crate::admission::{calibrate_discounted, Budget, DEFAULT_HEADROOM};
 use crate::metrics::meter_serve;
 use crate::pose::{session_trajectory, Pose};
 use crate::qos::{aggregate_qos, session_qos, AggregateQos, SessionQos};
@@ -230,45 +227,35 @@ pub fn record_in_cycle_order(rec: &mut Recorder, mut events: Vec<TraceEvent>) {
     }
 }
 
-/// A second admission budget, checked before Eq. 3: the edge tier's link
-/// byte budget. A session whose `demand` does not fit is rejected with
-/// reason [`Gate::REASON`] and never offered to the compute controller;
-/// an admitted session holds `demand` until it departs. The gate draws no
-/// randomness, so a gated run consumes the arrival RNG exactly like an
-/// ungated one.
-#[derive(Debug, Clone)]
-pub struct Gate {
-    /// The budget the gate charges.
-    pub budget: Budget,
-    /// What each session charges against it.
-    pub demand: f64,
-}
-
-impl Gate {
-    /// Reject reason of a session the gate turns away.
-    pub const REASON: &'static str = "link";
-}
+/// Reject reason of a session the `link` budget of [`schedule`] turns
+/// away.
+pub const LINK_REASON: &str = "link";
 
 /// The serving core behind [`simulate_metered`] and the edge tier: runs
-/// every arrival through the optional `gate` and Eq. 3 admission, then
-/// EDF-schedules the admitted sessions over `stream`. Returns the outcome
-/// and the lifecycle events in emission order (see
+/// every arrival through the optional `link` budget and Eq. 3 admission,
+/// then EDF-schedules the admitted sessions over `stream`. A session the
+/// link cannot carry is rejected with reason [`LINK_REASON`] and never
+/// offered to the compute budget; an admitted session holds the link's
+/// demand until it departs. The link budget draws no randomness, so a
+/// run with one consumes the arrival RNG exactly like a run without.
+/// Returns the outcome and the lifecycle events in emission order (see
 /// [`record_in_cycle_order`]).
 pub fn schedule(
     stream: Arc<SessionCostStream>,
     cfg: &ServeConfig,
-    mut gate: Option<Gate>,
+    mut link: Option<Budget>,
 ) -> (ServeOutcome, Vec<TraceEvent>) {
     let scheme = stream.scheme;
     let v = cfg.vsync_cycles.max(1);
     let total_frames = cfg.frames_per_session + 1; // warmup + paced
 
     // Calibrate Eq. 3 from the measured stream (whole-frame samples) and
-    // run every arrival through the admission controller. Temporal schemes
-    // price warm frames at their temporally-reused cost: the measured
-    // cycles minus the mean reuse saving over a reference trajectory
-    // seeded from the run seed (zero at threshold 0, so calibration stays
-    // bit-identical to plain OO-VR).
+    // run every arrival through the compute budget, which charges each
+    // session the predicted steady demand. Temporal schemes price warm
+    // frames at their temporally-reused cost: the measured cycles minus
+    // the mean reuse saving over a reference trajectory seeded from the
+    // run seed (zero at threshold 0, so calibration stays bit-identical
+    // to plain OO-VR).
     let threshold = cfg.temporal.reuse_threshold;
     let discount = if scheme.temporal() {
         stream.mean_temporal_saving(threshold, cfg.seed, cfg.frames_per_session.max(1))
@@ -276,9 +263,9 @@ pub fn schedule(
         0
     };
     let report_refs: Vec<&FrameReport> = stream.reports.iter().collect();
-    let mut admission =
-        AdmissionController::new(calibrate_discounted(&report_refs, discount), v, cfg.headroom);
-    let steady_tris = stream.steady().counts.triangles;
+    let steady_tris = stream.steady().counts.triangles.max(1);
+    let predicted = calibrate_discounted(&report_refs, discount).predict_total(steady_tris);
+    let mut compute = Budget::new(v as f64, cfg.headroom, predicted);
 
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     let mut events: Vec<TraceEvent> = Vec::new();
@@ -295,46 +282,42 @@ pub fn schedule(
         // A session holds its budget until one interval past its last
         // deadline (slack for queueing delay).
         let departure = arrival + Cycle::from(total_frames + 1) * v;
-        let gated_out = gate.as_mut().is_some_and(|g| !g.budget.fits(arrival, g.demand));
-        let decision = match &gate {
-            Some(g) if gated_out => {
-                AdmissionDecision::Rejected { predicted: g.demand, reason: Gate::REASON }
+        let link_fits = link.as_mut().is_none_or(|b| b.fits(arrival));
+        if link_fits && compute.fits(arrival) {
+            compute.hold(departure);
+            if let Some(b) = &mut link {
+                b.hold(departure);
             }
-            _ => admission.offer(arrival, steady_tris, departure),
-        };
-        match decision {
-            AdmissionDecision::Admitted { active, predicted } => {
-                if let Some(g) = &mut gate {
-                    g.budget.hold(departure, g.demand);
-                }
-                events.push(TraceEvent::SessionAdmit {
-                    cycle: arrival,
-                    session: id,
-                    predicted,
-                    active,
-                });
-                // The head-pose trajectory is per-session seeded: frame 0
-                // presents the rest pose, each paced frame steps the walk.
-                let mut traj = session_trajectory(cfg.seed, u64::from(id));
-                let mut path = vec![traj.current()];
-                path.extend((0..cfg.frames_per_session).map(|_| traj.step()));
-                poses.push(path);
-                sessions.push(SessionOutcome {
-                    id,
-                    arrival,
-                    predicted,
-                    frames: Vec::with_capacity(total_frames as usize),
-                });
-            }
-            AdmissionDecision::Rejected { predicted, reason } => {
-                events.push(TraceEvent::SessionReject {
-                    cycle: arrival,
-                    session: id,
-                    predicted,
-                    reason,
-                });
-                rejects.push(Reject { id, arrival, predicted });
-            }
+            events.push(TraceEvent::SessionAdmit {
+                cycle: arrival,
+                session: id,
+                predicted,
+                active: compute.active(),
+            });
+            // The head-pose trajectory is per-session seeded: frame 0
+            // presents the rest pose, each paced frame steps the walk.
+            let mut traj = session_trajectory(cfg.seed, u64::from(id));
+            let mut path = vec![traj.current()];
+            path.extend((0..cfg.frames_per_session).map(|_| traj.step()));
+            poses.push(path);
+            sessions.push(SessionOutcome {
+                id,
+                arrival,
+                predicted,
+                frames: Vec::with_capacity(total_frames as usize),
+            });
+        } else {
+            let (predicted, reason) = match &link {
+                Some(b) if !link_fits => (b.demand(), LINK_REASON),
+                _ => (predicted, "capacity"),
+            };
+            events.push(TraceEvent::SessionReject {
+                cycle: arrival,
+                session: id,
+                predicted,
+                reason,
+            });
+            rejects.push(Reject { id, arrival, predicted });
         }
     }
 

@@ -12,6 +12,10 @@
 //! * **Seeded determinism.** A (scheme, workload, config, seed) tuple
 //!   replays bit-identically — outcomes, QoS, the capacity table's CSV
 //!   bytes, and the exported session-lifecycle trace.
+//!
+//! The admission ledger ([`Budget`]) is checked against a copy of the
+//! retain-and-sum ledger it replaced: the same answers and the same load
+//! bits at every offer.
 
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
@@ -20,9 +24,9 @@ use oovr::schemes::OoVr;
 use oovr_frameworks::{Baseline, RenderScheme};
 use oovr_gpu::{FrameReport, GpuConfig};
 use oovr_scene::benchmarks;
-use oovr_serve::{capacity_table, simulate, ServeConfig, ServeScheme, VSYNC_90HZ_CYCLES};
+use oovr_serve::{capacity_table, simulate, Budget, ServeConfig, ServeScheme, VSYNC_90HZ_CYCLES};
 use oovr_trace::export::{chrome_trace, csv_timeline};
-use oovr_trace::{Recorder, TraceConfig, TraceEvent};
+use oovr_trace::{Cycle, Recorder, TraceConfig, TraceEvent};
 
 fn spec() -> oovr_scene::BenchmarkSpec {
     benchmarks::hl2_640().scaled(0.05)
@@ -185,5 +189,100 @@ fn capacity_table_is_deterministic_and_orders_schemes() {
             "{}: OOVR capacity {oovr} must strictly exceed Baseline {base}",
             spec.name
         );
+    }
+}
+
+/// The admission ledger before it charged one fixed demand, copied
+/// verbatim: every query drops departed sessions and sums the demands of
+/// the rest in insertion order.
+#[derive(Debug, Clone)]
+struct ReferenceBudget {
+    limit: f64,
+    live: Vec<(Cycle, f64)>, // (departure, demand)
+}
+
+impl ReferenceBudget {
+    /// A budget of `capacity` scaled by a headroom fraction, clamped to
+    /// `[0.05, 1]`.
+    fn new(capacity: f64, headroom: f64) -> Self {
+        ReferenceBudget { limit: capacity * headroom.clamp(0.05, 1.0), live: Vec::new() }
+    }
+
+    /// Aggregate demand of sessions still live at `now`.
+    fn load(&mut self, now: Cycle) -> f64 {
+        self.live.retain(|&(departure, _)| departure > now);
+        self.live.iter().map(|&(_, demand)| demand).sum()
+    }
+
+    /// Number of sessions still live at the last [`load`](Self::load) or
+    /// [`fits`](Self::fits) call.
+    fn active(&self) -> u32 {
+        self.live.len() as u32
+    }
+
+    /// Whether `demand` more fits beside the sessions live at `now`.
+    fn fits(&mut self, now: Cycle, demand: f64) -> bool {
+        self.load(now) + demand <= self.limit
+    }
+
+    /// Holds `demand` until `departure`.
+    fn hold(&mut self, departure: Cycle, demand: f64) {
+        self.live.push((departure, demand));
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// The fixed-demand ledger answers every offer exactly like the
+    /// retain-and-sum ledger: the same admit/reject decision, the same
+    /// load bits (the empty budget's included) and the same live count,
+    /// over non-dyadic demands, limits of hundreds to thousands of
+    /// sessions, non-decreasing arrivals, and departures that are in
+    /// arrival order or not. A rare long gap lets everyone depart, so the
+    /// ledger also empties mid-run.
+    #[test]
+    fn fixed_demand_budget_matches_the_retain_and_sum_ledger(
+        (kind, num) in (0u8..3, 1u64..1_000),
+        (sessions, headroom) in (400u32..3_000, 0.5f64..1.2),
+        (span, unordered) in (2_000u64..6_000, 0u8..2),
+        offers in prop::collection::vec((0u64..8, 0u16..1_000, 0u64..6_000), 1_500..3_000),
+    ) {
+        // 0.1, x/3 and a link byte rate (bytes over one 90 Hz vsync): none
+        // is a dyadic rational, so the k-fold sum rounds along the way.
+        let demand = match kind {
+            0 => 0.1,
+            1 => (3 * num + 1) as f64 / 3.0,
+            _ => (num * 977) as f64 / VSYNC_90HZ_CYCLES as f64,
+        };
+        let capacity = demand * f64::from(sessions);
+        let mut budget = Budget::new(capacity, headroom, demand);
+        let mut reference = ReferenceBudget::new(capacity, headroom);
+        prop_assert_eq!(budget.demand().to_bits(), demand.to_bits());
+        prop_assert_eq!(budget.load(0).to_bits(), reference.load(0).to_bits());
+        prop_assert_eq!(budget.load(0).to_bits(), (-0.0f64).to_bits());
+
+        let (mut now, mut max_active) = (0, 0);
+        for (step, &(gap, drain, jitter)) in offers.iter().enumerate() {
+            now += gap + if drain == 0 { 2 * span } else { 0 };
+            let fits = budget.fits(now);
+            prop_assert_eq!(fits, reference.fits(now, demand), "offer {} at {}", step, now);
+            prop_assert_eq!(
+                budget.load(now).to_bits(),
+                reference.load(now).to_bits(),
+                "load at offer {} with {} live",
+                step,
+                reference.active()
+            );
+            prop_assert_eq!(budget.active(), reference.active());
+            if fits {
+                let departure = now + span + if unordered == 1 { jitter } else { 0 };
+                budget.hold(departure);
+                reference.hold(departure, demand);
+                prop_assert_eq!(budget.active(), reference.active());
+            }
+            max_active = max_active.max(budget.active());
+        }
+        prop_assert!(max_active >= 150, "only {} sessions were ever live", max_active);
     }
 }
