@@ -1,12 +1,16 @@
 //! Microbenchmarks of the temporal-reuse hot path: the per-frame reuse
 //! decision and the OU pose step that feeds it. Both run once per session
 //! per frame in the serving layer, so their cost bounds how many
-//! concurrent sessions the capacity probe can price. A decision is two
-//! stages: the motion kernel measures every object's projected-bound
-//! motion in one flat loop over all corners, and a branch-free fold sums
-//! the per-GPM loads. The decision is timed on the short HL2-640 walk and
-//! on the draw-heavy WE scene, and the kernel alone on WE, so the split
-//! between the two stages stays visible.
+//! concurrent sessions the capacity probe can price. A decision first
+//! asks the scene bound whether any probe can move past the threshold; if
+//! none can it returns the all-reuse decision at once (the fast branch).
+//! Otherwise it takes the exact branch: the motion kernel measures every
+//! object's projected-bound motion in one flat loop over all corners, and
+//! a branch-free fold sums the per-GPM loads. The decision is timed on
+//! both branches on the draw-heavy WE scene, on the fast branch on the
+//! short HL2-640 walk, and the bound and the kernel alone on WE, so the
+//! split between the stages stays visible. Each decide bench asserts the
+//! branch it times.
 
 mod common;
 
@@ -14,7 +18,7 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use oovr::schemes::OoVr;
 use oovr::temporal::DEFAULT_REUSE_THRESHOLD;
 use oovr_gpu::GpuConfig;
-use oovr_scene::{PoseDelta, PoseTrajectory};
+use oovr_scene::{Pose, PoseDelta, PoseTrajectory};
 
 fn bench(c: &mut Criterion) {
     let scene = common::scene();
@@ -23,35 +27,52 @@ fn bench(c: &mut Criterion) {
     let mut traj = PoseTrajectory::new(7);
     let from = traj.current();
     let to = traj.step();
+    let delta = PoseDelta::new(&from, &to);
 
-    // The per-frame reuse decision at the default threshold: measures every
-    // object's motion and folds the per-GPM load vector.
+    // The per-frame reuse decision at the default threshold under a 90 Hz
+    // pose step. The scene bound passes, so this is the fast branch.
+    assert!(scene.motion_kernel().all_below(&delta, DEFAULT_REUSE_THRESHOLD));
     c.bench_function("temporal_reuse_decision", |b| {
         b.iter(|| black_box(profile.decide(&from, &to, DEFAULT_REUSE_THRESHOLD).saved))
     });
 
-    // The same decision on the draw-heavy scene: the walk is ~5x longer,
-    // so the per-probe cost dominates the once-per-call pose delta.
+    // The same decision on the draw-heavy scene, also on the fast branch:
+    // the bound costs the same few cells however many probes there are.
     let we = common::scenes().remove(1);
     let (_, we_profile) = OoVr::new().render_frames_profiled(&we, &cfg, 2);
+    let we_kernel = we.motion_kernel();
+    assert!(we_kernel.all_below(&delta, DEFAULT_REUSE_THRESHOLD));
     c.bench_function("temporal_reuse_decision_we", |b| {
         b.iter(|| black_box(we_profile.decide(&from, &to, DEFAULT_REUSE_THRESHOLD).saved))
     });
 
-    // The motion kernel alone on the same scene and pose pair: the
-    // decision above minus the pose delta and the load fold.
-    let we_kernel = we.motion_kernel();
-    let delta = PoseDelta::new(&from, &to);
+    // A 0.2 rad turn fails the bound, so this decision takes the exact
+    // branch: the bound, the pose delta, the kernel walk and the fold.
+    let turned = Pose { yaw: from.yaw + 0.2, ..from };
+    let moved = PoseDelta::new(&from, &turned);
+    assert!(!we_kernel.all_below(&moved, DEFAULT_REUSE_THRESHOLD));
+    c.bench_function("temporal_reuse_decision_we_moved", |b| {
+        b.iter(|| black_box(we_profile.decide(&from, &turned, DEFAULT_REUSE_THRESHOLD).saved))
+    });
+
+    // The scene bound alone on the 90 Hz step, where it passes every cell.
+    c.bench_function("motion_bound_we", |b| {
+        b.iter(|| black_box(we_kernel.all_below(black_box(&delta), DEFAULT_REUSE_THRESHOLD)))
+    });
+
+    // The motion kernel alone on the turned pair: the exact branch minus
+    // the bound, the pose delta and the load fold.
     c.bench_function("motion_kernel_we", |b| {
         b.iter(|| {
-            we_kernel.for_each_block(&delta, |_, motions| {
+            we_kernel.for_each_block(&moved, |_, motions| {
                 black_box(motions);
             })
         })
     });
 
-    // The exact path short-circuits before the probe walk; its cost is the
-    // floor every non-temporal frame pays when a profile is attached.
+    // At threshold 0 (`TemporalConfig::exact`) the decision returns before
+    // the bound and the walk; its cost is the floor every non-temporal
+    // frame pays when a profile is attached.
     c.bench_function("temporal_reuse_decision_exact", |b| {
         b.iter(|| black_box(profile.decide(&from, &to, 0.0).rerendered))
     });

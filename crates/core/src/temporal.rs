@@ -124,6 +124,8 @@ pub struct TemporalProfile {
     reuse: Vec<Cycle>,
     /// Critical-path GPM load of a full re-render.
     full_max: Cycle,
+    /// Critical-path GPM load when every object is reused.
+    reuse_max: Cycle,
     /// The profiled steady frame's total cost (busy max + composition).
     steady_cycles: Cycle,
 }
@@ -165,9 +167,17 @@ impl TemporalProfile {
             // off-screen object could make reuse a pessimization).
             reuse[resident * n + o] = atw::warp_cycles_for_pixels(px, cfg).min(resident_busy);
         }
-        let full_max =
-            rerender.chunks_exact(n.max(1)).map(|col| col.iter().sum()).max().unwrap_or(0);
-        TemporalProfile { motion: scene.motion_kernel(), rerender, reuse, full_max, steady_cycles }
+        let critical = |loads: &[Cycle]| {
+            loads.chunks_exact(n.max(1)).map(|col| col.iter().sum()).max().unwrap_or(0)
+        };
+        TemporalProfile {
+            motion: scene.motion_kernel(),
+            full_max: critical(&rerender),
+            reuse_max: critical(&reuse),
+            rerender,
+            reuse,
+            steady_cycles,
+        }
     }
 
     /// Number of profiled objects.
@@ -187,6 +197,11 @@ impl TemporalProfile {
 
     /// Decides reuse for one frame under the pose delta `from → to`.
     ///
+    /// When the scene bound ([`MotionKernel::all_below`]) proves every
+    /// motion below `threshold`, the all-reuse decision is returned
+    /// without measuring a probe; it equals what the measured walk would
+    /// return.
+    ///
     /// Deterministic f64 throughout — same poses and threshold, same
     /// decision, on every call and every host.
     pub fn decide(&self, from: &Pose, to: &Pose, threshold: f64) -> TemporalDecision {
@@ -197,9 +212,19 @@ impl TemporalProfile {
             // reuse. Skip the probe walk so the exact path costs nothing.
             return TemporalDecision { reused: 0, rerendered: objects, saved: 0 };
         }
+        let delta = PoseDelta::new(from, to);
+        if self.motion.all_below(&delta, threshold) {
+            // Every motion is provably below the threshold, so the fold
+            // below would set every mask: its loads are the reuse columns.
+            return TemporalDecision {
+                reused: objects,
+                rerendered: 0,
+                saved: self.full_max - self.reuse_max,
+            };
+        }
         let mut loads = vec![0; self.rerender.len() / n];
         let mut reused = 0u32;
-        self.motion.for_each_block(&PoseDelta::new(from, to), |first, motions| {
+        self.motion.for_each_block(&delta, |first, motions| {
             // All ones for a reused object, zero for a re-rendered one.
             let mut masks = [0; MotionKernel::BLOCK];
             for (m, &motion) in masks.iter_mut().zip(motions) {

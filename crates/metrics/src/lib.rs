@@ -30,15 +30,37 @@ pub mod hist;
 pub mod slo;
 
 use std::collections::BTreeMap;
+use std::fmt;
 
 pub use hist::Hist;
 pub use oovr_trace::Cycle;
 
-/// Metric key: a static metric name plus a free-form label (server index,
-/// session class, pipeline phase, ...). The empty label is the unlabelled
-/// series. `BTreeMap` keying makes every iteration order — and therefore
-/// every export — deterministic.
-pub type Key = (&'static str, String);
+/// Series of one kind keyed by a static metric name, then a free-form
+/// label (server index, session class, pipeline phase, ...). The empty
+/// label is the unlabelled series. Two levels, so touching an existing
+/// series allocates nothing; `BTreeMap` keying makes every iteration
+/// order — `(name, label)` — and therefore every export deterministic.
+type Series<V> = BTreeMap<&'static str, BTreeMap<String, V>>;
+
+/// Applies `f` to the series `name{label}`, inserted as `V::default()` if
+/// absent. Only an insert allocates the label.
+fn update<V: Default>(
+    series: &mut Series<V>,
+    name: &'static str,
+    label: &str,
+    f: impl FnOnce(&mut V),
+) {
+    let labels = series.entry(name).or_default();
+    match labels.get_mut(label) {
+        Some(v) => f(v),
+        None => f(labels.entry(label.to_owned()).or_default()),
+    }
+}
+
+/// Every series as `(name, label, value)`, in `(name, label)` order.
+fn flatten<V>(series: &Series<V>) -> impl Iterator<Item = (&'static str, &str, &V)> {
+    series.iter().flat_map(|(n, labels)| labels.iter().map(move |(l, v)| (*n, l.as_str(), v)))
+}
 
 /// A monotonically increasing counter with a per-window time series.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -57,13 +79,33 @@ struct Counter {
 /// calls does not matter: folding a run's facts after it finishes builds
 /// the same registry as recording them as they happen. Creation
 /// allocates nothing until the first metric is touched.
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Clone, Default, PartialEq)]
 pub struct Registry {
     window_cycles: Cycle,
-    counters: BTreeMap<Key, Counter>,
-    gauges: BTreeMap<Key, f64>,
-    hists: BTreeMap<Key, Hist>,
+    counters: Series<Counter>,
+    gauges: Series<f64>,
+    hists: Series<Hist>,
     horizon_window: u64,
+}
+
+/// Prints each series map as one map keyed by `(name, label)` pairs: the
+/// format of a registry keyed by flat pairs, which recorded digests hash.
+impl fmt::Debug for Registry {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        struct Flat<'a, V>(&'a Series<V>);
+        impl<V: fmt::Debug> fmt::Debug for Flat<'_, V> {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                f.debug_map().entries(flatten(self.0).map(|(n, l, v)| ((n, l), v))).finish()
+            }
+        }
+        f.debug_struct("Registry")
+            .field("window_cycles", &self.window_cycles)
+            .field("counters", &Flat(&self.counters))
+            .field("gauges", &Flat(&self.gauges))
+            .field("hists", &Flat(&self.hists))
+            .field("horizon_window", &self.horizon_window)
+            .finish()
+    }
 }
 
 impl Registry {
@@ -98,80 +140,81 @@ impl Registry {
     pub fn inc(&mut self, name: &'static str, label: &str, now: Cycle, by: u64) {
         let w = self.window_of(now);
         self.horizon_window = self.horizon_window.max(w);
-        let c = self.counters.entry((name, label.to_owned())).or_default();
-        c.total += by;
-        *c.windows.entry(w).or_insert(0) += by;
+        update(&mut self.counters, name, label, |c| {
+            c.total += by;
+            *c.windows.entry(w).or_insert(0) += by;
+        });
     }
 
     /// Set gauge `name{label}` to `value` (last write wins).
     pub fn set_gauge(&mut self, name: &'static str, label: &str, value: f64) {
-        self.gauges.insert((name, label.to_owned()), value);
+        update(&mut self.gauges, name, label, |g| *g = value);
     }
 
     /// Record `value` into the log2 histogram `name{label}` at cycle `now`.
     pub fn observe(&mut self, name: &'static str, label: &str, now: Cycle, value: u64) {
         let w = self.window_of(now);
         self.horizon_window = self.horizon_window.max(w);
-        self.hists.entry((name, label.to_owned())).or_default().observe(value);
+        update(&mut self.hists, name, label, |h| h.observe(value));
     }
 
     /// Current total of counter `name{label}` (0 when untouched).
     pub fn counter(&self, name: &'static str, label: &str) -> u64 {
-        self.counters.get(&(name, label.to_owned())).map_or(0, |c| c.total)
+        self.counters.get(name).and_then(|l| l.get(label)).map_or(0, |c| c.total)
     }
 
     /// Sum of counter `name` across every label.
     pub fn counter_sum(&self, name: &'static str) -> u64 {
-        self.counters.iter().filter(|((n, _), _)| *n == name).map(|(_, c)| c.total).sum()
+        self.counters.get(name).map_or(0, |l| l.values().map(|c| c.total).sum())
     }
 
     /// Counter total accumulated in windows `>= from_window`.
     pub fn counter_since(&self, name: &'static str, label: &str, from_window: u64) -> u64 {
         self.counters
-            .get(&(name, label.to_owned()))
+            .get(name)
+            .and_then(|l| l.get(label))
             .map_or(0, |c| c.windows.range(from_window..).map(|(_, v)| v).sum())
     }
 
     /// Gauge value, if set.
     pub fn gauge(&self, name: &'static str, label: &str) -> Option<f64> {
-        self.gauges.get(&(name, label.to_owned())).copied()
+        self.gauges.get(name).and_then(|l| l.get(label)).copied()
     }
 
     /// Histogram for `name{label}`, if any sample landed in it.
     pub fn hist(&self, name: &'static str, label: &str) -> Option<&Hist> {
-        self.hists.get(&(name, label.to_owned()))
+        self.hists.get(name).and_then(|l| l.get(label))
     }
 
     /// All labels present on counter `name`, in deterministic order.
     pub fn counter_labels(&self, name: &'static str) -> Vec<&str> {
-        self.counters.keys().filter(|(n, _)| *n == name).map(|(_, l)| l.as_str()).collect()
+        self.counters.get(name).map_or_else(Vec::new, |l| l.keys().map(String::as_str).collect())
     }
 
     /// All labels present on histogram `name`, in deterministic order.
     pub fn hist_labels(&self, name: &'static str) -> Vec<&str> {
-        self.hists.keys().filter(|(n, _)| *n == name).map(|(_, l)| l.as_str()).collect()
+        self.hists.get(name).map_or_else(Vec::new, |l| l.keys().map(String::as_str).collect())
     }
 
     /// Iterate every counter as `(name, label, total)`.
     pub fn counters(&self) -> impl Iterator<Item = (&'static str, &str, u64)> {
-        self.counters.iter().map(|((n, l), c)| (*n, l.as_str(), c.total))
+        flatten(&self.counters).map(|(n, l, c)| (n, l, c.total))
     }
 
     /// Iterate every counter's window series as `(name, label, window, value)`.
     pub fn counter_windows(&self) -> impl Iterator<Item = (&'static str, &str, u64, u64)> {
-        self.counters
-            .iter()
-            .flat_map(|((n, l), c)| c.windows.iter().map(move |(w, v)| (*n, l.as_str(), *w, *v)))
+        flatten(&self.counters)
+            .flat_map(|(n, l, c)| c.windows.iter().map(move |(w, v)| (n, l, *w, *v)))
     }
 
     /// Iterate every gauge as `(name, label, value)`.
     pub fn gauges(&self) -> impl Iterator<Item = (&'static str, &str, f64)> {
-        self.gauges.iter().map(|((n, l), v)| (*n, l.as_str(), *v))
+        flatten(&self.gauges).map(|(n, l, v)| (n, l, *v))
     }
 
     /// Iterate every histogram as `(name, label, hist)`.
     pub fn hists(&self) -> impl Iterator<Item = (&'static str, &str, &Hist)> {
-        self.hists.iter().map(|((n, l), h)| (*n, l.as_str(), h))
+        flatten(&self.hists)
     }
 }
 

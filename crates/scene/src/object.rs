@@ -321,6 +321,12 @@ impl PoseDelta {
 /// deltas, it does not rasterize. Deterministic f64 — identical pose pairs
 /// measure bit-identical motions on every host (DESIGN §14 says why each
 /// rewrite of the per-corner arithmetic keeps every bit).
+///
+/// The kernel also keeps a scene bound: its corners binned into a 4×4
+/// grid over NDC, one box per occupied cell.
+/// [`all_below`](Self::all_below) bounds every probe's motion from those
+/// boxes alone, so a pose delta that moves nothing past a threshold is
+/// proven so without measuring a probe (DESIGN §14, "scene bound").
 #[derive(Debug, Clone, PartialEq)]
 pub struct MotionKernel {
     /// Corner view rays' NDC `x` at `z = 1`, four per probe
@@ -340,12 +346,90 @@ pub struct MotionKernel {
     half_height: f64,
     /// Viewport diagonal in pixels: the full-screen move motion saturates at.
     diag: f64,
+    /// The occupied grid cells' corner boxes, outermost cell first.
+    cells: Vec<Cell>,
+    /// The corners lie within the envelope where the scene bound's slack
+    /// covers every rounding error; outside it no delta passes.
+    bounded: bool,
+}
+
+/// One occupied cell of the scene bound: the box its corners' NDC rays
+/// span, the box's squares and cross product as intervals, and its
+/// largest parallax weight. Every interval is `[lo, hi]`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Cell {
+    x: [f64; 2],
+    y: [f64; 2],
+    xx: [f64; 2],
+    yy: [f64; 2],
+    xy: [f64; 2],
+    near: f64,
+}
+
+impl Cell {
+    /// The cell's box grown to cover the corner `(x, y)` of a probe with
+    /// parallax weight `near`; the products are filled in by
+    /// [`with_products`](Self::with_products).
+    fn cover(cell: Option<Cell>, x: f64, y: f64, near: f64) -> Cell {
+        let Some(c) = cell else {
+            return Cell { x: [x, x], y: [y, y], xx: [0.0; 2], yy: [0.0; 2], xy: [0.0; 2], near };
+        };
+        Cell {
+            x: [c.x[0].min(x), c.x[1].max(x)],
+            y: [c.y[0].min(y), c.y[1].max(y)],
+            near: c.near.max(near),
+            ..c
+        }
+    }
+
+    /// The cell with `x²`, `y²` and `xy` over its box.
+    fn with_products(self) -> Cell {
+        let square = |[lo, hi]: [f64; 2]| {
+            let (a, b) = (lo * lo, hi * hi);
+            [if lo <= 0.0 && hi >= 0.0 { 0.0 } else { a.min(b) }, a.max(b)]
+        };
+        let p = [
+            self.x[0] * self.y[0],
+            self.x[0] * self.y[1],
+            self.x[1] * self.y[0],
+            self.x[1] * self.y[1],
+        ];
+        let xy = [
+            p.iter().copied().fold(f64::INFINITY, f64::min),
+            p.iter().copied().fold(f64::NEG_INFINITY, f64::max),
+        ];
+        Cell { xx: square(self.x), yy: square(self.y), xy, ..self }
+    }
+}
+
+/// `k · [lo, hi]` as an interval. A NaN `k` makes both ends NaN.
+fn scale(k: f64, [lo, hi]: [f64; 2]) -> [f64; 2] {
+    if k < 0.0 {
+        [k * hi, k * lo]
+    } else {
+        [k * lo, k * hi]
+    }
+}
+
+/// The largest magnitude over `c + Σ terms`, each term an interval.
+fn magnitude(c: f64, terms: [[f64; 2]; 4]) -> f64 {
+    let [lo, hi] = terms.iter().fold([c, c], |[lo, hi], t| [lo + t[0], hi + t[1]]);
+    (-lo).max(hi)
 }
 
 impl MotionKernel {
     /// Probes measured per block: the kernel's stack scratch holds one
     /// block's corner distances and motions.
     pub const BLOCK: usize = 64;
+
+    /// Cells per NDC axis of the scene bound's grid. An 8×8 grid passed
+    /// 1–2.5 points more decides but cost 2.8× more per test (DESIGN §14).
+    const GRID: usize = 4;
+
+    /// Largest `max(half_width, half_height) · reach²` (pixels, with
+    /// `reach` the largest corner `|x|`, `|y|` or 1) at which the scene
+    /// bound's slack covers every rounding error (DESIGN §14).
+    const ENVELOPE: f64 = (1u64 << 20) as f64;
 
     /// The kernel over `objects`' left-eye viewport bounds at `res`, one
     /// probe per object in order.
@@ -361,6 +445,8 @@ impl MotionKernel {
             half_width: 0.5 * width,
             half_height: 0.5 * height,
             diag: (width * width + height * height).sqrt(),
+            cells: Vec::new(),
+            bounded: true,
         };
         for o in objects {
             let vp = o.viewport(res, Eye::Left);
@@ -375,6 +461,34 @@ impl MotionKernel {
             }
             kernel.near.push(1.0 - f64::from(o.depth));
         }
+        // Bin each corner by its NDC ray; the disparity shift can carry a
+        // corner past ±1, which the clamp puts in an edge cell.
+        let bin = |v: f64| {
+            (((v + 1.0) * 0.5 * Self::GRID as f64).floor().clamp(0.0, (Self::GRID - 1) as f64))
+                as usize
+        };
+        let mut grid = [None; Self::GRID * Self::GRID];
+        let mut reach = 1.0f64;
+        for (i, (&x, &y)) in kernel.ray_x.iter().zip(&kernel.ray_y).enumerate() {
+            let slot = &mut grid[bin(y) * Self::GRID + bin(x)];
+            *slot = Some(Cell::cover(*slot, x, y, kernel.near[i / 4]));
+            reach = reach.max(x.abs()).max(y.abs());
+        }
+        kernel.bounded =
+            kernel.half_width.max(kernel.half_height) * reach * reach <= Self::ENVELOPE;
+        // Outer cells first: a rotation moves them most, so a failing
+        // test exits early.
+        let ring = |i: usize| {
+            let off = |c: usize| (2 * c + 1).abs_diff(Self::GRID).pow(2);
+            off(i % Self::GRID) + off(i / Self::GRID)
+        };
+        let mut cells: Vec<(usize, Cell)> = grid
+            .iter()
+            .enumerate()
+            .filter_map(|(i, c)| c.map(|c| (ring(i), c.with_products())))
+            .collect();
+        cells.sort_by_key(|&(r, _)| std::cmp::Reverse(r));
+        kernel.cells = cells.into_iter().map(|(_, c)| c).collect();
         kernel
     }
 
@@ -440,6 +554,58 @@ impl MotionKernel {
             }
             each(first, &motions[..n]);
         }
+    }
+
+    /// True only if every probe's [`for_each_block`](Self::for_each_block)
+    /// motion under `delta` is provably below `threshold`; false when that
+    /// cannot be shown, so a false answer says nothing about any probe.
+    ///
+    /// Takes O(cells), not O(probes): it bounds the displacement of every
+    /// corner in a grid cell by interval arithmetic over the cell's box,
+    /// with a slack that covers the kernel's rounding (DESIGN §14).
+    pub fn all_below(&self, delta: &PoseDelta, threshold: f64) -> bool {
+        if delta.still {
+            // Every motion is exactly zero.
+            return self.is_empty() || threshold > 0.0;
+        }
+        if !self.bounded {
+            return false;
+        }
+        // R = R_to·R_fromᵀ carries an old view ray into the new view; its
+        // rows are `a`, `b`, `c`.
+        let (rf, rt) = (&delta.from, &delta.to);
+        let [a, b, c] = rt.map(|row| rf.map(|f| row[0] * f[0] + row[1] * f[1] + row[2] * f[2]));
+        self.cells.iter().all(|cell| {
+            // The corner `(x, y, 1)` lands at `n = R·(x, y, 1)`, in front of
+            // the eye while `D = n_z > 0`, which is linear in the box.
+            let d_min = c[2] + scale(c[0], cell.x)[0] + scale(c[1], cell.y)[0];
+            // A NaN pose reaches every interval end, and every comparison
+            // with NaN is false.
+            d_min > 0.5 && {
+                // The kernel's `(n_x / n_z + 1)·hw − px` is `hw·N_x / D`.
+                let nx = magnitude(
+                    a[2],
+                    [
+                        scale(a[0] - c[2], cell.x),
+                        scale(a[1], cell.y),
+                        scale(-c[0], cell.xx),
+                        scale(-c[1], cell.xy),
+                    ],
+                );
+                let ny = magnitude(
+                    b[2],
+                    [
+                        scale(b[0], cell.x),
+                        scale(b[1] - c[2], cell.y),
+                        scale(-c[0], cell.xy),
+                        scale(-c[1], cell.yy),
+                    ],
+                );
+                let (dx, dy) = (self.half_width * nx / d_min, self.half_height * ny / d_min);
+                let bound = (dx * dx + dy * dy).sqrt() + delta.shift * cell.near * self.half_width;
+                bound * (1.0 + 1e-9) + 1e-6 < threshold
+            }
+        })
     }
 }
 
@@ -699,6 +865,58 @@ mod tests {
         assert_eq!(motions, [diag]);
         assert_eq!(probe.motion(&behind, &ahead), diag);
         assert!(probe.motion(&ahead, &Pose { yaw: 0.1, ..ahead }) < diag);
+    }
+
+    #[test]
+    fn scene_bound_passes_a_still_delta_above_zero_only() {
+        let kernel = MotionKernel::new(&[obj()], Resolution::new(128, 96));
+        let p = Pose { yaw: 0.3, position: [0.1, 0.0, 0.0], ..Pose::identity() };
+        let still = PoseDelta::new(&p, &p);
+        assert!(kernel.all_below(&still, 1e-9));
+        assert!(!kernel.all_below(&still, 0.0));
+    }
+
+    #[test]
+    fn scene_bound_never_passes_a_half_turn() {
+        let kernel = MotionKernel::new(&[obj()], Resolution::new(128, 96));
+        let half = Pose { yaw: std::f64::consts::PI, ..Pose::identity() };
+        let delta = PoseDelta::new(&Pose::identity(), &half);
+        for t in [16.0, 1e9, f64::MAX] {
+            assert!(!kernel.all_below(&delta, t), "passed {t}");
+        }
+        let nan = Pose { roll: f64::NAN, ..Pose::identity() };
+        assert!(!kernel.all_below(&PoseDelta::new(&Pose::identity(), &nan), f64::MAX));
+    }
+
+    #[test]
+    fn scene_bound_of_a_translation_is_the_nearest_parallax_plus_slack() {
+        let res = Resolution::new(128, 96);
+        let mut near = ObjectBuilder::new(ObjectId(1), "near".into());
+        near.rect(0.1, 0.6, 0.3, 0.3).depth(0.2).texture("a", 1.0);
+        let near = near.try_build(|_| Some(TextureId(0))).expect("builds");
+        let kernel = MotionKernel::new(&[obj(), near], res);
+        let moved = Pose { position: [0.05, 0.0, 0.0], ..Pose::identity() };
+        let delta = PoseDelta::new(&Pose::identity(), &moved);
+        // The rotation is exactly the identity, so the bound is the
+        // parallax of the nearest probe, computed as the kernel does.
+        let parallax = (0.05f64 * 0.05).sqrt() * (1.0 - f64::from(0.2f32)) * 64.0;
+        let slack = parallax * (1.0 + 1e-9) + 1e-6;
+        assert!(!kernel.all_below(&delta, parallax));
+        assert!(!kernel.all_below(&delta, slack));
+        assert!(kernel.all_below(&delta, slack.next_up()));
+    }
+
+    #[test]
+    fn empty_scene_bound_passes_any_positive_threshold() {
+        let kernel = MotionKernel::new(&[], Resolution::new(128, 96));
+        let turned =
+            Pose { yaw: std::f64::consts::PI, position: [0.3, 0.0, 0.0], ..Pose::identity() };
+        for to in [Pose::identity(), turned] {
+            let delta = PoseDelta::new(&Pose::identity(), &to);
+            for t in [1e-9, 16.0, f64::INFINITY] {
+                assert!(kernel.all_below(&delta, t));
+            }
+        }
     }
 
     #[test]

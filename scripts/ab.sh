@@ -6,10 +6,12 @@
 # Runs <pairs> pairs of `oobench --workload <workload> --seed <seed>
 # --seconds <seconds> --trace 0` (seed 0 unless given), one run at a
 # time, alternating which side goes first in each pair so a slow spell on
-# the host lands on both sides alike. Prints each run's frames_per_s and
-# op_ms_p50, read from the final JSON line, then each side's quartiles
-# (q1, median, q3) and how many pairs B won on each metric: higher
-# frames_per_s, lower op_ms_p50, ties counting for neither side. Fails if
+# the host lands on both sides alike. Prints each run's frames_per_s,
+# op_ms_p50, setup_s and peak_rss_mb, read from the final JSON line, then
+# each side's quartiles (q1, median, q3) of all four and how many pairs B
+# won on the first two: higher frames_per_s, lower op_ms_p50, ties
+# counting for neither side. setup_s and peak_rss_mb are end-to-end
+# metrics too, so their quartiles show a regression there. Fails if
 # a run reports incorrect output, or if any run prints a different
 # `sim_digest` line than the first: an A/B only times two builds of the
 # same simulation.
@@ -59,10 +61,10 @@ wins() {
     echo "$won"
 }
 
-declare -a fps_a fps_b p50_a p50_b
+declare -a fps_a fps_b p50_a p50_b setup_a setup_b rss_a rss_b
 digest=
 run() {
-    local side=$1 bin=$2 pair=$3 out line run_digest fps p50
+    local side=$1 bin=$2 pair=$3 out line run_digest fps p50 setup rss
     out=$("$bin" --workload "$workload" --seed "$seed" --seconds "$seconds" --trace 0)
     line=$(tail -n 1 <<<"$out")
     if [[ $line != '{"correct": true'* ]]; then
@@ -82,11 +84,14 @@ run() {
     fi
     fps=$(metric "$line" frames_per_s)
     p50=$(metric "$line" op_ms_p50)
-    printf "pair %2d  %s  frames_per_s %10.4f  op_ms_p50 %10.4f\n" "$pair" "$side" "$fps" "$p50"
+    setup=$(metric "$line" setup_s)
+    rss=$(metric "$line" peak_rss_mb)
+    printf "pair %2d  %s  frames_per_s %10.4f  op_ms_p50 %10.4f  setup_s %8.4f  peak_rss_mb %8.2f\n" \
+        "$pair" "$side" "$fps" "$p50" "$setup" "$rss"
     if [ "$side" = A ]; then
-        fps_a+=("$fps") p50_a+=("$p50")
+        fps_a+=("$fps") p50_a+=("$p50") setup_a+=("$setup") rss_a+=("$rss")
     else
-        fps_b+=("$fps") p50_b+=("$p50")
+        fps_b+=("$fps") p50_b+=("$p50") setup_b+=("$setup") rss_b+=("$rss")
     fi
 }
 
@@ -106,6 +111,10 @@ printf "A  frames_per_s  %s\n" "$(printf '%s\n' "${fps_a[@]}" | quartiles)"
 printf "B  frames_per_s  %s\n" "$(printf '%s\n' "${fps_b[@]}" | quartiles)"
 printf "A  op_ms_p50     %s\n" "$(printf '%s\n' "${p50_a[@]}" | quartiles)"
 printf "B  op_ms_p50     %s\n" "$(printf '%s\n' "${p50_b[@]}" | quartiles)"
+printf "A  setup_s       %s\n" "$(printf '%s\n' "${setup_a[@]}" | quartiles)"
+printf "B  setup_s       %s\n" "$(printf '%s\n' "${setup_b[@]}" | quartiles)"
+printf "A  peak_rss_mb   %s\n" "$(printf '%s\n' "${rss_a[@]}" | quartiles)"
+printf "B  peak_rss_mb   %s\n" "$(printf '%s\n' "${rss_b[@]}" | quartiles)"
 echo "B won $(wins fps_a fps_b higher)/$pairs pairs on frames_per_s (higher is better)"
 echo "B won $(wins p50_a p50_b lower)/$pairs pairs on op_ms_p50 (lower is better)"
 echo "$digest (both sides)"

@@ -23,6 +23,11 @@
 //! A differential test compares the structure-of-arrays motion kernel and
 //! the masked load fold with a verbatim copy of the scalar corner loop and
 //! branchy fold they replaced, bit for bit.
+//!
+//! The scene bound (`MotionKernel::all_below`) lets `decide` return an
+//! all-reuse decision without measuring a probe. Its test checks that
+//! every pass is sound (every probe's motion is below the threshold) and
+//! that `decide` still equals the reference on both of its branches.
 
 use proptest::prelude::*;
 
@@ -432,4 +437,122 @@ proptest! {
         }
         prop_assert!(partial > 0, "no probe had only some corners behind the eye");
     }
+}
+
+/// One drawn pose pair's kind: still, a 1e-3 rad jitter, a 90 Hz pose
+/// step, a 0.2 rad turn, a quarter turn of yaw either way, a half turn,
+/// or a head translation from a turned or from the identity pose.
+fn scene_bound_pair(kind: usize, base: Pose, rng: &mut rand::rngs::StdRng) -> (Pose, Pose) {
+    use rand::Rng;
+    use std::f64::consts::{FRAC_PI_2, PI};
+    let turn = |yaw: f64, pitch: f64, roll: f64| Pose {
+        yaw: base.yaw + yaw,
+        pitch: base.pitch + pitch,
+        roll: base.roll + roll,
+        ..base
+    };
+    let [a, b, c] = [0; 3].map(|_| rng.gen_range(-1.0f64..1.0));
+    match kind {
+        0 => (base, base),
+        1 => (base, turn(1e-3 * a, 1e-3 * b, 1e-3 * c)),
+        2 => {
+            let mut traj = PoseTrajectory::new(rng.gen_range(0u64..100_000));
+            for _ in 0..rng.gen_range(0u32..8) {
+                traj.step();
+            }
+            (traj.current(), traj.step())
+        }
+        3 => (base, turn(0.2f64.copysign(a), 0.2 * b, 0.0)),
+        4 => (base, turn(FRAC_PI_2, 0.0, 0.0)),
+        5 => (base, turn(-FRAC_PI_2, 0.0, 0.0)),
+        6 => (base, turn(PI, 0.0, 0.0)),
+        _ => {
+            let from = if kind == 7 { base } else { Pose::identity() };
+            (from, Pose { position: [0.2 * a, 0.2 * b, 0.2 * c], ..from })
+        }
+    }
+}
+
+/// The scene bound is sound and `decide` stays exact on both branches:
+/// over random scenes (rects reaching past the screen edge, depths,
+/// resolutions, GPM counts, probe counts that leave a partial kernel
+/// block) and pose pairs from still to a half turn, whenever
+/// `all_below` passes every probe's kernel motion is below the threshold,
+/// and every decision equals the reference fold over the reference
+/// motions. Thresholds sit at the exact max motion, just above it, at
+/// 1.01× and 2× it, and at the default 16 px, and both branches must be
+/// taken often.
+#[test]
+fn scene_bound_is_sound_and_decides_like_the_reference() {
+    use rand::{Rng, SeedableRng};
+    let (mut fast, mut exact, mut outside) = (0, 0, 0);
+    for case in 0..48u64 {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x5CE4_E0B0 ^ case);
+        let mut count = rng.gen_range(1..4 * MotionKernel::BLOCK);
+        if count % MotionKernel::BLOCK == 0 {
+            count -= 1;
+        }
+        let (width, height, n_gpms) =
+            (rng.gen_range(8u32..2048), rng.gen_range(8u32..2048), rng.gen_range(1usize..6));
+        let mut builder = SceneBuilder::new(width, height).texture("t", 64, 64);
+        let mut busy = Vec::new();
+        let mut pixels = Vec::new();
+        for i in 0..count {
+            let (x, y) = (rng.gen_range(-0.3f32..1.0), rng.gen_range(-0.3f32..1.0));
+            let (w, h) = (rng.gen_range(0.0f32..1.2), rng.gen_range(0.0f32..1.2));
+            let depth = rng.gen_range(0.01f32..0.99);
+            outside += usize::from(x < 0.0 || y < 0.0 || x + w > 1.0 || y + h > 1.0);
+            builder = builder.object(&format!("o{i}"), |b| {
+                b.rect(x, y, w, h).depth(depth).texture("t", 1.0);
+            });
+            let seed = rng.gen_range(0..u64::MAX);
+            busy.extend((0..n_gpms).map(|g| busy_cycle(seed, g)));
+            pixels.push(rng.gen_range(0..400_000));
+        }
+        let scene = builder.build();
+        let res = scene.resolution();
+        let profile = TemporalProfile::new(
+            &scene,
+            &GpuConfig::default(),
+            n_gpms,
+            busy.clone(),
+            &pixels,
+            1 << 30,
+        );
+        let kernel = scene.motion_kernel();
+        let base = Pose {
+            yaw: rng.gen_range(-0.5..0.5),
+            pitch: rng.gen_range(-0.5..0.5),
+            roll: rng.gen_range(-0.3..0.3),
+            position: [0.0; 3],
+        };
+        for kind in 0..9 {
+            let (from, to) = scene_bound_pair(kind, base, &mut rng);
+            let delta = oovr_scene::PoseDelta::new(&from, &to);
+            let mut motions = Vec::new();
+            kernel.for_each_block(&delta, |_, m| motions.extend_from_slice(m));
+            let reference: Vec<f64> =
+                scene.objects().iter().map(|o| reference_motion(o, res, &from, &to).0).collect();
+            let max = motions.iter().copied().fold(0.0f64, f64::max);
+            for t in [max, max.next_up(), 1.01 * max, 2.0 * max, 16.0] {
+                if kernel.all_below(&delta, t) {
+                    fast += 1;
+                    assert!(
+                        max < t,
+                        "bound passed {t} but a probe moved {max} under {from:?} -> {to:?}"
+                    );
+                } else if t > 0.0 {
+                    exact += 1;
+                }
+                let d = profile.decide(&from, &to, t);
+                assert_eq!(
+                    (d.reused, d.rerendered, d.saved),
+                    reference_decision(&reference, &busy, &pixels, n_gpms, t),
+                    "decision at threshold {t} under {from:?} -> {to:?}"
+                );
+            }
+        }
+    }
+    assert!(outside > 100, "only {outside} objects reached past the screen edge");
+    assert!(fast >= 300 && exact >= 300, "branches taken: {fast} fast, {exact} exact");
 }
