@@ -48,7 +48,7 @@ const MAX_SESSIONS: u32 = 1 << 22;
 /// overload's backlog drift (one interval per `1/overload` frames) surfaces
 /// as misses: the probe can overestimate the utilization bound by at most
 /// `~1/(PROBE_FRAMES - 1)`.
-const PROBE_FRAMES: u32 = 64;
+pub(crate) const PROBE_FRAMES: u32 = 64;
 
 /// Distinct head-pose trajectories the temporal probe draws from: session
 /// `i` follows trajectory `i % TEMPORAL_POOL`. Vectors stay independent of
@@ -160,8 +160,9 @@ pub fn capacity(
 
 /// Doubling + bisection over `feas`, seeded at the utilization bound
 /// (`N·cost = V`) — always feasible for staggered implicit-deadline EDF
-/// with per-frame costs at most `cost`.
-fn search(v: Cycle, cost: Cycle, mut feas: impl FnMut(u32) -> bool) -> u32 {
+/// with per-frame costs at most `cost`. The cluster probe seeds it at the
+/// fleet's bound (`v = N·V` over its cheapest stream).
+pub(crate) fn search(v: Cycle, cost: Cycle, mut feas: impl FnMut(u32) -> bool) -> u32 {
     if !feas(1) {
         return 0;
     }

@@ -46,18 +46,11 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::admission::{calibrate_discounted, DEFAULT_HEADROOM};
-use crate::capacity::MISS_BUDGET;
+use crate::capacity::{search, MISS_BUDGET, PROBE_FRAMES};
 use crate::metrics::meter_cluster;
 use crate::router::{Placement, RouterConfig, ServerView};
 use crate::scheduler::record_in_cycle_order;
 use crate::stream::{cost_stream, ServeScheme, SessionCostStream};
-
-/// Probe horizon of [`cluster_capacity`], in vsync intervals (matches the
-/// single-server probe in [`crate::capacity`]).
-pub const CLUSTER_PROBE_FRAMES: u32 = 64;
-
-/// Backstop on the cluster capacity search range.
-const MAX_SESSIONS: u32 = 1 << 22;
 
 /// Configuration of one cluster serving run.
 #[derive(Debug, Clone)]
@@ -214,6 +207,43 @@ struct Sess {
     degraded: u64,
     misses_in_a_row: u32,
     moves: u32,
+}
+
+impl Sess {
+    /// Full-scale frame cost the session holds on its server: the cold
+    /// frame until it serves one on time, then the steady frame.
+    fn held(&self, st: &Streams) -> Cycle {
+        if self.cold_pending {
+            st.cold[self.stream]
+        } else {
+            st.steady[self.stream]
+        }
+    }
+
+    /// Books the session cold on server `to` at interval `k`.
+    fn place(&mut self, to: usize, k: u32, ledger: &mut [ServerView], st: &Streams) {
+        ledger[to].attach(self.stream, st.demand[self.stream], st.cold[self.stream]);
+        self.server = to;
+        self.last_move = k;
+        self.cold_pending = true;
+    }
+
+    /// Releases what the session holds on its server.
+    fn release(&self, ledger: &mut [ServerView], st: &Streams) {
+        ledger[self.server].detach(self.stream, st.demand[self.stream], self.held(st));
+    }
+
+    /// Failover or migration to server `to`: warm restart on arrival.
+    fn relocate(&mut self, to: usize, k: u32, ledger: &mut [ServerView], st: &Streams) {
+        self.release(ledger, st);
+        self.place(to, k, ledger, st);
+        self.moves += 1;
+    }
+}
+
+/// Router key of session `i`: placement and rendezvous-hash input.
+fn session_key(seed: u64, i: usize) -> u64 {
+    seed ^ (i as u64).wrapping_mul(0x5851_F42D_4C95_7F2D)
 }
 
 /// The deduplicated cost streams of a session mix, plus per-stream derived
@@ -384,59 +414,11 @@ fn run_cluster(
     let backoff_span: u32 = (1..cfg.router.max_attempts).map(|a| cfg.router.backoff_for(a)).sum();
     let k_max = cfg.arrival_intervals + frames + backoff_span + 2;
 
-    // Incremental per-server aggregates over the *active* sessions. Every
-    // state transition (admit, failover, migrate, finish, evict, cold→warm)
-    // updates them in O(1), so router decisions stay O(servers) instead of
-    // re-scanning every session — the difference between quadratic and
-    // linear intervals at fleet-sized session counts.
-    #[derive(Clone)]
-    struct Srv {
-        /// Aggregate Eq. 3 predicted demand of resident sessions.
-        load: f64,
-        /// Resident active sessions.
-        active: u32,
-        /// Resident session count per cost stream.
-        stream_cnt: Vec<u32>,
-        /// Full-scale frame-cost sum (cold for cold-pending sessions).
-        cost: u64,
-    }
-    fn attach(srv: &mut [Srv], s: usize, stream: usize, demand: f64, cost: u64) {
-        let e = &mut srv[s];
-        e.load += demand;
-        e.active += 1;
-        e.stream_cnt[stream] += 1;
-        e.cost += cost;
-    }
-    fn detach(srv: &mut [Srv], s: usize, stream: usize, demand: f64, cost: u64) {
-        let e = &mut srv[s];
-        e.load -= demand;
-        e.active -= 1;
-        e.stream_cnt[stream] -= 1;
-        e.cost -= cost;
-    }
-    fn distinct(e: &Srv) -> usize {
-        e.stream_cnt.iter().filter(|&&c| c > 0).count()
-    }
-    let n_streams = st.demand.len();
-    let mut srv: Vec<Srv> =
-        vec![Srv { load: 0.0, active: 0, stream_cnt: vec![0; n_streams], cost: 0 }; n];
-
-    // Per-server demand at full scale, including the cross-stream tax.
-    let server_demand = |srv: &[Srv], s: usize| -> u64 {
-        srv[s].cost + switch_tax * distinct(&srv[s]).saturating_sub(1) as u64
-    };
-
-    let views = |srv: &[Srv], alive: &[bool]| -> Vec<ServerView> {
-        srv.iter()
-            .enumerate()
-            .map(|(s, e)| ServerView {
-                alive: alive[s],
-                load: e.load,
-                active: e.active,
-                streams: (0..n_streams).filter(|&i| e.stream_cnt[i] > 0).collect(),
-            })
-            .collect()
-    };
+    // The per-server ledger over the *active* sessions. Every state
+    // transition (admit, failover, migrate, finish, evict, cold→warm)
+    // updates it in O(1) and the router reads it in place, so router
+    // decisions stay O(servers) instead of re-scanning every session.
+    let mut ledger = vec![ServerView::new(st.demand.len()); n];
 
     // Compile the fault plan once into per-server schedules; the interval
     // loop then samples multipliers instead of re-deriving the product
@@ -481,23 +463,14 @@ fn run_cluster(
                 if sess.state != State::Active || alive[server] {
                     continue;
                 }
-                let vw = views(&srv, &alive);
-                let key = cfg.seed ^ (i as u64).wrapping_mul(0x5851_F42D_4C95_7F2D);
-                let stream = sess.stream;
                 let dest = cfg
                     .policy
-                    .order(key, stream, &vw)
+                    .order(session_key(cfg.seed, i), sess.stream, &ledger)
                     .into_iter()
                     .find(|&d| alive[d] && d != server);
                 if let Some(d) = dest {
-                    let cost = if sess.cold_pending { st.cold[stream] } else { st.steady[stream] };
-                    detach(&mut srv, server, stream, st.demand[stream], cost);
-                    attach(&mut srv, d, stream, st.demand[stream], st.cold[stream]);
+                    sess.relocate(d, k, &mut ledger, &st);
                     failovers += 1;
-                    sess.moves += 1;
-                    sess.cold_pending = true;
-                    sess.last_move = k;
-                    sess.server = d;
                     if observe {
                         events.push(TraceEvent::SessionFailover {
                             cycle: t,
@@ -533,13 +506,10 @@ fn run_cluster(
                 }
                 continue;
             }
-            let vw = views(&srv, &alive);
-            let key = cfg.seed ^ (i as u64).wrapping_mul(0x5851_F42D_4C95_7F2D);
-            let stream = sess.stream;
-            let order = cfg.policy.order(key, stream, &vw);
+            let order = cfg.policy.order(session_key(cfg.seed, i), sess.stream, &ledger);
             let attempt = sess.attempts + 1;
             sess.attempts = attempt;
-            let demand = st.demand[stream];
+            let demand = st.demand[sess.stream];
             // First candidate in preference order with room right now; an
             // attempt fails only when *no* server fits, and only then do
             // retry/backoff (resilient) or rejection (baseline) differ.
@@ -553,14 +523,11 @@ fn run_cluster(
             let aware = cfg.router.failover;
             let cand = order
                 .into_iter()
-                .find(|&c| (!aware || alive[c]) && vw[c].load + demand <= headroom * v as f64);
+                .find(|&c| (!aware || alive[c]) && ledger[c].load + demand <= headroom * v as f64);
             if let Some(cand) = cand {
-                attach(&mut srv, cand, stream, demand, st.cold[stream]);
+                sess.place(cand, k, &mut ledger, &st);
                 sess.state = State::Active;
-                sess.server = cand;
                 sess.admitted_at = Some(k);
-                sess.last_move = k;
-                sess.cold_pending = true;
                 if observe {
                     events.push(TraceEvent::SessionRoute {
                         cycle: t,
@@ -569,7 +536,7 @@ fn run_cluster(
                         attempt,
                     });
                 }
-            } else if cfg.router.retry && attempt < cfg.router.max_attempts {
+            } else if attempt < cfg.router.max_attempts {
                 let backoff = cfg.router.backoff_for(attempt);
                 sess.next_attempt = k + backoff;
                 retries += 1;
@@ -601,7 +568,7 @@ fn run_cluster(
                     continue;
                 }
                 let budget = (v as f64 * rates[s]) as u64;
-                if server_demand(&srv, s) <= budget {
+                if ledger[s].demand(switch_tax) <= budget {
                     continue;
                 }
                 // Movers, most recently placed first, among sessions that
@@ -616,33 +583,24 @@ fn run_cluster(
                     })
                     .collect();
                 movers.sort_by_key(|&i| (sessions[i].last_move, i));
-                while server_demand(&srv, s) > budget {
+                while ledger[s].demand(switch_tax) > budget {
                     let Some(i) = movers.pop() else { break };
-                    let vw = views(&srv, &alive);
-                    let key = cfg.seed ^ (i as u64).wrapping_mul(0x5851_F42D_4C95_7F2D);
                     let stream = sessions[i].stream;
-                    let dest = cfg.policy.order(key, stream, &vw).into_iter().find(|&d| {
+                    let order = cfg.policy.order(session_key(cfg.seed, i), stream, &ledger);
+                    let dest = order.into_iter().find(|&d| {
                         d != s
                             && alive[d]
-                            && server_demand(&srv, d) + st.cold[stream]
+                            && ledger[d].demand(switch_tax) + st.cold[stream]
                                 <= (v as f64 * rates[d]) as u64
                     });
                     let Some(d) = dest else { break };
-                    let cost =
-                        if sessions[i].cold_pending { st.cold[stream] } else { st.steady[stream] };
-                    detach(&mut srv, s, stream, st.demand[stream], cost);
-                    attach(&mut srv, d, stream, st.demand[stream], st.cold[stream]);
+                    sessions[i].relocate(d, k, &mut ledger, &st);
                     migrations += 1;
-                    sessions[i].moves += 1;
-                    sessions[i].cold_pending = true;
-                    sessions[i].last_move = k;
-                    let from = sessions[i].server;
-                    sessions[i].server = d;
                     if observe {
                         events.push(TraceEvent::SessionMigrate {
                             cycle: t,
                             session: i as u32,
-                            from: from as u32,
+                            from: s as u32,
                             to: d as u32,
                             reason: "overload",
                         });
@@ -660,7 +618,7 @@ fn run_cluster(
                 if !alive[s] {
                     continue;
                 }
-                let demand = server_demand(&srv, s);
+                let demand = ledger[s].demand(switch_tax);
                 let budget = v as f64 * rates[s];
                 if demand > 0 {
                     worst = worst.min(budget / demand as f64);
@@ -693,8 +651,7 @@ fn run_cluster(
                 if !alive[s] {
                     return 0;
                 }
-                ((v as f64 * rates[s]) as u64)
-                    .saturating_sub(switch_tax * distinct(&srv[s]).saturating_sub(1) as u64)
+                ((v as f64 * rates[s]) as u64).saturating_sub(ledger[s].tax(switch_tax, None))
             })
             .collect();
         for (i, sess) in sessions.iter_mut().enumerate() {
@@ -706,18 +663,15 @@ fn run_cluster(
                 continue;
             }
             let s = sess.server;
-            let full = if f == 0 || sess.cold_pending {
-                st.cold[sess.stream]
-            } else {
-                st.steady[sess.stream]
-            };
-            let cost = (((full as f64) * eff_scale).round() as u64).max(1);
+            // Frame 0 is always cold: it comes due in the interval the
+            // session was admitted, and admission sets `cold_pending`.
+            let cost = (((sess.held(&st) as f64) * eff_scale).round() as u64).max(1);
             let on_time = alive[s] && cost <= remaining[s];
             let degraded = on_time && eff_scale < 1.0;
             if on_time {
                 remaining[s] -= cost;
                 if sess.cold_pending {
-                    srv[s].cost = srv[s].cost - st.cold[sess.stream] + st.steady[sess.stream];
+                    ledger[s].cost = ledger[s].cost - st.cold[sess.stream] + st.steady[sess.stream];
                 }
                 sess.cold_pending = false;
                 sess.misses_in_a_row = 0;
@@ -738,9 +692,7 @@ fn run_cluster(
                 });
             }
             if f == frames {
-                let held =
-                    if sess.cold_pending { st.cold[sess.stream] } else { st.steady[sess.stream] };
-                detach(&mut srv, s, sess.stream, st.demand[sess.stream], held);
+                sess.release(&mut ledger, &st);
                 sess.state = State::Done;
             }
         }
@@ -754,12 +706,7 @@ fn run_cluster(
                     && at_floor
                     && sess.misses_in_a_row >= cfg.evict_after.max(1)
                 {
-                    let held = if sess.cold_pending {
-                        st.cold[sess.stream]
-                    } else {
-                        st.steady[sess.stream]
-                    };
-                    detach(&mut srv, sess.server, sess.stream, st.demand[sess.stream], held);
+                    sess.release(&mut ledger, &st);
                     sess.state = State::Evicted;
                     if observe {
                         events.push(TraceEvent::FrameDrop {
@@ -820,8 +767,8 @@ fn run_cluster(
 /// servers under `policy`: sessions are placed once (first candidate with
 /// room at full utilization, forced onto the first candidate when nothing
 /// fits), then every session serves a steady frame per interval for
-/// [`CLUSTER_PROBE_FRAMES`] intervals. Feasible while the missed-vsync
-/// fraction stays under [`MISS_BUDGET`].
+/// [`PROBE_FRAMES`] intervals. Feasible while the missed-vsync fraction
+/// stays under [`MISS_BUDGET`].
 fn cluster_feasible(
     m: u32,
     st: &Streams,
@@ -834,44 +781,27 @@ fn cluster_feasible(
     if m == 0 {
         return true;
     }
-    // Placement pass over per-server (demand, streams) state.
-    let mut demand = vec![0u64; n];
-    let mut streams: Vec<Vec<usize>> = vec![Vec::new(); n];
+    // Placement pass over the same ledger the cluster run keeps; the fit
+    // charges the tax with the new stream already resident.
+    let mut ledger = vec![ServerView::new(st.demand.len()); n];
     let mut placed: Vec<(usize, usize)> = Vec::with_capacity(m as usize); // (server, stream)
-    let mut vw: Vec<ServerView> =
-        (0..n).map(|_| ServerView { alive: true, ..ServerView::default() }).collect();
-    for i in 0..m {
-        let stream = st.of_mix[i as usize % st.of_mix.len()];
-        let key = seed ^ (i as u64).wrapping_mul(0x5851_F42D_4C95_7F2D);
-        let order = policy.order(key, stream, &vw);
+    for i in 0..m as usize {
+        let stream = st.of_mix[i % st.of_mix.len()];
+        let order = policy.order(session_key(seed, i), stream, &ledger);
         let fits = |s: usize| {
-            let tax = if streams[s].is_empty() || streams[s].contains(&stream) {
-                switch_tax * streams[s].len().saturating_sub(1) as u64
-            } else {
-                switch_tax * streams[s].len() as u64
-            };
-            demand[s] + st.steady[stream] + tax <= v
+            ledger[s].cost + st.steady[stream] + ledger[s].tax(switch_tax, Some(stream)) <= v
         };
         let s = order.iter().copied().find(|&s| fits(s)).unwrap_or(order[0]);
-        demand[s] += st.steady[stream];
-        if !streams[s].contains(&stream) {
-            streams[s].push(stream);
-        }
+        ledger[s].attach(stream, st.demand[stream], st.steady[stream]);
         placed.push((s, stream));
-        vw[s].load += st.demand[stream];
-        vw[s].active += 1;
-        if !vw[s].streams.contains(&stream) {
-            vw[s].streams.push(stream);
-        }
     }
     // Steady serving: per interval, per server, id order.
-    let total = m as u64 * CLUSTER_PROBE_FRAMES as u64;
+    let total = m as u64 * PROBE_FRAMES as u64;
     let allowed = ((total as f64) * MISS_BUDGET).floor() as u64;
-    let budget: Vec<u64> = (0..n)
-        .map(|s| v.saturating_sub(switch_tax * streams[s].len().saturating_sub(1) as u64))
-        .collect();
+    let budget: Vec<u64> =
+        ledger.iter().map(|e| v.saturating_sub(e.tax(switch_tax, None))).collect();
     let mut missed = 0u64;
-    for _ in 0..CLUSTER_PROBE_FRAMES {
+    for _ in 0..PROBE_FRAMES {
         let mut remaining = budget.clone();
         for &(s, stream) in &placed {
             let cost = st.steady[stream];
@@ -904,31 +834,11 @@ pub fn cluster_capacity(
     let st = resolve_streams(mix, gpu, cfg);
     let v = cfg.vsync_cycles.max(1);
     let switch_tax = ((v as f64) * cfg.switch_frac.max(0.0)) as u64;
-    let probe = |m: u32| cluster_feasible(m, &st, n, v, switch_tax, policy, cfg.seed);
-    if !probe(1) {
-        return 0;
-    }
-    // Seed at the utilization bound over the cheapest stream, bracket by
-    // doubling, then bisect.
+    // Seeded at the fleet's utilization bound over the cheapest stream.
     let min_steady = st.steady.iter().copied().min().unwrap_or(1).max(1);
-    let mut lo = ((n as u64 * v / min_steady) as u32).clamp(1, MAX_SESSIONS);
-    if !probe(lo) {
-        lo = 1;
-    }
-    let mut hi = lo.saturating_mul(2).min(MAX_SESSIONS);
-    while probe(hi) && hi < MAX_SESSIONS {
-        lo = hi;
-        hi = hi.saturating_mul(2).min(MAX_SESSIONS);
-    }
-    while hi - lo > 1 {
-        let mid = lo + (hi - lo) / 2;
-        if probe(mid) {
-            lo = mid;
-        } else {
-            hi = mid;
-        }
-    }
-    lo
+    search(n as u64 * v, min_steady, |m| {
+        cluster_feasible(m, &st, n, v, switch_tax, policy, cfg.seed)
+    })
 }
 
 #[cfg(test)]

@@ -2,9 +2,10 @@
 //!
 //! The router is the piece of the cluster tier that decides *where* a
 //! session lives and *what happens* when that choice goes bad. Placement
-//! is a pure function from a session key plus a snapshot of per-server
-//! state to a preference order over servers, so every policy is trivially
-//! deterministic and testable in isolation from the cluster simulation.
+//! is a pure function from a session key plus the per-server ledger
+//! ([`ServerView`]) to a preference order over servers, so every policy is
+//! trivially deterministic and testable in isolation from the cluster
+//! simulation.
 //!
 //! Three policies ship:
 //!
@@ -30,18 +31,62 @@
 //! off — that is the no-retry/no-migration arm every chaos cell is
 //! measured against.
 
-/// Snapshot of one server the router places against.
+/// One server's ledger: the only per-server state of the cluster tier.
+/// The cluster updates it in O(1) per session transition and the router
+/// places against it in place.
 #[derive(Debug, Clone, Default)]
 pub struct ServerView {
-    /// Whether the server is currently serving (rate above zero).
-    pub alive: bool,
     /// Aggregate Eq. 3 predicted demand (cycles/vsync) of resident
     /// sessions.
     pub load: f64,
     /// Resident active sessions.
     pub active: u32,
-    /// Distinct cost-stream ids resident on the server.
-    pub streams: Vec<usize>,
+    /// Resident session count per cost-stream id.
+    pub streams: Vec<u32>,
+    /// Full-scale frame-cost sum (cycles) of resident sessions.
+    pub cost: u64,
+}
+
+impl ServerView {
+    /// An empty server of a mix with `n_streams` cost streams.
+    pub fn new(n_streams: usize) -> Self {
+        ServerView { streams: vec![0; n_streams], ..ServerView::default() }
+    }
+
+    /// Books a session of `stream` with predicted `demand` and frame `cost`.
+    pub fn attach(&mut self, stream: usize, demand: f64, cost: u64) {
+        self.load += demand;
+        self.active += 1;
+        self.streams[stream] += 1;
+        self.cost += cost;
+    }
+
+    /// Releases what [`attach`](Self::attach) booked (`cost` is what the
+    /// session holds now).
+    pub fn detach(&mut self, stream: usize, demand: f64, cost: u64) {
+        self.load -= demand;
+        self.active -= 1;
+        self.streams[stream] -= 1;
+        self.cost -= cost;
+    }
+
+    /// Whether a session of `stream` is resident.
+    pub fn hosts(&self, stream: usize) -> bool {
+        self.streams.get(stream).is_some_and(|&c| c > 0)
+    }
+
+    /// Cross-stream working-set tax: `switch_tax` per distinct resident
+    /// stream beyond the first, counting `adding` as resident when given.
+    pub fn tax(&self, switch_tax: u64, adding: Option<usize>) -> u64 {
+        let extra = adding.is_some_and(|s| !self.hosts(s));
+        let distinct = self.streams.iter().filter(|&&c| c > 0).count() + usize::from(extra);
+        switch_tax * distinct.saturating_sub(1) as u64
+    }
+
+    /// Full-scale demand (cycles/vsync): frame costs plus the tax.
+    pub fn demand(&self, switch_tax: u64) -> u64 {
+        self.cost + self.tax(switch_tax, None)
+    }
 }
 
 /// Pluggable placement policy of the session router.
@@ -94,7 +139,7 @@ impl Placement {
                 // packing targets), then mixed servers — each tier in
                 // ascending-load order.
                 let tier = |s: &ServerView| {
-                    if s.streams.contains(&stream) {
+                    if s.hosts(stream) {
                         0u8
                     } else if s.active == 0 {
                         1
@@ -140,8 +185,6 @@ fn rendezvous_weight(key: u64, server: u64) -> u64 {
 /// Robustness knobs of the session router.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RouterConfig {
-    /// Retry rejected admissions on other candidate servers.
-    pub retry: bool,
     /// Total admission attempts per session (1 = no retry).
     pub max_attempts: u32,
     /// First retry backoff, in vsync intervals; doubles per attempt.
@@ -167,7 +210,6 @@ impl RouterConfig {
     /// The fully resilient router: retry + failover + migration + shed.
     pub fn resilient() -> Self {
         RouterConfig {
-            retry: true,
             max_attempts: 4,
             backoff_intervals: 1,
             backoff_cap: 8,
@@ -183,7 +225,6 @@ impl RouterConfig {
     /// against: one admission attempt, sessions pinned to their server.
     pub fn baseline() -> Self {
         RouterConfig {
-            retry: false,
             max_attempts: 1,
             backoff_intervals: 1,
             backoff_cap: 8,
@@ -210,7 +251,7 @@ mod tests {
     fn views(loads: &[f64]) -> Vec<ServerView> {
         loads
             .iter()
-            .map(|&load| ServerView { alive: true, load, active: 1, streams: vec![0] })
+            .map(|&load| ServerView { load, active: 1, streams: vec![1], cost: 0 })
             .collect()
     }
 
@@ -223,10 +264,10 @@ mod tests {
     #[test]
     fn affinity_prefers_stream_hosts_then_empty_servers() {
         let v = vec![
-            ServerView { alive: true, load: 5.0, active: 2, streams: vec![1] },
-            ServerView { alive: true, load: 0.0, active: 0, streams: vec![] },
-            ServerView { alive: true, load: 9.0, active: 3, streams: vec![0, 1] },
-            ServerView { alive: true, load: 2.0, active: 1, streams: vec![2] },
+            ServerView { load: 5.0, active: 2, streams: vec![0, 2], cost: 0 },
+            ServerView { load: 0.0, active: 0, streams: vec![], cost: 0 },
+            ServerView { load: 9.0, active: 3, streams: vec![1, 2], cost: 0 },
+            ServerView { load: 2.0, active: 1, streams: vec![0, 0, 1], cost: 0 },
         ];
         // Stream 0 lives on server 2 → it leads despite the highest load;
         // empty server 1 beats the mixed servers 0 and 3.
@@ -257,6 +298,19 @@ mod tests {
     }
 
     #[test]
+    fn ledger_taxes_distinct_streams_beyond_the_first() {
+        let mut s = ServerView::new(3);
+        assert_eq!(s.tax(10, Some(1)), 0);
+        s.attach(1, 2.0, 100);
+        assert!(s.hosts(1) && !s.hosts(0));
+        assert_eq!((s.tax(10, Some(1)), s.tax(10, Some(2))), (0, 10));
+        s.attach(2, 1.0, 50);
+        assert_eq!(s.demand(10), 160);
+        s.detach(1, 2.0, 100);
+        assert_eq!((s.active, s.cost, s.demand(10)), (1, 50, 50));
+    }
+
+    #[test]
     fn backoff_is_capped_exponential() {
         let r = RouterConfig::resilient();
         assert_eq!(r.backoff_for(1), 1);
@@ -269,7 +323,7 @@ mod tests {
     #[test]
     fn baseline_turns_every_countermeasure_off() {
         let b = RouterConfig::baseline();
-        assert!(!b.retry && !b.failover && !b.migrate && !b.shed && !b.evict);
+        assert!(!b.failover && !b.migrate && !b.shed && !b.evict);
         assert_eq!(b.max_attempts, 1);
     }
 }
