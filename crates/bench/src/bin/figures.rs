@@ -1043,14 +1043,38 @@ fn trace_workload(name: &str, scale: f64) -> Result<BenchmarkSpec, String> {
         })
 }
 
-/// Renders one traced frame and returns the three export artifacts
-/// (chrome JSON, CSV timeline, flight digest) plus the report.
+/// Exports one recorded event stream as the three trace artifacts: the
+/// Chrome trace JSON (Perfetto-loadable), the CSV timeline and the flight
+/// digest.
+fn trace_artifacts(events: &[oovr_trace::TraceEvent], n_gpms: usize, dropped: u64) -> [String; 3] {
+    use oovr_trace::export::{chrome_trace, csv_timeline, flight_digest};
+    [
+        chrome_trace(events, n_gpms, dropped),
+        csv_timeline(events, dropped),
+        flight_digest(events, dropped),
+    ]
+}
+
+/// Writes `artifacts` as `results/traces/trace_<name>.{json,csv,txt}`,
+/// then prints the flight digest and the paths written.
+fn write_trace(name: &str, artifacts: &[String; 3]) -> Result<(), String> {
+    std::fs::create_dir_all(TRACE_DIR).map_err(|e| e.to_string())?;
+    let stem = format!("{TRACE_DIR}/trace_{name}");
+    for (ext, body) in ["json", "csv", "txt"].into_iter().zip(artifacts) {
+        std::fs::write(format!("{stem}.{ext}"), body).map_err(|e| e.to_string())?;
+    }
+    print!("{}", artifacts[2]);
+    println!("wrote {stem}.json / .csv / .txt");
+    Ok(())
+}
+
+/// Renders one traced frame and returns its [`trace_artifacts`] plus the
+/// report.
 fn render_trace_artifacts(
     scheme_name: &str,
     workload: &str,
     scale: f64,
-) -> Result<(String, String, String, oovr_gpu::FrameReport), String> {
-    use oovr_trace::export::{chrome_trace, csv_timeline, flight_digest};
+) -> Result<([String; 3], oovr_gpu::FrameReport), String> {
     let spec = trace_workload(workload, scale)?;
     let scheme = trace_scheme(scheme_name)?;
     let cfg = oovr_gpu::GpuConfig::default();
@@ -1063,10 +1087,7 @@ fn render_trace_artifacts(
     if events.is_empty() {
         return Err(format!("trace of {scheme_name}/{workload} recorded no events"));
     }
-    let json = chrome_trace(&events, cfg.n_gpms, dropped);
-    let csv = csv_timeline(&events, dropped);
-    let digest = flight_digest(&events, dropped);
-    Ok((json, csv, digest, report))
+    Ok((trace_artifacts(&events, cfg.n_gpms, dropped), report))
 }
 
 /// `figures -- trace <scheme> <workload>`: renders one traced frame and
@@ -1091,20 +1112,13 @@ fn run_trace(scheme_name: &str, workload: &str, scale: f64) -> Result<(), String
         return run_serve_trace_scheme(serve_scheme(name)?, workload, scale);
     }
     let t0 = std::time::Instant::now();
-    let (json, csv, digest, report) = render_trace_artifacts(scheme_name, workload, scale)?;
-    std::fs::create_dir_all(TRACE_DIR).map_err(|e| e.to_string())?;
-    let stem = format!("{TRACE_DIR}/trace_{scheme_name}_{workload}");
-    for (ext, body) in [("json", &json), ("csv", &csv), ("txt", &digest)] {
-        std::fs::write(format!("{stem}.{ext}"), body).map_err(|e| e.to_string())?;
-    }
+    let (artifacts, report) = render_trace_artifacts(scheme_name, workload, scale)?;
     println!("== trace — {scheme_name} on {workload} in {:.1?} ==", t0.elapsed());
     println!(
         "frame {} cycles, composition {} cycles",
         report.frame_cycles, report.composition_cycles
     );
-    print!("{digest}");
-    println!("wrote {stem}.json / .csv / .txt");
-    Ok(())
+    write_trace(&format!("{scheme_name}_{workload}"), &artifacts)
 }
 
 /// `figures -- trace serve <workload>`: runs a deliberately overloaded
@@ -1122,7 +1136,6 @@ fn run_serve_trace(workload: &str, scale: f64) -> Result<(), String> {
 /// serve-<scheme> <workload>`). The overload construction is the same;
 /// schemes that don't shed simply miss instead.
 fn run_serve_trace_scheme(scheme: ServeScheme, workload: &str, scale: f64) -> Result<(), String> {
-    use oovr_trace::export::{chrome_trace, csv_timeline, flight_digest};
     let t0 = std::time::Instant::now();
     let spec = trace_workload(workload, scale)?;
     let gpu = oovr_gpu::GpuConfig::default();
@@ -1156,20 +1169,7 @@ fn run_serve_trace_scheme(scheme: ServeScheme, workload: &str, scale: f64) -> Re
     if events.is_empty() {
         return Err(format!("serve trace of {workload} recorded no events"));
     }
-    let json = chrome_trace(&events, gpu.n_gpms, dropped);
-    let csv = csv_timeline(&events, dropped);
-    let digest = flight_digest(&events, dropped);
-    std::fs::create_dir_all(TRACE_DIR).map_err(|e| e.to_string())?;
-    // The default (shedding) serve trace keeps its historic artifact name;
-    // explicit schemes get their CLI name in the stem.
-    let stem = if scheme == ServeScheme::OoVrShed {
-        format!("{TRACE_DIR}/trace_serve_{workload}")
-    } else {
-        format!("{TRACE_DIR}/trace_serve-{}_{workload}", scheme.cli_name())
-    };
-    for (ext, body) in [("json", &json), ("csv", &csv), ("txt", &digest)] {
-        std::fs::write(format!("{stem}.{ext}"), body).map_err(|e| e.to_string())?;
-    }
+    let artifacts = trace_artifacts(&events, gpu.n_gpms, dropped);
     let q = out.qos();
     println!(
         "== trace — serve ({}) on {}, overloaded at V={} cycles, in {:.1?} ==",
@@ -1188,9 +1188,14 @@ fn run_serve_trace_scheme(scheme: ServeScheme, workload: &str, scale: f64) -> Re
         q.shed_frames,
         q.min_scale
     );
-    print!("{digest}");
-    println!("wrote {stem}.json / .csv / .txt");
-    Ok(())
+    // The default (shedding) serve trace keeps its historic artifact name;
+    // explicit schemes get their CLI name in the stem.
+    let name = if scheme == ServeScheme::OoVrShed {
+        format!("serve_{workload}")
+    } else {
+        format!("serve-{}_{workload}", scheme.cli_name())
+    };
+    write_trace(&name, &artifacts)
 }
 
 /// `figures -- trace cluster <workload>`: runs a small traced fleet under a
@@ -1200,7 +1205,6 @@ fn run_serve_trace_scheme(scheme: ServeScheme, workload: &str, scale: f64) -> Re
 /// migrations, and per-paced-frame outcomes with at least one missed
 /// vsync — alongside the per-session frame spans.
 fn run_cluster_trace(workload: &str, scale: f64) -> Result<(), String> {
-    use oovr_trace::export::{chrome_trace, csv_timeline, flight_digest};
     use oovr_trace::TraceEvent;
     let t0 = std::time::Instant::now();
     let spec = trace_workload(workload, scale)?;
@@ -1250,15 +1254,7 @@ fn run_cluster_trace(workload: &str, scale: f64) -> Result<(), String> {
         )
     })?;
     let dropped = rec.dropped();
-    let events = rec.into_events();
-    let json = chrome_trace(&events, gpu.n_gpms, dropped);
-    let csv = csv_timeline(&events, dropped);
-    let digest = flight_digest(&events, dropped);
-    std::fs::create_dir_all(TRACE_DIR).map_err(|e| e.to_string())?;
-    let stem = format!("{TRACE_DIR}/trace_cluster_{workload}");
-    for (ext, body) in [("json", &json), ("csv", &csv), ("txt", &digest)] {
-        std::fs::write(format!("{stem}.{ext}"), body).map_err(|e| e.to_string())?;
-    }
+    let artifacts = trace_artifacts(&rec.into_events(), gpu.n_gpms, dropped);
     println!(
         "== trace — cluster ({} servers, link-down fault) on {} in {:.1?} ==",
         base.servers,
@@ -1278,9 +1274,7 @@ fn run_cluster_trace(workload: &str, scale: f64) -> Result<(), String> {
         out.goodput() * 100.0,
         out.min_scale
     );
-    print!("{digest}");
-    println!("wrote {stem}.json / .csv / .txt");
-    Ok(())
+    write_trace(&format!("cluster_{workload}"), &artifacts)
 }
 
 /// `figures -- trace temporal <workload>`: runs a serving experiment under
@@ -1289,7 +1283,6 @@ fn run_cluster_trace(workload: &str, scale: f64) -> Result<(), String> {
 /// actually fires (some object reused on some warm frame) — the smoke that
 /// pins the temporal event family end to end through the exporters.
 fn run_temporal_trace(workload: &str, scale: f64) -> Result<(), String> {
-    use oovr_trace::export::{chrome_trace, csv_timeline, flight_digest};
     let t0 = std::time::Instant::now();
     let spec = trace_workload(workload, scale)?;
     let gpu = oovr_gpu::GpuConfig::default();
@@ -1321,14 +1314,7 @@ fn run_temporal_trace(workload: &str, scale: f64) -> Result<(), String> {
             "temporal trace of {workload} reused no objects at the default threshold"
         ));
     }
-    let json = chrome_trace(&events, gpu.n_gpms, dropped);
-    let csv = csv_timeline(&events, dropped);
-    let digest = flight_digest(&events, dropped);
-    std::fs::create_dir_all(TRACE_DIR).map_err(|e| e.to_string())?;
-    let stem = format!("{TRACE_DIR}/trace_temporal_{workload}");
-    for (ext, body) in [("json", &json), ("csv", &csv), ("txt", &digest)] {
-        std::fs::write(format!("{stem}.{ext}"), body).map_err(|e| e.to_string())?;
-    }
+    let artifacts = trace_artifacts(&events, gpu.n_gpms, dropped);
     let q = out.qos();
     println!(
         "== trace — temporal ({}) on {} in {:.1?} ==",
@@ -1345,9 +1331,7 @@ fn run_temporal_trace(workload: &str, scale: f64) -> Result<(), String> {
         saved,
         q.goodput * 100.0
     );
-    print!("{digest}");
-    println!("wrote {stem}.json / .csv / .txt");
-    Ok(())
+    write_trace(&format!("temporal_{workload}"), &artifacts)
 }
 
 /// `figures -- trace edge <workload>`: runs a split client–edge
@@ -1359,7 +1343,6 @@ fn run_temporal_trace(workload: &str, scale: f64) -> Result<(), String> {
 /// the artifacts always show the link loss path and the ATW cover path
 /// end to end through the exporters.
 fn run_edge_trace(workload: &str, scale: f64) -> Result<(), String> {
-    use oovr_trace::export::{chrome_trace, csv_timeline, flight_digest};
     let t0 = std::time::Instant::now();
     let spec = trace_workload(workload, scale)?;
     let gpu = oovr_gpu::GpuConfig::default();
@@ -1403,14 +1386,7 @@ fn run_edge_trace(workload: &str, scale: f64) -> Result<(), String> {
     if events.is_empty() {
         return Err(format!("edge trace of {workload} recorded no events"));
     }
-    let json = chrome_trace(&events, gpu.n_gpms, dropped);
-    let csv = csv_timeline(&events, dropped);
-    let digest = flight_digest(&events, dropped);
-    std::fs::create_dir_all(TRACE_DIR).map_err(|e| e.to_string())?;
-    let stem = format!("{TRACE_DIR}/trace_edge_{workload}");
-    for (ext, body) in [("json", &json), ("csv", &csv), ("txt", &digest)] {
-        std::fs::write(format!("{stem}.{ext}"), body).map_err(|e| e.to_string())?;
-    }
+    let artifacts = trace_artifacts(&events, gpu.n_gpms, dropped);
     let q = out.qos();
     let mtp = out.motion_to_photon();
     println!(
@@ -1428,9 +1404,7 @@ fn run_edge_trace(workload: &str, scale: f64) -> Result<(), String> {
         mtp.p99,
         q.miss_rate * 100.0
     );
-    print!("{digest}");
-    println!("wrote {stem}.json / .csv / .txt");
-    Ok(())
+    write_trace(&format!("edge_{workload}"), &artifacts)
 }
 
 /// `figures -- trace-check`: CI smoke for the flight recorder. Renders the
@@ -1440,13 +1414,14 @@ fn run_edge_trace(workload: &str, scale: f64) -> Result<(), String> {
 /// PA and steal instant events present, per-track timestamps monotone.
 fn run_trace_check(scale: f64) -> Result<(), String> {
     let t0 = std::time::Instant::now();
-    let (json1, csv1, digest1, _) = render_trace_artifacts("oovr", "demo", scale)?;
-    let (json2, csv2, digest2, _) = render_trace_artifacts("oovr", "demo", scale)?;
-    if json1 != json2 || csv1 != csv2 || digest1 != digest2 {
+    let (first, _) = render_trace_artifacts("oovr", "demo", scale)?;
+    let (second, _) = render_trace_artifacts("oovr", "demo", scale)?;
+    if first != second {
         return Err("trace artifacts differ between identical invocations".into());
     }
     let n_gpms = oovr_gpu::GpuConfig::default().n_gpms;
-    let doc = oovr_trace::json::parse(&json1).map_err(|e| format!("chrome JSON invalid: {e}"))?;
+    let doc =
+        oovr_trace::json::parse(&first[0]).map_err(|e| format!("chrome JSON invalid: {e}"))?;
     let stats = oovr_trace::json::validate_chrome_trace(&doc, n_gpms)?;
     if stats.gpm_span_tracks < n_gpms {
         return Err(format!(
@@ -1597,69 +1572,8 @@ fn run_perf(scale: f64) {
         ts.accepted, ts.rejected, ts.partial
     );
 
-    // Flight-recorder overhead: the same OO-VR frame rendered untraced vs
-    // with the recorder attached. Traced renders bypass the render cache,
-    // so both arms do real work every repetition. The overhead is ~0.2%
-    // of an ~18 ms frame, far below run-to-run host noise, so the arms
-    // are interleaved and each reports its minimum — the noise floor is
-    // stable and the traced floor carries the true recording cost (at
-    // 3 reps × 3 decimals of mean-of-loop the figure used to round to a
-    // flat 0.000).
-    let demo = trace_workload("demo", scale).expect("demo workload exists");
-    let demo_scene = demo.build();
-    let demo_cfg = oovr_gpu::GpuConfig::default();
-    let reps = 20;
-    let mut untraced_s = f64::INFINITY;
-    let mut traced_s = f64::INFINITY;
-    for _ in 0..reps {
-        let t0 = std::time::Instant::now();
-        let _ = OoVr::new().render_frame(&demo_scene, &demo_cfg);
-        untraced_s = untraced_s.min(t0.elapsed().as_secs_f64());
-        let t0 = std::time::Instant::now();
-        let _ = OoVr::new().render_frame_traced(
-            &demo_scene,
-            &demo_cfg,
-            oovr_trace::TraceConfig::default(),
-        );
-        traced_s = traced_s.min(t0.elapsed().as_secs_f64());
-    }
-    let trace_overhead_s = (traced_s - untraced_s).max(0.0);
-    println!(
-        "trace overhead   {untraced_s:.6}s untraced vs {traced_s:.6}s traced per demo frame \
-         (+{trace_overhead_s:.6}s)"
-    );
-    // Metrics overhead, same contract and same min-of-interleaved-reps
-    // method: an unmetered serve run vs the same run with a registry
-    // attached. A warmup run pays the cost-stream cache miss before
-    // either arm is timed, so the delta isolates the Option-gated
-    // metering hooks themselves; the runs are short (tens of
-    // microseconds), hence the higher repetition count.
-    let demo_serve = ServeConfig { sessions: 6, frames_per_session: 8, ..ServeConfig::default() };
-    let serve_reps = 200;
-    let _ = simulate(ServeScheme::OoVr, &demo, &demo_cfg, &demo_serve, None);
-    let mut unmetered_s = f64::INFINITY;
-    let mut metered_s = f64::INFINITY;
-    for _ in 0..serve_reps {
-        let t0 = std::time::Instant::now();
-        let _ = simulate(ServeScheme::OoVr, &demo, &demo_cfg, &demo_serve, None);
-        unmetered_s = unmetered_s.min(t0.elapsed().as_secs_f64());
-        let t0 = std::time::Instant::now();
-        let mut reg = oovr_metrics::Registry::new(demo_serve.vsync_cycles);
-        let _ = simulate_metered(
-            ServeScheme::OoVr,
-            &demo,
-            &demo_cfg,
-            &demo_serve,
-            None,
-            Some(&mut reg),
-        );
-        metered_s = metered_s.min(t0.elapsed().as_secs_f64());
-    }
-    let metrics_overhead_s = (metered_s - unmetered_s).max(0.0);
-    println!(
-        "metrics overhead {unmetered_s:.6}s unmetered vs {metered_s:.6}s metered per serve run \
-         (+{metrics_overhead_s:.6}s)"
-    );
+    // Trace and metrics overhead are measured by the repo benchmark
+    // (`oobench --trace 1`: `trace.overhead_ratio`, `metrics.overhead_ratio`).
     let rss = peak_rss_kb();
     if let Some(kb) = rss {
         println!("peak RSS   {:>8.1} MiB", kb as f64 / 1024.0);
@@ -1694,12 +1608,6 @@ fn run_perf(scale: f64) {
     json.push_str(&format!(
         "  \"raster_tiles\": {{\"accepted\": {}, \"rejected\": {}, \"partial\": {}}},\n",
         ts.accepted, ts.rejected, ts.partial
-    ));
-    json.push_str(&format!(
-        "  \"trace_untraced_seconds\": {untraced_s:.6},\n  \"trace_traced_seconds\": {traced_s:.6},\n  \"trace_overhead_seconds\": {trace_overhead_s:.6},\n"
-    ));
-    json.push_str(&format!(
-        "  \"metrics_unmetered_seconds\": {unmetered_s:.6},\n  \"metrics_metered_seconds\": {metered_s:.6},\n  \"metrics_overhead_seconds\": {metrics_overhead_s:.6},\n"
     ));
     match rss {
         Some(kb) => json.push_str(&format!("  \"peak_rss_kb\": {kb}\n")),
