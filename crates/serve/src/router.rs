@@ -49,12 +49,12 @@ pub struct ServerView {
 
 impl ServerView {
     /// An empty server of a mix with `n_streams` cost streams.
-    pub fn new(n_streams: usize) -> Self {
+    pub(crate) fn new(n_streams: usize) -> Self {
         ServerView { streams: vec![0; n_streams], ..ServerView::default() }
     }
 
     /// Books a session of `stream` with predicted `demand` and frame `cost`.
-    pub fn attach(&mut self, stream: usize, demand: f64, cost: u64) {
+    pub(crate) fn attach(&mut self, stream: usize, demand: f64, cost: u64) {
         self.load += demand;
         self.active += 1;
         self.streams[stream] += 1;
@@ -63,7 +63,7 @@ impl ServerView {
 
     /// Releases what [`attach`](Self::attach) booked (`cost` is what the
     /// session holds now).
-    pub fn detach(&mut self, stream: usize, demand: f64, cost: u64) {
+    pub(crate) fn detach(&mut self, stream: usize, demand: f64, cost: u64) {
         self.load -= demand;
         self.active -= 1;
         self.streams[stream] -= 1;
@@ -71,20 +71,20 @@ impl ServerView {
     }
 
     /// Whether a session of `stream` is resident.
-    pub fn hosts(&self, stream: usize) -> bool {
+    pub(crate) fn hosts(&self, stream: usize) -> bool {
         self.streams.get(stream).is_some_and(|&c| c > 0)
     }
 
     /// Cross-stream working-set tax: `switch_tax` per distinct resident
     /// stream beyond the first, counting `adding` as resident when given.
-    pub fn tax(&self, switch_tax: u64, adding: Option<usize>) -> u64 {
+    pub(crate) fn tax(&self, switch_tax: u64, adding: Option<usize>) -> u64 {
         let extra = adding.is_some_and(|s| !self.hosts(s));
         let distinct = self.streams.iter().filter(|&&c| c > 0).count() + usize::from(extra);
         switch_tax * distinct.saturating_sub(1) as u64
     }
 
     /// Full-scale demand (cycles/vsync): frame costs plus the tax.
-    pub fn demand(&self, switch_tax: u64) -> u64 {
+    pub(crate) fn demand(&self, switch_tax: u64) -> u64 {
         self.cost + self.tax(switch_tax, None)
     }
 }
