@@ -359,12 +359,30 @@ fn run_verify(write: bool) -> Result<(), String> {
     }
 }
 
-/// Where the serving capacity table lands (repo-relative). Not part of the
-/// golden digest: like `fig10_pred`, the table's cells are search results
-/// (capacity counts) whose granularity shifts with `--scale`, so `verify`
-/// pins the fixed-scale figure tables and the serve proptests pin serving
-/// determinism instead.
-const SERVE_CSV: &str = "results/serve.csv";
+/// Writes each table to `results/<id>.csv` on full-scale runs and to
+/// `<csv_dir>/<id>.csv` when `--csv` is given. Scaled runs (the check.sh
+/// smoke) leave the committed full-scale files alone. None of these tables
+/// is part of the golden digest: like `fig10_pred`, their cells are search
+/// results (capacity counts), seed-scanned fault cells or histogram
+/// quantiles whose granularity shifts with `--scale`, so `verify` pins the
+/// fixed-scale figure tables and the serve, cluster, temporal, metrics and
+/// edge proptests pin each tier's determinism instead.
+fn write_tables(tables: &[&FigureTable], scale: f64, csv_dir: Option<&str>) -> Result<(), String> {
+    let mut dirs = Vec::new();
+    if scale >= 1.0 {
+        std::fs::create_dir_all("results").map_err(|e| e.to_string())?;
+        dirs.push("results");
+    }
+    dirs.extend(csv_dir);
+    for dir in dirs {
+        for t in tables {
+            let path = format!("{dir}/{}.csv", t.id);
+            std::fs::write(&path, t.to_csv()).map_err(|e| e.to_string())?;
+            println!("  wrote {path}");
+        }
+    }
+    Ok(())
+}
 
 /// `figures -- serve`: the serving-capacity experiment. Prints the capacity
 /// table (max concurrent sessions at <1% missed vsync per scheme ×
@@ -387,18 +405,7 @@ fn run_serve(specs: &[BenchmarkSpec], scale: f64, csv_dir: Option<&str>) -> Resu
             ));
         }
     }
-    // The committed `results/serve.csv` is the full-scale table; scaled
-    // runs (the check.sh smoke) print and validate without clobbering it.
-    if scale >= 1.0 {
-        std::fs::create_dir_all("results").map_err(|e| e.to_string())?;
-        std::fs::write(SERVE_CSV, table.to_csv()).map_err(|e| e.to_string())?;
-        println!("  wrote {SERVE_CSV}");
-    }
-    if let Some(dir) = csv_dir {
-        let path = format!("{dir}/{}.csv", table.id);
-        std::fs::write(&path, table.to_csv()).map_err(|e| e.to_string())?;
-        println!("  wrote {path}");
-    }
+    write_tables(&[&table], scale, csv_dir)?;
 
     let spec = &specs[0];
     println!(
@@ -427,16 +434,6 @@ fn run_serve(specs: &[BenchmarkSpec], scale: f64, csv_dir: Option<&str>) -> Resu
     }
     Ok(())
 }
-
-/// Where the cluster tables land (repo-relative). Like `serve.csv`, they
-/// hold capacity-search results whose granularity shifts with `--scale`,
-/// so they stay out of the golden digest; `tests/prop_cluster.rs` pins
-/// their determinism instead.
-const CLUSTER_CSV: &str = "results/cluster.csv";
-/// Placement shoot-out companion table of [`CLUSTER_CSV`].
-const CLUSTER_POLICY_CSV: &str = "results/cluster_policy.csv";
-/// Chaos-sweep goodput grid (scenario × severity × policy).
-const CHAOS_CSV: &str = "results/chaos.csv";
 
 /// `figures -- cluster`: the fleet-capacity experiment. Prints the
 /// capacity-vs-N table and the placement shoot-out, enforcing the
@@ -473,20 +470,7 @@ fn run_cluster(specs: &[BenchmarkSpec], scale: f64, csv_dir: Option<&str>) -> Re
             ));
         }
     }
-    if scale >= 1.0 {
-        std::fs::create_dir_all("results").map_err(|e| e.to_string())?;
-        std::fs::write(CLUSTER_CSV, table.to_csv()).map_err(|e| e.to_string())?;
-        std::fs::write(CLUSTER_POLICY_CSV, policy.to_csv()).map_err(|e| e.to_string())?;
-        println!("  wrote {CLUSTER_CSV} and {CLUSTER_POLICY_CSV}");
-    }
-    if let Some(dir) = csv_dir {
-        for t in [&table, &policy] {
-            let path = format!("{dir}/{}.csv", t.id);
-            std::fs::write(&path, t.to_csv()).map_err(|e| e.to_string())?;
-            println!("  wrote {path}");
-        }
-    }
-    Ok(())
+    write_tables(&[&table, &policy], scale, csv_dir)
 }
 
 /// `figures -- chaos`: the robustness headline. Sweeps every fault
@@ -534,28 +518,8 @@ fn run_chaos(specs: &[BenchmarkSpec], scale: f64, csv_dir: Option<&str>) -> Resu
             t.scenario, t.severity, t.policy, t.resilient, t.baseline
         );
     }
-    if scale >= 1.0 {
-        std::fs::create_dir_all("results").map_err(|e| e.to_string())?;
-        std::fs::write(CHAOS_CSV, table.to_csv()).map_err(|e| e.to_string())?;
-        println!("  wrote {CHAOS_CSV}");
-    }
-    if let Some(dir) = csv_dir {
-        let path = format!("{dir}/{}.csv", table.id);
-        std::fs::write(&path, table.to_csv()).map_err(|e| e.to_string())?;
-        println!("  wrote {path}");
-    }
-    Ok(())
+    write_tables(&[&table], scale, csv_dir)
 }
-
-/// Where the temporal-reuse tables land (repo-relative). Capacity-search
-/// and trajectory-average cells shift granularity with `--scale`, so like
-/// `serve.csv` they stay out of the golden digest; `tests/prop_temporal.rs`
-/// pins temporal determinism instead.
-const TEMPORAL_CSV: &str = "results/temporal.csv";
-/// Per-frame cost companion table of [`TEMPORAL_CSV`].
-const TEMPORAL_COST_CSV: &str = "results/temporal_cost.csv";
-/// Capacity frontier (plain OO-VR vs OO-VR+temporal).
-const TEMPORAL_FRONTIER_CSV: &str = "results/temporal_frontier.csv";
 
 /// Reuse thresholds (projected-motion pixels) swept by `figures -- temporal`.
 const TEMPORAL_THRESHOLDS: &[f64] = &[0.0, 2.0, 4.0, 8.0, 16.0, 32.0];
@@ -689,35 +653,15 @@ fn run_temporal(specs: &[BenchmarkSpec], scale: f64, csv_dir: Option<&str>) -> R
             ));
         }
     }
-    if scale >= 1.0 {
-        std::fs::create_dir_all("results").map_err(|e| e.to_string())?;
-        std::fs::write(TEMPORAL_CSV, reuse.to_csv()).map_err(|e| e.to_string())?;
-        std::fs::write(TEMPORAL_COST_CSV, cost.to_csv()).map_err(|e| e.to_string())?;
-        std::fs::write(TEMPORAL_FRONTIER_CSV, frontier.to_csv()).map_err(|e| e.to_string())?;
-        println!("  wrote {TEMPORAL_CSV}, {TEMPORAL_COST_CSV} and {TEMPORAL_FRONTIER_CSV}");
-    }
-    if let Some(dir) = csv_dir {
-        for t in [&reuse, &cost, &frontier] {
-            let path = format!("{dir}/{}.csv", t.id);
-            std::fs::write(&path, t.to_csv()).map_err(|e| e.to_string())?;
-            println!("  wrote {path}");
-        }
-    }
-    Ok(())
+    write_tables(&[&reuse, &cost, &frontier], scale, csv_dir)
 }
 
-/// Where the serve-metrics table lands (repo-relative). Like `serve.csv`,
-/// the cells shift with `--scale`, so it stays out of the golden digest;
-/// `tests/prop_metrics.rs` pins metering determinism instead.
-const METRICS_CSV: &str = "results/metrics.csv";
 /// Prometheus exposition of the pinned metrics workload — the source of
 /// the committed `results/metrics_golden.prom` the prop_metrics golden
 /// test compares against (regenerate by copying this file over it).
 const METRICS_PROM: &str = "results/metrics.prom";
 /// Per-vsync-window counter time series of the same pinned workload.
 const METRICS_WINDOWS_CSV: &str = "results/metrics_windows.csv";
-/// Where the fleet health-gate table lands (repo-relative).
-const HEALTH_CSV: &str = "results/health.csv";
 
 /// The pinned workload behind `results/metrics.prom`: fixed scale and run
 /// shape regardless of `--scale`, so the exposition is byte-stable and
@@ -748,11 +692,8 @@ fn run_metrics(specs: &[BenchmarkSpec], scale: f64, csv_dir: Option<&str>) -> Re
     let (table, _regs) = metrics_table(specs, &gpu, &cfg);
     validate_table(&table)?;
     println!("{table}");
+    write_tables(&[&table], scale, csv_dir)?;
     std::fs::create_dir_all("results").map_err(|e| e.to_string())?;
-    if scale >= 1.0 {
-        std::fs::write(METRICS_CSV, table.to_csv()).map_err(|e| e.to_string())?;
-        println!("  wrote {METRICS_CSV}");
-    }
     let pinned = pinned_metrics_registry();
     let prom = oovr_metrics::export::prometheus(&pinned);
     std::fs::write(METRICS_PROM, &prom).map_err(|e| e.to_string())?;
@@ -763,11 +704,6 @@ fn run_metrics(specs: &[BenchmarkSpec], scale: f64, csv_dir: Option<&str>) -> Re
         "  wrote {METRICS_WINDOWS_CSV} ({} rows, pinned workload)",
         windows.lines().count().saturating_sub(1)
     );
-    if let Some(dir) = csv_dir {
-        let path = format!("{dir}/{}.csv", table.id);
-        std::fs::write(&path, table.to_csv()).map_err(|e| e.to_string())?;
-        println!("  wrote {path}");
-    }
     Ok(())
 }
 
@@ -844,36 +780,8 @@ fn run_health(specs: &[BenchmarkSpec], scale: f64, csv_dir: Option<&str>) -> Res
         edge_cells.iter().map(|c| c.worst_budget()).fold(0.0, f64::max)
     );
 
-    if scale >= 1.0 {
-        std::fs::create_dir_all("results").map_err(|e| e.to_string())?;
-        std::fs::write(HEALTH_CSV, table.to_csv()).map_err(|e| e.to_string())?;
-        std::fs::write(EDGE_HEALTH_CSV, edge_table.to_csv()).map_err(|e| e.to_string())?;
-        println!("  wrote {HEALTH_CSV} and {EDGE_HEALTH_CSV}");
-    }
-    if let Some(dir) = csv_dir {
-        for t in [&table, &edge_table] {
-            let path = format!("{dir}/{}.csv", t.id);
-            std::fs::write(&path, t.to_csv()).map_err(|e| e.to_string())?;
-            println!("  wrote {path}");
-        }
-    }
-    Ok(())
+    write_tables(&[&table, &edge_table], scale, csv_dir)
 }
-
-/// Where the split-rendering tables land (repo-relative). Like the
-/// cluster and chaos CSVs they stay out of the golden digest: the chaos
-/// cells come from seed-scanned fault plans and the ladder/health cells
-/// fold histogram quantiles and scan-dependent miss rates, all of which
-/// shift granularity with `--scale`. Edge determinism is pinned by
-/// `tests/prop_edge.rs` (degenerate bit-identity + byte-identical
-/// replay) instead of the fixed-scale digest.
-const EDGE_LADDER_CSV: &str = "results/edge_ladder.csv";
-/// Link-down chaos grid (workload × severity, ATW vs bare client).
-const EDGE_CHAOS_CSV: &str = "results/edge_chaos.csv";
-/// Scenario-coverage companion table of [`EDGE_CHAOS_CSV`].
-const EDGE_SCENARIOS_CSV: &str = "results/edge_scenarios.csv";
-/// Edge SLO health-gate table.
-const EDGE_HEALTH_CSV: &str = "results/edge_health.csv";
 
 /// `figures -- edge`: the split client–edge rendering experiment. Prints
 /// the motion-to-photon latency ladder, the link-down chaos sweep (ATW
@@ -970,21 +878,7 @@ fn run_edge(specs: &[BenchmarkSpec], scale: f64, csv_dir: Option<&str>) -> Resul
     validate_table(&scenarios)?;
     println!("{scenarios}");
 
-    if scale >= 1.0 {
-        std::fs::create_dir_all("results").map_err(|e| e.to_string())?;
-        std::fs::write(EDGE_LADDER_CSV, ladder.to_csv()).map_err(|e| e.to_string())?;
-        std::fs::write(EDGE_CHAOS_CSV, chaos.to_csv()).map_err(|e| e.to_string())?;
-        std::fs::write(EDGE_SCENARIOS_CSV, scenarios.to_csv()).map_err(|e| e.to_string())?;
-        println!("  wrote {EDGE_LADDER_CSV}, {EDGE_CHAOS_CSV} and {EDGE_SCENARIOS_CSV}");
-    }
-    if let Some(dir) = csv_dir {
-        for t in [&ladder, &chaos, &scenarios] {
-            let path = format!("{dir}/{}.csv", t.id);
-            std::fs::write(&path, t.to_csv()).map_err(|e| e.to_string())?;
-            println!("  wrote {path}");
-        }
-    }
-    Ok(())
+    write_tables(&[&ladder, &chaos, &scenarios], scale, csv_dir)
 }
 
 /// Directory trace artifacts land in (repo-relative).
@@ -1349,7 +1243,7 @@ fn run_edge_trace(workload: &str, scale: f64) -> Result<(), String> {
     let base = EdgeConfig {
         serve: ServeConfig { sessions: 6, frames_per_session: 12, ..ServeConfig::default() },
         link: LinkConfig { base_loss: 0.05, ..LinkConfig::default() },
-        client: oovr_edge::ClientConfig::default(),
+        reproject: true,
     };
     let mut settled: Option<(oovr_edge::EdgeOutcome, oovr_trace::Recorder)> = None;
     for s in 0..256u64 {

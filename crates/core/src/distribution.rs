@@ -47,6 +47,48 @@ use oovr_trace::{TraceEvent, TraceSink};
 use crate::middleware::Batch;
 use crate::predictor::{BatchSample, Coefficients, EngineCounters, CALIBRATION_BATCHES};
 
+/// Batches queued ahead per GPM (the 4-entry batch queue of §5.2, spread
+/// over the GPMs).
+const QUEUE_DEPTH: usize = 2;
+
+/// Minimum triangles for a unit to be worth splitting when stealing.
+const STEAL_THRESHOLD: u64 = 1024;
+
+/// Minimum triangles for a steal split while resilience is active (finer
+/// than [`STEAL_THRESHOLD`]: with a sick GPM, even small splits beat
+/// leaving peers idle).
+const RESILIENT_STEAL_THRESHOLD: u64 = 256;
+
+/// Relative prediction error above which a completed batch counts as a
+/// drift event.
+const DRIFT_THRESHOLD: f64 = 0.5;
+
+/// Consecutive-ish drift events required before re-fitting the
+/// coefficients on the sliding sample window.
+const DRIFT_EVENTS: usize = 2;
+
+/// Sliding window length (recent batch samples) for re-calibration.
+const RECALIBRATION_WINDOW: usize = CALIBRATION_BATCHES;
+
+/// EWMA weight of the newest actual/predicted ratio in each GPM's rate
+/// factor.
+const RATE_ALPHA: f64 = 0.5;
+
+/// A GPM whose weighted backlog is below this fraction of the worst GPM's
+/// backlog may steal before going fully idle.
+const EARLY_STEAL_FRAC: f64 = 0.5;
+
+/// Queued (unstarted) batches migrate from the worst GPM to the best when
+/// the worst's weighted drain estimate exceeds this multiple of the best's.
+const MIGRATE_RATIO: f64 = 1.5;
+
+/// Reachability probes attempted (with exponential backoff) before a
+/// pre-allocation falls back to remote rendering.
+const PA_RETRIES: u32 = 3;
+
+/// First PA retry backoff in cycles; doubles per attempt.
+const PA_BACKOFF_CYCLES: u64 = 50_000;
+
 /// Distribution engine configuration (component toggles drive the ablation
 /// benches).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -58,11 +100,6 @@ pub struct DistributionConfig {
     pub prealloc: bool,
     /// Split straggler batches across idle GPMs.
     pub stealing: bool,
-    /// Batches queued ahead per GPM (the 4-entry batch queue of §5.2,
-    /// spread over the GPMs).
-    pub queue_depth: usize,
-    /// Minimum triangles for a unit to be worth splitting when stealing.
-    pub steal_threshold: u64,
     /// Number of calibration batches (paper: 8).
     pub calibration: usize,
     /// Fault countermeasures (inert unless [`ResilienceConfig::enabled`]).
@@ -75,8 +112,6 @@ impl Default for DistributionConfig {
             predictor: true,
             prealloc: true,
             stealing: true,
-            queue_depth: 2,
-            steal_threshold: 1024,
             calibration: CALIBRATION_BATCHES,
             resilience: ResilienceConfig::default(),
         }
@@ -90,33 +125,6 @@ impl Default for DistributionConfig {
 pub struct ResilienceConfig {
     /// Master switch; `false` disables every countermeasure.
     pub enabled: bool,
-    /// Relative prediction error above which a completed batch counts as a
-    /// drift event.
-    pub drift_threshold: f64,
-    /// Consecutive-ish drift events required before re-fitting the
-    /// coefficients on the sliding sample window.
-    pub drift_events: usize,
-    /// Sliding window length (recent batch samples) for re-calibration.
-    pub window: usize,
-    /// EWMA weight of the newest actual/predicted ratio in each GPM's rate
-    /// factor.
-    pub rate_alpha: f64,
-    /// A GPM whose weighted backlog is below this fraction of the worst
-    /// GPM's backlog may steal before going fully idle.
-    pub early_steal_frac: f64,
-    /// Queued (unstarted) batches migrate from the worst GPM to the best
-    /// when the worst's weighted drain estimate exceeds this multiple of
-    /// the best's.
-    pub migrate_ratio: f64,
-    /// Minimum triangles for a steal split while resilience is active
-    /// (finer than [`DistributionConfig::steal_threshold`]: with a sick
-    /// GPM, even small splits beat leaving peers idle).
-    pub steal_threshold: u64,
-    /// Reachability probes attempted (with exponential backoff) before a
-    /// pre-allocation falls back to remote rendering.
-    pub pa_retries: u32,
-    /// First retry backoff in cycles; doubles per attempt.
-    pub pa_backoff_cycles: u64,
     /// Frame budget for the deadline monitor (VR: 11.1 ms).
     pub deadline_cycles: u64,
     /// Multiplicative fragment-rate reduction per shed event.
@@ -129,15 +137,6 @@ impl Default for ResilienceConfig {
     fn default() -> Self {
         ResilienceConfig {
             enabled: false,
-            drift_threshold: 0.5,
-            drift_events: 2,
-            window: CALIBRATION_BATCHES,
-            rate_alpha: 0.5,
-            early_steal_frac: 0.5,
-            migrate_ratio: 1.5,
-            steal_threshold: 256,
-            pa_retries: 3,
-            pa_backoff_cycles: 50_000,
             deadline_cycles: oovr_gpu::VR_DEADLINE_CYCLES,
             shed_step: 0.8,
             shed_floor: 0.4,
@@ -415,7 +414,7 @@ pub fn run_distribution(
         }
     }
     let mut recent: VecDeque<BatchSample> = samples.iter().copied().collect();
-    while recent.len() > res.window.max(1) {
+    while recent.len() > RECALIBRATION_WINDOW {
         recent.pop_front();
     }
     let mut drift_count = 0usize;
@@ -435,7 +434,7 @@ pub fn run_distribution(
         // queue space.
         while let Some(&(batch_id, batch)) = pending.front() {
             let candidates: Vec<usize> =
-                (0..n).filter(|&g| queues[g].len() < cfg.queue_depth).collect();
+                (0..n).filter(|&g| queues[g].len() < QUEUE_DEPTH).collect();
             if candidates.is_empty() {
                 break;
             }
@@ -484,9 +483,9 @@ pub fn run_distribution(
                     // with exponential backoff; if they never retrain in
                     // time, leave the data where it is and render remotely.
                     let mut probe = ex.gpm(gid).now;
-                    let mut backoff = res.pa_backoff_cycles.max(1);
+                    let mut backoff = PA_BACKOFF_CYCLES;
                     let mut reachable = false;
-                    for attempt in 1..=res.pa_retries {
+                    for attempt in 1..=PA_RETRIES {
                         stats.pa_retries += 1;
                         probe = probe.saturating_add(backoff);
                         backoff = backoff.saturating_mul(2);
@@ -550,7 +549,7 @@ pub fn run_distribution(
                     .expect("at least one GPM");
                 if worst == best
                     || queues[worst].len() < 2
-                    || drains[worst] <= res.migrate_ratio * drains[best] + 1.0
+                    || drains[worst] <= MIGRATE_RATIO * drains[best] + 1.0
                 {
                     break;
                 }
@@ -619,7 +618,7 @@ pub fn run_distribution(
                 let max_rem = rems.iter().copied().fold(0.0f64, f64::max);
                 if max_rem > 0.0 {
                     for g in 0..n {
-                        if !idle[g] && empty_q[g] && rems[g] < res.early_steal_frac * max_rem {
+                        if !idle[g] && empty_q[g] && rems[g] < EARLY_STEAL_FRAC * max_rem {
                             early[g] = true;
                         }
                     }
@@ -762,18 +761,18 @@ fn on_batch_done(
     stats: &mut DistributionStats,
 ) {
     let n = rate.len();
-    if recent.len() >= res.window.max(1) {
+    if recent.len() >= RECALIBRATION_WINDOW {
         recent.pop_front();
     }
     recent.push_back(sample);
 
     let actual = sample.cycles as f64;
     let ratio = (actual / predicted).clamp(0.25, 4.0);
-    rate[g] = (1.0 - res.rate_alpha) * rate[g] + res.rate_alpha * ratio;
+    rate[g] = (1.0 - RATE_ALPHA) * rate[g] + RATE_ALPHA * ratio;
 
-    if (actual - predicted).abs() / predicted > res.drift_threshold {
+    if (actual - predicted).abs() / predicted > DRIFT_THRESHOLD {
         *drift_count += 1;
-        if *drift_count >= res.drift_events.max(1) {
+        if *drift_count >= DRIFT_EVENTS {
             *drift_count = 0;
             let window: Vec<BatchSample> = recent.iter().copied().collect();
             *coeff = Coefficients::fit(&window);
@@ -833,9 +832,8 @@ fn steal_for_idle(
     stats: &mut DistributionStats,
 ) {
     let n = queues.len();
-    // With a sick GPM in play, even small splits beat leaving peers idle.
     let threshold =
-        if cfg.resilience.enabled { cfg.resilience.steal_threshold } else { cfg.steal_threshold };
+        if cfg.resilience.enabled { RESILIENT_STEAL_THRESHOLD } else { STEAL_THRESHOLD };
     let mut given_work = vec![false; n];
     loop {
         let idle: Vec<usize> = (0..n)

@@ -9,7 +9,7 @@ use oovr_scene::Scene;
 use oovr_trace::{Recorder, TraceConfig};
 
 use crate::distribution::{run_distribution, DistributionConfig, DistributionStats};
-use crate::middleware::{build_batches, MiddlewareConfig};
+use crate::middleware::{build_batches, Batch, MiddlewareConfig};
 
 /// `OO_APP`: the object-oriented programming model and middleware alone
 /// (§5.1), with no hardware support — batches are distributed round-robin
@@ -146,6 +146,24 @@ impl OoVr {
 }
 
 impl OoVr {
+    /// What every OO-VR render path starts from: a First-Touch executor
+    /// with deferred color over the framebuffer organisation the `dhc`
+    /// toggle selects, the frame's batches, and the matching composition.
+    fn prepare<'s>(
+        &self,
+        scene: &'s Scene,
+        cfg: &GpuConfig,
+    ) -> (Executor<'s>, Vec<Batch>, Composition) {
+        let (fb_org, comp) = if self.dhc {
+            (FbOrg::Columns, Composition::Distributed)
+        } else {
+            (FbOrg::Single(GpmId(0)), Composition::Master(GpmId(0)))
+        };
+        let ex =
+            Executor::new(cfg.clone(), scene, Placement::FirstTouch, fb_org, ColorMode::Deferred);
+        (ex, build_batches(scene, self.middleware), comp)
+    }
+
     /// Renders `frames` consecutive frames of `scene` in one *warm*
     /// executor and returns each frame's isolated report.
     ///
@@ -159,14 +177,7 @@ impl OoVr {
     /// Panics if `frames` is zero.
     pub fn render_frames(&self, scene: &Scene, cfg: &GpuConfig, frames: u32) -> Vec<FrameReport> {
         assert!(frames > 0, "need at least one frame");
-        let (fb_org, comp) = if self.dhc {
-            (FbOrg::Columns, Composition::Distributed)
-        } else {
-            (FbOrg::Single(GpmId(0)), Composition::Master(GpmId(0)))
-        };
-        let mut ex =
-            Executor::new(cfg.clone(), scene, Placement::FirstTouch, fb_org, ColorMode::Deferred);
-        let batches = build_batches(scene, self.middleware);
+        let (mut ex, batches, comp) = self.prepare(scene, cfg);
         let mut reports = Vec::with_capacity(frames as usize);
         for _ in 0..frames {
             let mark = ex.begin_frame();
@@ -194,14 +205,7 @@ impl OoVr {
         frames: u32,
     ) -> (Vec<FrameReport>, crate::temporal::TemporalProfile) {
         assert!(frames > 0, "need at least one frame");
-        let (fb_org, comp) = if self.dhc {
-            (FbOrg::Columns, Composition::Distributed)
-        } else {
-            (FbOrg::Single(GpmId(0)), Composition::Master(GpmId(0)))
-        };
-        let mut ex =
-            Executor::new(cfg.clone(), scene, Placement::FirstTouch, fb_org, ColorMode::Deferred);
-        let batches = build_batches(scene, self.middleware);
+        let (mut ex, batches, comp) = self.prepare(scene, cfg);
         let mut reports = Vec::with_capacity(frames as usize);
         let mut busy0 = Vec::new();
         let mut px0 = Vec::new();
@@ -230,17 +234,10 @@ impl OoVr {
         cfg: &GpuConfig,
         trace: Option<TraceConfig>,
     ) -> (FrameReport, Option<Recorder>, DistributionStats) {
-        let (fb_org, comp) = if self.dhc {
-            (FbOrg::Columns, Composition::Distributed)
-        } else {
-            (FbOrg::Single(GpmId(0)), Composition::Master(GpmId(0)))
-        };
-        let mut ex =
-            Executor::new(cfg.clone(), scene, Placement::FirstTouch, fb_org, ColorMode::Deferred);
+        let (mut ex, batches, comp) = self.prepare(scene, cfg);
         if let Some(tc) = trace {
             ex.enable_trace(tc);
         }
-        let batches = build_batches(scene, self.middleware);
         let stats = run_distribution(&mut ex, &batches, &self.distribution);
         let (report, rec) = ex.finish_traced(self.name(), comp);
         (report, rec, stats)

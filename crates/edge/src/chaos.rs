@@ -31,9 +31,7 @@ use oovr_serve::ServeScheme;
 use oovr_trace::Cycle;
 
 use crate::qos::MotionToPhoton;
-use crate::sim::{
-    simulate_edge, simulate_edge_metered, ClientConfig, Display, EdgeConfig, EdgeOutcome,
-};
+use crate::sim::{simulate_edge, simulate_edge_metered, Display, EdgeConfig, EdgeOutcome};
 
 /// Fault severities the edge chaos sweep exercises (matching the
 /// cluster chaos sweep's ladder).
@@ -195,7 +193,7 @@ pub fn edge_chaos_cell(
             FaultPlan::new(scenario, severity, base_seed.wrapping_add(s)).with_horizon(horizon);
         let run_cfg = EdgeConfig {
             link: crate::link::LinkConfig { fault: Some(plan.clone()), ..cfg.link.clone() },
-            client: ClientConfig { reproject: true, ..cfg.client.clone() },
+            reproject: true,
             serve: cfg.serve.clone(),
         };
         let atw = simulate_edge(ServeScheme::OoVr, spec, gpu, &run_cfg, None);
@@ -213,7 +211,7 @@ pub fn edge_chaos_cell(
     let (plan, atw) = settled.expect("seed scan always settles on the last candidate");
     let bare_cfg = EdgeConfig {
         link: crate::link::LinkConfig { fault: Some(plan.clone()), ..cfg.link.clone() },
-        client: ClientConfig { reproject: false, ..cfg.client.clone() },
+        reproject: false,
         serve: cfg.serve.clone(),
     };
     let bare = simulate_edge(ServeScheme::OoVr, spec, gpu, &bare_cfg, None);

@@ -55,6 +55,5 @@ pub use chaos::{
 pub use link::{LinkConfig, NetworkLink};
 pub use qos::{edge_qos, MotionToPhoton};
 pub use sim::{
-    simulate_edge, simulate_edge_metered, ClientConfig, Display, EdgeConfig, EdgeFrame,
-    EdgeOutcome, EdgeSession,
+    simulate_edge, simulate_edge_metered, Display, EdgeConfig, EdgeFrame, EdgeOutcome, EdgeSession,
 };

@@ -41,46 +41,37 @@ use crate::chaos::meter_edge;
 use crate::link::{LinkConfig, NetworkLink};
 use crate::qos::{edge_qos, motion_to_photon, AggregateQos, MotionToPhoton};
 
+/// Maximum age (in frames) of a delivered frame the client will still
+/// reproject; beyond it the vsync is a hard miss.
+const STALE_CAP: u32 = 4;
+
+/// Multiplier on the one-GPM ATW warp cost — the thin client's ROPs are
+/// assumed this many times slower than an edge GPM's.
+const WARP_FACTOR: u64 = 4;
+
 /// Configuration of one split client–edge run.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct EdgeConfig {
     /// The edge server's serving configuration (vsync grid, arrivals,
     /// admission headroom, shedding, temporal reuse).
     pub serve: ServeConfig,
     /// The client–edge link.
     pub link: LinkConfig,
-    /// The thin client.
-    pub client: ClientConfig,
+    /// Whether the thin client covers missing frames by ATW reprojection.
+    pub reproject: bool,
+}
+
+impl Default for EdgeConfig {
+    fn default() -> Self {
+        EdgeConfig { serve: ServeConfig::default(), link: LinkConfig::default(), reproject: true }
+    }
 }
 
 impl EdgeConfig {
     /// The degenerate split: ideal link, reprojection off. Bit-identical
     /// to local-only serving under `serve` (pinned by `prop_edge`).
     pub fn degenerate(serve: ServeConfig) -> Self {
-        EdgeConfig {
-            serve,
-            link: LinkConfig::degenerate(),
-            client: ClientConfig { reproject: false, ..ClientConfig::default() },
-        }
-    }
-}
-
-/// Configuration of the thin client.
-#[derive(Debug, Clone)]
-pub struct ClientConfig {
-    /// Whether the client covers missing frames by ATW reprojection.
-    pub reproject: bool,
-    /// Maximum age (in frames) of a delivered frame the client will
-    /// still reproject; beyond it the vsync is a hard miss.
-    pub stale_cap: u32,
-    /// Multiplier on the one-GPM ATW warp cost — the thin client's ROPs
-    /// are assumed this many times slower than an edge GPM's.
-    pub warp_factor: u64,
-}
-
-impl Default for ClientConfig {
-    fn default() -> Self {
-        ClientConfig { reproject: true, stale_cap: 4, warp_factor: 4 }
+        EdgeConfig { serve, link: LinkConfig::degenerate(), reproject: false }
     }
 }
 
@@ -298,7 +289,7 @@ pub fn simulate_edge(
     // ---- Pass 3: the thin client. Pure post-processing over the
     // delivery schedule — classification per vsync, ATW coverage, and
     // the motion-to-photon accounting.
-    let warp_cycles = warp_cycles_for_pixels(steady_px.max(1), gpu) * cfg.client.warp_factor.max(1);
+    let warp_cycles = warp_cycles_for_pixels(steady_px.max(1), gpu) * WARP_FACTOR;
     for session in &mut sessions {
         let id = session.id;
         // delivery[g] of each frame, for the reprojection predecessor scan.
@@ -317,7 +308,7 @@ pub fn simulate_edge(
                         .rev()
                         .find(|&g| deliveries[g as usize].is_some_and(|d| d <= deadline));
                     let age = pred.map_or(frame + 1, |g| frame - g);
-                    if cfg.client.reproject && pred.is_some() && age <= cfg.client.stale_cap {
+                    if cfg.reproject && pred.is_some() && age <= STALE_CAP {
                         events.push(TraceEvent::FrameReprojected {
                             cycle: deadline,
                             session: id,
@@ -409,7 +400,7 @@ mod tests {
                 fault: Some(oovr_gpu::FaultPlan::new(oovr_gpu::FaultScenario::LinkDown, 0.8, 5)),
                 ..LinkConfig::default()
             },
-            client: ClientConfig::default(),
+            reproject: true,
         };
         let gpu = GpuConfig::default();
         let a = simulate_edge(ServeScheme::OoVr, &spec(), &gpu, &cfg, None);
@@ -449,14 +440,11 @@ mod tests {
         let cfg = EdgeConfig {
             serve: small(4, 12),
             link: LinkConfig { base_loss: 0.4, ..LinkConfig::default() },
-            client: ClientConfig::default(),
+            reproject: true,
         };
         let gpu = GpuConfig::default();
         let atw = simulate_edge(ServeScheme::OoVr, &spec(), &gpu, &cfg, None);
-        let bare_cfg = EdgeConfig {
-            client: ClientConfig { reproject: false, ..cfg.client.clone() },
-            ..cfg.clone()
-        };
+        let bare_cfg = EdgeConfig { reproject: false, ..cfg.clone() };
         let bare = simulate_edge(ServeScheme::OoVr, &spec(), &gpu, &bare_cfg, None);
         let reprojected: usize = atw
             .sessions
@@ -489,7 +477,7 @@ mod tests {
             // Capacity for two sessions' aggregate demand across eight
             // arrivals with 90% headroom: most must bounce off the link.
             link: LinkConfig { provision: 2.0 / 8.0, ..LinkConfig::default() },
-            client: ClientConfig::default(),
+            reproject: true,
         };
         let gpu = GpuConfig::default();
         let out = simulate_edge(ServeScheme::OoVr, &spec(), &gpu, &cfg, Some(&mut rec));
@@ -509,7 +497,7 @@ mod tests {
         let cfg = EdgeConfig {
             serve: ServeConfig { mean_interarrival: 0, headroom: 3.0, ..small(8, 6) },
             link: LinkConfig { provision: 2.0 / 8.0, ..LinkConfig::default() },
-            client: ClientConfig::default(),
+            reproject: true,
         };
         let out = simulate_edge(ServeScheme::OoVr, &spec(), &GpuConfig::default(), &cfg, None);
         assert!(out.sessions.len() <= 2, "admitted {} sessions", out.sessions.len());
@@ -521,7 +509,7 @@ mod tests {
         let cfg = EdgeConfig {
             serve: small(5, 10),
             link: LinkConfig { base_loss: 0.2, ..LinkConfig::default() },
-            client: ClientConfig::default(),
+            reproject: true,
         };
         let gpu = GpuConfig::default();
         let mut reg = Registry::new(cfg.serve.vsync_cycles);

@@ -29,7 +29,7 @@ use oovr_gpu::{FaultPlan, FaultScenario, GpuConfig};
 use oovr_scene::BenchmarkSpec;
 
 use crate::cluster::{cluster_capacity, simulate_cluster, ClusterConfig};
-use crate::router::{Placement, RouterConfig};
+use crate::router::{Placement, Router};
 use crate::stream::ServeScheme;
 
 /// Fault severities swept by [`chaos_table`].
@@ -205,7 +205,7 @@ pub fn chaos_table(
         let mut vals = Vec::with_capacity(Placement::ALL.len() * 2);
         let mut cells = Vec::with_capacity(Placement::ALL.len());
         for policy in Placement::ALL {
-            let run = |router: RouterConfig| {
+            let run = |router: Router| {
                 let run_cfg = ClusterConfig {
                     servers,
                     sessions,
@@ -216,8 +216,8 @@ pub fn chaos_table(
                 };
                 simulate_cluster(mix, gpu, &run_cfg, None).goodput()
             };
-            let baseline = run(RouterConfig::baseline());
-            let resilient = run(RouterConfig::resilient());
+            let baseline = run(Router::Baseline);
+            let resilient = run(Router::Resilient);
             vals.push(baseline);
             vals.push(resilient);
             cells.push(ChaosCell {

@@ -17,7 +17,7 @@
 //! migration is charged the stream's *cold* PA frame (warm-restart cost),
 //! later frames the steady frame. A server hosting more than one distinct
 //! cost stream pays a cross-stream working-set tax of
-//! `switch_frac · V` cycles per extra stream per interval — the term that
+//! `SWITCH_FRAC · V` cycles per extra stream per interval — the term that
 //! makes workload-affinity packing ([`crate::router::Placement::Affinity`])
 //! genuinely cheaper than spreading streams everywhere.
 //!
@@ -48,9 +48,23 @@ use rand::{Rng, SeedableRng};
 use crate::admission::{calibrate_discounted, DEFAULT_HEADROOM};
 use crate::capacity::{search, MISS_BUDGET, PROBE_FRAMES};
 use crate::metrics::meter_cluster;
-use crate::router::{Placement, RouterConfig, ServerView};
+use crate::router::{backoff_for, Placement, Router, ServerView};
 use crate::scheduler::record_in_cycle_order;
 use crate::stream::{cost_stream, ServeScheme, SessionCostStream};
+
+/// Cross-stream working-set tax: fraction of one vsync interval a server
+/// pays per distinct resident cost stream beyond the first.
+const SWITCH_FRAC: f64 = 0.04;
+
+/// The per-interval working-set tax, in cycles, of a `v`-cycle vsync.
+fn switch_tax(v: Cycle) -> u64 {
+    ((v as f64) * SWITCH_FRAC) as u64
+}
+
+/// Minimum intervals a session stays put after a move before it may be
+/// migrated again (anti-ping-pong guard; failover ignores it — a dead host
+/// overrides stability).
+const MIN_RESIDENCY: u32 = 4;
 
 /// Configuration of one cluster serving run.
 #[derive(Debug, Clone)]
@@ -67,23 +81,18 @@ pub struct ClusterConfig {
     pub arrival_intervals: u32,
     /// Seed for arrival jitter.
     pub seed: u64,
-    /// Admission headroom fraction of each server's vsync budget.
-    pub headroom: f64,
     /// Placement policy of the session router.
     pub policy: Placement,
-    /// Robustness knobs of the session router.
-    pub router: RouterConfig,
+    /// Robustness policy of the session router.
+    pub router: Router,
     /// Server-level fault plan; `None` (or a zero-severity plan) keeps
     /// every server at nominal rate.
     pub fault: Option<FaultPlan>,
-    /// Cross-stream working-set tax: fraction of one vsync interval a
-    /// server pays per distinct resident cost stream beyond the first.
-    pub switch_frac: f64,
     /// Shedding knobs (`shed_step`, `shed_floor`) for cluster-wide
     /// graceful degradation.
     pub resilience: ResilienceConfig,
     /// Consecutive missed vsyncs at the shedding floor before a session is
-    /// evicted (last resort, [`RouterConfig::evict`]).
+    /// evicted (last resort, [`Router::evict`]).
     pub evict_after: u32,
     /// Temporal-reuse knob for [`ServeScheme::temporal`] mix entries:
     /// their steady cost and Eq. 3 demand are discounted by the mean
@@ -100,11 +109,9 @@ impl Default for ClusterConfig {
             frames_per_session: 32,
             arrival_intervals: 8,
             seed: 0xC105_7E4D,
-            headroom: DEFAULT_HEADROOM,
             policy: Placement::LeastLoaded,
-            router: RouterConfig::resilient(),
+            router: Router::Resilient,
             fault: None,
-            switch_frac: 0.04,
             resilience: ResilienceConfig::on(),
             evict_after: 16,
             temporal: TemporalConfig::default(),
@@ -373,7 +380,7 @@ fn run_cluster(
     let frames = cfg.frames_per_session;
     let shed_floor = cfg.resilience.shed_floor.clamp(0.05, 1.0);
     let shed_step = cfg.resilience.shed_step.clamp(0.05, 0.99);
-    let switch_tax = ((v as f64) * cfg.switch_frac.max(0.0)) as u64;
+    let switch_tax = switch_tax(v);
 
     // Seeded arrival jitter: one interval per session, in id order.
     let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0xC1_05_7E_12);
@@ -411,7 +418,7 @@ fn run_cluster(
 
     // Latest interval anything can still happen: the last arrival's final
     // frame, plus the longest possible backoff chain.
-    let backoff_span: u32 = (1..cfg.router.max_attempts).map(|a| cfg.router.backoff_for(a)).sum();
+    let backoff_span: u32 = (1..cfg.router.max_attempts()).map(backoff_for).sum();
     let k_max = cfg.arrival_intervals + frames + backoff_span + 2;
 
     // The per-server ledger over the *active* sessions. Every state
@@ -457,7 +464,7 @@ fn run_cluster(
         //    residency guard does not apply — a dead host overrides
         //    placement stability. Warm restart is charged via the cold
         //    frame on the destination.
-        if cfg.router.failover && alive.iter().any(|a| !a) {
+        if cfg.router.failover() && alive.iter().any(|a| !a) {
             for (i, sess) in sessions.iter_mut().enumerate() {
                 let server = sess.server;
                 if sess.state != State::Active || alive[server] {
@@ -519,11 +526,10 @@ fn run_cluster(
             // against nominal budgets — refusing a merely *degraded*
             // server outright would waste the capacity it still has;
             // migration and shedding absorb the shortfall instead.
-            let headroom = cfg.headroom.clamp(0.05, 1.0);
-            let aware = cfg.router.failover;
-            let cand = order
-                .into_iter()
-                .find(|&c| (!aware || alive[c]) && ledger[c].load + demand <= headroom * v as f64);
+            let aware = cfg.router.failover();
+            let cand = order.into_iter().find(|&c| {
+                (!aware || alive[c]) && ledger[c].load + demand <= DEFAULT_HEADROOM * v as f64
+            });
             if let Some(cand) = cand {
                 sess.place(cand, k, &mut ledger, &st);
                 sess.state = State::Active;
@@ -536,8 +542,8 @@ fn run_cluster(
                         attempt,
                     });
                 }
-            } else if attempt < cfg.router.max_attempts {
-                let backoff = cfg.router.backoff_for(attempt);
+            } else if attempt < cfg.router.max_attempts() {
+                let backoff = backoff_for(attempt);
                 sess.next_attempt = k + backoff;
                 retries += 1;
                 if observe {
@@ -562,7 +568,7 @@ fn run_cluster(
         }
 
         // 4. Overload migration, behind the anti-ping-pong residency guard.
-        if cfg.router.migrate {
+        if cfg.router.migrate() {
             for s in 0..n {
                 if !alive[s] {
                     continue;
@@ -579,7 +585,7 @@ fn run_cluster(
                     .filter(|&i| {
                         sessions[i].state == State::Active
                             && sessions[i].server == s
-                            && k.saturating_sub(sessions[i].last_move) >= cfg.router.min_residency
+                            && k.saturating_sub(sessions[i].last_move) >= MIN_RESIDENCY
                     })
                     .collect();
                 movers.sort_by_key(|&i| (sessions[i].last_move, i));
@@ -612,7 +618,7 @@ fn run_cluster(
         // 5. Cluster-wide graceful degradation: shed shade scale so the
         //    most overloaded server fits, never below the floor; recover
         //    multiplicatively once no server is overloaded.
-        if cfg.router.shed {
+        if cfg.router.shed() {
             let mut worst = 1.0f64;
             for s in 0..n {
                 if !alive[s] {
@@ -645,7 +651,7 @@ fn run_cluster(
         // 6. Serve: per server, sessions in id order (EDF under the shared
         //    per-interval deadline); frames that do not fit miss without
         //    consuming budget. Dead servers serve nothing.
-        let eff_scale = if cfg.router.shed { scale } else { 1.0 };
+        let eff_scale = if cfg.router.shed() { scale } else { 1.0 };
         let mut remaining: Vec<u64> = (0..n)
             .map(|s| {
                 if !alive[s] {
@@ -699,8 +705,8 @@ fn run_cluster(
 
         // 7. Eviction, strictly last resort: only once shedding is pinned
         //    at the floor and a session still cannot make its vsyncs.
-        if cfg.router.evict {
-            let at_floor = !cfg.router.shed || scale <= shed_floor + 1e-9;
+        if cfg.router.evict() {
+            let at_floor = !cfg.router.shed() || scale <= shed_floor + 1e-9;
             for (i, sess) in sessions.iter_mut().enumerate() {
                 if sess.state == State::Active
                     && at_floor
@@ -763,12 +769,44 @@ fn run_cluster(
     (out, events)
 }
 
+/// Places `m` warm sessions of the mix on `n` fault-free servers under
+/// `policy`, once: first candidate with room at full utilization, forced
+/// onto the first candidate when nothing fits. Returns each server's
+/// per-interval render budget (the vsync minus its working-set tax) and
+/// each session's `(server, stream)`.
+fn place_warm(
+    m: u32,
+    st: &Streams,
+    n: usize,
+    v: Cycle,
+    switch_tax: u64,
+    policy: Placement,
+    seed: u64,
+) -> (Vec<u64>, Vec<(usize, usize)>) {
+    // Placement pass over the same ledger the cluster run keeps; the fit
+    // charges the tax with the new stream already resident.
+    let mut ledger = vec![ServerView::new(st.demand.len()); n];
+    let mut placed: Vec<(usize, usize)> = Vec::with_capacity(m as usize);
+    for i in 0..m as usize {
+        let stream = st.of_mix[i % st.of_mix.len()];
+        let order = policy.order(session_key(seed, i), stream, &ledger);
+        let fits = |s: usize| {
+            ledger[s].cost + st.steady[stream] + ledger[s].tax(switch_tax, Some(stream)) <= v
+        };
+        let s = order.iter().copied().find(|&s| fits(s)).unwrap_or(order[0]);
+        ledger[s].attach(stream, st.demand[stream], st.steady[stream]);
+        placed.push((s, stream));
+    }
+    let budget = ledger.iter().map(|e| v.saturating_sub(e.tax(switch_tax, None))).collect();
+    (budget, placed)
+}
+
 /// Exact feasibility of `m` warm sessions of `mix` on `n` fault-free
-/// servers under `policy`: sessions are placed once (first candidate with
-/// room at full utilization, forced onto the first candidate when nothing
-/// fits), then every session serves a steady frame per interval for
-/// [`PROBE_FRAMES`] intervals. Feasible while the missed-vsync fraction
-/// stays under [`MISS_BUDGET`].
+/// servers under `policy` ([`place_warm`]), every session serving a steady
+/// frame per interval for [`PROBE_FRAMES`] intervals. Feasible while the
+/// missed-vsync fraction stays under [`MISS_BUDGET`]. Each interval starts
+/// from the same budgets over the same fixed placement, so every interval
+/// misses the same frames: one served interval decides the verdict.
 fn cluster_feasible(
     m: u32,
     st: &Streams,
@@ -781,41 +819,19 @@ fn cluster_feasible(
     if m == 0 {
         return true;
     }
-    // Placement pass over the same ledger the cluster run keeps; the fit
-    // charges the tax with the new stream already resident.
-    let mut ledger = vec![ServerView::new(st.demand.len()); n];
-    let mut placed: Vec<(usize, usize)> = Vec::with_capacity(m as usize); // (server, stream)
-    for i in 0..m as usize {
-        let stream = st.of_mix[i % st.of_mix.len()];
-        let order = policy.order(session_key(seed, i), stream, &ledger);
-        let fits = |s: usize| {
-            ledger[s].cost + st.steady[stream] + ledger[s].tax(switch_tax, Some(stream)) <= v
-        };
-        let s = order.iter().copied().find(|&s| fits(s)).unwrap_or(order[0]);
-        ledger[s].attach(stream, st.demand[stream], st.steady[stream]);
-        placed.push((s, stream));
-    }
-    // Steady serving: per interval, per server, id order.
+    let (mut remaining, placed) = place_warm(m, st, n, v, switch_tax, policy, seed);
     let total = m as u64 * PROBE_FRAMES as u64;
     let allowed = ((total as f64) * MISS_BUDGET).floor() as u64;
-    let budget: Vec<u64> =
-        ledger.iter().map(|e| v.saturating_sub(e.tax(switch_tax, None))).collect();
     let mut missed = 0u64;
-    for _ in 0..PROBE_FRAMES {
-        let mut remaining = budget.clone();
-        for &(s, stream) in &placed {
-            let cost = st.steady[stream];
-            if cost <= remaining[s] {
-                remaining[s] -= cost;
-            } else {
-                missed += 1;
-                if missed > allowed {
-                    return false;
-                }
-            }
+    for &(s, stream) in &placed {
+        let cost = st.steady[stream];
+        if cost <= remaining[s] {
+            remaining[s] -= cost;
+        } else {
+            missed += 1;
         }
     }
-    true
+    PROBE_FRAMES as u64 * missed <= allowed
 }
 
 /// Maximum concurrent warm sessions of `mix` an `n_servers` fault-free
@@ -833,7 +849,7 @@ pub fn cluster_capacity(
     let n = (n_servers as usize).max(1);
     let st = resolve_streams(mix, gpu, cfg);
     let v = cfg.vsync_cycles.max(1);
-    let switch_tax = ((v as f64) * cfg.switch_frac.max(0.0)) as u64;
+    let switch_tax = switch_tax(v);
     // Seeded at the fleet's utilization bound over the cheapest stream.
     let min_steady = st.steady.iter().copied().min().unwrap_or(1).max(1);
     search(n as u64 * v, min_steady, |m| {
@@ -924,7 +940,7 @@ mod tests {
         let plan = FaultPlan::new(FaultScenario::LinkDown, 1.0, 3).with_horizon(horizon);
         assert!(plan.disturbs_servers(4, VSYNC_90HZ_CYCLES));
         let resilient = ClusterConfig { sessions: 200, fault: Some(plan.clone()), ..small_cfg() };
-        let baseline = ClusterConfig { router: RouterConfig::baseline(), ..resilient.clone() };
+        let baseline = ClusterConfig { router: Router::Baseline, ..resilient.clone() };
         let r = simulate_cluster(&mix(), &gpu, &resilient, None);
         let b = simulate_cluster(&mix(), &gpu, &baseline, None);
         assert!(r.downs > 0, "the fault must kill a server at least once");
@@ -961,6 +977,65 @@ mod tests {
             af > ll,
             "affinity packing ({af}) must strictly beat least-loaded ({ll}) on a shared-stream mix"
         );
+    }
+
+    /// Reference for [`cluster_feasible`]: serves all [`PROBE_FRAMES`]
+    /// intervals of the fixed placement, stopping at the first miss over
+    /// budget.
+    fn cluster_feasible_replayed(
+        m: u32,
+        st: &Streams,
+        n: usize,
+        v: Cycle,
+        switch_tax: u64,
+        policy: Placement,
+        seed: u64,
+    ) -> bool {
+        if m == 0 {
+            return true;
+        }
+        let (budget, placed) = place_warm(m, st, n, v, switch_tax, policy, seed);
+        let total = m as u64 * PROBE_FRAMES as u64;
+        let allowed = ((total as f64) * MISS_BUDGET).floor() as u64;
+        let mut missed = 0u64;
+        for _ in 0..PROBE_FRAMES {
+            let mut remaining = budget.clone();
+            for &(s, stream) in &placed {
+                let cost = st.steady[stream];
+                if cost <= remaining[s] {
+                    remaining[s] -= cost;
+                } else {
+                    missed += 1;
+                    if missed > allowed {
+                        return false;
+                    }
+                }
+            }
+        }
+        true
+    }
+
+    #[test]
+    fn one_interval_probe_matches_the_replayed_probe() {
+        let gpu = GpuConfig::default();
+        let mix = two_stream_mix();
+        let st = resolve_streams(&mix, &gpu, &ClusterConfig::default());
+        // A vsync of a few steady frames keeps capacities small enough to
+        // sweep every session count up to twice the capacity.
+        let v = 8 * st.steady.iter().copied().max().unwrap_or(1);
+        let cfg = ClusterConfig { vsync_cycles: v, ..ClusterConfig::default() };
+        let tax = switch_tax(v);
+        for n in [1, 4] {
+            for policy in Placement::ALL {
+                let cap = cluster_capacity(&mix, &gpu, n as u32, policy, &cfg);
+                assert!(cap > 0);
+                for m in 1..=2 * cap {
+                    let fast = cluster_feasible(m, &st, n, v, tax, policy, cfg.seed);
+                    let slow = cluster_feasible_replayed(m, &st, n, v, tax, policy, cfg.seed);
+                    assert_eq!(fast, slow, "{m} sessions on {n} servers under {}", policy.label());
+                }
+            }
+        }
     }
 
     #[test]

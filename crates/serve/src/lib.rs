@@ -83,7 +83,7 @@ pub use metrics::{
 pub use oovr_gpu::VSYNC_90HZ_CYCLES;
 pub use pose::{session_trajectory, Pose, PoseModel, PoseTrajectory};
 pub use qos::{aggregate_qos, percentile, session_qos, AggregateQos, SessionQos};
-pub use router::{Placement, RouterConfig, ServerView};
+pub use router::{Placement, Router, ServerView};
 pub use scheduler::{
     record_in_cycle_order, schedule, simulate, simulate_metered, FrameRecord, Reject, ServeConfig,
     ServeOutcome, SessionOutcome, LINK_REASON,

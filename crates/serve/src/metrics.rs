@@ -42,7 +42,7 @@ use oovr_trace::{Cycle, TraceEvent};
 
 use crate::chaos::{effective_plan, CHAOS_LOAD};
 use crate::cluster::{cluster_capacity, simulate_cluster_metered, ClusterConfig, ClusterOutcome};
-use crate::router::{Placement, RouterConfig};
+use crate::router::{Placement, Router};
 use crate::scheduler::{simulate_metered, ServeConfig, ServeOutcome};
 use crate::stream::ServeScheme;
 
@@ -277,7 +277,7 @@ impl HealthCell {
 pub fn health_cell(
     spec: &BenchmarkSpec,
     gpu: &GpuConfig,
-    router: RouterConfig,
+    router: Router,
     cfg: &ClusterConfig,
 ) -> HealthCell {
     let servers = 4u32;
@@ -316,7 +316,7 @@ pub fn health_table(
     gpu: &GpuConfig,
     cfg: &ClusterConfig,
 ) -> (FigureTable, Vec<HealthCell>) {
-    let cells = par_map(specs, |spec| health_cell(spec, gpu, RouterConfig::resilient(), cfg));
+    let cells = par_map(specs, |spec| health_cell(spec, gpu, Router::Resilient, cfg));
     let rows = cells
         .iter()
         .map(|c| {

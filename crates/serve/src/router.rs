@@ -1,4 +1,4 @@
-//! The cluster session router: placement policies and retry/repair knobs.
+//! The cluster session router: placement policies and the retry/repair policy.
 //!
 //! The router is the piece of the cluster tier that decides *where* a
 //! session lives and *what happens* when that choice goes bad. Placement
@@ -22,14 +22,13 @@
 //!   churn without any coordination state, the classic stateless-router
 //!   choice.
 //!
-//! [`RouterConfig`] gates the robustness features separately from
-//! placement: admission retry with capped exponential backoff across
-//! candidate servers, failover of in-flight sessions off dead servers,
-//! overload migration behind an anti-ping-pong residency guard, and
-//! cluster-wide quality shedding before any session is dropped. The
-//! [`baseline`](RouterConfig::baseline) configuration turns all of them
-//! off — that is the no-retry/no-migration arm every chaos cell is
-//! measured against.
+//! [`Router`] gates the robustness features separately from placement:
+//! admission retry with capped exponential backoff across candidate
+//! servers, failover of in-flight sessions off dead servers, overload
+//! migration behind an anti-ping-pong residency guard, and cluster-wide
+//! quality shedding before any session is dropped. [`Router::Baseline`]
+//! turns all of them off — that is the no-retry/no-migration arm every
+//! chaos cell is measured against.
 
 /// One server's ledger: the only per-server state of the cluster tier.
 /// The cluster updates it in O(1) per session transition and the router
@@ -127,7 +126,7 @@ impl Placement {
     /// Preference order over server indices for a session identified by
     /// `key` replaying cost stream `stream`. Dead servers are *not*
     /// filtered here — liveness awareness is a router feature
-    /// ([`RouterConfig::failover`]), not a placement one.
+    /// ([`Router::failover`]), not a placement one.
     pub fn order(self, key: u64, stream: usize, servers: &[ServerView]) -> Vec<usize> {
         let mut idx: Vec<usize> = (0..servers.len()).collect();
         match self {
@@ -182,65 +181,58 @@ fn rendezvous_weight(key: u64, server: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Robustness knobs of the session router.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RouterConfig {
-    /// Total admission attempts per session (1 = no retry).
-    pub max_attempts: u32,
-    /// First retry backoff, in vsync intervals; doubles per attempt.
-    pub backoff_intervals: u32,
-    /// Cap on the per-attempt backoff, in vsync intervals.
-    pub backoff_cap: u32,
-    /// Fail sessions over off dead servers (also makes admission
-    /// liveness-aware: the router health-checks candidates).
-    pub failover: bool,
-    /// Migrate sessions off overloaded/degraded servers.
-    pub migrate: bool,
-    /// Minimum intervals a session stays put after a move before it may be
-    /// migrated again (anti-ping-pong guard; failover ignores it — a dead
-    /// host overrides stability).
-    pub min_residency: u32,
-    /// Shed quality cluster-wide before dropping sessions.
-    pub shed: bool,
-    /// Evict sessions stuck missing at the shedding floor (last resort).
-    pub evict: bool,
+/// First admission retry backoff, in vsync intervals; doubles per attempt.
+const BACKOFF_INTERVALS: u32 = 1;
+
+/// Cap on the per-attempt admission backoff, in vsync intervals.
+const BACKOFF_CAP: u32 = 8;
+
+/// Backoff before attempt `attempt + 1` (after failed attempt `attempt`,
+/// 1-based), in vsync intervals: capped exponential.
+pub(crate) fn backoff_for(attempt: u32) -> u32 {
+    let exp = attempt.saturating_sub(1).min(16);
+    (BACKOFF_INTERVALS << exp).min(BACKOFF_CAP)
 }
 
-impl RouterConfig {
-    /// The fully resilient router: retry + failover + migration + shed.
-    pub fn resilient() -> Self {
-        RouterConfig {
-            max_attempts: 4,
-            backoff_intervals: 1,
-            backoff_cap: 8,
-            failover: true,
-            migrate: true,
-            min_residency: 4,
-            shed: true,
-            evict: true,
-        }
-    }
-
+/// Robustness policy of the session router.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Router {
+    /// The fully resilient router: retry + failover + migration + shed +
+    /// eviction.
+    Resilient,
     /// The retry-free/no-migration baseline every chaos cell compares
     /// against: one admission attempt, sessions pinned to their server.
-    pub fn baseline() -> Self {
-        RouterConfig {
-            max_attempts: 1,
-            backoff_intervals: 1,
-            backoff_cap: 8,
-            failover: false,
-            migrate: false,
-            min_residency: 4,
-            shed: false,
-            evict: false,
+    Baseline,
+}
+
+impl Router {
+    /// Total admission attempts per session (1 = no retry).
+    pub fn max_attempts(self) -> u32 {
+        match self {
+            Router::Resilient => 4,
+            Router::Baseline => 1,
         }
     }
 
-    /// Backoff before attempt `attempt + 1` (after failed attempt
-    /// `attempt`, 1-based), in vsync intervals: capped exponential.
-    pub fn backoff_for(&self, attempt: u32) -> u32 {
-        let exp = attempt.saturating_sub(1).min(16);
-        (self.backoff_intervals.max(1) << exp).min(self.backoff_cap.max(1))
+    /// Fail sessions over off dead servers (also makes admission
+    /// liveness-aware: the router health-checks candidates).
+    pub fn failover(self) -> bool {
+        self == Router::Resilient
+    }
+
+    /// Migrate sessions off overloaded/degraded servers.
+    pub fn migrate(self) -> bool {
+        self == Router::Resilient
+    }
+
+    /// Shed quality cluster-wide before dropping sessions.
+    pub fn shed(self) -> bool {
+        self == Router::Resilient
+    }
+
+    /// Evict sessions stuck missing at the shedding floor (last resort).
+    pub fn evict(self) -> bool {
+        self == Router::Resilient
     }
 }
 
@@ -312,18 +304,17 @@ mod tests {
 
     #[test]
     fn backoff_is_capped_exponential() {
-        let r = RouterConfig::resilient();
-        assert_eq!(r.backoff_for(1), 1);
-        assert_eq!(r.backoff_for(2), 2);
-        assert_eq!(r.backoff_for(3), 4);
-        assert_eq!(r.backoff_for(4), 8);
-        assert_eq!(r.backoff_for(10), 8, "backoff saturates at the cap");
+        assert_eq!(backoff_for(1), 1);
+        assert_eq!(backoff_for(2), 2);
+        assert_eq!(backoff_for(3), 4);
+        assert_eq!(backoff_for(4), 8);
+        assert_eq!(backoff_for(10), 8, "backoff saturates at the cap");
     }
 
     #[test]
     fn baseline_turns_every_countermeasure_off() {
-        let b = RouterConfig::baseline();
-        assert!(!b.failover && !b.migrate && !b.shed && !b.evict);
-        assert_eq!(b.max_attempts, 1);
+        let b = Router::Baseline;
+        assert!(!b.failover() && !b.migrate() && !b.shed() && !b.evict());
+        assert_eq!(b.max_attempts(), 1);
     }
 }

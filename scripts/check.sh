@@ -107,6 +107,17 @@ echo "==> figures trace edge (split-rendering smoke: loss + reprojection events 
 # exporters.
 cargo run -q --release -p oovr-bench --bin figures -- --scale 0.05 trace edge hl2-640
 
+echo "==> figures trace oovr/baseline/serve demo (the committed demo-frame traces)"
+# Regenerates the three demo traces committed under results/traces; the
+# cluster, temporal and edge traces above are the other committed ones.
+cargo run -q --release -p oovr-bench --bin figures -- \
+    trace oovr demo trace baseline demo trace serve demo
+
+echo "==> git diff --exit-code -- results/traces (committed traces are current)"
+# Every trace step above rewrites its committed artifacts; a diff means a
+# change moved a trace without the regenerated file being committed.
+git diff --exit-code -- results/traces
+
 echo "==> cargo bench --no-run (criterion benches stay compilable)"
 cargo bench --no-run
 

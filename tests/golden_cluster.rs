@@ -22,7 +22,7 @@ use oovr_gpu::{FaultPlan, FaultScenario, GpuConfig};
 use oovr_scene::{benchmarks, BenchmarkSpec};
 use oovr_serve::{
     cluster_capacity, cost_stream, simulate_cluster, ClusterConfig, ClusterOutcome, Placement,
-    RouterConfig, ServeScheme,
+    Router, ServeScheme,
 };
 
 /// First 16 hex digits of SHA-256 over the `Debug` text of `value`.
@@ -48,7 +48,6 @@ const CAPACITY_DIGEST: &str = "ea881bf10eb3b200";
 fn capacities_match_recorded_digest() {
     let gpu = GpuConfig::default();
     let cfg = ClusterConfig::default();
-    assert!(cfg.switch_frac > 0.0);
     let caps: Vec<(Placement, u32, u32)> = Placement::ALL
         .iter()
         .flat_map(|&p| SERVERS.map(|n| (p, n, cluster_capacity(&mix(), &gpu, n, p, &cfg))))
@@ -81,7 +80,7 @@ fn configs() -> Vec<ClusterConfig> {
     };
     let mut out = Vec::new();
     for fault in [None, Some(link_down), Some(throttle)] {
-        for router in [RouterConfig::resilient(), RouterConfig::baseline()] {
+        for router in [Router::Resilient, Router::Baseline] {
             out.push(ClusterConfig { fault: fault.clone(), router, ..base.clone() });
         }
     }

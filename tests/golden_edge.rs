@@ -15,7 +15,7 @@
 //! link could still carry, which pins that a compute reject does not
 //! hold link budget.
 
-use oovr_edge::{simulate_edge, ClientConfig, EdgeConfig, EdgeOutcome, LinkConfig};
+use oovr_edge::{simulate_edge, EdgeConfig, EdgeOutcome, LinkConfig};
 use oovr_gpu::{FaultPlan, FaultScenario, GpuConfig};
 use oovr_scene::benchmarks;
 use oovr_serve::{cost_stream, simulate, ServeConfig, ServeOutcome, ServeScheme};
@@ -62,7 +62,7 @@ fn edge_config(serve: ServeConfig) -> EdgeConfig {
             fault: Some(FaultPlan::new(FaultScenario::LinkDown, 1.0, 0xFA17)),
             ..LinkConfig::default()
         },
-        client: ClientConfig::default(),
+        reproject: true,
     }
 }
 

@@ -21,13 +21,13 @@
 //! silent on both sides.
 
 use oovr::ResilienceConfig;
-use oovr_edge::{simulate_edge_metered, ClientConfig, EdgeConfig, LinkConfig};
+use oovr_edge::{simulate_edge_metered, EdgeConfig, LinkConfig};
 use oovr_gpu::{FaultPlan, FaultScenario, GpuConfig, VSYNC_90HZ_CYCLES};
 use oovr_metrics::Registry;
 use oovr_scene::{benchmarks, BenchmarkSpec};
 use oovr_serve::{
-    cost_stream, simulate_cluster_metered, simulate_metered, ClusterConfig, RouterConfig,
-    ServeConfig, ServeScheme,
+    cost_stream, simulate_cluster_metered, simulate_metered, ClusterConfig, Router, ServeConfig,
+    ServeScheme,
 };
 
 const SCHEMES: [ServeScheme; 3] =
@@ -96,7 +96,7 @@ fn cluster_registries() -> Vec<Registry> {
         resilience: ResilienceConfig { shed_floor: 0.8, ..ResilienceConfig::on() },
         ..ClusterConfig::default()
     };
-    let baseline = ClusterConfig { router: RouterConfig::baseline(), ..resilient.clone() };
+    let baseline = ClusterConfig { router: Router::Baseline, ..resilient.clone() };
     [resilient, baseline]
         .iter()
         .map(|cfg| {
@@ -128,7 +128,7 @@ fn edge_registries() -> Vec<Registry> {
                     fault: Some(FaultPlan::new(FaultScenario::LinkDown, 1.0, 0xFA17)),
                     ..LinkConfig::default()
                 },
-                client: ClientConfig { reproject, ..ClientConfig::default() },
+                reproject,
             };
             let mut reg = Registry::new(cfg.serve.vsync_cycles);
             simulate_edge_metered(

@@ -16,7 +16,7 @@ use proptest::prelude::*;
 
 use oovr_gpu::{FaultPlan, FaultScenario, GpuConfig};
 use oovr_scene::benchmarks;
-use oovr_serve::{cluster_scale_table, simulate_cluster, ClusterConfig, Placement, RouterConfig};
+use oovr_serve::{cluster_scale_table, simulate_cluster, ClusterConfig, Placement, Router};
 use oovr_trace::export::{chrome_trace, csv_timeline, flight_digest};
 use oovr_trace::{Recorder, TraceConfig, TraceEvent};
 
@@ -88,7 +88,7 @@ proptest! {
             frames_per_session: 8,
             seed,
             policy: Placement::ALL[policy_ix],
-            router: if resilient { RouterConfig::resilient() } else { RouterConfig::baseline() },
+            router: if resilient { Router::Resilient } else { Router::Baseline },
             fault: Some(FaultPlan::new(FaultScenario::ALL[scenario_ix], severity, seed)),
             ..ClusterConfig::default()
         };

@@ -17,7 +17,7 @@
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 
-use oovr_edge::{edge_qos, simulate_edge, ClientConfig, EdgeConfig, LinkConfig};
+use oovr_edge::{edge_qos, simulate_edge, EdgeConfig, LinkConfig};
 use oovr_gpu::{FaultPlan, FaultScenario, GpuConfig};
 use oovr_scene::benchmarks;
 use oovr_serve::{simulate, FrameRecord, ServeConfig, ServeScheme};
@@ -107,7 +107,7 @@ proptest! {
                 fault: Some(plan),
                 ..LinkConfig::default()
             },
-            client: ClientConfig::default(),
+            reproject: true,
         };
         let a = simulate_edge(scheme, &spec, &gpu, &cfg, None);
         let b = simulate_edge(scheme, &spec, &gpu, &cfg, None);

@@ -25,7 +25,7 @@ use oovr_metrics::{Hist, Registry};
 use oovr_scene::{benchmarks, BenchmarkSpec};
 use oovr_serve::{
     health_cell, percentile, simulate, simulate_cluster, simulate_cluster_metered,
-    simulate_metered, ClusterConfig, ClusterOutcome, RouterConfig, ServeConfig, ServeScheme,
+    simulate_metered, ClusterConfig, ClusterOutcome, Router, ServeConfig, ServeScheme,
 };
 
 fn spec() -> BenchmarkSpec {
@@ -103,11 +103,7 @@ proptest! {
         let cfg = ClusterConfig {
             sessions,
             frames_per_session: 16,
-            router: if resilient_ix == 0 {
-                RouterConfig::resilient()
-            } else {
-                RouterConfig::baseline()
-            },
+            router: if resilient_ix == 0 { Router::Resilient } else { Router::Baseline },
             fault: Some(plan),
             ..ClusterConfig::default()
         };
@@ -175,7 +171,7 @@ fn prometheus_exposition_matches_golden() {
 fn health_gate_passes_resilient_and_fails_baseline_under_link_down() {
     let gpu = GpuConfig::default();
     let cfg = ClusterConfig::default();
-    let resilient = health_cell(&spec(), &gpu, RouterConfig::resilient(), &cfg);
+    let resilient = health_cell(&spec(), &gpu, Router::Resilient, &cfg);
     assert!(
         resilient.healthy(),
         "resilient router must hold every aggregate budget: {:?}",
@@ -186,7 +182,7 @@ fn health_gate_passes_resilient_and_fails_baseline_under_link_down() {
             .map(|e| (e.slo, e.achieved, e.target))
             .collect::<Vec<_>>()
     );
-    let baseline = health_cell(&spec(), &gpu, RouterConfig::baseline(), &cfg);
+    let baseline = health_cell(&spec(), &gpu, Router::Baseline, &cfg);
     let faulted_miss = baseline
         .faulted
         .iter()
