@@ -683,9 +683,10 @@ fn pinned_metrics_registry() -> oovr_metrics::Registry {
 
 /// `figures -- metrics`: one metered single-server OO-VR run per workload
 /// (admissions, frames, latency quantiles, miss and shed rates), plus the
-/// Prometheus exposition of the pinned workload. Full-scale runs refresh
-/// `results/metrics.csv`; the exposition is scale-independent and is
-/// always rewritten.
+/// Prometheus exposition of the pinned workload. Full-scale runs also
+/// write `results/metrics.csv`, a local artifact that `.gitignore` lists;
+/// the exposition and window series of the pinned workload are
+/// scale-independent, always rewritten and committed.
 fn run_metrics(specs: &[BenchmarkSpec], scale: f64, csv_dir: Option<&str>) -> Result<(), String> {
     let gpu = oovr_gpu::GpuConfig::default();
     let cfg = ServeConfig::default();

@@ -15,6 +15,11 @@ pub fn gbps_to_bytes_per_cycle(gbps: f64) -> f64 {
 /// tighter 11.1 ms budget the resilience deadline monitor uses.
 pub const VSYNC_90HZ_CYCLES: Cycle = 11_111_111;
 
+/// Most texel samples a quad may take: Table 2's 16× anisotropic
+/// filtering. The fragment kernel gathers a quad's texel lines in a stack
+/// array of this size.
+pub const MAX_TEXEL_SAMPLES: usize = 16;
+
 /// Top-level configuration of the multi-GPM system (Table 2 defaults).
 #[derive(Debug, Clone, PartialEq)]
 pub struct GpuConfig {
@@ -116,6 +121,12 @@ impl GpuConfig {
         if self.model.quantum_quads == 0 || self.model.quantum_vertices == 0 {
             return Err(GpuError::InvalidConfig("work quanta must be nonzero".to_string()));
         }
+        if self.model.texel_samples_per_quad as usize > MAX_TEXEL_SAMPLES {
+            return Err(GpuError::InvalidConfig(format!(
+                "texel_samples_per_quad must be at most {MAX_TEXEL_SAMPLES}, got {}",
+                self.model.texel_samples_per_quad
+            )));
+        }
         if let Some(fault) = &self.fault {
             fault.validate()?;
         }
@@ -178,9 +189,10 @@ pub struct ModelParams {
     pub cycles_per_fragment: f64,
     /// Bytes fetched per vertex (position + attributes).
     pub bytes_per_vertex: u64,
-    /// Texel sample points evaluated per 2×2 quad. Bilinear filtering at
-    /// quad granularity needs ~4; Table 2's 16× anisotropic filtering
-    /// widens footprints, which we model with extra spread-out samples.
+    /// Texel sample points evaluated per 2×2 quad, at most
+    /// [`MAX_TEXEL_SAMPLES`]. Bilinear filtering at quad granularity needs
+    /// ~4; Table 2's 16× anisotropic filtering widens footprints, which we
+    /// model with extra spread-out samples.
     pub texel_samples_per_quad: u32,
     /// Extra anisotropic spread in texels between sample points.
     pub aniso_spread: f32,
@@ -279,6 +291,9 @@ mod tests {
         assert!(matches!(c.validate(), Err(GpuError::InvalidConfig(_))));
         let mut c = GpuConfig::default();
         c.model.quantum_quads = 0;
+        assert!(matches!(c.validate(), Err(GpuError::InvalidConfig(_))));
+        let mut c = GpuConfig::default();
+        c.model.texel_samples_per_quad = MAX_TEXEL_SAMPLES as u32 + 1;
         assert!(matches!(c.validate(), Err(GpuError::InvalidConfig(_))));
         let c = GpuConfig::default().with_fault(FaultPlan::new(FaultScenario::LinkDegrade, 2.0, 0));
         assert!(matches!(c.validate(), Err(GpuError::InvalidFault(_))));

@@ -52,16 +52,6 @@ impl EnergySummary {
             local_uj: local_energy_uj(traffic),
         }
     }
-
-    /// Total at board-level integration (µJ).
-    pub fn total_board_uj(&self) -> f64 {
-        self.link_board_uj + self.local_uj
-    }
-
-    /// Total at node-level integration (µJ).
-    pub fn total_node_uj(&self) -> f64 {
-        self.link_node_uj + self.local_uj
-    }
 }
 
 #[cfg(test)]
@@ -93,13 +83,13 @@ mod tests {
         // Equal local and remote byte counts, but remote dominates energy.
         // (local_bytes includes the DRAM read backing the remote transfer.)
         assert!(s.link_board_uj > s.local_uj / 2.0);
-        assert!(s.total_node_uj() > s.total_board_uj());
+        assert!(s.link_node_uj > s.link_board_uj);
     }
 
     #[test]
     fn zero_traffic_zero_energy() {
         let t = Traffic::new(4);
         let s = EnergySummary::of(&t);
-        assert_eq!(s.total_board_uj(), 0.0);
+        assert_eq!((s.link_board_uj, s.link_node_uj, s.local_uj), (0.0, 0.0, 0.0));
     }
 }

@@ -15,16 +15,17 @@
 //! links see interleaved demand, as they would in hardware.
 
 use oovr_mem::{
-    Cycle, GpmId, MemorySystem, NumaTiming, Placement, RateSchedule, Traffic, TrafficClass,
+    Addr, Cycle, GpmId, MemorySystem, NumaTiming, Placement, RateSchedule, Traffic, TrafficClass,
 };
 use oovr_scene::{ObjectId, Resolution, Scene};
 use oovr_trace::{Phase, Recorder, TraceConfig, TraceEvent};
 
-use crate::config::GpuConfig;
+use crate::config::{GpuConfig, MAX_TEXEL_SAMPLES};
 use crate::error::GpuError;
 use crate::layout::{SceneLayout, ZBuffer, FB_BYTES_PER_PIXEL};
 use crate::raster::rasterize;
 use crate::report::{FrameReport, WorkCounts};
+use crate::stages::{self, lap, Stage};
 use crate::tasks::{eye_clip, geometry_work, RenderUnit};
 use crate::trace::ExecTracer;
 
@@ -256,6 +257,14 @@ impl<'s> Executor<'s> {
                 });
             }
         }
+        // The fragment kernel writes a quad row's passing pixels as one run
+        // to one colour line: quads start on even x, so that holds when
+        // every colour buffer's base and row pitch are multiples of a
+        // pixel pair.
+        assert!(
+            layout.pixel_pairs_share_lines(),
+            "colour buffers must keep each even-x pixel pair in one cache line"
+        );
         // Scratch buffers are always local to their GPM.
         for g in 0..n {
             mem.page_table_mut().set_policy(layout.scratch(g), Placement::Fixed(GpmId(g as u8)));
@@ -444,7 +453,10 @@ impl<'s> Executor<'s> {
         let start = self.gpms[g].now;
         let ready = if self.mem.has_pending() {
             self.mem.drain_pending_into(&mut self.scratch);
-            self.fabric.apply(start, &self.scratch)
+            lap(Stage::Other);
+            let ready = self.fabric.apply(start, &self.scratch);
+            lap(Stage::Fabric);
+            ready
         } else {
             start
         };
@@ -592,6 +604,7 @@ impl<'s> Executor<'s> {
         eye0: usize,
         tri0: u64,
     ) -> bool {
+        lap(Stage::Other);
         let g = gpm.index();
         let model = self.cfg.model.clone();
         let res = self.scene.resolution();
@@ -663,50 +676,80 @@ impl<'s> Executor<'s> {
                 let mut samples = 0u64;
                 let mut passed = 0u64;
                 rasterize(&tri, Some(&clip), res.stereo_width(), res.height, |q| {
+                    let mut probe = stages::quad();
                     quads += 1;
                     counts.fragments += u64::from(q.coverage());
                     // Texture sampling: `texel_samples_per_quad` points
                     // spread along u (anisotropic footprint). All samples
                     // share the quad's texel row, so its base is hoisted.
+                    // Consecutive samples in one line are one probe; the
+                    // quad's probes go to memory as one batch.
+                    let mut lines = [Addr(0); MAX_TEXEL_SAMPLES];
+                    let mut n = 0;
                     let mut last_line = u64::MAX;
                     let row = desc.row_base(q.uv.y as i64);
                     for &du in du_table {
                         let off = row + desc.col_offset((q.uv.x + du) as i64);
                         let addr = tex_region.at(off.min(tex_region.size - 1));
                         if addr.line() != last_line {
-                            mem.read(gpm, addr, TrafficClass::Texture, true);
                             last_line = addr.line();
-                            samples += 1;
+                            lines[n] = addr;
+                            n += 1;
                         }
                     }
+                    mem.read_lines(gpm, &mut lines[..n], TrafficClass::Texture);
+                    samples += n as u64;
+                    probe.mark(Stage::Texel);
                     // Depth test: read the Z line, write back if any pass.
                     let zaddr = layout.zb_addr(q.x, q.y);
                     mem.read(gpm, zaddr, TrafficClass::Depth, false);
-                    let mut quad_passed = 0u64;
-                    for (px, py) in q.pixels() {
-                        if zbuf.test_and_set(px, py, q.z) {
-                            quad_passed += 1;
+                    let pass = zbuf.test_quad(q.x, q.y, q.mask, q.z);
+                    if pass != 0 {
+                        // A quad row's passing pixels share one colour line
+                        // (checked in `try_new`), so they are one run of
+                        // back-to-back writes.
+                        for dy in 0..2 {
+                            let run = (pass >> (2 * dy)) & 0b11;
+                            if run == 0 {
+                                continue;
+                            }
+                            let (px, py, k) =
+                                (q.x + u32::from(run == 0b10), q.y + dy, run.count_ones());
                             match color_mode {
                                 ColorMode::Direct => {
-                                    mem.write(gpm, layout.fb_addr(px, py), TrafficClass::Color);
+                                    let addr = layout.fb_addr(px, py);
+                                    mem.write_n(gpm, addr, TrafficClass::Color, k);
                                 }
                                 ColorMode::Deferred => {
                                     let addr = layout.scratch_addr(g, px, py);
-                                    mem.write(gpm, addr, TrafficClass::Color);
-                                    let p = match fb_org {
-                                        FbOrg::Single(root) => root.index(),
-                                        FbOrg::Rows => row_owner[py as usize] as usize,
-                                        _ => col_owner[px as usize] as usize,
-                                    };
-                                    comp_row[p] += 1;
+                                    mem.write_n(gpm, addr, TrafficClass::Color, k);
+                                    let k = u64::from(k);
+                                    match fb_org {
+                                        FbOrg::Single(root) => comp_row[root.index()] += k,
+                                        FbOrg::Rows => {
+                                            comp_row[row_owner[py as usize] as usize] += k
+                                        }
+                                        _ => {
+                                            // Column partitions can split a
+                                            // quad when their width is odd.
+                                            let a = col_owner[px as usize] as usize;
+                                            let b =
+                                                col_owner[(px + k as u32 - 1) as usize] as usize;
+                                            if a == b {
+                                                comp_row[a] += k;
+                                            } else {
+                                                comp_row[a] += 1;
+                                                comp_row[b] += 1;
+                                            }
+                                        }
+                                    }
                                 }
                             }
                         }
-                    }
-                    if quad_passed > 0 {
                         mem.write(gpm, zaddr, TrafficClass::Depth);
-                        passed += quad_passed;
+                        passed += u64::from(pass.count_ones());
                     }
+                    probe.mark(Stage::DepthColour);
                 });
                 self.counts.quads += quads;
                 self.counts.pixels_out += passed;
@@ -717,6 +760,7 @@ impl<'s> Executor<'s> {
                 pending_pixels += passed;
                 if pending_quads >= model.quantum_quads {
                     // Quantum full: charge it and suspend after this triangle.
+                    lap(Stage::Raster);
                     let compute =
                         self.fragment_compute(pending_quads, pending_samples, pending_pixels);
                     self.gpms[g].frag_compute += compute.ceil() as Cycle;
@@ -728,6 +772,7 @@ impl<'s> Executor<'s> {
             eye_idx += 1;
             tri_idx = 0;
         }
+        lap(Stage::Raster);
         if pending_quads > 0 {
             let compute = self.fragment_compute(pending_quads, pending_samples, pending_pixels);
             self.gpms[g].frag_compute += compute.ceil() as Cycle;

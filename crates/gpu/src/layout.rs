@@ -6,7 +6,7 @@
 //! NUMA policies in `oovr-mem`, not by this layout.
 
 use oovr_mem::address::AddressSpace;
-use oovr_mem::{Addr, Region};
+use oovr_mem::{Addr, Region, LINE_SIZE};
 use oovr_scene::{Scene, TextureId};
 
 /// Bytes per framebuffer pixel (RGBA8).
@@ -96,18 +96,21 @@ impl SceneLayout {
         self.framebuffer.at((u64::from(y) * self.stereo_width + u64::from(x)) * FB_BYTES_PER_PIXEL)
     }
 
+    /// Whether pixels `(x, y)` and `(x+1, y)` share a cache line for every
+    /// even `x`, in the framebuffer and in every scratch buffer: true when
+    /// each buffer's base and its row pitch are multiples of a pixel pair.
+    pub fn pixel_pairs_share_lines(&self) -> bool {
+        let pair = 2 * FB_BYTES_PER_PIXEL;
+        LINE_SIZE.is_multiple_of(pair)
+            && (self.stereo_width * FB_BYTES_PER_PIXEL).is_multiple_of(pair)
+            && std::iter::once(&self.framebuffer)
+                .chain(&self.scratch)
+                .all(|r| r.base.is_multiple_of(pair))
+    }
+
     /// Address of the depth sample at stereo-frame pixel `(x, y)`.
     pub fn zb_addr(&self, x: u32, y: u32) -> Addr {
         self.zbuffer.at((u64::from(y) * self.stereo_width + u64::from(x)) * ZB_BYTES_PER_PIXEL)
-    }
-
-    /// Sub-region of the framebuffer covering full pixel rows `[y0, y1)`,
-    /// used to pin horizontal partitions. (Vertical partitions are expressed
-    /// per-write instead, since rows interleave owners.)
-    pub fn fb_rows(&self, y0: u32, y1: u32) -> Region {
-        let base = self.framebuffer.base + u64::from(y0) * self.stereo_width * FB_BYTES_PER_PIXEL;
-        let size = u64::from(y1 - y0) * self.stereo_width * FB_BYTES_PER_PIXEL;
-        Region { base, size }
     }
 }
 
@@ -154,6 +157,34 @@ impl ZBuffer {
         } else {
             false
         }
+    }
+
+    /// Depth-tests the pixels of the 2×2 quad at `(x, y)` selected by
+    /// `mask` (bit 0 = `(x, y)`, 1 = `(x+1, y)`, 2 = `(x, y+1)`,
+    /// 3 = `(x+1, y+1)`) against `z` and returns the mask of those that
+    /// passed (and were written). The same outcome as one
+    /// [`test_and_set`](Self::test_and_set) per selected pixel, since the
+    /// four pixels are distinct: a quad wholly inside the frame needs one
+    /// bounds check instead of four; one on the right or bottom edge takes
+    /// the per-pixel path.
+    #[inline]
+    pub fn test_quad(&mut self, x: u32, y: u32, mask: u8, z: f32) -> u8 {
+        if x + 1 >= self.width || y + 1 >= self.height {
+            return (0..4u8)
+                .filter(|&i| mask & (1 << i) != 0)
+                .filter(|&i| self.test_and_set(x + u32::from(i & 1), y + u32::from(i >> 1), z))
+                .fold(0, |m, i| m | 1 << i);
+        }
+        let w = self.width as usize;
+        let i0 = y as usize * w + x as usize;
+        let mut passed = 0;
+        for (bit, idx) in [i0, i0 + 1, i0 + w, i0 + w + 1].into_iter().enumerate() {
+            if mask & (1 << bit) != 0 && z < self.depth[idx] {
+                self.depth[idx] = z;
+                passed |= 1 << bit;
+            }
+        }
+        passed
     }
 
     /// Clears to the far plane.
@@ -207,16 +238,6 @@ mod tests {
     }
 
     #[test]
-    fn fb_rows_partition() {
-        let s = scene();
-        let l = SceneLayout::new(&s, 4);
-        let top = l.fb_rows(0, 32);
-        let bottom = l.fb_rows(32, 64);
-        assert_eq!(top.end(), bottom.base);
-        assert_eq!(top.size + bottom.size, l.framebuffer().size);
-    }
-
-    #[test]
     fn zbuffer_nearer_wins() {
         let mut z = ZBuffer::new(4, 4);
         assert!(z.test_and_set(1, 1, 0.5));
@@ -226,5 +247,15 @@ mod tests {
         assert!(z.coverage() > 0.0);
         z.clear();
         assert_eq!(z.coverage(), 0.0);
+    }
+
+    #[test]
+    fn quad_test_passes_only_nearer_covered_pixels() {
+        let mut z = ZBuffer::new(4, 3);
+        assert_eq!(z.test_quad(0, 0, 0b1011, 0.5), 0b1011);
+        assert_eq!(z.test_quad(0, 0, 0b1111, 0.6), 0b0100, "only the untouched pixel");
+        assert_eq!(z.test_quad(0, 0, 0b1111, 0.1), 0b1111);
+        // Bottom edge: the second row is outside the 3-pixel-high frame.
+        assert_eq!(z.test_quad(2, 2, 0b1111, 0.5), 0b0011);
     }
 }

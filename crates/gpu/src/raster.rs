@@ -88,13 +88,6 @@ impl QuadFragment {
     pub fn coverage(&self) -> u32 {
         self.mask.count_ones()
     }
-
-    /// Iterates the covered pixel coordinates.
-    pub fn pixels(&self) -> impl Iterator<Item = (u32, u32)> + '_ {
-        (0..4u32)
-            .filter(|i| self.mask & (1 << i) != 0)
-            .map(move |i| (self.x + (i & 1), self.y + (i >> 1)))
-    }
 }
 
 /// Pixel bounds of the walk after bbox clamping and clipping:
@@ -554,9 +547,8 @@ mod tests {
             assert!(q.mask != 0 && q.mask < 16);
             assert_eq!(q.x % 2, 0);
             assert_eq!(q.y % 2, 0);
-            assert_eq!(q.pixels().count() as u32, q.coverage());
-            for (px, py) in q.pixels() {
-                assert!(px < 8 && py < 8);
+            for i in (0..4u32).filter(|i| q.mask & (1 << i) != 0) {
+                assert!(q.x + (i & 1) < 8 && q.y + (i >> 1) < 8);
             }
             total += q.coverage();
         });

@@ -67,12 +67,6 @@ impl FrameReport {
         1e9 / self.frame_cycles.max(1) as f64
     }
 
-    /// Speedup of this frame over `other` (by frame cycles: >1 means this
-    /// report is faster).
-    pub fn speedup_over(&self, other: &FrameReport) -> f64 {
-        other.frame_cycles as f64 / self.frame_cycles.max(1) as f64
-    }
-
     /// Best-to-worst busy-time ratio across GPMs that did any work
     /// (Fig. 10's load-balance metric; 1.0 is perfectly balanced). Clamped
     /// to [`IMBALANCE_SENTINEL`] so the ratio is always finite — `u64` busy
@@ -165,10 +159,8 @@ mod tests {
     }
 
     #[test]
-    fn speedup_and_fps() {
+    fn fps_counts_frames_per_second_at_one_ghz() {
         let fast = report(1_000_000, vec![1; 4]);
-        let slow = report(2_000_000, vec![1; 4]);
-        assert_eq!(fast.speedup_over(&slow), 2.0);
         assert!((fast.fps() - 1000.0).abs() < 1e-9);
     }
 

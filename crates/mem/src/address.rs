@@ -71,16 +71,6 @@ impl Region {
         let last = (self.end().saturating_sub(1)) / PAGE_SIZE;
         first..=last
     }
-
-    /// Number of cache lines the region spans.
-    pub fn line_count(&self) -> u64 {
-        if self.size == 0 {
-            return 0;
-        }
-        let first = self.base / LINE_SIZE;
-        let last = (self.end() - 1) / LINE_SIZE;
-        last - first + 1
-    }
 }
 
 /// Page-aligned bump allocator for the unified address space.
@@ -140,7 +130,6 @@ mod tests {
         assert!(r.contains(Addr(4223)));
         assert!(!r.contains(Addr(4224)));
         assert_eq!(r.at(64), Addr(4160));
-        assert_eq!(r.line_count(), 2);
     }
 
     #[test]

@@ -27,24 +27,10 @@ impl CacheOutcome {
     }
 }
 
-/// Tags are line numbers (< 2^58 with the modeled 64-byte lines — checked
-/// by a debug assertion), so the two top bits hold the valid/dirty flags.
-/// Packing the flags into the tag word keeps a way at 16 bytes: a whole
-/// 8-way set then spans two 64-byte host cache lines instead of three, and
-/// an MRU-probe hit touches exactly one.
+/// A way's tag is its line number with this bit set; zero marks an invalid
+/// way. Line numbers are below 2^58 with the modeled 64-byte lines
+/// (checked by a debug assertion), so the bit never collides.
 const VALID: u64 = 1 << 63;
-const DIRTY: u64 = 1 << 62;
-const TAG_MASK: u64 = !(VALID | DIRTY);
-
-#[derive(Debug, Clone, Copy)]
-struct Way {
-    /// `tag | VALID | DIRTY`.
-    tf: u64,
-    /// LRU stamp; larger is more recent.
-    stamp: u64,
-}
-
-const EMPTY_WAY: Way = Way { tf: 0, stamp: 0 };
 
 /// Hit/miss statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -57,16 +43,9 @@ pub struct CacheStats {
     pub writebacks: u64,
 }
 
-impl CacheStats {
-    /// Hit rate in `[0,1]`; 0 when no accesses occurred.
-    pub fn hit_rate(&self) -> f64 {
-        if self.accesses == 0 {
-            0.0
-        } else {
-            self.hits as f64 / self.accesses as f64
-        }
-    }
-}
+/// Most ways a set can have: a set's recency order is one nibble per way
+/// in a `u64`, and its partial tags one byte per way in a `u128`.
+pub const MAX_WAYS: usize = 16;
 
 /// A set-associative cache with LRU replacement.
 ///
@@ -77,6 +56,11 @@ impl CacheStats {
 /// assert!(!l1.access(Addr(0x1000), false).is_hit()); // cold miss
 /// assert!(l1.access(Addr(0x1020), false).is_hit());  // same 64 B line
 /// ```
+///
+/// All per-set state a miss needs lives in small dense arrays (recency
+/// order, partial tags and dirty bits take 26 bytes a set), so a probe
+/// that misses reads no per-way memory, and a hit beyond the two MRU ways
+/// reads one full tag. Only the full tag array is per way (8 bytes a way).
 #[derive(Debug, Clone)]
 pub struct SetAssocCache {
     ways: usize,
@@ -86,32 +70,66 @@ pub struct SetAssocCache {
     /// `u32::MAX`: the per-access line computation is then a shift instead
     /// of a hardware divide by a runtime value.
     line_shift: u32,
-    /// Way metadata, set-major.
-    data: Vec<Way>,
-    /// Most-recently-hit way index per set: texture/vertex streams touch the
-    /// same line repeatedly, so one probe usually resolves the access
-    /// without scanning the set.
-    mru: Vec<u32>,
-    /// The MRU way's `tf & !DIRTY` (i.e. `line | VALID`) per set, mirrored
-    /// out of `data`. The dominant access — a read re-hitting the MRU line —
-    /// is answered by comparing against this dense 8-byte-per-set array
-    /// alone, so the hot loop's working set is this array (16 KiB for the
-    /// L1) instead of the full way-metadata array (256 KiB), which no longer
-    /// fits the host cache. Invariant: `mru_tag[s] ==
-    /// data[s*ways + mru[s]].tf & !DIRTY`; zero (no VALID bit) matches no
-    /// probe, covering reset and [`clear`](Self::clear).
+    /// `log2(sets)`: a line's bits above its set index start here.
+    set_bits: u32,
+    /// Per way, set-major: `line | VALID`, or zero when invalid.
+    tags: Vec<u64>,
+    /// Per set, byte `w` is way `w`'s partial tag: `0x80 | (line >> set_bits
+    /// & 0x7F)`, or zero when invalid. A probe compares all of a set's
+    /// partial tags at once; only a matching way's full tag is read, and a
+    /// probe none matches is a miss without reading any.
+    ptags: Vec<u128>,
+    /// Per set, bit `w` is way `w`'s dirty flag.
+    dirty: Vec<u16>,
+    /// Per set, its ways from most to least recently used, one nibble
+    /// each: nibble 0 is the MRU way, nibble 1 the previous MRU way, nibble
+    /// `ways - 1` the LRU victim. A fresh or cleared set lists its ways as
+    /// `ways-1, …, 1, 0`, so its fills take way 0, 1, … in turn — invalid
+    /// ways always sit at the LRU end in index order. The victim is thus
+    /// the lowest-index invalid way, else the least recently used one: the
+    /// textbook LRU choice, read from one word.
+    order: Vec<u64>,
+    /// The MRU way's tag per set, mirrored out of `tags`. The dominant
+    /// access — a read re-hitting the MRU line — is answered by comparing
+    /// against this dense 8-byte-per-set array alone. Invariant: `mru_tag[s]
+    /// == tags[s*ways + (order[s] & 0xF)]` once the set has been filled;
+    /// zero (no VALID bit) matches no probe, covering reset and
+    /// [`clear`](Self::clear).
     mru_tag: Vec<u64>,
-    /// Previous MRU way per set, probed when the MRU tag misses: texture
-    /// streams interleave texture and depth lines in a set, and one victim
-    /// slot catches the alternation without a set scan.
-    mru2: Vec<u32>,
-    /// The previous MRU way's `tf & !DIRTY`, or zero when unknown (reset,
-    /// [`clear`](Self::clear), direct-mapped eviction). Soundness invariant:
-    /// whenever nonzero, `mru2_tag[s] == data[s*ways + mru2[s]].tf & !DIRTY`
-    /// — a match proves the line is present in that way.
+    /// The previous MRU way's tag, or zero when unknown (reset,
+    /// [`clear`](Self::clear), direct-mapped eviction), probed when the MRU
+    /// tag misses: texture streams interleave texture and depth lines in a
+    /// set, and this slot catches the alternation without a set probe.
+    /// Soundness invariant: whenever nonzero, `mru2_tag[s] == tags[s*ways +
+    /// (order[s] >> 4 & 0xF)]` — a match proves the line is present in that
+    /// way.
     mru2_tag: Vec<u64>,
-    clock: u64,
     stats: CacheStats,
+}
+
+/// One nibble set in every position.
+const NIBBLES: u64 = 0x1111_1111_1111_1111;
+
+/// `0x7F` in every byte.
+const LOW7: u128 = u128::MAX / 0xFF * 0x7F;
+
+/// The recency order of a fresh set of `ways` ways: `ways-1, …, 1, 0` from
+/// MRU to LRU.
+fn fresh_order(ways: usize) -> u64 {
+    (0..ways).fold(0, |o, k| o | ((ways - 1 - k) as u64) << (4 * k))
+}
+
+/// Moves `way` to the front (MRU end) of the recency order `o`, shifting
+/// the ways that were more recent back by one.
+#[inline]
+fn promote(o: u64, way: u64) -> u64 {
+    // Lowest nibble of `o` equal to `way`: the lowest zero nibble of
+    // `o ^ way…way` (the classic has-zero test is exact for the lowest one).
+    let x = o ^ (way * NIBBLES);
+    let p = (x.wrapping_sub(NIBBLES) & !x & (NIBBLES << 3)).trailing_zeros() / 4;
+    let before = o & ((1u64 << (4 * p)) - 1);
+    let through = (2u64 << (4 * p + 3)).wrapping_sub(1);
+    (o & !through) | before << 4 | way
 }
 
 impl SetAssocCache {
@@ -121,18 +139,20 @@ impl SetAssocCache {
     ///
     /// # Panics
     ///
-    /// Panics if any parameter is zero or capacity is smaller than one way
-    /// of lines.
+    /// Panics if any parameter is zero, `ways` exceeds [`MAX_WAYS`], or
+    /// capacity is smaller than one way of lines.
     pub fn new(capacity_bytes: u64, ways: usize, line_size: u64) -> Self {
         assert!(
             capacity_bytes > 0 && ways > 0 && line_size > 0,
             "cache parameters must be nonzero"
         );
+        assert!(ways <= MAX_WAYS, "at most {MAX_WAYS} ways, got {ways}");
         let lines = capacity_bytes / line_size;
         assert!(lines >= ways as u64, "capacity must hold at least one set");
         let target = (lines / ways as u64).max(1);
         // Round down to a power of two so simple index masking works.
-        let sets = (1u64 << (63 - target.leading_zeros())) as usize;
+        let set_bits = 63 - target.leading_zeros();
+        let sets = 1usize << set_bits;
         let line_shift =
             if line_size.is_power_of_two() { line_size.trailing_zeros() } else { u32::MAX };
         SetAssocCache {
@@ -140,12 +160,13 @@ impl SetAssocCache {
             sets,
             line_size,
             line_shift,
-            data: vec![EMPTY_WAY; sets * ways],
-            mru: vec![0; sets],
+            set_bits,
+            tags: vec![0; sets * ways],
+            ptags: vec![0; sets],
+            dirty: vec![0; sets],
+            order: vec![fresh_order(ways); sets],
             mru_tag: vec![0; sets],
-            mru2: vec![0; sets],
             mru2_tag: vec![0; sets],
-            clock: 0,
             stats: CacheStats::default(),
         }
     }
@@ -155,11 +176,9 @@ impl SetAssocCache {
         self.sets
     }
 
-    /// Accumulated statistics. `accesses` is the access clock itself: both
-    /// advance by exactly one per [`access`](Self::access), so the hot path
-    /// maintains one counter and the other is materialized here.
+    /// Accumulated statistics.
     pub fn stats(&self) -> CacheStats {
-        CacheStats { accesses: self.clock, ..self.stats }
+        self.stats
     }
 
     /// Capacity in bytes actually modeled (sets × ways × line).
@@ -174,102 +193,134 @@ impl SetAssocCache {
     /// Inlined so the dominant case — a read re-hitting the MRU line — folds
     /// into the caller's loop as a compare-and-count with no call overhead;
     /// anything else takes the outlined [`access_slow`](Self::access_slow).
-    #[inline]
+    #[inline(always)]
     pub fn access(&mut self, addr: Addr, write: bool) -> CacheOutcome {
-        self.clock += 1;
+        self.stats.accesses += 1;
         let line = if self.line_shift != u32::MAX {
             addr.0 >> self.line_shift
         } else {
             addr.0 / self.line_size
         };
-        debug_assert!(line & !TAG_MASK == 0, "line number collides with flag bits");
+        debug_assert!(line < 1 << 58, "line number collides with the valid bit");
         let set = (line as usize) & (self.sets - 1);
         let want = line | VALID;
 
         // MRU fast path: the way that hit last time in this set, probed via
-        // the mirrored `mru_tag` array so a read hit never touches the way
-        // metadata. The MRU way's stamp is NOT refreshed: every hit or fill
-        // stamps the way it touches and points `mru` at it, so the MRU way
-        // already holds its set's maximum stamp, and refreshing the maximum
-        // cannot change any relative stamp order — victim selection stays
-        // bit-identical. Write hits still set the way's dirty bit.
+        // the mirrored `mru_tag` array so a read hit touches nothing else.
+        // It is already first in the recency order.
         if self.mru_tag[set] == want {
             if write {
-                self.data[set * self.ways + self.mru[set] as usize].tf |= DIRTY;
+                self.dirty[set] |= 1 << (self.order[set] & 0xF);
             }
             self.stats.hits += 1;
             return CacheOutcome::Hit;
         }
-        // Second probe: the previously-MRU way. Unlike the MRU way it does
-        // not hold its set's maximum stamp, so a hit refreshes the stamp and
-        // promotes — exactly what the scan's hit arm would have done.
+        // Second probe: the previously-MRU way, second in the recency
+        // order. A hit swaps the first two — exactly what a set probe's hit
+        // would have done.
         if self.mru2_tag[set] == want {
-            let i = self.mru2[set];
-            let w = &mut self.data[set * self.ways + i as usize];
-            w.stamp = self.clock;
+            let o = self.order[set];
+            let i = o >> 4 & 0xF;
             if write {
-                w.tf |= DIRTY;
+                self.dirty[set] |= 1 << i;
             }
             self.stats.hits += 1;
-            self.mru2[set] = self.mru[set];
+            self.order[set] = (o & !0xFF) | (o & 0xF) << 4 | i;
             self.mru2_tag[set] = self.mru_tag[set];
-            self.mru[set] = i;
             self.mru_tag[set] = want;
             return CacheOutcome::Hit;
         }
         self.access_slow(set, want, write)
     }
 
-    /// Non-MRU continuation of [`access`](Self::access): full set scan,
-    /// victim selection, and fill. Outlined to keep the inlined fast path
-    /// small.
-    #[cold]
-    fn access_slow(&mut self, set: usize, want: u64, write: bool) -> CacheOutcome {
-        let base = set * self.ways;
-        let ways = &mut self.data[base..base + self.ways];
+    /// `n` back-to-back accesses of the line containing `addr`, returning
+    /// the first one's outcome. Bit-identical to calling
+    /// [`access`](Self::access) `n` times in a row: the first access leaves
+    /// the line in its set's MRU way (a hit promotes it, a fill installs it
+    /// there) and, for a write, already dirty, so each repeat takes the MRU
+    /// fast path, which only counts an access and a hit.
+    #[inline]
+    pub fn access_n(&mut self, addr: Addr, write: bool, n: u32) -> CacheOutcome {
+        debug_assert!(n > 0, "access_n needs at least one access");
+        let out = self.access(addr, write);
+        let repeats = u64::from(n.saturating_sub(1));
+        self.stats.accesses += repeats;
+        self.stats.hits += repeats;
+        out
+    }
 
-        // Full hit scan; on the way, track the LRU victim so a miss needs no
-        // second pass. Key order matches the original `min_by_key`: invalid
-        // ways rank as 0, valid ways as stamp+1, first minimum wins.
-        let mut victim = 0usize;
-        let mut victim_key = u64::MAX;
-        for (i, w) in ways.iter_mut().enumerate() {
-            if (w.tf & !DIRTY) == want {
-                w.stamp = self.clock;
-                if write {
-                    w.tf |= DIRTY;
-                }
-                self.stats.hits += 1;
-                self.mru2[set] = self.mru[set];
-                self.mru2_tag[set] = self.mru_tag[set];
-                self.mru[set] = i as u32;
-                self.mru_tag[set] = want;
-                return CacheOutcome::Hit;
-            }
-            let key = if w.tf & VALID != 0 { w.stamp + 1 } else { 0 };
-            if key < victim_key {
-                victim = i;
-                victim_key = key;
+    /// Reads each line of `lines` in order, then moves the lines that
+    /// missed to the front of `lines`, still in order, and returns how many
+    /// missed. Exactly one read [`access`](Self::access) per line, in the
+    /// same order; batching only lets the caller send the misses on to the
+    /// next level in one go.
+    #[inline]
+    pub fn read_lines(&mut self, lines: &mut [Addr]) -> usize {
+        let mut missed = 0;
+        for i in 0..lines.len() {
+            let addr = lines[i];
+            if !self.access(addr, false).is_hit() {
+                lines[missed] = addr;
+                missed += 1;
             }
         }
+        missed
+    }
 
-        let old = ways[victim];
-        ways[victim] = Way { tf: if write { want | DIRTY } else { want }, stamp: self.clock };
-        // Demote the old MRU way — still resident, since the victim (minimum
-        // key) can never be the valid maximum-stamp MRU way when the set has
-        // two or more ways. Direct-mapped sets just evicted it: record
-        // nothing.
-        self.mru2[set] = self.mru[set];
-        self.mru2_tag[set] = if self.ways == 1 { 0 } else { self.mru_tag[set] };
-        self.mru[set] = victim as u32;
-        self.mru_tag[set] = want;
-        let writeback = if old.tf & (VALID | DIRTY) == (VALID | DIRTY) {
-            self.stats.writebacks += 1;
-            Some(Addr((old.tf & TAG_MASK) * self.line_size))
-        } else {
-            None
+    /// Non-MRU continuation of [`access`](Self::access): set probe, victim
+    /// selection, and fill. Outlined to keep the inlined fast path small.
+    #[inline(never)]
+    fn access_slow(&mut self, set: usize, want: u64, write: bool) -> CacheOutcome {
+        let base = set * self.ways;
+        let o = self.order[set];
+        let ptags = self.ptags[set];
+        let ptag = 0x80 | (want >> self.set_bits & 0x7F) as u8;
+
+        // Bytes of `ptags` equal to `ptag` get their top bit set: a byte is
+        // zero after the XOR iff its low seven bits carry nothing into bit 7
+        // and bit 7 is clear. Invalid ways (zero) never match, since `ptag`
+        // has its top bit set.
+        let x = ptags ^ (u128::from(ptag) * (u128::MAX / 0xFF));
+        let mut candidates = !(((x & LOW7) + LOW7) | x | LOW7);
+        let mut hit = None;
+        while candidates != 0 {
+            let way = candidates.trailing_zeros() as usize / 8;
+            if self.tags[base + way] == want {
+                hit = Some(way as u64);
+                break;
+            }
+            candidates &= candidates - 1;
+        }
+        let (way, outcome) = match hit {
+            Some(way) => {
+                self.stats.hits += 1;
+                (way, CacheOutcome::Hit)
+            }
+            None => {
+                let victim = o >> (4 * (self.ways - 1)) & 0xF;
+                let v = victim as usize;
+                let writeback = if self.dirty[set] & (1 << v) != 0 {
+                    self.dirty[set] &= !(1 << v);
+                    self.stats.writebacks += 1;
+                    Some(Addr((self.tags[base + v] & !VALID) * self.line_size))
+                } else {
+                    None
+                };
+                self.tags[base + v] = want;
+                self.ptags[set] = (ptags & !(0xFF << (8 * v))) | u128::from(ptag) << (8 * v);
+                (victim, CacheOutcome::Miss { writeback })
+            }
         };
-        CacheOutcome::Miss { writeback }
+        if write {
+            self.dirty[set] |= 1 << way;
+        }
+        // The old MRU way becomes second: still resident, since the victim
+        // is last in the order and a set of two or more ways never has its
+        // MRU way last. Direct-mapped sets just evicted it: record nothing.
+        self.order[set] = promote(o, way);
+        self.mru2_tag[set] = if self.ways == 1 { 0 } else { self.mru_tag[set] };
+        self.mru_tag[set] = want;
+        outcome
     }
 
     /// Flushes all dirty lines, returning their base addresses (used at
@@ -284,20 +335,24 @@ impl SetAssocCache {
     /// buffer (cleared first) so per-frame flushes reuse one allocation.
     pub fn flush_dirty_into(&mut self, out: &mut Vec<Addr>) {
         out.clear();
-        for w in &mut self.data {
-            if w.tf & (VALID | DIRTY) == (VALID | DIRTY) {
-                out.push(Addr((w.tf & TAG_MASK) * self.line_size));
-                w.tf &= !DIRTY;
+        for (set, dirty) in self.dirty.iter_mut().enumerate() {
+            for way in 0..self.ways {
+                if *dirty & (1 << way) != 0 {
+                    let tag = self.tags[set * self.ways + way];
+                    out.push(Addr((tag & !VALID) * self.line_size));
+                }
             }
+            *dirty = 0;
         }
         self.stats.writebacks += out.len() as u64;
     }
 
     /// Invalidates everything (keeps statistics).
     pub fn clear(&mut self) {
-        for w in &mut self.data {
-            w.tf = 0;
-        }
+        self.tags.fill(0);
+        self.ptags.fill(0);
+        self.dirty.fill(0);
+        self.order.fill(fresh_order(self.ways));
         // Zero has no VALID bit, so no probe can match a cleared set.
         for t in &mut self.mru_tag {
             *t = 0;
@@ -381,7 +436,8 @@ mod tests {
                 }
             }
         }
-        assert!(c.stats().hit_rate() < 0.1, "thrash hit rate {}", c.stats().hit_rate());
+        let s = c.stats();
+        assert!(s.hits * 10 < s.accesses, "thrash: {} hits of {}", s.hits, s.accesses);
     }
 
     #[test]
@@ -392,7 +448,8 @@ mod tests {
                 c.access(Addr(i * 64), false);
             }
         }
-        assert!(c.stats().hit_rate() > 0.7);
+        let s = c.stats();
+        assert!(s.hits * 10 > s.accesses * 7, "{} hits of {}", s.hits, s.accesses);
     }
 
     #[test]

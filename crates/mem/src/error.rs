@@ -8,6 +8,7 @@
 use std::fmt;
 
 use crate::address::LINE_SIZE;
+use crate::cache::MAX_WAYS;
 use crate::placement::MAX_GPMS;
 
 /// Errors raised by the memory substrate.
@@ -18,14 +19,9 @@ pub enum MemError {
         /// The rejected count.
         requested: usize,
     },
-    /// The page table would exceed its addressable capacity.
-    PageTableExhausted {
-        /// Pages the caller asked to place.
-        requested_pages: u64,
-        /// Pages the table can hold.
-        capacity_pages: u64,
-    },
-    /// A cache level has zero ways or too few bytes for one set of lines.
+    /// A cache level has zero ways, more than
+    /// [`MAX_WAYS`](crate::cache::MAX_WAYS), or too few bytes for one set
+    /// of lines.
     BadCacheGeometry {
         /// `"L1"` or `"L2"`.
         level: &'static str,
@@ -42,15 +38,10 @@ impl fmt::Display for MemError {
             MemError::TooManyGpms { requested } => {
                 write!(f, "supported GPM counts are 1..={MAX_GPMS}, got {requested}")
             }
-            MemError::PageTableExhausted { requested_pages, capacity_pages } => write!(
-                f,
-                "page table exhausted: {requested_pages} pages requested, \
-                 capacity is {capacity_pages}"
-            ),
             MemError::BadCacheGeometry { level, bytes, ways } => write!(
                 f,
                 "{level} cache geometry {bytes} B x {ways} ways is invalid: \
-                 needs at least one way and one set of {LINE_SIZE} B lines"
+                 needs 1..={MAX_WAYS} ways and one set of {LINE_SIZE} B lines"
             ),
         }
     }

@@ -146,22 +146,6 @@ impl PageTable {
         })
     }
 
-    /// Checks that placing `requested_pages` more pages would not exceed the
-    /// dense table's addressable capacity. The simulator lays out all scene
-    /// regions below [`DENSE_LIMIT`] pages (16 GiB); a workload that would
-    /// spill past it indicates a mis-scaled configuration, reported as a
-    /// typed error rather than silent slow-path degradation.
-    pub fn check_capacity(&self, requested_pages: u64) -> Result<(), crate::error::MemError> {
-        let used = self.placed as u64;
-        if used + requested_pages > DENSE_LIMIT {
-            return Err(crate::error::MemError::PageTableExhausted {
-                requested_pages,
-                capacity_pages: DENSE_LIMIT - used.min(DENSE_LIMIT),
-            });
-        }
-        Ok(())
-    }
-
     /// Looks up a placed page's entry.
     #[inline]
     fn entry(&self, page: u64) -> Option<PageEntry> {
@@ -286,11 +270,6 @@ impl PageTable {
         home
     }
 
-    /// Home of a page if already placed.
-    pub fn home_of(&self, addr: Addr) -> Option<GpmId> {
-        self.entry(addr.page()).map(|e| GpmId(e.home))
-    }
-
     /// Migrates a page to a new home (OO-VR PA unit pre-allocation).
     ///
     /// Returns the previous home when the page was already placed elsewhere
@@ -366,7 +345,6 @@ mod tests {
         assert_eq!(pt.resolve(a, GpmId(2)), GpmId(2));
         // Second accessor sees the original home.
         assert_eq!(pt.resolve(a, GpmId(0)), GpmId(2));
-        assert_eq!(pt.home_of(a), Some(GpmId(2)));
     }
 
     #[test]
@@ -445,15 +423,5 @@ mod tests {
             Some(MemError::TooManyGpms { requested: 17 })
         );
         assert!(PageTable::try_new(16, Placement::FirstTouch).is_ok());
-    }
-
-    #[test]
-    fn capacity_check() {
-        let mut pt = PageTable::new(2, Placement::FirstTouch);
-        assert!(pt.check_capacity(1024).is_ok());
-        let err = pt.check_capacity(u64::MAX / 2).unwrap_err();
-        assert!(matches!(err, crate::error::MemError::PageTableExhausted { .. }));
-        pt.resolve(Addr(0), GpmId(0));
-        assert!(pt.check_capacity(0).is_ok());
     }
 }

@@ -10,7 +10,7 @@
 //! to the home — this keeps every byte attributed to its true traffic class.
 
 use crate::address::{Addr, Region, LINE_SIZE, PAGE_SIZE};
-use crate::cache::{CacheStats, SetAssocCache};
+use crate::cache::{CacheStats, SetAssocCache, MAX_WAYS};
 use crate::error::MemError;
 use crate::placement::{GpmId, PageTable, Placement};
 use crate::stats::{Traffic, TrafficClass};
@@ -87,9 +87,9 @@ impl MemorySystem {
         for (level, bytes, ways) in
             [("L1", cfg.l1_bytes, cfg.l1_ways), ("L2", cfg.l2_bytes, cfg.l2_ways)]
         {
-            // `SetAssocCache::new` asserts exactly this: nonzero ways and at
-            // least one set's worth of lines.
-            if ways == 0 || bytes / LINE_SIZE < ways as u64 {
+            // `SetAssocCache::new` asserts exactly this: 1..=MAX_WAYS ways and
+            // at least one set's worth of lines.
+            if ways == 0 || ways > MAX_WAYS || bytes / LINE_SIZE < ways as u64 {
                 return Err(MemError::BadCacheGeometry { level, bytes, ways });
             }
         }
@@ -148,6 +148,24 @@ impl MemorySystem {
         self.read_dram(gpm, line, class)
     }
 
+    /// Reads the line containing each address of `lines` from `gpm` through
+    /// its L1, as one [`read`](Self::read) per address in order with
+    /// `use_l1` set would. The batch probes every line in L1 first, then the L1 misses in
+    /// L2, then resolves the L2 misses in DRAM. L1 sees the whole sequence,
+    /// L2 its L1 misses and the page table its L2 misses, each in the
+    /// original order; no level's outcome depends on a later level's state,
+    /// and the ledger only sums, so the result is bit-identical. `lines` is
+    /// used as scratch and left holding no meaningful order.
+    #[inline]
+    pub fn read_lines(&mut self, gpm: GpmId, lines: &mut [Addr], class: TrafficClass) {
+        let g = gpm.index();
+        let l1_misses = self.l1[g].read_lines(lines);
+        let l2_misses = self.l2[g].read_lines(&mut lines[..l1_misses]);
+        for &addr in &lines[..l2_misses] {
+            self.read_dram(gpm, addr.line_base(), class);
+        }
+    }
+
     /// DRAM continuation of [`read`](Self::read): NUMA home resolution plus
     /// the pending/total ledger charges. Outlined — it runs only on misses.
     #[cold]
@@ -175,9 +193,17 @@ impl MemorySystem {
     /// (L2-resident) case is the common one in the pixel-output stream.
     #[inline]
     pub fn write(&mut self, gpm: GpmId, addr: Addr, class: TrafficClass) {
+        self.write_n(gpm, addr, class, 1);
+    }
+
+    /// `n` back-to-back [`write`](Self::write)s of the line containing
+    /// `addr`: only the first can miss L2, after which the line is its
+    /// set's MRU way and every repeat is a coalesced hit
+    /// ([`SetAssocCache::access_n`]).
+    #[inline]
+    pub fn write_n(&mut self, gpm: GpmId, addr: Addr, class: TrafficClass, n: u32) {
         let line = addr.line_base();
-        let g = gpm.index();
-        if self.l2[g].access(line, false).is_hit() {
+        if self.l2[gpm.index()].access_n(line, false, n).is_hit() {
             return;
         }
         self.write_dram(gpm, line, class);
@@ -215,23 +241,6 @@ impl MemorySystem {
             self.pending.add_link_only(from, to, class, bytes);
             self.total.add_link_only(from, to, class, bytes);
         }
-    }
-
-    /// Pre-allocates (migrates) all pages of `region` to `to`, charging link
-    /// transfers for pages that previously lived elsewhere (OO-VR PA units,
-    /// §5.2). Returns the number of bytes copied over links.
-    pub fn prealloc_region(&mut self, region: Region, to: GpmId) -> u64 {
-        let mut moved = 0;
-        for page in region.pages() {
-            let addr = Addr(page * PAGE_SIZE);
-            if let Some(from) = self.page_table.migrate(addr, to) {
-                self.pending_any = true;
-                self.pending.add_link_only(from, to, TrafficClass::PreAlloc, PAGE_SIZE);
-                self.total.add_link_only(from, to, TrafficClass::PreAlloc, PAGE_SIZE);
-                moved += PAGE_SIZE;
-            }
-        }
-        moved
     }
 
     /// Replicates all pages of `region` at `at` (fine-grained stealing's
@@ -344,22 +353,6 @@ mod tests {
     }
 
     #[test]
-    fn prealloc_moves_pages_once() {
-        let mut m = sys(2);
-        // Home page 0 at GPM0.
-        m.read(GpmId(0), Addr(0), TrafficClass::Texture, false);
-        let region = Region { base: 0, size: PAGE_SIZE };
-        let moved = m.prealloc_region(region, GpmId(1));
-        assert_eq!(moved, PAGE_SIZE);
-        assert_eq!(m.total_traffic().remote_of(TrafficClass::PreAlloc), PAGE_SIZE);
-        // Second prealloc to the same GPM is free.
-        assert_eq!(m.prealloc_region(region, GpmId(1)), 0);
-        // Unplaced pages place for free.
-        let region2 = Region { base: 4 * PAGE_SIZE, size: PAGE_SIZE };
-        assert_eq!(m.prealloc_region(region2, GpmId(1)), 0);
-    }
-
-    #[test]
     fn replicate_region_localizes_reads() {
         let mut m = sys(2);
         m.read(GpmId(0), Addr(0), TrafficClass::Texture, false);
@@ -380,6 +373,15 @@ mod tests {
         assert_eq!(p.local_bytes(), LINE_SIZE);
         assert!(m.drain_pending().is_empty());
         assert_eq!(m.total_traffic().local_bytes(), LINE_SIZE);
+    }
+
+    #[test]
+    fn more_ways_than_the_recency_word_holds_are_rejected() {
+        let cfg = MemConfig { l2_ways: MAX_WAYS + 1, ..MemConfig::default() };
+        let err = MemorySystem::try_new(2, cfg, Placement::FirstTouch).unwrap_err();
+        assert!(matches!(err, MemError::BadCacheGeometry { level: "L2", .. }));
+        let cfg = MemConfig { l2_ways: MAX_WAYS, ..MemConfig::default() };
+        assert!(MemorySystem::try_new(2, cfg, Placement::FirstTouch).is_ok());
     }
 
     #[test]

@@ -2,8 +2,9 @@
 //! reference models.
 //!
 //! The hot-path implementations trade clarity for speed: `SetAssocCache`
-//! packs valid/dirty flags into the tag word, probes an MRU way first and
-//! skips refreshing its LRU stamp; `PageTable` translates through a chunked
+//! probes its two most recent ways first, finds other ways through one-byte
+//! partial tags and keeps its LRU order as one nibble per way in a word;
+//! `PageTable` translates through a chunked
 //! dense array with a per-accessor lookaside instead of a hash map;
 //! `MemorySystem` drains its traffic ledger by swapping scratch buffers
 //! instead of allocating per quantum. These properties drive the optimized
@@ -12,7 +13,9 @@
 //! epoch — through identical operation streams and require *bit-identical*
 //! observable behavior: per-access outcomes, write-back addresses, hit/miss
 //! statistics, placement decisions, capacity accounting, and per-class
-//! per-link traffic.
+//! per-link traffic. The fragment kernel's batched primitives — repeat
+//! accesses, batched texel-line reads, run-length writes and the quad depth
+//! test — are held to the one-at-a-time operations they replace.
 
 use std::collections::HashMap;
 
@@ -451,6 +454,160 @@ proptest! {
             opt.page_table().resident_bytes(),
             &reference.page_table.resident[..]
         );
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Fragment-kernel primitives against the one-at-a-time operations they
+// batch.
+// ---------------------------------------------------------------------------
+
+/// Every page `addrs` touch, resolved from GPM 0 on the page table behind
+/// `resolve` (placed pages report their home; unplaced ones are placed the
+/// same way on both sides, so the comparison stays fair).
+fn homes(addrs: &[u64], mut resolve: impl FnMut(Addr) -> GpmId) -> Vec<GpmId> {
+    let mut pages: Vec<u64> = addrs.iter().map(|&a| a / PAGE_SIZE).collect();
+    pages.sort_unstable();
+    pages.dedup();
+    pages.into_iter().map(|p| resolve(Addr(p * PAGE_SIZE))).collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// `access_n(a, w, n)` is `n` back-to-back `access(a, w)` calls: the
+    /// same first outcome and write-back, and — since the stream goes on
+    /// against a textbook LRU that did the repeats one by one — the same
+    /// later outcomes and victims, statistics and dirty set.
+    #[test]
+    fn access_n_matches_repeated_access(
+        geometry in (0u64..3, 0usize..5),
+        ops in prop::collection::vec((0u64..1 << 13, 0u8..2, 1u32..6), 1..400),
+    ) {
+        let (cap_sel, ways_exp) = geometry;
+        let capacity = 1u64 << (10 + cap_sel);
+        let ways = 1 << ways_exp; // 1–16
+        let mut opt = SetAssocCache::new(capacity, ways, 64);
+        let mut reference = RefCache::new(capacity, ways, 64);
+        for (i, &(a, write, n)) in ops.iter().enumerate() {
+            let write = write == 1;
+            let out = opt.access_n(Addr(a), write, n);
+            let (hit_ref, wb_ref) = reference.access(Addr(a), write);
+            for _ in 1..n {
+                reference.access(Addr(a), write);
+            }
+            prop_assert_eq!(out.is_hit(), hit_ref, "outcome divergence at op {}", i);
+            let wb = match out {
+                oovr_mem::cache::CacheOutcome::Miss { writeback } => writeback,
+                oovr_mem::cache::CacheOutcome::Hit => None,
+            };
+            prop_assert_eq!(wb, wb_ref, "victim divergence at op {}", i);
+        }
+        let s = opt.stats();
+        prop_assert_eq!(
+            (s.accesses, s.hits, s.writebacks),
+            (reference.accesses, reference.hits, reference.writebacks)
+        );
+        let mut d_opt = opt.flush_dirty();
+        let mut d_ref = reference.flush_dirty();
+        d_opt.sort();
+        d_ref.sort();
+        prop_assert_eq!(d_opt, d_ref, "final dirty sets differ");
+    }
+
+    /// `MemorySystem::read_lines` (L1 probes, then the L1 misses in L2,
+    /// then the L2 misses in DRAM) and `write_n` behave exactly like one
+    /// `read(.., use_l1 = true)` per line in order and `n` writes on the
+    /// reference composition: same per-epoch ledgers, cumulative traffic,
+    /// cache statistics and page placement. Batches repeat and collide
+    /// lines in the small caches, so any reordering within a level shows.
+    #[test]
+    fn batched_reads_and_run_writes_match_reference(
+        n_gpms in 1usize..5,
+        ops in prop::collection::vec(
+            (0u8..6, prop::collection::vec(0u64..1 << 15, 1..20), (0u8..4, 0u8..4), 1u32..5),
+            1..120,
+        ),
+    ) {
+        let cfg = MemConfig { l1_bytes: 2048, l1_ways: 2, l2_bytes: 4096, l2_ways: 4 };
+        let mut opt = MemorySystem::new(n_gpms, cfg, Placement::FirstTouch);
+        let mut reference = RefMemorySystem::new(n_gpms, cfg, Placement::FirstTouch);
+        let mut scratch = Traffic::new(n_gpms);
+        let mut touched = Vec::new();
+        for (i, (op, addrs, (gpm, class_sel), n)) in ops.iter().enumerate() {
+            let gpm = GpmId(gpm % n_gpms as u8);
+            let class = CLASSES[*class_sel as usize];
+            touched.extend_from_slice(addrs);
+            match op {
+                0..=2 => {
+                    let mut lines: Vec<Addr> = addrs.iter().map(|&a| Addr(a)).collect();
+                    opt.read_lines(gpm, &mut lines, class);
+                    for &a in addrs {
+                        reference.read(gpm, Addr(a), class, true);
+                    }
+                }
+                3 | 4 => {
+                    let a = Addr(addrs[0]);
+                    opt.write_n(gpm, a, class, *n);
+                    for _ in 0..*n {
+                        reference.write(gpm, a, class);
+                    }
+                }
+                _ => {
+                    opt.drain_pending_into(&mut scratch);
+                    prop_assert_eq!(&scratch, &reference.drain_pending(), "epoch ledger divergence at op {}", i);
+                }
+            }
+        }
+        prop_assert_eq!(opt.total_traffic(), &reference.total, "cumulative ledgers differ");
+        for g in GpmId::all(n_gpms) {
+            let (l1o, l1r) = (opt.l1_stats(g), &reference.l1[g.index()]);
+            prop_assert_eq!((l1o.accesses, l1o.hits), (l1r.accesses, l1r.hits));
+            let (l2o, l2r) = (opt.l2_stats(g), &reference.l2[g.index()]);
+            prop_assert_eq!((l2o.accesses, l2o.hits), (l2r.accesses, l2r.hits));
+        }
+        prop_assert_eq!(opt.page_table().resident_bytes(), &reference.page_table.resident[..]);
+        let opt_homes = homes(&touched, |a| opt.page_table_mut().resolve(a, GpmId(0)));
+        let ref_homes = homes(&touched, |a| reference.page_table.resolve(a, GpmId(0)));
+        prop_assert_eq!(opt_homes, ref_homes, "page placement differs");
+    }
+
+    /// `ZBuffer::test_quad` passes, and writes, exactly the pixels four
+    /// `test_and_set` calls would, for every mask, on frames with odd
+    /// widths and heights so quads straddle the right and bottom edges (and
+    /// some lie wholly outside).
+    #[test]
+    fn quad_depth_test_matches_per_pixel(
+        size in (1u32..12, 1u32..12),
+        ops in prop::collection::vec((0u32..7, 0u32..7, 0u8..16, 0u8..8), 1..200),
+    ) {
+        let (w, h) = size;
+        let mut quad = oovr_gpu::ZBuffer::new(w, h);
+        let mut pixels = oovr_gpu::ZBuffer::new(w, h);
+        let z_of = |zi: u8| f32::from(zi) / 8.0;
+        for (i, &(qx, qy, mask, zi)) in ops.iter().enumerate() {
+            let (x, y, z) = (2 * qx, 2 * qy, z_of(zi));
+            let got = quad.test_quad(x, y, mask, z);
+            let mut want = 0u8;
+            for bit in 0..4u32 {
+                let (px, py) = (x + (bit & 1), y + (bit >> 1));
+                if mask & (1 << bit) != 0 && pixels.test_and_set(px, py, z) {
+                    want |= 1 << bit;
+                }
+            }
+            prop_assert_eq!(got, want, "pass mask divergence at op {} quad ({}, {})", i, x, y);
+        }
+        // The buffers agree pixel by pixel: probe each from the farthest
+        // depth inward; the first level that passes is just nearer than
+        // the stored value (probing writes both buffers alike).
+        for y in 0..h {
+            for x in 0..w {
+                for zi in (0..9u8).rev() {
+                    let z = z_of(zi);
+                    prop_assert_eq!(quad.test_and_set(x, y, z), pixels.test_and_set(x, y, z));
+                }
+            }
+        }
     }
 }
 
