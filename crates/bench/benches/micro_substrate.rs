@@ -19,15 +19,15 @@ fn bench(c: &mut Criterion) {
         let mut i = 0u64;
         b.iter(|| {
             i = (i + 64) % (512 * 1024);
-            black_box(cache.access(Addr(i), false).is_hit())
+            black_box(cache.access(Addr(i)).is_hit())
         })
     });
 
     // MRU-way fast path: repeated hits on one line resolve from the probe.
     c.bench_function("cache_probe_mru_hit", |b| {
         let mut cache = SetAssocCache::new(1024 * 1024, 8, 64);
-        cache.access(Addr(0), false);
-        b.iter(|| black_box(cache.access(Addr(0), false).is_hit()))
+        cache.access(Addr(0));
+        b.iter(|| black_box(cache.access(Addr(0)).is_hit()))
     });
 
     // Page translation: line-granular streaming (lookaside-friendly — ~64

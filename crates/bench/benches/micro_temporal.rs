@@ -4,9 +4,10 @@
 //! concurrent sessions the capacity probe can price. A decision first
 //! asks the scene bound whether any probe can move past the threshold; if
 //! none can it returns the all-reuse decision at once (the fast branch).
-//! Otherwise it takes the exact branch: the motion kernel measures every
-//! object's projected-bound motion in one flat loop over all corners, and
-//! a branch-free fold sums the per-GPM loads. The decision is timed on
+//! Otherwise it takes the exact branch: objects whose grid cells all pass
+//! the bound are reused unmeasured, the motion kernel measures the rest
+//! in flat loops over their corners, and a branch-free fold sums the
+//! per-GPM loads. The decision is timed on
 //! both branches on the draw-heavy WE scene, on the fast branch on the
 //! short HL2-640 walk, and the bound and the kernel alone on WE, so the
 //! split between the stages stays visible. Each decide bench asserts the

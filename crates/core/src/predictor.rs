@@ -135,22 +135,6 @@ impl EngineCounters {
         let elapsed = coeff.elapsed(tv.saturating_sub(tv0), pixels.saturating_sub(px0));
         (self.totals[gpm] - elapsed).max(0.0)
     }
-
-    /// GPM predicted to become available first.
-    pub fn earliest_available(
-        &self,
-        coeff: &Coefficients,
-        counters: impl Fn(usize) -> (u64, u64),
-    ) -> usize {
-        (0..self.totals.len())
-            .map(|g| {
-                let (tv, px) = counters(g);
-                (g, self.remaining(g, coeff, tv, px))
-            })
-            .min_by(|a, b| a.1.total_cmp(&b.1))
-            .map(|(g, _)| g)
-            .expect("at least one GPM")
-    }
 }
 
 #[cfg(test)]
@@ -203,8 +187,7 @@ mod tests {
         eng.assign(0, 1000.0);
         eng.assign(1, 1000.0);
         // GPM1 has transformed more vertices → less remaining.
-        let pick = eng.earliest_available(&coeff, |g| if g == 1 { (800, 0) } else { (100, 0) });
-        assert_eq!(pick, 1);
+        assert!(eng.remaining(1, &coeff, 800, 0) < eng.remaining(0, &coeff, 100, 0));
         assert_eq!(eng.remaining(1, &coeff, 800, 0), 200.0);
         // Remaining never goes negative.
         assert_eq!(eng.remaining(1, &coeff, 5000, 0), 0.0);
@@ -225,8 +208,9 @@ mod tests {
         eng.assign(2, 500.0);
         eng.assign(2, 300.0);
         assert_eq!(eng.remaining(2, &coeff, 0, 0), 800.0);
-        // Un-assigned GPMs show zero remaining and win earliest-available.
-        assert_eq!(eng.earliest_available(&coeff, |_| (0, 0)), 0);
+        // Un-assigned GPMs show zero remaining.
+        assert_eq!(eng.remaining(0, &coeff, 0, 0), 0.0);
+        assert_eq!(eng.remaining(1, &coeff, 0, 0), 0.0);
     }
 
     #[test]

@@ -42,8 +42,10 @@
 
 use oovr_frameworks::atw;
 use oovr_gpu::GpuConfig;
+use oovr_mem::placement::MAX_GPMS;
 use oovr_mem::Cycle;
 use oovr_scene::{MotionKernel, Pose, PoseDelta, PoseTrajectory, Scene};
+use std::ops::Range;
 
 /// Default reuse threshold in pixels of projected-bound motion.
 ///
@@ -112,10 +114,19 @@ impl TemporalDecision {
 /// delta.
 #[derive(Debug, Clone)]
 pub struct TemporalProfile {
-    /// One motion probe per object, in object order.
+    /// One motion probe per object, grouped by the cells its corners bin
+    /// into ([`MotionKernel::probe_cells`]): probe `i` is object
+    /// `order[i]` for a build-time `order`, and every column below is
+    /// laid out in probe order.
     motion: MotionKernel,
+    /// Each group's cells and its contiguous probe range, covering every
+    /// probe in order.
+    groups: Vec<(u16, Range<usize>)>,
+    /// Each group's summed `reuse` column per GPM, `[group × n_gpms +
+    /// gpm]`: what the group costs when all of it is reused.
+    group_reuse: Vec<Cycle>,
     /// What each object costs each GPM if it re-renders: its steady-frame
-    /// busy, in per-GPM columns `[gpm × n_objects + object]`.
+    /// busy, in per-GPM columns `[gpm × n_objects + probe]`.
     rerender: Vec<Cycle>,
     /// What each object costs each GPM if it is reused: its ATW warp cost,
     /// clamped to the busy it replaces, on its resident GPM (argmax busy,
@@ -138,7 +149,8 @@ impl TemporalProfile {
     ///
     /// # Panics
     ///
-    /// Panics if the attribution extents disagree with the scene.
+    /// Panics if the attribution extents disagree with the scene, or if
+    /// `n_gpms` is zero or above [`MAX_GPMS`].
     pub fn new(
         scene: &Scene,
         cfg: &GpuConfig,
@@ -147,31 +159,57 @@ impl TemporalProfile {
         pixels: &[u64],
         steady_cycles: Cycle,
     ) -> Self {
-        let n = scene.objects().len();
+        let objects = scene.objects();
+        let n = objects.len();
+        assert!((1..=MAX_GPMS).contains(&n_gpms), "{n_gpms} GPMs");
         assert_eq!(busy.len(), n * n_gpms, "busy attribution extent");
         assert_eq!(pixels.len(), n, "pixel attribution extent");
+        // Probes grouped by their cells, so each group is one contiguous
+        // range. Every per-probe quantity is computed from that probe
+        // alone and every sum below is an integer sum, so the order
+        // changes no decision.
+        let order = scene.motion_kernel().probe_order();
+        let motion = MotionKernel::new(order.iter().map(|&o| &objects[o]), scene.resolution());
         let mut rerender = vec![0; n * n_gpms];
         let mut reuse = vec![0; n * n_gpms];
-        for (o, (row, &px)) in busy.chunks_exact(n_gpms.max(1)).zip(pixels).enumerate() {
+        for (i, &o) in order.iter().enumerate() {
+            let (row, px) = (&busy[o * n_gpms..(o + 1) * n_gpms], pixels[o]);
             let (resident, &resident_busy) = row
                 .iter()
                 .enumerate()
                 .max_by(|(ga, a), (gb, b)| a.cmp(b).then(gb.cmp(ga)))
                 .expect("at least one GPM");
             for (g, &b) in row.iter().enumerate() {
-                rerender[g * n + o] = b;
+                rerender[g * n + i] = b;
             }
             // Clamp each warp to the busy it replaces: reusing an object
             // must never cost more than rendering it, or the threshold
             // sweep would lose its monotonicity (and a degenerate
             // off-screen object could make reuse a pessimization).
-            reuse[resident * n + o] = atw::warp_cycles_for_pixels(px, cfg).min(resident_busy);
+            reuse[resident * n + i] = atw::warp_cycles_for_pixels(px, cfg).min(resident_busy);
         }
+        let mut groups: Vec<(u16, Range<usize>)> = Vec::new();
+        for (i, &c) in motion.probe_cells().iter().enumerate() {
+            match groups.last_mut() {
+                Some((cells, probes)) if *cells == c => probes.end = i + 1,
+                _ => groups.push((c, i..i + 1)),
+            }
+        }
+        let group_reuse = groups
+            .iter()
+            .flat_map(|(_, probes)| {
+                let reuse = &reuse;
+                (0..n_gpms)
+                    .map(move |g| reuse[g * n + probes.start..g * n + probes.end].iter().sum())
+            })
+            .collect();
         let critical = |loads: &[Cycle]| {
             loads.chunks_exact(n.max(1)).map(|col| col.iter().sum()).max().unwrap_or(0)
         };
         TemporalProfile {
-            motion: scene.motion_kernel(),
+            motion,
+            groups,
+            group_reuse,
             full_max: critical(&rerender),
             reuse_max: critical(&reuse),
             rerender,
@@ -190,17 +228,13 @@ impl TemporalProfile {
         self.steady_cycles
     }
 
-    /// Critical-path GPM busy of a full re-render (excludes composition).
-    pub fn busy_max(&self) -> Cycle {
-        self.full_max
-    }
-
     /// Decides reuse for one frame under the pose delta `from → to`.
     ///
-    /// When the scene bound ([`MotionKernel::all_below`]) proves every
-    /// motion below `threshold`, the all-reuse decision is returned
-    /// without measuring a probe; it equals what the measured walk would
-    /// return.
+    /// A probe whose cells all pass the per-cell bound
+    /// ([`MotionKernel::cells_below`]) is provably below `threshold`, so
+    /// it is reused without measuring it; when every cell passes, the
+    /// all-reuse decision is returned at once. Either way the decision
+    /// equals what measuring every probe would return.
     ///
     /// Deterministic f64 throughout — same poses and threshold, same
     /// decision, on every call and every host.
@@ -213,7 +247,8 @@ impl TemporalProfile {
             return TemporalDecision { reused: 0, rerendered: objects, saved: 0 };
         }
         let delta = PoseDelta::new(from, to);
-        if self.motion.all_below(&delta, threshold) {
+        let pass = self.motion.cells_below(&delta, threshold);
+        if pass == self.motion.occupied_cells() {
             // Every motion is provably below the threshold, so the fold
             // below would set every mask: its loads are the reuse columns.
             return TemporalDecision {
@@ -222,9 +257,37 @@ impl TemporalProfile {
                 saved: self.full_max - self.reuse_max,
             };
         }
-        let mut loads = vec![0; self.rerender.len() / n];
+        let n_gpms = self.rerender.len() / n;
+        let mut loads = [0; MAX_GPMS];
+        let loads = &mut loads[..n_gpms];
         let mut reused = 0u32;
-        self.motion.for_each_block(&delta, |first, motions| {
+        // A group whose cells all pass is reused whole: the fold below
+        // would add exactly its reuse sums.
+        let skipped = |cells: u16| cells & !pass == 0;
+        for ((cells, probes), sums) in self.groups.iter().zip(self.group_reuse.chunks_exact(n_gpms))
+        {
+            if skipped(*cells) {
+                reused += probes.len() as u32;
+                for (load, &sum) in loads.iter_mut().zip(sums) {
+                    *load += sum;
+                }
+            }
+        }
+        // The other groups are measured, adjacent ones as one range.
+        let mut measured = self
+            .groups
+            .iter()
+            .filter(|(cells, _)| !skipped(*cells))
+            .map(|(_, probes)| probes.clone())
+            .peekable();
+        let runs = std::iter::from_fn(|| {
+            let mut run = measured.next()?;
+            while let Some(next) = measured.next_if(|next| next.start == run.end) {
+                run.end = next.end;
+            }
+            Some(run)
+        });
+        self.motion.for_each_block_in(&delta, runs, |first, motions| {
             // All ones for a reused object, zero for a re-rendered one.
             let mut masks = [0; MotionKernel::BLOCK];
             for (m, &motion) in masks.iter_mut().zip(motions) {
@@ -290,10 +353,10 @@ mod tests {
         // Every steady busy cycle was attributed to some object, so the
         // per-GPM totals reconstruct the report's critical path exactly.
         assert_eq!(
-            profile.busy_max() + steady.composition_cycles,
+            profile.full_max + steady.composition_cycles,
             steady.frame_cycles,
             "busy max {} + composition {}",
-            profile.busy_max(),
+            profile.full_max,
             steady.composition_cycles
         );
         assert_eq!(profile.n_objects(), scene.objects().len());

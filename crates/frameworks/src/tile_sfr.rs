@@ -15,10 +15,7 @@
 
 use std::collections::VecDeque;
 
-use oovr_gpu::{
-    partition_of_column, partition_of_row, ColorMode, Composition, Executor, FbOrg, FrameReport,
-    GpuConfig, RenderUnit,
-};
+use oovr_gpu::{ColorMode, Composition, Executor, FbOrg, FrameReport, GpuConfig, RenderUnit};
 use oovr_mem::Placement;
 use oovr_scene::{Eye, Rect, Scene};
 
@@ -129,26 +126,11 @@ impl RenderScheme for TileSfr {
     }
 }
 
-/// Strip owner of a pixel under an orientation (exported for tests and
-/// composition reuse).
-pub fn strip_owner(
-    orientation: Orientation,
-    x: u32,
-    y: u32,
-    stereo_w: u32,
-    h: u32,
-    n: usize,
-) -> usize {
-    match orientation {
-        Orientation::Vertical => partition_of_column(x, stereo_w, n),
-        Orientation::Horizontal => partition_of_row(y, h, n),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::baseline::Baseline;
+    use oovr_gpu::{partition_of_column, partition_of_row};
     use oovr_scene::benchmarks;
 
     #[test]
@@ -202,8 +184,9 @@ mod tests {
 
     #[test]
     fn strip_owner_maps_extremes() {
-        assert_eq!(strip_owner(Orientation::Vertical, 0, 0, 128, 64, 4), 0);
-        assert_eq!(strip_owner(Orientation::Vertical, 127, 0, 128, 64, 4), 3);
-        assert_eq!(strip_owner(Orientation::Horizontal, 0, 63, 128, 64, 4), 3);
+        // Vertical strips split the columns, horizontal strips the rows.
+        assert_eq!(partition_of_column(0, 128, 4), 0);
+        assert_eq!(partition_of_column(127, 128, 4), 3);
+        assert_eq!(partition_of_row(63, 64, 4), 3);
     }
 }

@@ -1,9 +1,10 @@
-//! Set-associative cache model with LRU replacement and write-back support.
+//! Set-associative cache model with LRU replacement.
 //!
 //! Used for each GPM's aggregated L1 (texture/vertex reads) and its
 //! memory-side L2 (Table 2: 4 MiB total, 16-way). The model is functional —
-//! it tracks presence and dirtiness per line to produce miss/write-back
-//! traffic; it stores no data.
+//! it tracks presence per line to produce miss traffic; it stores no data.
+//! The memory system models writes as write-through
+//! (`MemorySystem::write`), so the model keeps no dirty state.
 
 use crate::address::Addr;
 
@@ -12,12 +13,8 @@ use crate::address::Addr;
 pub enum CacheOutcome {
     /// Line was present.
     Hit,
-    /// Line was absent and has been allocated. If a dirty victim was
-    /// evicted, its line base address is carried here for write-back.
-    Miss {
-        /// Dirty line evicted to make room, if any.
-        writeback: Option<Addr>,
-    },
+    /// Line was absent and has been allocated.
+    Miss,
 }
 
 impl CacheOutcome {
@@ -39,8 +36,6 @@ pub struct CacheStats {
     pub accesses: u64,
     /// Hits.
     pub hits: u64,
-    /// Dirty lines written back on eviction.
-    pub writebacks: u64,
 }
 
 /// Most ways a set can have: a set's recency order is one nibble per way
@@ -53,12 +48,12 @@ pub const MAX_WAYS: usize = 16;
 /// use oovr_mem::{Addr, SetAssocCache};
 ///
 /// let mut l1 = SetAssocCache::new(128 * 1024, 8, 64);
-/// assert!(!l1.access(Addr(0x1000), false).is_hit()); // cold miss
-/// assert!(l1.access(Addr(0x1020), false).is_hit());  // same 64 B line
+/// assert!(!l1.access(Addr(0x1000)).is_hit()); // cold miss
+/// assert!(l1.access(Addr(0x1020)).is_hit());  // same 64 B line
 /// ```
 ///
 /// All per-set state a miss needs lives in small dense arrays (recency
-/// order, partial tags and dirty bits take 26 bytes a set), so a probe
+/// order and partial tags take 24 bytes a set), so a probe
 /// that misses reads no per-way memory, and a hit beyond the two MRU ways
 /// reads one full tag. Only the full tag array is per way (8 bytes a way).
 #[derive(Debug, Clone)]
@@ -79,8 +74,6 @@ pub struct SetAssocCache {
     /// partial tags at once; only a matching way's full tag is read, and a
     /// probe none matches is a miss without reading any.
     ptags: Vec<u128>,
-    /// Per set, bit `w` is way `w`'s dirty flag.
-    dirty: Vec<u16>,
     /// Per set, its ways from most to least recently used, one nibble
     /// each: nibble 0 is the MRU way, nibble 1 the previous MRU way, nibble
     /// `ways - 1` the LRU victim. A fresh or cleared set lists its ways as
@@ -163,7 +156,6 @@ impl SetAssocCache {
             set_bits,
             tags: vec![0; sets * ways],
             ptags: vec![0; sets],
-            dirty: vec![0; sets],
             order: vec![fresh_order(ways); sets],
             mru_tag: vec![0; sets],
             mru2_tag: vec![0; sets],
@@ -186,15 +178,13 @@ impl SetAssocCache {
         self.sets as u64 * self.ways as u64 * self.line_size
     }
 
-    /// Accesses the line containing `addr`; `write` marks the line dirty.
-    /// Allocates on miss (write-allocate); dirty victims are reported for
-    /// write-back.
+    /// Accesses the line containing `addr`, allocating it on a miss.
     ///
     /// Inlined so the dominant case — a read re-hitting the MRU line — folds
     /// into the caller's loop as a compare-and-count with no call overhead;
     /// anything else takes the outlined [`access_slow`](Self::access_slow).
     #[inline(always)]
-    pub fn access(&mut self, addr: Addr, write: bool) -> CacheOutcome {
+    pub fn access(&mut self, addr: Addr) -> CacheOutcome {
         self.stats.accesses += 1;
         let line = if self.line_shift != u32::MAX {
             addr.0 >> self.line_shift
@@ -209,9 +199,6 @@ impl SetAssocCache {
         // the mirrored `mru_tag` array so a read hit touches nothing else.
         // It is already first in the recency order.
         if self.mru_tag[set] == want {
-            if write {
-                self.dirty[set] |= 1 << (self.order[set] & 0xF);
-            }
             self.stats.hits += 1;
             return CacheOutcome::Hit;
         }
@@ -221,28 +208,25 @@ impl SetAssocCache {
         if self.mru2_tag[set] == want {
             let o = self.order[set];
             let i = o >> 4 & 0xF;
-            if write {
-                self.dirty[set] |= 1 << i;
-            }
             self.stats.hits += 1;
             self.order[set] = (o & !0xFF) | (o & 0xF) << 4 | i;
             self.mru2_tag[set] = self.mru_tag[set];
             self.mru_tag[set] = want;
             return CacheOutcome::Hit;
         }
-        self.access_slow(set, want, write)
+        self.access_slow(set, want)
     }
 
     /// `n` back-to-back accesses of the line containing `addr`, returning
     /// the first one's outcome. Bit-identical to calling
     /// [`access`](Self::access) `n` times in a row: the first access leaves
     /// the line in its set's MRU way (a hit promotes it, a fill installs it
-    /// there) and, for a write, already dirty, so each repeat takes the MRU
-    /// fast path, which only counts an access and a hit.
+    /// there), so each repeat takes the MRU fast path, which only counts an
+    /// access and a hit.
     #[inline]
-    pub fn access_n(&mut self, addr: Addr, write: bool, n: u32) -> CacheOutcome {
+    pub fn access_n(&mut self, addr: Addr, n: u32) -> CacheOutcome {
         debug_assert!(n > 0, "access_n needs at least one access");
-        let out = self.access(addr, write);
+        let out = self.access(addr);
         let repeats = u64::from(n.saturating_sub(1));
         self.stats.accesses += repeats;
         self.stats.hits += repeats;
@@ -251,7 +235,7 @@ impl SetAssocCache {
 
     /// Reads each line of `lines` in order, then moves the lines that
     /// missed to the front of `lines`, still in order, and returns how many
-    /// missed. Exactly one read [`access`](Self::access) per line, in the
+    /// missed. Exactly one [`access`](Self::access) per line, in the
     /// same order; batching only lets the caller send the misses on to the
     /// next level in one go.
     #[inline]
@@ -259,7 +243,7 @@ impl SetAssocCache {
         let mut missed = 0;
         for i in 0..lines.len() {
             let addr = lines[i];
-            if !self.access(addr, false).is_hit() {
+            if !self.access(addr).is_hit() {
                 lines[missed] = addr;
                 missed += 1;
             }
@@ -270,7 +254,7 @@ impl SetAssocCache {
     /// Non-MRU continuation of [`access`](Self::access): set probe, victim
     /// selection, and fill. Outlined to keep the inlined fast path small.
     #[inline(never)]
-    fn access_slow(&mut self, set: usize, want: u64, write: bool) -> CacheOutcome {
+    fn access_slow(&mut self, set: usize, want: u64) -> CacheOutcome {
         let base = set * self.ways;
         let o = self.order[set];
         let ptags = self.ptags[set];
@@ -299,21 +283,11 @@ impl SetAssocCache {
             None => {
                 let victim = o >> (4 * (self.ways - 1)) & 0xF;
                 let v = victim as usize;
-                let writeback = if self.dirty[set] & (1 << v) != 0 {
-                    self.dirty[set] &= !(1 << v);
-                    self.stats.writebacks += 1;
-                    Some(Addr((self.tags[base + v] & !VALID) * self.line_size))
-                } else {
-                    None
-                };
                 self.tags[base + v] = want;
                 self.ptags[set] = (ptags & !(0xFF << (8 * v))) | u128::from(ptag) << (8 * v);
-                (victim, CacheOutcome::Miss { writeback })
+                (victim, CacheOutcome::Miss)
             }
         };
-        if write {
-            self.dirty[set] |= 1 << way;
-        }
         // The old MRU way becomes second: still resident, since the victim
         // is last in the order and a set of two or more ways never has its
         // MRU way last. Direct-mapped sets just evicted it: record nothing.
@@ -323,35 +297,10 @@ impl SetAssocCache {
         outcome
     }
 
-    /// Flushes all dirty lines, returning their base addresses (used at
-    /// frame boundaries so lingering framebuffer lines are charged).
-    pub fn flush_dirty(&mut self) -> Vec<Addr> {
-        let mut out = Vec::new();
-        self.flush_dirty_into(&mut out);
-        out
-    }
-
-    /// Like [`flush_dirty`](Self::flush_dirty), but fills a caller-provided
-    /// buffer (cleared first) so per-frame flushes reuse one allocation.
-    pub fn flush_dirty_into(&mut self, out: &mut Vec<Addr>) {
-        out.clear();
-        for (set, dirty) in self.dirty.iter_mut().enumerate() {
-            for way in 0..self.ways {
-                if *dirty & (1 << way) != 0 {
-                    let tag = self.tags[set * self.ways + way];
-                    out.push(Addr((tag & !VALID) * self.line_size));
-                }
-            }
-            *dirty = 0;
-        }
-        self.stats.writebacks += out.len() as u64;
-    }
-
     /// Invalidates everything (keeps statistics).
     pub fn clear(&mut self) {
         self.tags.fill(0);
         self.ptags.fill(0);
-        self.dirty.fill(0);
         self.order.fill(fresh_order(self.ways));
         // Zero has no VALID bit, so no probe can match a cleared set.
         for t in &mut self.mru_tag {
@@ -374,10 +323,10 @@ mod tests {
     #[test]
     fn hit_after_fill() {
         let mut c = cache_kb(4, 2);
-        assert!(!c.access(Addr(0), false).is_hit());
-        assert!(c.access(Addr(0), false).is_hit());
-        assert!(c.access(Addr(63), false).is_hit(), "same line");
-        assert!(!c.access(Addr(64), false).is_hit(), "next line");
+        assert!(!c.access(Addr(0)).is_hit());
+        assert!(c.access(Addr(0)).is_hit());
+        assert!(c.access(Addr(63)).is_hit(), "same line");
+        assert!(!c.access(Addr(64)).is_hit(), "next line");
         assert_eq!(c.stats().hits, 2);
     }
 
@@ -386,43 +335,12 @@ mod tests {
         // 2 ways, force a single set by using addresses that map to set 0.
         let mut c = SetAssocCache::new(2 * 64, 2, 64);
         assert_eq!(c.sets(), 1);
-        c.access(Addr(0), false);
-        c.access(Addr(64), false);
-        c.access(Addr(0), false); // refresh line 0
-        c.access(Addr(128), false); // evicts line 1 (LRU)
-        assert!(c.access(Addr(0), false).is_hit());
-        assert!(!c.access(Addr(64), false).is_hit());
-    }
-
-    #[test]
-    fn dirty_eviction_reports_writeback() {
-        let mut c = SetAssocCache::new(2 * 64, 2, 64);
-        c.access(Addr(0), true);
-        c.access(Addr(64), false);
-        // Next two fills evict both; line 0 was dirty.
-        let out1 = c.access(Addr(128), false);
-        let out2 = c.access(Addr(192), false);
-        let wbs: Vec<_> = [out1, out2]
-            .iter()
-            .filter_map(|o| match o {
-                CacheOutcome::Miss { writeback } => *writeback,
-                CacheOutcome::Hit => None,
-            })
-            .collect();
-        assert_eq!(wbs, vec![Addr(0)]);
-        assert_eq!(c.stats().writebacks, 1);
-    }
-
-    #[test]
-    fn flush_dirty_returns_all_dirty_lines() {
-        let mut c = cache_kb(4, 4);
-        c.access(Addr(0), true);
-        c.access(Addr(64), true);
-        c.access(Addr(128), false);
-        let mut d = c.flush_dirty();
-        d.sort();
-        assert_eq!(d, vec![Addr(0), Addr(64)]);
-        assert!(c.flush_dirty().is_empty(), "second flush finds nothing");
+        c.access(Addr(0));
+        c.access(Addr(64));
+        c.access(Addr(0)); // refresh line 0
+        c.access(Addr(128)); // evicts line 1 (LRU)
+        assert!(c.access(Addr(0)).is_hit());
+        assert!(!c.access(Addr(64)).is_hit());
     }
 
     #[test]
@@ -430,7 +348,7 @@ mod tests {
         let mut c = cache_kb(4, 4); // 64 lines
         for round in 0..2 {
             for i in 0..128u64 {
-                let out = c.access(Addr(i * 64), false);
+                let out = c.access(Addr(i * 64));
                 if round == 0 {
                     assert!(!out.is_hit());
                 }
@@ -445,7 +363,7 @@ mod tests {
         let mut c = cache_kb(4, 4);
         for _ in 0..4 {
             for i in 0..32u64 {
-                c.access(Addr(i * 64), false);
+                c.access(Addr(i * 64));
             }
         }
         let s = c.stats();
@@ -455,9 +373,8 @@ mod tests {
     #[test]
     fn clear_invalidates() {
         let mut c = cache_kb(4, 2);
-        c.access(Addr(0), true);
+        c.access(Addr(0));
         c.clear();
-        assert!(!c.access(Addr(0), false).is_hit());
-        assert!(c.flush_dirty().is_empty());
+        assert!(!c.access(Addr(0)).is_hit());
     }
 }

@@ -12,8 +12,8 @@
 //!   policy, after Arunkumar et al. \[5\]), interleaved, fixed and
 //!   replicated placement, plus explicit migration used by OO-VR's
 //!   pre-allocation (PA) units.
-//! * [`cache`] — set-associative L1/L2 models with LRU and write-back
-//!   support; remote lines are L2-cacheable (the baseline's remote cache).
+//! * [`cache`] — set-associative L1/L2 models with LRU replacement;
+//!   remote lines are L2-cacheable (the baseline's remote cache).
 //! * [`timing`] — bandwidth servers: local DRAM at 1 TB/s and pairwise
 //!   NVLinks at 64 GB/s (Table 2), with FIFO queueing.
 //! * [`system`] — [`MemorySystem`]: the per-GPM cache hierarchies glued to

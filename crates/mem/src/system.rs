@@ -139,10 +139,10 @@ impl MemorySystem {
     ) -> AccessLevel {
         let line = addr.line_base();
         let g = gpm.index();
-        if use_l1 && self.l1[g].access(line, false).is_hit() {
+        if use_l1 && self.l1[g].access(line).is_hit() {
             return AccessLevel::L1;
         }
-        if self.l2[g].access(line, false).is_hit() {
+        if self.l2[g].access(line).is_hit() {
             return AccessLevel::L2;
         }
         self.read_dram(gpm, line, class)
@@ -203,7 +203,7 @@ impl MemorySystem {
     #[inline]
     pub fn write_n(&mut self, gpm: GpmId, addr: Addr, class: TrafficClass, n: u32) {
         let line = addr.line_base();
-        if self.l2[gpm.index()].access_n(line, false, n).is_hit() {
+        if self.l2[gpm.index()].access_n(line, n).is_hit() {
             return;
         }
         self.write_dram(gpm, line, class);

@@ -10,6 +10,7 @@
 use crate::geometry::{Rect, ScreenTriangle, Vec2};
 use crate::pose::Pose;
 use crate::types::{Eye, ObjectId, Resolution, TextureId, Viewport};
+use std::ops::Range;
 
 /// How much of an object's sampling goes to one texture.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -323,10 +324,11 @@ impl PoseDelta {
 /// rewrite of the per-corner arithmetic keeps every bit).
 ///
 /// The kernel also keeps a scene bound: its corners binned into a 4×4
-/// grid over NDC, one box per occupied cell.
-/// [`all_below`](Self::all_below) bounds every probe's motion from those
-/// boxes alone, so a pose delta that moves nothing past a threshold is
-/// proven so without measuring a probe (DESIGN §14, "scene bound").
+/// grid over NDC, one box per occupied cell, and for each probe the cells
+/// its corners bin into. [`cells_below`](Self::cells_below) bounds every
+/// corner's motion per cell from those boxes alone, so a probe whose cells
+/// all pass is proven below a threshold without measuring it (DESIGN §14,
+/// "scene bound" and "per-cell bound").
 #[derive(Debug, Clone, PartialEq)]
 pub struct MotionKernel {
     /// Corner view rays' NDC `x` at `z = 1`, four per probe
@@ -340,80 +342,93 @@ pub struct MotionKernel {
     py: Vec<f64>,
     /// Per-probe parallax weight `1 - depth`: nearer objects shift more.
     near: Vec<f64>,
+    /// The grid cells each probe's corners bin into, one bit per cell.
+    probe_cells: Vec<u16>,
     /// Half the per-eye viewport width in pixels.
     half_width: f64,
     /// Half the per-eye viewport height in pixels.
     half_height: f64,
     /// Viewport diagonal in pixels: the full-screen move motion saturates at.
     diag: f64,
-    /// The occupied grid cells' corner boxes, outermost cell first.
-    cells: Vec<Cell>,
+    /// The scene bound's grid of corner boxes.
+    grid: Grid,
     /// The corners lie within the envelope where the scene bound's slack
     /// covers every rounding error; outside it no delta passes.
     bounded: bool,
 }
 
-/// One occupied cell of the scene bound: the box its corners' NDC rays
-/// span, the box's squares and cross product as intervals, and its
-/// largest parallax weight. Every interval is `[lo, hi]`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct Cell {
-    x: [f64; 2],
-    y: [f64; 2],
-    xx: [f64; 2],
-    yy: [f64; 2],
-    xy: [f64; 2],
-    near: f64,
+/// Cells of the scene bound's grid.
+const CELLS: usize = MotionKernel::GRID * MotionKernel::GRID;
+
+/// The scene bound's grid as columns over its cells, so one flat loop
+/// tests every cell. Cell `row × GRID + col` sits at that index and bit.
+/// An occupied cell holds the box its corners' NDC rays span, the box's
+/// squares and cross product as intervals, and its largest parallax
+/// weight; an unoccupied cell holds zeros.
+#[derive(Debug, Clone, PartialEq, Default)]
+struct Grid {
+    /// Every interval as a pair of columns `[lo, hi]`.
+    x: [[f64; CELLS]; 2],
+    y: [[f64; CELLS]; 2],
+    xx: [[f64; CELLS]; 2],
+    yy: [[f64; CELLS]; 2],
+    xy: [[f64; CELLS]; 2],
+    near: [f64; CELLS],
+    /// The cells that hold some corner, one bit each.
+    occupied: u16,
 }
 
-impl Cell {
-    /// The cell's box grown to cover the corner `(x, y)` of a probe with
+impl Grid {
+    /// Cell `i`'s box grown to cover the corner `(x, y)` of a probe with
     /// parallax weight `near`; the products are filled in by
-    /// [`with_products`](Self::with_products).
-    fn cover(cell: Option<Cell>, x: f64, y: f64, near: f64) -> Cell {
-        let Some(c) = cell else {
-            return Cell { x: [x, x], y: [y, y], xx: [0.0; 2], yy: [0.0; 2], xy: [0.0; 2], near };
-        };
-        Cell {
-            x: [c.x[0].min(x), c.x[1].max(x)],
-            y: [c.y[0].min(y), c.y[1].max(y)],
-            near: c.near.max(near),
-            ..c
+    /// [`fill_products`](Self::fill_products).
+    fn cover(&mut self, i: usize, x: f64, y: f64, near: f64) {
+        if self.occupied & 1 << i == 0 {
+            self.occupied |= 1 << i;
+            [self.x[0][i], self.x[1][i], self.y[0][i], self.y[1][i]] = [x, x, y, y];
+            self.near[i] = near;
+        } else {
+            self.x[0][i] = self.x[0][i].min(x);
+            self.x[1][i] = self.x[1][i].max(x);
+            self.y[0][i] = self.y[0][i].min(y);
+            self.y[1][i] = self.y[1][i].max(y);
+            self.near[i] = self.near[i].max(near);
         }
     }
 
-    /// The cell with `x²`, `y²` and `xy` over its box.
-    fn with_products(self) -> Cell {
-        let square = |[lo, hi]: [f64; 2]| {
+    /// Fills in `x²`, `y²` and `xy` over every cell's box.
+    fn fill_products(&mut self) {
+        let square = |lo: f64, hi: f64| {
             let (a, b) = (lo * lo, hi * hi);
             [if lo <= 0.0 && hi >= 0.0 { 0.0 } else { a.min(b) }, a.max(b)]
         };
-        let p = [
-            self.x[0] * self.y[0],
-            self.x[0] * self.y[1],
-            self.x[1] * self.y[0],
-            self.x[1] * self.y[1],
-        ];
-        let xy = [
-            p.iter().copied().fold(f64::INFINITY, f64::min),
-            p.iter().copied().fold(f64::NEG_INFINITY, f64::max),
-        ];
-        Cell { xx: square(self.x), yy: square(self.y), xy, ..self }
+        for i in 0..CELLS {
+            let ([x0, x1], [y0, y1]) = ([self.x[0][i], self.x[1][i]], [self.y[0][i], self.y[1][i]]);
+            let p = [x0 * y0, x0 * y1, x1 * y0, x1 * y1];
+            [self.xx[0][i], self.xx[1][i]] = square(x0, x1);
+            [self.yy[0][i], self.yy[1][i]] = square(y0, y1);
+            self.xy[0][i] = p.iter().copied().fold(f64::INFINITY, f64::min);
+            self.xy[1][i] = p.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+        }
     }
 }
 
-/// `k · [lo, hi]` as an interval. A NaN `k` makes both ends NaN.
-fn scale(k: f64, [lo, hi]: [f64; 2]) -> [f64; 2] {
+/// `k · [lo, hi]` over every cell, as `k` and the columns it multiplies
+/// into the product's low and high ends. A NaN `k` makes both ends NaN.
+type Scaled<'a> = (f64, &'a [f64; CELLS], &'a [f64; CELLS]);
+
+fn scale(k: f64, [lo, hi]: &[[f64; CELLS]; 2]) -> Scaled<'_> {
     if k < 0.0 {
-        [k * hi, k * lo]
+        (k, hi, lo)
     } else {
-        [k * lo, k * hi]
+        (k, lo, hi)
     }
 }
 
-/// The largest magnitude over `c + Σ terms`, each term an interval.
-fn magnitude(c: f64, terms: [[f64; 2]; 4]) -> f64 {
-    let [lo, hi] = terms.iter().fold([c, c], |[lo, hi], t| [lo + t[0], hi + t[1]]);
+/// The largest magnitude over `c + Σ terms` in cell `i`, each term an
+/// interval.
+fn magnitude(c: f64, terms: &[Scaled<'_>; 4], i: usize) -> f64 {
+    let [lo, hi] = terms.iter().fold([c, c], |[lo, hi], &(k, l, h)| [lo + k * l[i], hi + k * h[i]]);
     (-lo).max(hi)
 }
 
@@ -433,19 +448,19 @@ impl MotionKernel {
 
     /// The kernel over `objects`' left-eye viewport bounds at `res`, one
     /// probe per object in order.
-    pub fn new(objects: &[RenderObject], res: Resolution) -> Self {
+    pub fn new<'a>(objects: impl IntoIterator<Item = &'a RenderObject>, res: Resolution) -> Self {
         let (width, height) = (f64::from(res.width), f64::from(res.height));
-        let corners = 4 * objects.len();
         let mut kernel = MotionKernel {
-            ray_x: Vec::with_capacity(corners),
-            ray_y: Vec::with_capacity(corners),
-            px: Vec::with_capacity(corners),
-            py: Vec::with_capacity(corners),
-            near: Vec::with_capacity(objects.len()),
+            ray_x: Vec::new(),
+            ray_y: Vec::new(),
+            px: Vec::new(),
+            py: Vec::new(),
+            near: Vec::new(),
+            probe_cells: Vec::new(),
             half_width: 0.5 * width,
             half_height: 0.5 * height,
             diag: (width * width + height * height).sqrt(),
-            cells: Vec::new(),
+            grid: Grid::default(),
             bounded: true,
         };
         for o in objects {
@@ -467,28 +482,17 @@ impl MotionKernel {
             (((v + 1.0) * 0.5 * Self::GRID as f64).floor().clamp(0.0, (Self::GRID - 1) as f64))
                 as usize
         };
-        let mut grid = [None; Self::GRID * Self::GRID];
         let mut reach = 1.0f64;
+        kernel.probe_cells = vec![0; kernel.near.len()];
         for (i, (&x, &y)) in kernel.ray_x.iter().zip(&kernel.ray_y).enumerate() {
-            let slot = &mut grid[bin(y) * Self::GRID + bin(x)];
-            *slot = Some(Cell::cover(*slot, x, y, kernel.near[i / 4]));
+            let cell = bin(y) * Self::GRID + bin(x);
+            kernel.grid.cover(cell, x, y, kernel.near[i / 4]);
+            kernel.probe_cells[i / 4] |= 1 << cell;
             reach = reach.max(x.abs()).max(y.abs());
         }
         kernel.bounded =
             kernel.half_width.max(kernel.half_height) * reach * reach <= Self::ENVELOPE;
-        // Outer cells first: a rotation moves them most, so a failing
-        // test exits early.
-        let ring = |i: usize| {
-            let off = |c: usize| (2 * c + 1).abs_diff(Self::GRID).pow(2);
-            off(i % Self::GRID) + off(i / Self::GRID)
-        };
-        let mut cells: Vec<(usize, Cell)> = grid
-            .iter()
-            .enumerate()
-            .filter_map(|(i, c)| c.map(|c| (ring(i), c.with_products())))
-            .collect();
-        cells.sort_by_key(|&(r, _)| std::cmp::Reverse(r));
-        kernel.cells = cells.into_iter().map(|(_, c)| c).collect();
+        kernel.grid.fill_products();
         kernel
     }
 
@@ -502,11 +506,55 @@ impl MotionKernel {
         self.near.is_empty()
     }
 
+    /// The grid cells each probe's four corners bin into, one bit per
+    /// cell as in [`cells_below`](Self::cells_below), in probe order.
+    pub fn probe_cells(&self) -> &[u16] {
+        &self.probe_cells
+    }
+
+    /// Every probe index, ordered so that probes with equal
+    /// [`probe_cells`](Self::probe_cells) are adjacent and in probe order.
+    /// Groups inside the centre columns come first, then those reaching
+    /// the left edge column, the right one and both, each split by whether
+    /// they reach the top or bottom row. A head turn fails the edge
+    /// columns first, and usually one more than the other, so the groups
+    /// that fail together tend to be adjacent.
+    pub fn probe_order(&self) -> Vec<usize> {
+        let cell = |row: usize, col: usize| 1u16 << (row * Self::GRID + col);
+        let column = |c: usize| (0..Self::GRID).fold(0, |m, r| m | cell(r, c));
+        let row = |r: usize| (0..Self::GRID).fold(0, |m, c| m | cell(r, c));
+        let (left, right) = (column(0), column(Self::GRID - 1));
+        let outer_rows = row(0) | row(Self::GRID - 1);
+        let mut order: Vec<usize> = (0..self.len()).collect();
+        order.sort_by_key(|&i| {
+            let m = self.probe_cells[i];
+            (m & right != 0, m & left != 0, m & outer_rows != 0, m)
+        });
+        order
+    }
+
+    /// The cells that hold some probe's corner, one bit per cell.
+    pub fn occupied_cells(&self) -> u16 {
+        self.grid.occupied
+    }
+
     /// Measures every probe's motion under `delta` and hands them out in
     /// probe order, one block of at most [`BLOCK`](Self::BLOCK) at a time:
     /// `each(first, motions)` receives the motions of probes
     /// `first..first + motions.len()`. Allocates nothing.
-    pub fn for_each_block(&self, delta: &PoseDelta, mut each: impl FnMut(usize, &[f64])) {
+    pub fn for_each_block(&self, delta: &PoseDelta, each: impl FnMut(usize, &[f64])) {
+        self.for_each_block_in(delta, std::iter::once(0..self.len()), each);
+    }
+
+    /// [`for_each_block`](Self::for_each_block) over the probes in
+    /// `ranges` only, range by range: no block spans two ranges, and each
+    /// probe's motion is the one the whole walk measures.
+    pub fn for_each_block_in(
+        &self,
+        delta: &PoseDelta,
+        ranges: impl IntoIterator<Item = Range<usize>>,
+        mut each: impl FnMut(usize, &[f64]),
+    ) {
         let (rf, rt) = (&delta.from, &delta.to);
         // The block's corners' rays in the new view, then their squared
         // screen displacements.
@@ -514,8 +562,11 @@ impl MotionKernel {
         let mut dist2 = [0.0f64; 4 * Self::BLOCK];
         // A still delta never writes: every motion stays exactly zero.
         let mut motions = [0.0f64; Self::BLOCK];
-        for first in (0..self.len()).step_by(Self::BLOCK) {
-            let n = Self::BLOCK.min(self.len() - first);
+        let blocks = ranges
+            .into_iter()
+            .flat_map(|r| (r.start..r.end).step_by(Self::BLOCK).map(move |first| (first, r.end)));
+        for (first, end) in blocks {
+            let n = Self::BLOCK.min(end - first);
             if !delta.still {
                 let c = 4 * first..4 * (first + n);
                 let [vx, vy, vz] = &mut view;
@@ -557,55 +608,56 @@ impl MotionKernel {
     }
 
     /// True only if every probe's [`for_each_block`](Self::for_each_block)
-    /// motion under `delta` is provably below `threshold`; false when that
-    /// cannot be shown, so a false answer says nothing about any probe.
+    /// motion under `delta` is provably below `threshold`: every occupied
+    /// cell passes [`cells_below`](Self::cells_below). False says nothing
+    /// about any probe.
+    pub fn all_below(&self, delta: &PoseDelta, threshold: f64) -> bool {
+        self.cells_below(delta, threshold) == self.occupied_cells()
+    }
+
+    /// The occupied cells, one bit each, in which every corner's
+    /// displacement plus the parallax of every probe with a corner there
+    /// is provably below `threshold` under `delta`. A probe whose
+    /// [`probe_cells`](Self::probe_cells) all pass measures a
+    /// [`for_each_block`](Self::for_each_block) motion below `threshold`;
+    /// a failing cell says nothing about its probes.
     ///
     /// Takes O(cells), not O(probes): it bounds the displacement of every
     /// corner in a grid cell by interval arithmetic over the cell's box,
     /// with a slack that covers the kernel's rounding (DESIGN §14).
-    pub fn all_below(&self, delta: &PoseDelta, threshold: f64) -> bool {
+    pub fn cells_below(&self, delta: &PoseDelta, threshold: f64) -> u16 {
         if delta.still {
             // Every motion is exactly zero.
-            return self.is_empty() || threshold > 0.0;
+            return if threshold > 0.0 { self.occupied_cells() } else { 0 };
         }
         if !self.bounded {
-            return false;
+            return 0;
         }
         // R = R_to·R_fromᵀ carries an old view ray into the new view; its
         // rows are `a`, `b`, `c`.
         let (rf, rt) = (&delta.from, &delta.to);
         let [a, b, c] = rt.map(|row| rf.map(|f| row[0] * f[0] + row[1] * f[1] + row[2] * f[2]));
-        self.cells.iter().all(|cell| {
-            // The corner `(x, y, 1)` lands at `n = R·(x, y, 1)`, in front of
-            // the eye while `D = n_z > 0`, which is linear in the box.
-            let d_min = c[2] + scale(c[0], cell.x)[0] + scale(c[1], cell.y)[0];
+        let g = &self.grid;
+        // The corner `(x, y, 1)` lands at `n = R·(x, y, 1)`, in front of the
+        // eye while `D = n_z > 0`, which is linear in the box.
+        let dz = [scale(c[0], &g.x), scale(c[1], &g.y)];
+        // The kernel's `(n_x / n_z + 1)·hw − px` is `hw·N_x / D`.
+        let nx =
+            [scale(a[0] - c[2], &g.x), scale(a[1], &g.y), scale(-c[0], &g.xx), scale(-c[1], &g.xy)];
+        let ny =
+            [scale(b[0], &g.x), scale(b[1] - c[2], &g.y), scale(-c[0], &g.xy), scale(-c[1], &g.yy)];
+        // Every cell is tested, branch-free, so the loop vectorizes.
+        let pass: [bool; CELLS] = std::array::from_fn(|i| {
+            let d_min = c[2] + dz[0].0 * dz[0].1[i] + dz[1].0 * dz[1].1[i];
+            let dx = self.half_width * magnitude(a[2], &nx, i) / d_min;
+            let dy = self.half_height * magnitude(b[2], &ny, i) / d_min;
+            let bound = (dx * dx + dy * dy).sqrt() + delta.shift * g.near[i] * self.half_width;
             // A NaN pose reaches every interval end, and every comparison
             // with NaN is false.
-            d_min > 0.5 && {
-                // The kernel's `(n_x / n_z + 1)·hw − px` is `hw·N_x / D`.
-                let nx = magnitude(
-                    a[2],
-                    [
-                        scale(a[0] - c[2], cell.x),
-                        scale(a[1], cell.y),
-                        scale(-c[0], cell.xx),
-                        scale(-c[1], cell.xy),
-                    ],
-                );
-                let ny = magnitude(
-                    b[2],
-                    [
-                        scale(b[0], cell.x),
-                        scale(b[1] - c[2], cell.y),
-                        scale(-c[0], cell.xy),
-                        scale(-c[1], cell.yy),
-                    ],
-                );
-                let (dx, dy) = (self.half_width * nx / d_min, self.half_height * ny / d_min);
-                let bound = (dx * dx + dy * dy).sqrt() + delta.shift * cell.near * self.half_width;
-                bound * (1.0 + 1e-9) + 1e-6 < threshold
-            }
-        })
+            (d_min > 0.5) & (bound * (1.0 + 1e-9) + 1e-6 < threshold)
+        });
+        let mask = pass.iter().enumerate().fold(0, |mask, (i, &p)| mask | u16::from(p) << i);
+        mask & g.occupied
     }
 }
 
@@ -904,6 +956,47 @@ mod tests {
         assert!(!kernel.all_below(&delta, parallax));
         assert!(!kernel.all_below(&delta, slack));
         assert!(kernel.all_below(&delta, slack.next_up()));
+    }
+
+    #[test]
+    fn cell_bound_fails_only_the_cells_of_the_nearer_probe() {
+        let res = Resolution::new(128, 96);
+        let mut near = ObjectBuilder::new(ObjectId(1), "near".into());
+        near.rect(0.1, 0.6, 0.3, 0.3).depth(0.2).texture("a", 1.0);
+        let near = near.try_build(|_| Some(TextureId(0))).expect("builds");
+        let far = obj();
+        assert!(far.depth() > near.depth());
+        let kernel = MotionKernel::new([&far, &near], res);
+        let [far_cells, near_cells] = [kernel.probe_cells()[0], kernel.probe_cells()[1]];
+        assert_eq!(far_cells.count_ones(), 4, "a rect's corners in four cells");
+        assert_eq!(kernel.occupied_cells(), far_cells | near_cells);
+        assert!(far_cells & near_cells != 0 && far_cells & !near_cells != 0);
+        // A pure translation moves each probe by its own parallax, so a
+        // threshold between the two passes exactly the cells only the far
+        // probe reaches; it shares a cell with the near one, so it is not
+        // proven still.
+        let moved = Pose { position: [0.05, 0.0, 0.0], ..Pose::identity() };
+        let delta = PoseDelta::new(&Pose::identity(), &moved);
+        let parallax = |o: &RenderObject| 0.05 * (1.0 - f64::from(o.depth())) * 64.0;
+        let t = 0.5 * (parallax(&far) + parallax(&near));
+        assert_eq!(kernel.cells_below(&delta, t), far_cells & !near_cells);
+        assert!(!kernel.all_below(&delta, t));
+        assert_eq!(kernel.cells_below(&delta, 2.0 * parallax(&near)), kernel.occupied_cells());
+    }
+
+    #[test]
+    fn probe_order_puts_centre_groups_first_and_edge_spanning_ones_last() {
+        let rect = |id: u32, x0: f32, x1: f32| {
+            let mut b = ObjectBuilder::new(ObjectId(id), format!("o{id}"));
+            b.rect(x0, 0.3, x1 - x0, 0.15).texture("a", 1.0);
+            b.try_build(|_| Some(TextureId(0))).expect("builds")
+        };
+        let objects =
+            [rect(0, 0.05, 0.9), rect(1, 0.8, 0.9), rect(2, 0.3, 0.45), rect(3, 0.05, 0.15)];
+        let kernel = MotionKernel::new(&objects, Resolution::new(128, 96));
+        // The objects reach both edge columns, the right one, the centre
+        // and the left one, in that order.
+        assert_eq!(kernel.probe_order(), [2, 3, 1, 0]);
     }
 
     #[test]

@@ -53,14 +53,6 @@ impl Pose {
             [cp * sy, -sp, cp * cy],
         ]
     }
-
-    /// Angular distance to `other` in radians (sum of per-axis deltas — a
-    /// cheap, monotone proxy adequate for speed accounting).
-    pub fn angular_distance(&self, other: &Pose) -> f64 {
-        (self.yaw - other.yaw).abs()
-            + (self.pitch - other.pitch).abs()
-            + (self.roll - other.roll).abs()
-    }
 }
 
 /// Orientation limits and motion parameters of the walk (defaults tuned to
@@ -180,7 +172,10 @@ mod tests {
         let mut prev = t.current();
         for _ in 0..1_000 {
             let next = t.step();
-            assert!(next.angular_distance(&prev) <= 3.0 * 0.035 + 1e-12);
+            let turn = (next.yaw - prev.yaw).abs()
+                + (next.pitch - prev.pitch).abs()
+                + (next.roll - prev.roll).abs();
+            assert!(turn <= 3.0 * 0.035 + 1e-12);
             prev = next;
         }
     }

@@ -137,12 +137,6 @@ impl Viewport {
         Viewport { x, y, width, height }
     }
 
-    /// The full-frame viewport for one eye of a side-by-side stereo frame.
-    pub fn eye_full(res: Resolution, eye: Eye) -> Self {
-        let w = res.width as f32;
-        Viewport::new(eye.index() as f32 * w, 0.0, w, res.height as f32)
-    }
-
     /// Right edge in pixels.
     pub fn x1(&self) -> f32 {
         self.x + self.width
@@ -156,11 +150,6 @@ impl Viewport {
     /// Area in pixels.
     pub fn area(&self) -> f64 {
         f64::from(self.width) * f64::from(self.height)
-    }
-
-    /// Shifts the viewport horizontally, returning the result.
-    pub fn shifted_x(&self, dx: f32) -> Self {
-        Viewport { x: self.x + dx, ..*self }
     }
 }
 
@@ -192,20 +181,16 @@ mod tests {
 
     #[test]
     fn viewport_eye_layout_is_side_by_side() {
+        // Eye `e` of a side-by-side frame starts `e.index()` eye widths in.
         let r = Resolution::new(640, 480);
-        let l = Viewport::eye_full(r, Eye::Left);
-        let rgt = Viewport::eye_full(r, Eye::Right);
+        let (w, h) = (r.width as f32, r.height as f32);
+        let l = Viewport::new(Eye::Left.index() as f32 * w, 0.0, w, h);
+        let rgt = Viewport::new(Eye::Right.index() as f32 * w, 0.0, w, h);
         assert_eq!(l.x, 0.0);
         assert_eq!(rgt.x, 640.0);
         assert_eq!(l.x1(), rgt.x);
+        assert_eq!(rgt.x1(), r.stereo_width() as f32);
         assert_eq!(l.area(), rgt.area());
-    }
-
-    #[test]
-    fn viewport_shift() {
-        let v = Viewport::new(10.0, 20.0, 100.0, 50.0).shifted_x(-5.0);
-        assert_eq!(v.x, 5.0);
-        assert_eq!(v.y, 20.0);
     }
 
     #[test]

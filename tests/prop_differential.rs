@@ -11,8 +11,7 @@
 //! types and straightforward reference models — a recency-list LRU, a
 //! `HashMap` page table, and a drain that materializes a fresh ledger every
 //! epoch — through identical operation streams and require *bit-identical*
-//! observable behavior: per-access outcomes, write-back addresses, hit/miss
-//! statistics, placement decisions, capacity accounting, and per-class
+//! observable behavior: per-access outcomes, hit/miss statistics, placement decisions, capacity accounting, and per-class
 //! per-link traffic. The fragment kernel's batched primitives — repeat
 //! accesses, batched texel-line reads, run-length writes and the quad depth
 //! test — are held to the one-at-a-time operations they replace.
@@ -30,21 +29,15 @@ use oovr_mem::{
 // Reference cache: LRU as an explicit recency list.
 // ---------------------------------------------------------------------------
 
-struct RefLine {
-    line: u64,
-    dirty: bool,
-}
-
 /// Textbook set-associative LRU cache: each set is a recency-ordered list
 /// (front = least recent). No flag packing, no MRU probe, no stamps.
 struct RefCache {
     ways: usize,
     sets: usize,
     line_size: u64,
-    data: Vec<Vec<RefLine>>,
+    data: Vec<Vec<u64>>,
     accesses: u64,
     hits: u64,
-    writebacks: u64,
 }
 
 impl RefCache {
@@ -60,46 +53,32 @@ impl RefCache {
             data: (0..sets).map(|_| Vec::new()).collect(),
             accesses: 0,
             hits: 0,
-            writebacks: 0,
         }
     }
 
-    /// Returns `(hit, write-back address)`.
-    fn access(&mut self, addr: Addr, write: bool) -> (bool, Option<Addr>) {
+    /// Returns whether the access hit.
+    fn access(&mut self, addr: Addr) -> bool {
         self.accesses += 1;
         let line = addr.0 / self.line_size;
         let set = &mut self.data[(line as usize) & (self.sets - 1)];
-        if let Some(pos) = set.iter().position(|l| l.line == line) {
-            let mut l = set.remove(pos);
-            l.dirty |= write;
-            set.push(l);
+        if let Some(pos) = set.iter().position(|&l| l == line) {
+            set.remove(pos);
+            set.push(line);
             self.hits += 1;
-            return (true, None);
+            return true;
         }
-        let mut writeback = None;
         if set.len() == self.ways {
-            let victim = set.remove(0);
-            if victim.dirty {
-                self.writebacks += 1;
-                writeback = Some(Addr(victim.line * self.line_size));
-            }
+            set.remove(0);
         }
-        set.push(RefLine { line, dirty: write });
-        (false, writeback)
+        set.push(line);
+        false
     }
 
-    fn flush_dirty(&mut self) -> Vec<Addr> {
-        let mut out = Vec::new();
-        for set in &mut self.data {
-            for l in set.iter_mut() {
-                if l.dirty {
-                    out.push(Addr(l.line * self.line_size));
-                    l.dirty = false;
-                }
-            }
-        }
-        self.writebacks += out.len() as u64;
-        out
+    /// The resident lines, sorted.
+    fn resident(&self) -> Vec<u64> {
+        let mut lines: Vec<u64> = self.data.iter().flatten().copied().collect();
+        lines.sort_unstable();
+        lines
     }
 }
 
@@ -236,10 +215,10 @@ impl RefMemorySystem {
     fn read(&mut self, gpm: GpmId, addr: Addr, class: TrafficClass, use_l1: bool) -> AccessLevel {
         let line = addr.line_base();
         let g = gpm.index();
-        if use_l1 && self.l1[g].access(line, false).0 {
+        if use_l1 && self.l1[g].access(line) {
             return AccessLevel::L1;
         }
-        if self.l2[g].access(line, false).0 {
+        if self.l2[g].access(line) {
             return AccessLevel::L2;
         }
         let home = self.page_table.resolve(line, gpm);
@@ -257,7 +236,7 @@ impl RefMemorySystem {
     fn write(&mut self, gpm: GpmId, addr: Addr, class: TrafficClass) {
         let line = addr.line_base();
         let g = gpm.index();
-        if self.l2[g].access(line, false).0 {
+        if self.l2[g].access(line) {
             return;
         }
         let home = self.page_table.resolve(line, gpm);
@@ -289,13 +268,13 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// The packed/MRU/stamp-skipping cache behaves exactly like a textbook
-    /// recency-list LRU: same outcome, same write-back address on every
-    /// access, same dirty set at flush, same statistics. Also exercises the
-    /// non-power-of-two line-size fallback (no shift strength reduction).
+    /// recency-list LRU: same outcome on every access, same resident lines
+    /// at the end, same statistics. Also exercises the non-power-of-two
+    /// line-size fallback (no shift strength reduction).
     #[test]
     fn cache_matches_reference_lru(
         geometry in (0u64..3, 1usize..5, 0usize..2),
-        ops in prop::collection::vec((0u64..1 << 14, 0u8..4), 1..600),
+        ops in prop::collection::vec(0u64..1 << 14, 1..600),
     ) {
         let (cap_sel, ways_exp, line_sel) = geometry;
         let capacity = 1u64 << (10 + cap_sel); // 1–4 KiB: small, collides hard
@@ -304,35 +283,16 @@ proptest! {
         let mut opt = SetAssocCache::new(capacity, ways, line_size);
         let mut reference = RefCache::new(capacity, ways, line_size);
         prop_assert_eq!(opt.sets(), reference.sets);
-        for (i, &(a, kind)) in ops.iter().enumerate() {
-            if kind == 3 && i % 97 == 0 {
-                // Occasional flush, as the executor does at frame boundaries.
-                let mut d_opt = opt.flush_dirty();
-                let mut d_ref = reference.flush_dirty();
-                d_opt.sort();
-                d_ref.sort();
-                prop_assert_eq!(d_opt, d_ref, "flush divergence at op {}", i);
-                continue;
-            }
-            let write = kind == 1;
-            let (hit_ref, wb_ref) = reference.access(Addr(a), write);
-            let out = opt.access(Addr(a), write);
+        for (i, &a) in ops.iter().enumerate() {
+            let hit_ref = reference.access(Addr(a));
+            let out = opt.access(Addr(a));
             prop_assert_eq!(out.is_hit(), hit_ref, "outcome divergence at op {} addr {}", i, a);
-            let wb_opt = match out {
-                oovr_mem::cache::CacheOutcome::Miss { writeback } => writeback,
-                oovr_mem::cache::CacheOutcome::Hit => None,
-            };
-            prop_assert_eq!(wb_opt, wb_ref, "write-back divergence at op {} addr {}", i, a);
         }
         let s = opt.stats();
         prop_assert_eq!(s.accesses, reference.accesses);
         prop_assert_eq!(s.hits, reference.hits);
-        prop_assert_eq!(s.writebacks, reference.writebacks);
-        let mut d_opt = opt.flush_dirty();
-        let mut d_ref = reference.flush_dirty();
-        d_opt.sort();
-        d_ref.sort();
-        prop_assert_eq!(d_opt, d_ref, "final dirty sets differ");
+        let resident = reference.resident();
+        prop_assert!(resident.iter().all(|&l| opt.access(Addr(l * line_size)).is_hit()), "resident lines differ");
     }
 
     /// The chunked dense page table with its per-accessor lookaside resolves,
@@ -475,44 +435,32 @@ fn homes(addrs: &[u64], mut resolve: impl FnMut(Addr) -> GpmId) -> Vec<GpmId> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// `access_n(a, w, n)` is `n` back-to-back `access(a, w)` calls: the
-    /// same first outcome and write-back, and — since the stream goes on
-    /// against a textbook LRU that did the repeats one by one — the same
-    /// later outcomes and victims, statistics and dirty set.
+    /// `access_n(a, n)` is `n` back-to-back `access(a)` calls: the same
+    /// first outcome, and — since the stream goes on against a textbook
+    /// LRU that did the repeats one by one — the same later outcomes,
+    /// statistics and resident lines.
     #[test]
     fn access_n_matches_repeated_access(
         geometry in (0u64..3, 0usize..5),
-        ops in prop::collection::vec((0u64..1 << 13, 0u8..2, 1u32..6), 1..400),
+        ops in prop::collection::vec((0u64..1 << 13, 1u32..6), 1..400),
     ) {
         let (cap_sel, ways_exp) = geometry;
         let capacity = 1u64 << (10 + cap_sel);
         let ways = 1 << ways_exp; // 1–16
         let mut opt = SetAssocCache::new(capacity, ways, 64);
         let mut reference = RefCache::new(capacity, ways, 64);
-        for (i, &(a, write, n)) in ops.iter().enumerate() {
-            let write = write == 1;
-            let out = opt.access_n(Addr(a), write, n);
-            let (hit_ref, wb_ref) = reference.access(Addr(a), write);
+        for (i, &(a, n)) in ops.iter().enumerate() {
+            let out = opt.access_n(Addr(a), n);
+            let hit_ref = reference.access(Addr(a));
             for _ in 1..n {
-                reference.access(Addr(a), write);
+                reference.access(Addr(a));
             }
             prop_assert_eq!(out.is_hit(), hit_ref, "outcome divergence at op {}", i);
-            let wb = match out {
-                oovr_mem::cache::CacheOutcome::Miss { writeback } => writeback,
-                oovr_mem::cache::CacheOutcome::Hit => None,
-            };
-            prop_assert_eq!(wb, wb_ref, "victim divergence at op {}", i);
         }
         let s = opt.stats();
-        prop_assert_eq!(
-            (s.accesses, s.hits, s.writebacks),
-            (reference.accesses, reference.hits, reference.writebacks)
-        );
-        let mut d_opt = opt.flush_dirty();
-        let mut d_ref = reference.flush_dirty();
-        d_opt.sort();
-        d_ref.sort();
-        prop_assert_eq!(d_opt, d_ref, "final dirty sets differ");
+        prop_assert_eq!((s.accesses, s.hits), (reference.accesses, reference.hits));
+        let resident = reference.resident();
+        prop_assert!(resident.iter().all(|&l| opt.access(Addr(l * 64)).is_hit()), "resident lines differ");
     }
 
     /// `MemorySystem::read_lines` (L1 probes, then the L1 misses in L2,

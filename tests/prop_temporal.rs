@@ -24,10 +24,11 @@
 //! the masked load fold with a verbatim copy of the scalar corner loop and
 //! branchy fold they replaced, bit for bit.
 //!
-//! The scene bound (`MotionKernel::all_below`) lets `decide` return an
-//! all-reuse decision without measuring a probe. Its test checks that
-//! every pass is sound (every probe's motion is below the threshold) and
-//! that `decide` still equals the reference on both of its branches.
+//! The per-cell bound (`MotionKernel::cells_below`) lets `decide` reuse a
+//! probe whose cells all pass without measuring it, and return an
+//! all-reuse decision when every cell passes. Its test checks that every
+//! pass is sound (every such probe's motion is below the threshold) and
+//! that `decide` still equals the reference on every branch.
 
 use proptest::prelude::*;
 
@@ -473,19 +474,23 @@ fn scene_bound_pair(kind: usize, base: Pose, rng: &mut rand::rngs::StdRng) -> (P
     }
 }
 
-/// The scene bound is sound and `decide` stays exact on both branches:
+/// The scene bound is sound and `decide` stays exact on every branch:
 /// over random scenes (rects reaching past the screen edge, depths,
 /// resolutions, GPM counts, probe counts that leave a partial kernel
 /// block) and pose pairs from still to a half turn, whenever
-/// `all_below` passes every probe's kernel motion is below the threshold,
-/// and every decision equals the reference fold over the reference
-/// motions. Thresholds sit at the exact max motion, just above it, at
-/// 1.01× and 2× it, and at the default 16 px, and both branches must be
-/// taken often.
+/// `all_below` passes every probe's kernel motion is below the threshold;
+/// when it fails but some cells pass, every probe whose cells all pass
+/// has a reference motion below the threshold; and every decision equals
+/// the reference fold over the reference motions. Thresholds sit at the
+/// exact max motion, just above it, at 1.01× and 2× it, at the default
+/// 16 px and at the median motion, and every branch must be taken often:
+/// all cells passing, none passing, and some passing with probes skipped
+/// and probes measured.
 #[test]
 fn scene_bound_is_sound_and_decides_like_the_reference() {
     use rand::{Rng, SeedableRng};
     let (mut fast, mut exact, mut outside) = (0, 0, 0);
+    let (mut partial, mut skipped, mut measured) = (0, 0, 0);
     for case in 0..48u64 {
         let mut rng = rand::rngs::StdRng::seed_from_u64(0x5CE4_E0B0 ^ case);
         let mut count = rng.gen_range(1..4 * MotionKernel::BLOCK);
@@ -534,7 +539,11 @@ fn scene_bound_is_sound_and_decides_like_the_reference() {
             let reference: Vec<f64> =
                 scene.objects().iter().map(|o| reference_motion(o, res, &from, &to).0).collect();
             let max = motions.iter().copied().fold(0.0f64, f64::max);
-            for t in [max, max.next_up(), 1.01 * max, 2.0 * max, 16.0] {
+            let mut sorted = motions.clone();
+            sorted.sort_by(f64::total_cmp);
+            let median = sorted[sorted.len() / 2];
+            for t in [max, max.next_up(), 1.01 * max, 2.0 * max, 16.0, median] {
+                let pass = kernel.cells_below(&delta, t);
                 if kernel.all_below(&delta, t) {
                     fast += 1;
                     assert!(
@@ -543,6 +552,22 @@ fn scene_bound_is_sound_and_decides_like_the_reference() {
                     );
                 } else if t > 0.0 {
                     exact += 1;
+                }
+                if pass != 0 && pass != kernel.occupied_cells() {
+                    partial += 1;
+                    for (i, &cells) in kernel.probe_cells().iter().enumerate() {
+                        if cells & !pass != 0 {
+                            measured += 1;
+                            continue;
+                        }
+                        skipped += 1;
+                        assert!(
+                            reference[i] < t,
+                            "cells {cells:#x} of {pass:#x} passed {t} but probe {i} moved {} \
+                             under {from:?} -> {to:?}",
+                            reference[i]
+                        );
+                    }
                 }
                 let d = profile.decide(&from, &to, t);
                 assert_eq!(
@@ -555,4 +580,8 @@ fn scene_bound_is_sound_and_decides_like_the_reference() {
     }
     assert!(outside > 100, "only {outside} objects reached past the screen edge");
     assert!(fast >= 300 && exact >= 300, "branches taken: {fast} fast, {exact} exact");
+    assert!(
+        partial >= 300 && skipped >= 10_000 && measured >= 10_000,
+        "per-cell tier: {partial} decides, {skipped} probes skipped, {measured} measured"
+    );
 }
