@@ -16,7 +16,7 @@ use oovr_frameworks::{Baseline, ObjectSfr, RenderScheme};
 use oovr_gpu::{FaultPlan, FaultScenario, FrameReport, GpuConfig};
 use oovr_scene::BenchmarkSpec;
 use oovr_trace::export::{chrome_trace, csv_timeline, flight_digest};
-use oovr_trace::TraceConfig;
+use oovr_trace::{TraceConfig, TraceEvent};
 
 /// The traceable schemes, by index (so proptest can pick one).
 fn scheme(ix: usize) -> Box<dyn RenderScheme> {
@@ -168,5 +168,259 @@ proptest! {
         prop_assert!(!chrome_trace(&events, cfg.n_gpms, 0).contains("trace_overflow"));
         prop_assert!(!csv_timeline(&events, 0).contains("trace_overflow"));
         prop_assert!(!flight_digest(&events, 0).contains("RING OVERFLOW"));
+    }
+}
+
+/// Escapes, control characters and a comma: the exporters must render a
+/// reason string byte-stably whatever it holds.
+const ODD_REASON: &str = "say \"hi\"\\ then\ttab,comma";
+
+/// Every [`TraceEvent`] variant, with `refit`, `early`, `on_time` and
+/// `degraded` each true and false, GPM ids past both exported `n_gpms`,
+/// zero-byte link windows and zero-access cache windows, ties for the
+/// digest's worst link, stall, miss and transit, and an escaped reason
+/// string. The events are grouped by tier (render, serving,
+/// temporal, cluster, edge), so prefixes and suffixes of the slice switch
+/// each digest section on and off.
+fn every_event() -> Vec<TraceEvent> {
+    use oovr_trace::Phase;
+    vec![
+        TraceEvent::PhaseSpan {
+            gpm: 1,
+            object: 7,
+            phase: Phase::Fragment,
+            start: 50,
+            end: 150,
+            quanta: 4,
+            stall: 30,
+        },
+        TraceEvent::PhaseSpan {
+            gpm: 0,
+            object: 3,
+            phase: Phase::Geometry,
+            start: 10,
+            end: 40,
+            quanta: 2,
+            stall: 0,
+        },
+        TraceEvent::PhaseSpan {
+            gpm: 5,
+            object: 2,
+            phase: Phase::Command,
+            start: 40,
+            end: 30,
+            quanta: 1,
+            stall: 30,
+        },
+        TraceEvent::PhaseSpan {
+            gpm: 3,
+            object: 9,
+            phase: Phase::Fragment,
+            start: 20,
+            end: 220,
+            quanta: 9,
+            stall: 12,
+        },
+        TraceEvent::CompositionSpan { start: 230, end: 260 },
+        TraceEvent::ShadeScale { cycle: 25, scale: 0.75 },
+        TraceEvent::PreAlloc { cycle: 20, gpm: 1, object: 7, bytes: 4096 },
+        TraceEvent::PreAlloc { cycle: 21, gpm: 6, object: 8, bytes: 64 },
+        TraceEvent::CalibrationFit {
+            cycle: 0,
+            c0: 12.5,
+            c1: 0.125,
+            c2: 3.0,
+            samples: 8,
+            refit: false,
+        },
+        TraceEvent::CalibrationFit {
+            cycle: 90,
+            c0: 1.0 / 3.0,
+            c1: 2.0,
+            c2: 1e-9,
+            samples: 16,
+            refit: true,
+        },
+        TraceEvent::Assign { cycle: 5, gpm: 1, batch: 2, triangles: 64, predicted: 120.0 },
+        TraceEvent::BatchDone { cycle: 150, gpm: 1, batch: 2, predicted: 120.0, actual: 100.0 },
+        TraceEvent::BatchDone { cycle: 151, gpm: 0, batch: 3, predicted: 0.25, actual: 2.0 },
+        TraceEvent::BatchDone { cycle: 152, gpm: 2, batch: 4, predicted: 100.0, actual: 102.0 },
+        TraceEvent::BatchDone { cycle: 153, gpm: 3, batch: 5, predicted: 100.0, actual: 140.0 },
+        TraceEvent::Steal {
+            cycle: 90,
+            thief: 0,
+            victim: 1,
+            object: 7,
+            triangles: 12,
+            early: false,
+        },
+        TraceEvent::Steal { cycle: 95, thief: 3, victim: 0, object: 4, triangles: 6, early: true },
+        TraceEvent::Migrate { cycle: 97, from: 1, to: 4, predicted: 77.5, reason: ODD_REASON },
+        TraceEvent::PaRetry { cycle: 30, gpm: 2, attempt: 1 },
+        TraceEvent::PaFallback { cycle: 31, gpm: 9, reason: "links down" },
+        TraceEvent::Shed { cycle: 120, scale: 0.5, reason: "deadline" },
+        TraceEvent::LinkWindow { start: 0, end: 64, from: 1, to: 0, bytes: 0, busy: 0.0, queue: 0 },
+        TraceEvent::LinkWindow {
+            start: 0,
+            end: 128,
+            from: 0,
+            to: 1,
+            bytes: 2048,
+            busy: 32.0,
+            queue: 4,
+        },
+        TraceEvent::LinkWindow {
+            start: 128,
+            end: 256,
+            from: 2,
+            to: 3,
+            bytes: 1024,
+            busy: 96.5,
+            queue: 0,
+        },
+        TraceEvent::LinkWindow {
+            start: 256,
+            end: 384,
+            from: 3,
+            to: 2,
+            bytes: 2048,
+            busy: 8.0,
+            queue: 1,
+        },
+        TraceEvent::DramWindow { start: 0, end: 128, gpm: 0, bytes: 8192, busy: 64.25, queue: 2 },
+        TraceEvent::DramWindow { start: 0, end: 128, gpm: 7, bytes: 1, busy: 0.5, queue: 0 },
+        TraceEvent::CacheWindow {
+            gpm: 1,
+            start: 0,
+            end: 128,
+            l1_accesses: 300,
+            l1_hits: 200,
+            l2_accesses: 100,
+            l2_hits: 7,
+        },
+        TraceEvent::CacheWindow {
+            gpm: 2,
+            start: 0,
+            end: 128,
+            l1_accesses: 0,
+            l1_hits: 0,
+            l2_accesses: 0,
+            l2_hits: 0,
+        },
+        TraceEvent::SessionAdmit { cycle: 0, session: 0, predicted: 45_000.0, active: 1 },
+        TraceEvent::SessionReject {
+            cycle: 10,
+            session: 1,
+            predicted: 45_000.5,
+            reason: ODD_REASON,
+        },
+        TraceEvent::FrameStart { cycle: 100, session: 0, frame: 0, deadline: 11_111_211 },
+        TraceEvent::FrameSpan { session: 0, frame: 0, start: 100, end: 45_100, scale: 0.8 },
+        TraceEvent::FrameSpan { session: 1, frame: 0, start: 200, end: 150, scale: 1.0 },
+        TraceEvent::FrameShed { cycle: 100, session: 0, frame: 0, scale: 0.8 },
+        TraceEvent::FrameDrop { cycle: 12_000_001, session: 0, frame: 2, reason: "stale" },
+        TraceEvent::DeadlineMiss { cycle: 12_000_000, session: 0, frame: 1, deadline: 11_111_211 },
+        TraceEvent::DeadlineMiss { cycle: 12_000_500, session: 1, frame: 1, deadline: 11_111_211 },
+        TraceEvent::DeadlineMiss { cycle: 12_000_500, session: 2, frame: 3, deadline: 11_111_211 },
+        TraceEvent::TemporalReuse {
+            cycle: 100,
+            session: 0,
+            frame: 1,
+            reused: 37,
+            rerendered: 3,
+            saved: 250_000,
+        },
+        TraceEvent::ServerUp { cycle: 0, server: 0 },
+        TraceEvent::ServerUp { cycle: 0, server: 6 },
+        TraceEvent::ServerDown { cycle: 200_000, server: 1, reason: ODD_REASON },
+        TraceEvent::SessionRoute { cycle: 10, session: 0, server: 1, attempt: 1 },
+        TraceEvent::RouteRetry { cycle: 20, session: 1, attempt: 1, backoff: 123_456 },
+        TraceEvent::SessionMigrate {
+            cycle: 300_000,
+            session: 0,
+            from: 0,
+            to: 5,
+            reason: "overload",
+        },
+        TraceEvent::SessionFailover { cycle: 200_000, session: 0, from: 1, to: 0 },
+        TraceEvent::ClusterFrame {
+            cycle: 200_000,
+            session: 1,
+            server: 0,
+            on_time: true,
+            degraded: true,
+        },
+        TraceEvent::ClusterFrame {
+            cycle: 200_000,
+            session: 0,
+            server: 1,
+            on_time: false,
+            degraded: false,
+        },
+        TraceEvent::ClusterFrame {
+            cycle: 211_111,
+            session: 0,
+            server: 4,
+            on_time: true,
+            degraded: false,
+        },
+        TraceEvent::FrameSent { cycle: 50_000, session: 0, frame: 1, bytes: 240_000 },
+        TraceEvent::FrameLost { cycle: 95_000, session: 0, frame: 2 },
+        TraceEvent::FrameReprojected { cycle: 133_332, session: 0, frame: 2, age: 1 },
+        TraceEvent::FrameStale { cycle: 177_776, session: 0, frame: 3, age: 5 },
+        TraceEvent::FrameDelivered { cycle: 62_000, session: 0, frame: 1, latency: 12_000 },
+        TraceEvent::FrameDelivered { cycle: 70_000, session: 1, frame: 1, latency: 9_000 },
+        TraceEvent::FrameDelivered { cycle: 80_000, session: 2, frame: 2, latency: 12_000 },
+    ]
+}
+
+/// First 16 hex digits of SHA-256 over `text`.
+fn digest(text: &str) -> String {
+    oovr_hash::hex_digest(text.as_bytes())[..16].to_string()
+}
+
+/// Byte-level pins of the three exporters over [`every_event`]. The traces
+/// committed under `results/traces` never carry a shade-scale change, a
+/// migration, a PA retry or fallback, a frame drop or stale frame, a refit,
+/// an early steal or a ring overflow, so only this test pins those bytes.
+#[test]
+fn exporters_match_recorded_digests() {
+    let events = every_event();
+    let csv = csv_timeline(&events, 0);
+    let kinds: std::collections::BTreeSet<&str> =
+        csv.lines().skip(1).filter_map(|l| l.split(',').next()).collect();
+    assert_eq!(kinds.len(), 35, "the slice must hold every TraceEvent variant: {kinds:?}");
+    // Every prefix and suffix of the slice, so each digest section is
+    // rendered both present and absent.
+    let sections: String = (0..=events.len())
+        .flat_map(|k| [&events[..k], &events[k..]])
+        .map(|part| flight_digest(part, 0))
+        .collect();
+    let got = [
+        ("chrome n2 dropped 0", digest(&chrome_trace(&events, 2, 0))),
+        ("chrome n2 dropped 3", digest(&chrome_trace(&events, 2, 3))),
+        ("chrome n4 dropped 0", digest(&chrome_trace(&events, 4, 0))),
+        ("chrome n4 dropped 3", digest(&chrome_trace(&events, 4, 3))),
+        ("csv dropped 0", digest(&csv)),
+        ("csv dropped 3", digest(&csv_timeline(&events, 3))),
+        ("digest dropped 0", digest(&flight_digest(&events, 0))),
+        ("digest dropped 3", digest(&flight_digest(&events, 3))),
+        ("digest sections", digest(&sections)),
+    ];
+    let want = [
+        ("chrome n2 dropped 0", "3f992d8450cfd3d6"),
+        ("chrome n2 dropped 3", "8f7c8f0b3aae6378"),
+        ("chrome n4 dropped 0", "9b65c72a37ddd707"),
+        ("chrome n4 dropped 3", "2d7b9e8191ea7782"),
+        ("csv dropped 0", "eb635fa9ee17915c"),
+        ("csv dropped 3", "b7464657423a7608"),
+        ("digest dropped 0", "962094ed3cb9ab25"),
+        ("digest dropped 3", "8ec4e103b23a89e3"),
+        ("digest sections", "3f927459c3e77370"),
+    ];
+    assert_eq!(got.iter().map(|(name, d)| (*name, d.as_str())).collect::<Vec<_>>(), want);
+    for n_gpms in [2, 4] {
+        let doc = oovr_trace::json::parse(&chrome_trace(&events, n_gpms, 3)).expect("parses");
+        oovr_trace::json::validate_chrome_trace(&doc, n_gpms).expect("validates");
     }
 }
