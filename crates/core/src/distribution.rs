@@ -42,7 +42,7 @@ use std::collections::VecDeque;
 
 use oovr_gpu::{Executor, RenderUnit};
 use oovr_mem::GpmId;
-use oovr_trace::{TraceEvent, TraceSink};
+use oovr_trace::TraceEvent;
 
 use crate::middleware::Batch;
 use crate::predictor::{BatchSample, Coefficients, EngineCounters, CALIBRATION_BATCHES};

@@ -25,7 +25,7 @@ use crate::error::GpuError;
 use crate::layout::{SceneLayout, ZBuffer, FB_BYTES_PER_PIXEL};
 use crate::raster::rasterize;
 use crate::report::{FrameReport, WorkCounts};
-use crate::stages::{self, lap, Stage};
+use crate::stages::{lap, Stage};
 use crate::tasks::{eye_clip, geometry_work, RenderUnit};
 use crate::trace::ExecTracer;
 
@@ -676,7 +676,6 @@ impl<'s> Executor<'s> {
                 let mut samples = 0u64;
                 let mut passed = 0u64;
                 rasterize(&tri, Some(&clip), res.stereo_width(), res.height, |q| {
-                    let mut probe = stages::quad();
                     quads += 1;
                     counts.fragments += u64::from(q.coverage());
                     // Texture sampling: `texel_samples_per_quad` points
@@ -699,7 +698,6 @@ impl<'s> Executor<'s> {
                     }
                     mem.read_lines(gpm, &mut lines[..n], TrafficClass::Texture);
                     samples += n as u64;
-                    probe.mark(Stage::Texel);
                     // Depth test: read the Z line, write back if any pass.
                     let zaddr = layout.zb_addr(q.x, q.y);
                     mem.read(gpm, zaddr, TrafficClass::Depth, false);
@@ -749,7 +747,6 @@ impl<'s> Executor<'s> {
                         mem.write(gpm, zaddr, TrafficClass::Depth);
                         passed += u64::from(pass.count_ones());
                     }
-                    probe.mark(Stage::DepthColour);
                 });
                 self.counts.quads += quads;
                 self.counts.pixels_out += passed;
@@ -760,7 +757,7 @@ impl<'s> Executor<'s> {
                 pending_pixels += passed;
                 if pending_quads >= model.quantum_quads {
                     // Quantum full: charge it and suspend after this triangle.
-                    lap(Stage::Raster);
+                    lap(Stage::QuadLoop);
                     let compute =
                         self.fragment_compute(pending_quads, pending_samples, pending_pixels);
                     self.gpms[g].frag_compute += compute.ceil() as Cycle;
@@ -772,7 +769,7 @@ impl<'s> Executor<'s> {
             eye_idx += 1;
             tri_idx = 0;
         }
-        lap(Stage::Raster);
+        lap(Stage::QuadLoop);
         if pending_quads > 0 {
             let compute = self.fragment_compute(pending_quads, pending_samples, pending_pixels);
             self.gpms[g].frag_compute += compute.ceil() as Cycle;

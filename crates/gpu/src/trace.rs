@@ -8,7 +8,10 @@
 //! state through shared references — tracing cannot perturb the simulation.
 
 use oovr_mem::{Cycle, GpmId, MemorySystem, NumaTiming};
-use oovr_trace::{Phase, Recorder, TraceConfig, TraceEvent, TraceSink};
+use oovr_trace::{Phase, Recorder, TraceConfig, TraceEvent};
+
+/// Width of the bandwidth/cache sampling windows in simulated cycles.
+const WINDOW_CYCLES: Cycle = 16_384;
 
 /// An in-progress phase span on one GPM.
 #[derive(Debug, Clone, Copy)]
@@ -39,7 +42,6 @@ impl OpenSpan {
 #[derive(Debug)]
 pub(crate) struct ExecTracer {
     rec: Recorder,
-    window: Cycle,
     n: usize,
     open: Vec<Option<OpenSpan>>,
     /// Next window boundary each GPM's clock must cross to trigger a sample.
@@ -59,14 +61,11 @@ pub(crate) struct ExecTracer {
 
 impl ExecTracer {
     pub(crate) fn new(cfg: TraceConfig, n: usize) -> Self {
-        let rec = Recorder::new(cfg);
-        let window = rec.window_cycles();
         ExecTracer {
-            rec,
-            window,
+            rec: Recorder::new(cfg),
             n,
             open: vec![None; n],
-            next_window: vec![window; n],
+            next_window: vec![WINDOW_CYCLES; n],
             last_end: vec![0; n],
             last_link: vec![(0, 0.0); n * n],
             last_dram: vec![(0, 0.0); n],
@@ -125,9 +124,9 @@ impl ExecTracer {
         if now < self.next_window[g] {
             return;
         }
-        let end = now - (now % self.window);
+        let end = now - (now % WINDOW_CYCLES);
         self.emit_windows(g, end, fabric, mem);
-        self.next_window[g] = end + self.window;
+        self.next_window[g] = end + WINDOW_CYCLES;
     }
 
     fn emit_windows(&mut self, g: usize, end: Cycle, fabric: &NumaTiming, mem: &MemorySystem) {

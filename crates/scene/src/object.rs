@@ -127,20 +127,15 @@ impl RenderObject {
     }
 
     /// Precomputed reprojection probe of this object's viewport bound at
-    /// `res`: everything [`projected_motion`](Self::projected_motion) needs,
-    /// detached from the object and measured by the same [`MotionKernel`]
-    /// that walks a whole scene.
+    /// `res`, detached from the object and measured by the same
+    /// [`MotionKernel`] that walks a whole scene. Its
+    /// [`motion`](MotionProbe::motion) is the projected-bound motion
+    /// (pixels) between two poses: the view-matrix delta applied to the
+    /// viewport bound, plus a depth-scaled positional parallax term.
+    /// Deterministic f64 — no randomness, no wall clock — so identical pose
+    /// pairs always measure identical motion.
     pub fn motion_probe(&self, res: Resolution) -> MotionProbe {
         MotionProbe(MotionKernel::new(std::slice::from_ref(self), res))
-    }
-
-    /// Projected-bound motion (pixels) of this object between two poses:
-    /// the view-matrix delta applied to the object's viewport bound, plus a
-    /// depth-scaled positional parallax term. Deterministic f64 — no
-    /// randomness, no wall clock — so identical pose pairs always measure
-    /// identical motion.
-    pub fn projected_motion(&self, res: Resolution, from: &Pose, to: &Pose) -> f64 {
-        self.motion_probe(res).motion(from, to)
     }
 
     /// Emits the screen-space triangles of this object's `eye` instance.
@@ -848,7 +843,7 @@ mod tests {
         let mut t = crate::pose::PoseTrajectory::new(11);
         for _ in 0..8 {
             let p = t.step();
-            assert_eq!(o.projected_motion(res, &p, &p), 0.0);
+            assert_eq!(o.motion_probe(res).motion(&p, &p), 0.0);
         }
     }
 
@@ -859,8 +854,8 @@ mod tests {
         let p0 = Pose::identity();
         let small = Pose { yaw: 0.01, ..Pose::identity() };
         let big = Pose { yaw: 0.1, ..Pose::identity() };
-        let m_small = o.projected_motion(res, &p0, &small);
-        let m_big = o.projected_motion(res, &p0, &big);
+        let m_small = o.motion_probe(res).motion(&p0, &small);
+        let m_big = o.motion_probe(res).motion(&p0, &big);
         assert!(m_small > 0.0, "any rotation must register motion");
         assert!(m_big > m_small, "10x the yaw delta must move the bound further");
         // ~0.01 rad of yaw at a 64 px half-width is on the order of a pixel.
@@ -878,8 +873,8 @@ mod tests {
         let far = far.try_build(|_| Some(TextureId(0))).expect("builds");
         let p0 = Pose::identity();
         let moved = Pose { position: [0.05, 0.0, 0.0], ..Pose::identity() };
-        let m_near = near.projected_motion(res, &p0, &moved);
-        let m_far = far.projected_motion(res, &p0, &moved);
+        let m_near = near.motion_probe(res).motion(&p0, &moved);
+        let m_far = far.motion_probe(res).motion(&p0, &moved);
         assert!(m_near > m_far, "near {m_near} must out-parallax far {m_far}");
     }
 
@@ -893,8 +888,8 @@ mod tests {
         let diag = (128.0f64 * 128.0 + 96.0 * 96.0).sqrt();
         for _ in 0..32 {
             let next = t.step();
-            let m = o.projected_motion(res, &prev, &next);
-            assert_eq!(m, probe.motion(&prev, &next), "probe must equal the object metric");
+            let m = o.motion_probe(res).motion(&prev, &next);
+            assert_eq!(m, probe.motion(&prev, &next), "a reused probe must equal a fresh one");
             assert!((0.0..=diag).contains(&m), "motion {m} outside [0, diag]");
             prev = next;
         }

@@ -123,7 +123,8 @@ pub fn meter_serve(reg: &mut Registry, out: &ServeOutcome, events: &[TraceEvent]
 /// server accounted (sessions rejected, lost to backoff, or evicted) land
 /// on the `unrouted` label at the session's last deadline, so the
 /// aggregate metered miss rate equals [`ClusterOutcome::miss_rate`]
-/// exactly.
+/// exactly. `events` are the run's own, so every server index in them is
+/// below `cfg.servers`.
 pub fn meter_cluster(
     reg: &mut Registry,
     mix: &[(ServeScheme, BenchmarkSpec)],
@@ -134,18 +135,20 @@ pub fn meter_cluster(
     // Sessions round-robin the mix entries; a session's class is its
     // entry's workload name.
     let class = |session: usize| mix[session % mix.len()].1.name.as_str();
-    let srv = |server: u32| format!("srv{server}");
+    // Server labels, formatted once per run instead of once per event.
+    let labels: Vec<String> = (0..cfg.servers).map(|s| format!("srv{s}")).collect();
+    let srv = |server: u32| labels[server as usize].as_str();
     let mut accounted = vec![0u32; out.sessions.len()];
     for e in events {
         match *e {
             TraceEvent::ServerUp { cycle, server } => {
-                reg.inc("server_up_transitions", &srv(server), cycle, 1);
+                reg.inc("server_up_transitions", srv(server), cycle, 1);
             }
             TraceEvent::ServerDown { cycle, server, .. } => {
-                reg.inc("server_down_transitions", &srv(server), cycle, 1);
+                reg.inc("server_down_transitions", srv(server), cycle, 1);
             }
             TraceEvent::SessionRoute { cycle, server, .. } => {
-                reg.inc("sessions_admitted", &srv(server), cycle, 1);
+                reg.inc("sessions_admitted", srv(server), cycle, 1);
             }
             TraceEvent::SessionReject { cycle, .. } => reg.inc("sessions_rejected", "", cycle, 1),
             TraceEvent::RouteRetry { cycle, .. } => reg.inc("route_retries", "", cycle, 1),
@@ -160,13 +163,13 @@ pub fn meter_cluster(
             TraceEvent::ClusterFrame { cycle, session, server, on_time, degraded } => {
                 let (label, class) = (srv(server), class(session as usize));
                 accounted[session as usize] += 1;
-                reg.inc("frames", &label, cycle, 1);
+                reg.inc("frames", label, cycle, 1);
                 reg.inc("class_frames", class, cycle, 1);
                 if !on_time {
-                    reg.inc("frames_missed", &label, cycle, 1);
+                    reg.inc("frames_missed", label, cycle, 1);
                     reg.inc("class_frames_missed", class, cycle, 1);
                 } else if degraded {
-                    reg.inc("frames_degraded", &label, cycle, 1);
+                    reg.inc("frames_degraded", label, cycle, 1);
                 }
             }
             _ => {}

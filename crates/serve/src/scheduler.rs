@@ -46,7 +46,7 @@ use oovr::{ResilienceConfig, TemporalConfig};
 use oovr_gpu::{FrameReport, GpuConfig, VSYNC_90HZ_CYCLES};
 use oovr_metrics::Registry;
 use oovr_scene::BenchmarkSpec;
-use oovr_trace::{Cycle, Recorder, TraceEvent, TraceSink};
+use oovr_trace::{Cycle, Recorder, TraceEvent};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 

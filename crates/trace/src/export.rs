@@ -2,7 +2,8 @@
 //!
 //! All three exporters are pure functions from a drained event slice to a
 //! `String`, and all formatting is deterministic — two identical event slices
-//! always yield byte-identical output.
+//! always yield byte-identical output. Each reads an event's kind name and
+//! cycles from [`TraceEvent::stamp`], so the three share one vocabulary.
 //!
 //! Chrome layout (Perfetto-loadable): one process (`pid`) per GPM plus one
 //! `engine` process for distribution-engine decisions. Within a GPM process,
@@ -11,6 +12,8 @@
 //! GPM, PA retries/fallbacks). Link/DRAM/cache windows become Chrome counter
 //! tracks on the destination GPM's process. Within every track, events are
 //! emitted sorted by timestamp, so per-track timestamps are monotone.
+
+use std::collections::BTreeMap;
 
 use crate::{Cycle, Phase, TraceEvent};
 
@@ -111,236 +114,205 @@ pub fn chrome_trace(events: &[TraceEvent], n_gpms: usize, dropped: u64) -> Strin
         ));
     }
     for ev in events {
-        match *ev {
-            TraceEvent::PhaseSpan { gpm, object, phase, start, end, quanta, stall } => {
+        let (kind, start, end) = ev.stamp();
+        let (pid, tid, args) = match *ev {
+            TraceEvent::PhaseSpan { gpm, object, phase, quanta, stall, .. } => {
                 let args =
                     format!("\"object\":{object},\"quanta\":{quanta},\"stall_cycles\":{stall}");
-                entries.push(span(
-                    gpm_pid(gpm),
-                    TID_PIPELINE,
-                    &format!("obj{object} {}", phase.name()),
-                    start,
-                    end,
-                    &args,
-                ));
+                let name = format!("obj{object} {}", phase.name());
+                entries.push(span(gpm_pid(gpm), TID_PIPELINE, &name, start, end, &args));
+                continue;
             }
-            TraceEvent::CompositionSpan { start, end } => {
-                entries.push(span(engine, TID_PIPELINE, "composition", start, end, ""));
+            TraceEvent::CompositionSpan { .. } => {
+                entries.push(span(engine, TID_PIPELINE, kind, start, end, ""));
+                continue;
             }
-            TraceEvent::ShadeScale { cycle, scale } => {
-                let args = format!("\"scale\":{}", f(scale));
-                entries.push(instant(engine, TID_PIPELINE, "shade_scale", cycle, &args));
+            TraceEvent::FrameSpan { session, frame, scale, .. } => {
+                let args = format!("\"frame\":{frame},\"scale\":{}", f(scale));
+                let (tid, name) = (TID_SESSION_BASE + session, format!("s{session} f{frame}"));
+                entries.push(span(engine, tid, &name, start, end, &args));
+                continue;
             }
-            TraceEvent::PreAlloc { cycle, gpm, object, bytes } => {
-                let args = format!("\"object\":{object},\"bytes\":{bytes}");
-                entries.push(instant(gpm_pid(gpm), TID_EVENTS, "pa", cycle, &args));
+            TraceEvent::LinkWindow { from, to, bytes, busy, queue, .. } => {
+                let pid = gpm_pid(to);
+                let track = |what: &str| format!("link {from}->{to} {what}");
+                entries.push(counter(pid, &track("bytes"), end, &format!("\"bytes\":{bytes}")));
+                let busy = format!("\"busy_cycles\":{}", f(busy));
+                entries.push(counter(pid, &track("busy"), end, &busy));
+                let queue = format!("\"queue_cycles\":{queue}");
+                entries.push(counter(pid, &track("queue"), end, &queue));
+                continue;
             }
-            TraceEvent::CalibrationFit { cycle, c0, c1, c2, samples, refit } => {
+            TraceEvent::DramWindow { gpm, bytes, busy, queue, .. } => {
+                let pid = gpm_pid(gpm);
+                entries.push(counter(pid, "dram bytes", end, &format!("\"bytes\":{bytes}")));
+                let busy = format!("\"busy_cycles\":{}", f(busy));
+                entries.push(counter(pid, "dram busy", end, &busy));
+                entries.push(counter(pid, "dram queue", end, &format!("\"queue_cycles\":{queue}")));
+                continue;
+            }
+            TraceEvent::CacheWindow { gpm, l1_accesses, l1_hits, l2_accesses, l2_hits, .. } => {
+                let pid = gpm_pid(gpm);
+                let l1 = if l1_accesses > 0 { l1_hits as f64 / l1_accesses as f64 } else { 0.0 };
+                let l2 = if l2_accesses > 0 { l2_hits as f64 / l2_accesses as f64 } else { 0.0 };
+                entries.push(counter(pid, "l1 hit rate", end, &format!("\"rate\":{}", f(l1))));
+                entries.push(counter(pid, "l2 hit rate", end, &format!("\"rate\":{}", f(l2))));
+                continue;
+            }
+            TraceEvent::ShadeScale { scale, .. } => {
+                (engine, TID_PIPELINE, format!("\"scale\":{}", f(scale)))
+            }
+            TraceEvent::PreAlloc { gpm, object, bytes, .. } => {
+                (gpm_pid(gpm), TID_EVENTS, format!("\"object\":{object},\"bytes\":{bytes}"))
+            }
+            TraceEvent::CalibrationFit { c0, c1, c2, samples, refit, .. } => {
                 let args = format!(
                     "\"c0\":{},\"c1\":{},\"c2\":{},\"samples\":{samples},\"refit\":{refit}",
                     f(c0),
                     f(c1),
                     f(c2)
                 );
-                let name = if refit { "refit" } else { "calibration_fit" };
-                entries.push(instant(engine, TID_PIPELINE, name, cycle, &args));
+                (engine, TID_PIPELINE, args)
             }
-            TraceEvent::Assign { cycle, gpm, batch, triangles, predicted } => {
+            TraceEvent::Assign { gpm, batch, triangles, predicted, .. } => {
                 let args = format!(
                     "\"gpm\":{gpm},\"batch\":{batch},\"triangles\":{triangles},\"predicted_cycles\":{}",
                     f(predicted)
                 );
-                entries.push(instant(engine, TID_PIPELINE, "assign", cycle, &args));
+                (engine, TID_PIPELINE, args)
             }
-            TraceEvent::BatchDone { cycle, gpm, batch, predicted, actual } => {
+            TraceEvent::BatchDone { gpm, batch, predicted, actual, .. } => {
                 let args = format!(
                     "\"gpm\":{gpm},\"batch\":{batch},\"predicted_cycles\":{},\"actual_cycles\":{}",
                     f(predicted),
                     f(actual)
                 );
-                entries.push(instant(engine, TID_PIPELINE, "batch_done", cycle, &args));
+                (engine, TID_PIPELINE, args)
             }
-            TraceEvent::Steal { cycle, thief, victim, object, triangles, early } => {
+            TraceEvent::Steal { thief, victim, object, triangles, early, .. } => {
                 let args = format!(
                     "\"victim\":{victim},\"object\":{object},\"triangles\":{triangles},\"early\":{early}"
                 );
-                let name = if early { "early_steal" } else { "steal" };
-                entries.push(instant(gpm_pid(thief), TID_EVENTS, name, cycle, &args));
+                (gpm_pid(thief), TID_EVENTS, args)
             }
-            TraceEvent::Migrate { cycle, from, to, predicted, reason } => {
+            TraceEvent::Migrate { from, to, predicted, reason, .. } => {
                 let args = format!(
                     "\"from\":{from},\"to\":{to},\"predicted_cycles\":{},\"reason\":\"{}\"",
                     f(predicted),
                     esc(reason)
                 );
-                entries.push(instant(engine, TID_PIPELINE, "migrate", cycle, &args));
+                (engine, TID_PIPELINE, args)
             }
-            TraceEvent::PaRetry { cycle, gpm, attempt } => {
-                let args = format!("\"attempt\":{attempt}");
-                entries.push(instant(gpm_pid(gpm), TID_EVENTS, "pa_retry", cycle, &args));
+            TraceEvent::PaRetry { gpm, attempt, .. } => {
+                (gpm_pid(gpm), TID_EVENTS, format!("\"attempt\":{attempt}"))
             }
-            TraceEvent::PaFallback { cycle, gpm, reason } => {
-                let args = format!("\"reason\":\"{}\"", esc(reason));
-                entries.push(instant(gpm_pid(gpm), TID_EVENTS, "pa_fallback", cycle, &args));
+            TraceEvent::PaFallback { gpm, reason, .. } => {
+                (gpm_pid(gpm), TID_EVENTS, format!("\"reason\":\"{}\"", esc(reason)))
             }
-            TraceEvent::Shed { cycle, scale, reason } => {
+            TraceEvent::Shed { scale, reason, .. } => {
                 let args = format!("\"scale\":{},\"reason\":\"{}\"", f(scale), esc(reason));
-                entries.push(instant(engine, TID_PIPELINE, "shed", cycle, &args));
+                (engine, TID_PIPELINE, args)
             }
-            TraceEvent::LinkWindow { start: _, end, from, to, bytes, busy, queue } => {
-                let pid = gpm_pid(to);
-                entries.push(counter(
-                    pid,
-                    &format!("link {from}->{to} bytes"),
-                    end,
-                    &format!("\"bytes\":{bytes}"),
-                ));
-                entries.push(counter(
-                    pid,
-                    &format!("link {from}->{to} busy"),
-                    end,
-                    &format!("\"busy_cycles\":{}", f(busy)),
-                ));
-                entries.push(counter(
-                    pid,
-                    &format!("link {from}->{to} queue"),
-                    end,
-                    &format!("\"queue_cycles\":{queue}"),
-                ));
-            }
-            TraceEvent::DramWindow { start: _, end, gpm, bytes, busy, queue } => {
-                let pid = gpm_pid(gpm);
-                entries.push(counter(pid, "dram bytes", end, &format!("\"bytes\":{bytes}")));
-                entries.push(counter(
-                    pid,
-                    "dram busy",
-                    end,
-                    &format!("\"busy_cycles\":{}", f(busy)),
-                ));
-                entries.push(counter(pid, "dram queue", end, &format!("\"queue_cycles\":{queue}")));
-            }
-            TraceEvent::CacheWindow {
-                gpm,
-                start: _,
-                end,
-                l1_accesses,
-                l1_hits,
-                l2_accesses,
-                l2_hits,
-            } => {
-                let pid = gpm_pid(gpm);
-                let l1 = if l1_accesses > 0 { l1_hits as f64 / l1_accesses as f64 } else { 0.0 };
-                let l2 = if l2_accesses > 0 { l2_hits as f64 / l2_accesses as f64 } else { 0.0 };
-                entries.push(counter(pid, "l1 hit rate", end, &format!("\"rate\":{}", f(l1))));
-                entries.push(counter(pid, "l2 hit rate", end, &format!("\"rate\":{}", f(l2))));
-            }
-            TraceEvent::SessionAdmit { cycle, session, predicted, active } => {
+            TraceEvent::SessionAdmit { session, predicted, active, .. } => {
                 let args = format!(
                     "\"session\":{session},\"predicted_cycles\":{},\"active\":{active}",
                     f(predicted)
                 );
-                entries.push(instant(engine, TID_EVENTS, "session_admit", cycle, &args));
+                (engine, TID_EVENTS, args)
             }
-            TraceEvent::SessionReject { cycle, session, predicted, reason } => {
+            TraceEvent::SessionReject { session, predicted, reason, .. } => {
                 let args = format!(
                     "\"session\":{session},\"predicted_cycles\":{},\"reason\":\"{}\"",
                     f(predicted),
                     esc(reason)
                 );
-                entries.push(instant(engine, TID_EVENTS, "session_reject", cycle, &args));
+                (engine, TID_EVENTS, args)
             }
-            TraceEvent::FrameStart { cycle, session, frame, deadline } => {
+            TraceEvent::FrameStart { session, frame, deadline, .. } => {
                 let args =
                     format!("\"session\":{session},\"frame\":{frame},\"deadline\":{deadline}");
-                entries.push(instant(engine, TID_PIPELINE, "frame_start", cycle, &args));
+                (engine, TID_PIPELINE, args)
             }
-            TraceEvent::FrameSpan { session, frame, start, end, scale } => {
-                let args = format!("\"frame\":{frame},\"scale\":{}", f(scale));
-                entries.push(span(
-                    engine,
-                    TID_SESSION_BASE + session,
-                    &format!("s{session} f{frame}"),
-                    start,
-                    end,
-                    &args,
-                ));
-            }
-            TraceEvent::DeadlineMiss { cycle, session, frame, deadline } => {
+            TraceEvent::DeadlineMiss { session, frame, deadline, .. } => {
                 let args =
                     format!("\"session\":{session},\"frame\":{frame},\"deadline\":{deadline}");
-                entries.push(instant(engine, TID_EVENTS, "deadline_miss", cycle, &args));
+                (engine, TID_EVENTS, args)
             }
-            TraceEvent::FrameShed { cycle, session, frame, scale } => {
+            TraceEvent::FrameShed { session, frame, scale, .. } => {
                 let args =
                     format!("\"session\":{session},\"frame\":{frame},\"scale\":{}", f(scale));
-                entries.push(instant(engine, TID_EVENTS, "frame_shed", cycle, &args));
+                (engine, TID_EVENTS, args)
             }
-            TraceEvent::FrameDrop { cycle, session, frame, reason } => {
+            TraceEvent::FrameDrop { session, frame, reason, .. } => {
                 let args = format!(
                     "\"session\":{session},\"frame\":{frame},\"reason\":\"{}\"",
                     esc(reason)
                 );
-                entries.push(instant(engine, TID_EVENTS, "frame_drop", cycle, &args));
+                (engine, TID_EVENTS, args)
             }
-            TraceEvent::TemporalReuse { cycle, session, frame, reused, rerendered, saved } => {
+            TraceEvent::TemporalReuse { session, frame, reused, rerendered, saved, .. } => {
                 let args = format!(
                     "\"session\":{session},\"frame\":{frame},\"reused\":{reused},\
                      \"rerendered\":{rerendered},\"saved\":{saved}"
                 );
-                entries.push(instant(engine, TID_EVENTS, "temporal_reuse", cycle, &args));
+                (engine, TID_EVENTS, args)
             }
-            TraceEvent::ServerUp { cycle, server } => {
-                let args = format!("\"server\":{server}");
-                entries.push(instant(gpm_pid(server), TID_EVENTS, "server_up", cycle, &args));
+            TraceEvent::ServerUp { server, .. } => {
+                (gpm_pid(server), TID_EVENTS, format!("\"server\":{server}"))
             }
-            TraceEvent::ServerDown { cycle, server, reason } => {
+            TraceEvent::ServerDown { server, reason, .. } => {
                 let args = format!("\"server\":{server},\"reason\":\"{}\"", esc(reason));
-                entries.push(instant(gpm_pid(server), TID_EVENTS, "server_down", cycle, &args));
+                (gpm_pid(server), TID_EVENTS, args)
             }
-            TraceEvent::SessionRoute { cycle, session, server, attempt } => {
-                let args = format!("\"session\":{session},\"attempt\":{attempt}");
-                entries.push(instant(gpm_pid(server), TID_EVENTS, "session_route", cycle, &args));
-            }
-            TraceEvent::RouteRetry { cycle, session, attempt, backoff } => {
+            TraceEvent::SessionRoute { session, server, attempt, .. } => (
+                gpm_pid(server),
+                TID_EVENTS,
+                format!("\"session\":{session},\"attempt\":{attempt}"),
+            ),
+            TraceEvent::RouteRetry { session, attempt, backoff, .. } => {
                 let args =
                     format!("\"session\":{session},\"attempt\":{attempt},\"backoff\":{backoff}");
-                entries.push(instant(engine, TID_EVENTS, "route_retry", cycle, &args));
+                (engine, TID_EVENTS, args)
             }
-            TraceEvent::SessionMigrate { cycle, session, from, to, reason } => {
+            TraceEvent::SessionMigrate { session, from, to, reason, .. } => {
                 let args =
                     format!("\"session\":{session},\"from\":{from},\"reason\":\"{}\"", esc(reason));
-                entries.push(instant(gpm_pid(to), TID_EVENTS, "session_migrate", cycle, &args));
+                (gpm_pid(to), TID_EVENTS, args)
             }
-            TraceEvent::SessionFailover { cycle, session, from, to } => {
-                let args = format!("\"session\":{session},\"from\":{from}");
-                entries.push(instant(gpm_pid(to), TID_EVENTS, "session_failover", cycle, &args));
+            TraceEvent::SessionFailover { session, from, to, .. } => {
+                (gpm_pid(to), TID_EVENTS, format!("\"session\":{session},\"from\":{from}"))
             }
-            TraceEvent::ClusterFrame { cycle, session, server, on_time, degraded } => {
+            TraceEvent::ClusterFrame { session, server, on_time, degraded, .. } => {
                 let args =
                     format!("\"session\":{session},\"on_time\":{on_time},\"degraded\":{degraded}");
-                entries.push(instant(gpm_pid(server), TID_EVENTS, "cluster_frame", cycle, &args));
+                (gpm_pid(server), TID_EVENTS, args)
             }
-            TraceEvent::FrameSent { cycle, session, frame, bytes } => {
-                let args = format!("\"session\":{session},\"frame\":{frame},\"bytes\":{bytes}");
-                entries.push(instant(engine, TID_EVENTS, "frame_sent", cycle, &args));
-            }
-            TraceEvent::FrameDelivered { cycle, session, frame, latency } => {
+            TraceEvent::FrameSent { session, frame, bytes, .. } => (
+                engine,
+                TID_EVENTS,
+                format!("\"session\":{session},\"frame\":{frame},\"bytes\":{bytes}"),
+            ),
+            TraceEvent::FrameDelivered { session, frame, latency, .. } => {
                 let args = format!("\"session\":{session},\"frame\":{frame},\"latency\":{latency}");
-                entries.push(instant(engine, TID_EVENTS, "frame_delivered", cycle, &args));
+                (engine, TID_EVENTS, args)
             }
-            TraceEvent::FrameLost { cycle, session, frame } => {
-                let args = format!("\"session\":{session},\"frame\":{frame}");
-                entries.push(instant(engine, TID_EVENTS, "frame_lost", cycle, &args));
+            TraceEvent::FrameLost { session, frame, .. } => {
+                (engine, TID_EVENTS, format!("\"session\":{session},\"frame\":{frame}"))
             }
-            TraceEvent::FrameReprojected { cycle, session, frame, age } => {
-                let args = format!("\"session\":{session},\"frame\":{frame},\"age\":{age}");
-                entries.push(instant(engine, TID_EVENTS, "frame_reprojected", cycle, &args));
-            }
-            TraceEvent::FrameStale { cycle, session, frame, age } => {
-                let args = format!("\"session\":{session},\"frame\":{frame},\"age\":{age}");
-                entries.push(instant(engine, TID_EVENTS, "frame_stale", cycle, &args));
-            }
-        }
+            TraceEvent::FrameReprojected { session, frame, age, .. }
+            | TraceEvent::FrameStale { session, frame, age, .. } => (
+                engine,
+                TID_EVENTS,
+                format!("\"session\":{session},\"frame\":{frame},\"age\":{age}"),
+            ),
+        };
+        let name = match *ev {
+            TraceEvent::PreAlloc { .. } => "pa",
+            TraceEvent::CalibrationFit { refit: true, .. } => "refit",
+            TraceEvent::Steal { early: true, .. } => "early_steal",
+            _ => kind,
+        };
+        entries.push(instant(pid, tid, name, start, &args));
     }
     // Stable sort: groups tracks and makes timestamps monotone within each
     // (pid, tid) track; ties keep recording order.
@@ -374,7 +346,8 @@ pub fn chrome_trace(events: &[TraceEvent], n_gpms: usize, dropped: u64) -> Strin
 
 /// Render events as a flat CSV timeline in recording order.
 ///
-/// Columns: `kind,start,end,gpm,id,label,a,b` where `id`/`label`/`a`/`b` are
+/// Columns: `kind,start,end,gpm,id,label,a,b` where the first three are the
+/// event's [`TraceEvent::stamp`] and `gpm`/`id`/`label`/`a`/`b` are
 /// kind-specific (documented in DESIGN.md §10): e.g. a `phase_span` row uses
 /// `id`=object, `label`=phase, `a`=quanta, `b`=stall cycles; an `assign` row
 /// uses `id`=batch, `a`=triangles, `b`=predicted cycles.
@@ -389,185 +362,124 @@ pub fn csv_timeline(events: &[TraceEvent], dropped: u64) -> String {
         out.push_str(&format!("trace_overflow,0,0,,,oldest events lost,{dropped},\n"));
     }
     for ev in events {
-        let row = match *ev {
-            TraceEvent::PhaseSpan { gpm, object, phase, start, end, quanta, stall } => {
-                format!("phase_span,{start},{end},{gpm},{object},{},{quanta},{stall}", phase.name())
+        let (kind, start, end) = ev.stamp();
+        let tail = match *ev {
+            TraceEvent::PhaseSpan { gpm, object, phase, quanta, stall, .. } => {
+                format!("{gpm},{object},{},{quanta},{stall}", phase.name())
             }
-            TraceEvent::CompositionSpan { start, end } => {
-                format!("composition,{start},{end},,,,,")
-            }
-            TraceEvent::ShadeScale { cycle, scale } => {
-                format!("shade_scale,{cycle},{cycle},,,,{},", f(scale))
-            }
-            TraceEvent::PreAlloc { cycle, gpm, object, bytes } => {
-                format!("prealloc,{cycle},{cycle},{gpm},{object},,{bytes},")
-            }
-            TraceEvent::CalibrationFit { cycle, c0, c1, c2, samples, refit } => format!(
-                "calibration_fit,{cycle},{cycle},,{samples},{},{},{}",
+            TraceEvent::CompositionSpan { .. } => ",,,,".to_string(),
+            TraceEvent::ShadeScale { scale, .. } => format!(",,,{},", f(scale)),
+            TraceEvent::PreAlloc { gpm, object, bytes, .. } => format!("{gpm},{object},,{bytes},"),
+            TraceEvent::CalibrationFit { c0, c1, c2, samples, refit, .. } => format!(
+                ",{samples},{},{},{}",
                 if refit { "refit" } else { "initial" },
                 f(c0),
                 f(c1 + c2)
             ),
-            TraceEvent::Assign { cycle, gpm, batch, triangles, predicted } => {
-                format!("assign,{cycle},{cycle},{gpm},{batch},,{triangles},{}", f(predicted))
+            TraceEvent::Assign { gpm, batch, triangles, predicted, .. } => {
+                format!("{gpm},{batch},,{triangles},{}", f(predicted))
             }
-            TraceEvent::BatchDone { cycle, gpm, batch, predicted, actual } => {
-                format!("batch_done,{cycle},{cycle},{gpm},{batch},,{},{}", f(predicted), f(actual))
+            TraceEvent::BatchDone { gpm, batch, predicted, actual, .. } => {
+                format!("{gpm},{batch},,{},{}", f(predicted), f(actual))
             }
-            TraceEvent::Steal { cycle, thief, victim, object, triangles, early } => format!(
-                "steal,{cycle},{cycle},{thief},{object},{},{triangles},{victim}",
+            TraceEvent::Steal { thief, victim, object, triangles, early, .. } => format!(
+                "{thief},{object},{},{triangles},{victim}",
                 if early { "early" } else { "idle" }
             ),
-            TraceEvent::Migrate { cycle, from, to, predicted, reason } => {
-                format!("migrate,{cycle},{cycle},{to},{from},{reason},{},", f(predicted))
+            TraceEvent::Migrate { from, to, predicted, reason, .. } => {
+                format!("{to},{from},{reason},{},", f(predicted))
             }
-            TraceEvent::PaRetry { cycle, gpm, attempt } => {
-                format!("pa_retry,{cycle},{cycle},{gpm},{attempt},,,")
+            TraceEvent::PaRetry { gpm, attempt, .. } => format!("{gpm},{attempt},,,"),
+            TraceEvent::PaFallback { gpm, reason, .. } => format!("{gpm},,{reason},,"),
+            TraceEvent::Shed { scale, reason, .. } => format!(",,{reason},{},", f(scale)),
+            TraceEvent::LinkWindow { from, to, bytes, busy, queue, .. } => {
+                format!("{to},{from},,{bytes},{}", f(busy + queue as f64))
             }
-            TraceEvent::PaFallback { cycle, gpm, reason } => {
-                format!("pa_fallback,{cycle},{cycle},{gpm},,{reason},,")
+            TraceEvent::DramWindow { gpm, bytes, busy, queue, .. } => {
+                format!("{gpm},,,{bytes},{}", f(busy + queue as f64))
             }
-            TraceEvent::Shed { cycle, scale, reason } => {
-                format!("shed,{cycle},{cycle},,,{reason},{},", f(scale))
+            TraceEvent::CacheWindow { gpm, l1_accesses, l1_hits, l2_accesses, l2_hits, .. } => {
+                format!("{gpm},{l1_accesses},{l1_hits},{l2_accesses},{l2_hits}")
             }
-            TraceEvent::LinkWindow { start, end, from, to, bytes, busy, queue } => {
-                format!("link_window,{start},{end},{to},{from},,{bytes},{}", f(busy + queue as f64))
+            TraceEvent::SessionAdmit { session, predicted, active, .. } => {
+                format!(",{session},,{active},{}", f(predicted))
             }
-            TraceEvent::DramWindow { start, end, gpm, bytes, busy, queue } => {
-                format!("dram_window,{start},{end},{gpm},,,{bytes},{}", f(busy + queue as f64))
+            TraceEvent::SessionReject { session, predicted, reason, .. } => {
+                format!(",{session},{reason},,{}", f(predicted))
             }
-            TraceEvent::CacheWindow {
-                gpm,
-                start,
-                end,
-                l1_accesses,
-                l1_hits,
-                l2_accesses,
-                l2_hits,
-            } => format!(
-                "cache_window,{start},{end},{gpm},{l1_accesses},{l1_hits},{l2_accesses},{l2_hits}"
-            ),
-            TraceEvent::SessionAdmit { cycle, session, predicted, active } => {
-                format!("session_admit,{cycle},{cycle},,{session},,{active},{}", f(predicted))
+            TraceEvent::FrameStart { session, frame, deadline, .. }
+            | TraceEvent::DeadlineMiss { session, frame, deadline, .. } => {
+                format!(",{session},,{frame},{deadline}")
             }
-            TraceEvent::SessionReject { cycle, session, predicted, reason } => {
-                format!("session_reject,{cycle},{cycle},,{session},{reason},,{}", f(predicted))
+            TraceEvent::FrameSpan { session, frame, scale, .. }
+            | TraceEvent::FrameShed { session, frame, scale, .. } => {
+                format!(",{session},,{frame},{}", f(scale))
             }
-            TraceEvent::FrameStart { cycle, session, frame, deadline } => {
-                format!("frame_start,{cycle},{cycle},,{session},,{frame},{deadline}")
+            TraceEvent::FrameDrop { session, frame, reason, .. } => {
+                format!(",{session},{reason},{frame},")
             }
-            TraceEvent::FrameSpan { session, frame, start, end, scale } => {
-                format!("frame_span,{start},{end},,{session},,{frame},{}", f(scale))
+            TraceEvent::TemporalReuse { session, frame, reused, rerendered, .. } => {
+                format!(",{session},f{frame},{reused},{rerendered}")
             }
-            TraceEvent::DeadlineMiss { cycle, session, frame, deadline } => {
-                format!("deadline_miss,{cycle},{cycle},,{session},,{frame},{deadline}")
+            TraceEvent::ServerUp { server, .. } => format!("{server},,,,"),
+            TraceEvent::ServerDown { server, reason, .. } => format!("{server},,{reason},,"),
+            TraceEvent::SessionRoute { session, server, attempt, .. } => {
+                format!("{server},{session},,{attempt},")
             }
-            TraceEvent::FrameShed { cycle, session, frame, scale } => {
-                format!("frame_shed,{cycle},{cycle},,{session},,{frame},{}", f(scale))
+            TraceEvent::RouteRetry { session, attempt, backoff, .. } => {
+                format!(",{session},,{attempt},{backoff}")
             }
-            TraceEvent::FrameDrop { cycle, session, frame, reason } => {
-                format!("frame_drop,{cycle},{cycle},,{session},{reason},{frame},")
+            TraceEvent::SessionMigrate { session, from, to, reason, .. } => {
+                format!("{to},{session},{reason},{from},")
             }
-            TraceEvent::TemporalReuse { cycle, session, frame, reused, rerendered, .. } => {
-                format!("temporal_reuse,{cycle},{cycle},,{session},f{frame},{reused},{rerendered}")
+            TraceEvent::SessionFailover { session, from, to, .. } => {
+                format!("{to},{session},,{from},")
             }
-            TraceEvent::ServerUp { cycle, server } => {
-                format!("server_up,{cycle},{cycle},{server},,,,")
-            }
-            TraceEvent::ServerDown { cycle, server, reason } => {
-                format!("server_down,{cycle},{cycle},{server},,{reason},,")
-            }
-            TraceEvent::SessionRoute { cycle, session, server, attempt } => {
-                format!("session_route,{cycle},{cycle},{server},{session},,{attempt},")
-            }
-            TraceEvent::RouteRetry { cycle, session, attempt, backoff } => {
-                format!("route_retry,{cycle},{cycle},,{session},,{attempt},{backoff}")
-            }
-            TraceEvent::SessionMigrate { cycle, session, from, to, reason } => {
-                format!("session_migrate,{cycle},{cycle},{to},{session},{reason},{from},")
-            }
-            TraceEvent::SessionFailover { cycle, session, from, to } => {
-                format!("session_failover,{cycle},{cycle},{to},{session},,{from},")
-            }
-            TraceEvent::ClusterFrame { cycle, session, server, on_time, degraded } => {
+            TraceEvent::ClusterFrame { session, server, on_time, degraded, .. } => {
                 let outcome = match (on_time, degraded) {
                     (false, _) => "missed",
                     (true, true) => "degraded",
                     (true, false) => "on_time",
                 };
-                format!("cluster_frame,{cycle},{cycle},{server},{session},{outcome},,")
+                format!("{server},{session},{outcome},,")
             }
-            TraceEvent::FrameSent { cycle, session, frame, bytes } => {
-                format!("frame_sent,{cycle},{cycle},,{session},,{frame},{bytes}")
+            TraceEvent::FrameSent { session, frame, bytes: b, .. }
+            | TraceEvent::FrameDelivered { session, frame, latency: b, .. } => {
+                format!(",{session},,{frame},{b}")
             }
-            TraceEvent::FrameDelivered { cycle, session, frame, latency } => {
-                format!("frame_delivered,{cycle},{cycle},,{session},,{frame},{latency}")
-            }
-            TraceEvent::FrameLost { cycle, session, frame } => {
-                format!("frame_lost,{cycle},{cycle},,{session},,{frame},")
-            }
-            TraceEvent::FrameReprojected { cycle, session, frame, age } => {
-                format!("frame_reprojected,{cycle},{cycle},,{session},,{frame},{age}")
-            }
-            TraceEvent::FrameStale { cycle, session, frame, age } => {
-                format!("frame_stale,{cycle},{cycle},,{session},,{frame},{age}")
+            TraceEvent::FrameLost { session, frame, .. } => format!(",{session},,{frame},"),
+            TraceEvent::FrameReprojected { session, frame, age, .. }
+            | TraceEvent::FrameStale { session, frame, age, .. } => {
+                format!(",{session},,{frame},{age}")
             }
         };
-        out.push_str(&row);
-        out.push('\n');
+        out.push_str(&format!("{kind},{start},{end},{tail}\n"));
     }
     out
 }
 
-/// Render a compact human-readable flight-recorder digest: volume counters,
-/// the top memory-stall spans, the worst link window, and a prediction-error
+/// Render a compact human-readable flight-recorder digest: volume counters
+/// (events per [`TraceEvent::stamp`] kind), the top memory-stall spans, the worst link window, and a prediction-error
 /// histogram built from `BatchDone` events.
 pub fn flight_digest(events: &[TraceEvent], dropped: u64) -> String {
-    let mut spans = 0usize;
+    let mut counts: BTreeMap<&'static str, u64> = BTreeMap::new();
     let mut phase_busy = [0u64; 3];
     let mut phase_stall = [0u64; 3];
     let mut stalls: Vec<(Cycle, u32, u32, Phase)> = Vec::new();
     let mut worst_link: Option<(u64, u32, u32, Cycle, Cycle, f64)> = None;
     let mut rel_errors: Vec<f64> = Vec::new();
-    let mut steals = 0u64;
     let mut early_steals = 0u64;
-    let mut migrations = 0u64;
-    let mut pa = 0u64;
-    let mut pa_retries = 0u64;
-    let mut pa_fallbacks = 0u64;
-    let mut sheds = 0u64;
     let mut refits = 0u64;
-    let mut admits = 0u64;
-    let mut rejects = 0u64;
-    let mut frames_served = 0u64;
     let mut frame_durs: Vec<Cycle> = Vec::new();
-    let mut frame_sheds = 0u64;
-    let mut deadline_misses = 0u64;
-    let mut frame_drops = 0u64;
+    let (mut temporal_reused, mut temporal_rerendered, mut temporal_saved) = (0u64, 0u64, 0u64);
     let mut worst_lateness: Option<(Cycle, u32, u32)> = None;
-    let mut temporal_frames = 0u64;
-    let mut temporal_reused = 0u64;
-    let mut temporal_rerendered = 0u64;
-    let mut temporal_saved = 0u64;
-    let mut server_ups = 0u64;
-    let mut server_downs = 0u64;
-    let mut routes = 0u64;
-    let mut route_retries = 0u64;
-    let mut failovers = 0u64;
-    let mut cluster_migrations = 0u64;
-    let mut cluster_frames = 0u64;
-    let mut cluster_missed = 0u64;
-    let mut cluster_degraded = 0u64;
-    let mut frames_sent = 0u64;
-    let mut frames_delivered = 0u64;
-    let mut frames_lost = 0u64;
-    let mut reprojections = 0u64;
-    let mut stale_frames = 0u64;
+    let (mut cluster_missed, mut cluster_degraded) = (0u64, 0u64);
     let mut worst_transit: Option<(Cycle, u32, u32)> = None;
     for ev in events {
+        let (kind, start, end) = ev.stamp();
+        *counts.entry(kind).or_default() += 1;
         match *ev {
-            TraceEvent::PhaseSpan { gpm, object, phase, start, end, stall, .. } => {
-                spans += 1;
+            TraceEvent::PhaseSpan { gpm, object, phase, stall, .. } => {
                 let p = phase as usize;
                 phase_busy[p] += end.saturating_sub(start);
                 phase_stall[p] += stall;
@@ -575,7 +487,7 @@ pub fn flight_digest(events: &[TraceEvent], dropped: u64) -> String {
                     stalls.push((stall, gpm, object, phase));
                 }
             }
-            TraceEvent::LinkWindow { start, end, from, to, bytes, busy, .. }
+            TraceEvent::LinkWindow { from, to, bytes, busy, .. }
                 if worst_link.map(|(b, ..)| bytes > b).unwrap_or(bytes > 0) =>
             {
                 worst_link = Some((bytes, from, to, start, end, busy));
@@ -583,63 +495,34 @@ pub fn flight_digest(events: &[TraceEvent], dropped: u64) -> String {
             TraceEvent::BatchDone { predicted, actual, .. } => {
                 rel_errors.push((actual - predicted).abs() / predicted.max(1.0));
             }
-            TraceEvent::Steal { early, .. } => {
-                steals += 1;
-                if early {
-                    early_steals += 1;
-                }
-            }
-            TraceEvent::Migrate { .. } => migrations += 1,
-            TraceEvent::PreAlloc { .. } => pa += 1,
-            TraceEvent::PaRetry { .. } => pa_retries += 1,
-            TraceEvent::PaFallback { .. } => pa_fallbacks += 1,
-            TraceEvent::Shed { .. } => sheds += 1,
-            TraceEvent::CalibrationFit { refit: true, .. } => refits += 1,
-            TraceEvent::SessionAdmit { .. } => admits += 1,
-            TraceEvent::SessionReject { .. } => rejects += 1,
-            TraceEvent::FrameSpan { start, end, .. } => {
-                frames_served += 1;
-                frame_durs.push(end.saturating_sub(start));
-            }
-            TraceEvent::FrameShed { .. } => frame_sheds += 1,
-            TraceEvent::FrameDrop { .. } => frame_drops += 1,
+            TraceEvent::Steal { early, .. } => early_steals += u64::from(early),
+            TraceEvent::CalibrationFit { refit, .. } => refits += u64::from(refit),
+            TraceEvent::FrameSpan { .. } => frame_durs.push(end.saturating_sub(start)),
             TraceEvent::TemporalReuse { reused, rerendered, saved, .. } => {
-                temporal_frames += 1;
                 temporal_reused += u64::from(reused);
                 temporal_rerendered += u64::from(rerendered);
                 temporal_saved += saved;
             }
             TraceEvent::DeadlineMiss { cycle, session, frame, deadline } => {
-                deadline_misses += 1;
                 let late = cycle.saturating_sub(deadline);
                 if worst_lateness.map(|(l, ..)| late > l).unwrap_or(true) {
                     worst_lateness = Some((late, session, frame));
                 }
             }
-            TraceEvent::ServerUp { .. } => server_ups += 1,
-            TraceEvent::ServerDown { .. } => server_downs += 1,
-            TraceEvent::SessionRoute { .. } => routes += 1,
-            TraceEvent::RouteRetry { .. } => route_retries += 1,
-            TraceEvent::SessionMigrate { .. } => cluster_migrations += 1,
-            TraceEvent::SessionFailover { .. } => failovers += 1,
             TraceEvent::ClusterFrame { on_time, degraded, .. } => {
-                cluster_frames += 1;
                 cluster_missed += u64::from(!on_time);
                 cluster_degraded += u64::from(degraded);
             }
-            TraceEvent::FrameSent { .. } => frames_sent += 1,
-            TraceEvent::FrameDelivered { latency, session, frame, .. } => {
-                frames_delivered += 1;
-                if worst_transit.map(|(l, ..)| latency > l).unwrap_or(true) {
-                    worst_transit = Some((latency, session, frame));
-                }
+            TraceEvent::FrameDelivered { latency, session, frame, .. }
+                if worst_transit.map(|(l, ..)| latency > l).unwrap_or(true) =>
+            {
+                worst_transit = Some((latency, session, frame));
             }
-            TraceEvent::FrameLost { .. } => frames_lost += 1,
-            TraceEvent::FrameReprojected { .. } => reprojections += 1,
-            TraceEvent::FrameStale { .. } => stale_frames += 1,
             _ => {}
         }
     }
+    let n = |kind: &str| counts.get(kind).copied().unwrap_or(0);
+    let any = |kinds: &[&str]| kinds.iter().any(|&k| n(k) > 0);
     let mut out = String::new();
     out.push_str("OO-VR flight recorder digest\n");
     out.push_str("============================\n");
@@ -651,20 +534,31 @@ pub fn flight_digest(events: &[TraceEvent], dropped: u64) -> String {
              below is a lower bound over a suffix of the run\n"
         ));
     }
-    out.push_str(&format!("phase spans         : {spans}\n"));
+    out.push_str(&format!("phase spans         : {}\n", n("phase_span")));
     for (i, name) in ["command", "geometry", "fragment"].iter().enumerate() {
         out.push_str(&format!("  {name:<9} busy={} stall={}\n", phase_busy[i], phase_stall[i]));
     }
+    let [pa, retries, fallbacks, steals, migrations, sheds] =
+        ["prealloc", "pa_retry", "pa_fallback", "steal", "migrate", "shed"].map(n);
     out.push_str(&format!(
-        "engine              : pa={pa} retries={pa_retries} fallbacks={pa_fallbacks} \
+        "engine              : pa={pa} retries={retries} fallbacks={fallbacks} \
          steals={steals} (early={early_steals}) migrations={migrations} refits={refits} sheds={sheds}\n"
     ));
     // Serving-layer counters, printed only when any serve event is present so
     // single-frame render digests stay byte-identical to earlier releases.
-    if admits + rejects + frames_served + deadline_misses + frame_sheds + frame_drops > 0 {
+    let serving = [
+        "session_admit",
+        "session_reject",
+        "frame_span",
+        "deadline_miss",
+        "frame_shed",
+        "frame_drop",
+    ];
+    if any(&serving) {
+        let [admits, rejects, frames, misses, sheds, drops] = serving.map(n);
         out.push_str(&format!(
-            "serving             : admits={admits} rejects={rejects} frames={frames_served} \
-             misses={deadline_misses} sheds={frame_sheds} drops={frame_drops}\n"
+            "serving             : admits={admits} rejects={rejects} frames={frames} \
+             misses={misses} sheds={sheds} drops={drops}\n"
         ));
         if let Some((late, session, frame)) = worst_lateness {
             out.push_str(&format!(
@@ -673,6 +567,7 @@ pub fn flight_digest(events: &[TraceEvent], dropped: u64) -> String {
         }
     }
     // Temporal-reuse counters, presence-gated for the same reason.
+    let temporal_frames = n("temporal_reuse");
     if temporal_frames > 0 {
         out.push_str(&format!(
             "temporal            : frames={temporal_frames} reused={temporal_reused} \
@@ -680,12 +575,20 @@ pub fn flight_digest(events: &[TraceEvent], dropped: u64) -> String {
         ));
     }
     // Cluster-tier counters, presence-gated for the same reason.
-    if server_ups + server_downs + routes + route_retries + cluster_migrations + failovers > 0
-        || cluster_frames > 0
-    {
+    let cluster = [
+        "server_up",
+        "server_down",
+        "session_route",
+        "route_retry",
+        "session_migrate",
+        "session_failover",
+    ];
+    let cluster_frames = n("cluster_frame");
+    if any(&cluster) || cluster_frames > 0 {
+        let [ups, downs, routes, retries, migrations, failovers] = cluster.map(n);
         out.push_str(&format!(
-            "cluster             : ups={server_ups} downs={server_downs} routes={routes} \
-             retries={route_retries} migrations={cluster_migrations} failovers={failovers}\n"
+            "cluster             : ups={ups} downs={downs} routes={routes} \
+             retries={retries} migrations={migrations} failovers={failovers}\n"
         ));
         if cluster_frames > 0 {
             out.push_str(&format!(
@@ -695,10 +598,12 @@ pub fn flight_digest(events: &[TraceEvent], dropped: u64) -> String {
         }
     }
     // Edge-tier counters, presence-gated for the same reason.
-    if frames_sent + frames_delivered + frames_lost + reprojections + stale_frames > 0 {
+    let edge = ["frame_sent", "frame_delivered", "frame_lost", "frame_reprojected", "frame_stale"];
+    if any(&edge) {
+        let [sent, delivered, lost, reprojected, stale] = edge.map(n);
         out.push_str(&format!(
-            "edge                : sent={frames_sent} delivered={frames_delivered} \
-             lost={frames_lost} reprojected={reprojections} stale={stale_frames}\n"
+            "edge                : sent={sent} delivered={delivered} \
+             lost={lost} reprojected={reprojected} stale={stale}\n"
         ));
         if let Some((latency, session, frame)) = worst_transit {
             out.push_str(&format!(

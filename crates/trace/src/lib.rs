@@ -473,56 +473,63 @@ pub enum TraceEvent {
 }
 
 impl TraceEvent {
-    /// Representative timestamp of the event: span start for spans, the event
-    /// cycle for instants, window end for windows.
-    pub fn cycle(&self) -> Cycle {
+    /// The one description every exporter reads: the event's kind name (the
+    /// CSV `kind` column, the digest's count key and, but for `pa`, `refit`
+    /// and `early_steal`, the Chrome event name) and its `[start, end]`
+    /// cycles. Instants start and end at their event cycle.
+    pub fn stamp(&self) -> (&'static str, Cycle, Cycle) {
+        use TraceEvent as E;
         match *self {
-            TraceEvent::PhaseSpan { start, .. } => start,
-            TraceEvent::CompositionSpan { start, .. } => start,
-            TraceEvent::ShadeScale { cycle, .. } => cycle,
-            TraceEvent::PreAlloc { cycle, .. } => cycle,
-            TraceEvent::CalibrationFit { cycle, .. } => cycle,
-            TraceEvent::Assign { cycle, .. } => cycle,
-            TraceEvent::BatchDone { cycle, .. } => cycle,
-            TraceEvent::Steal { cycle, .. } => cycle,
-            TraceEvent::Migrate { cycle, .. } => cycle,
-            TraceEvent::PaRetry { cycle, .. } => cycle,
-            TraceEvent::PaFallback { cycle, .. } => cycle,
-            TraceEvent::Shed { cycle, .. } => cycle,
-            TraceEvent::LinkWindow { end, .. } => end,
-            TraceEvent::DramWindow { end, .. } => end,
-            TraceEvent::CacheWindow { end, .. } => end,
-            TraceEvent::SessionAdmit { cycle, .. } => cycle,
-            TraceEvent::SessionReject { cycle, .. } => cycle,
-            TraceEvent::FrameStart { cycle, .. } => cycle,
-            TraceEvent::FrameSpan { start, .. } => start,
-            TraceEvent::DeadlineMiss { cycle, .. } => cycle,
-            TraceEvent::FrameShed { cycle, .. } => cycle,
-            TraceEvent::FrameDrop { cycle, .. } => cycle,
-            TraceEvent::TemporalReuse { cycle, .. } => cycle,
-            TraceEvent::ServerUp { cycle, .. } => cycle,
-            TraceEvent::ServerDown { cycle, .. } => cycle,
-            TraceEvent::SessionRoute { cycle, .. } => cycle,
-            TraceEvent::RouteRetry { cycle, .. } => cycle,
-            TraceEvent::SessionMigrate { cycle, .. } => cycle,
-            TraceEvent::SessionFailover { cycle, .. } => cycle,
-            TraceEvent::ClusterFrame { cycle, .. } => cycle,
-            TraceEvent::FrameSent { cycle, .. } => cycle,
-            TraceEvent::FrameDelivered { cycle, .. } => cycle,
-            TraceEvent::FrameLost { cycle, .. } => cycle,
-            TraceEvent::FrameReprojected { cycle, .. } => cycle,
-            TraceEvent::FrameStale { cycle, .. } => cycle,
+            E::PhaseSpan { start, end, .. } => ("phase_span", start, end),
+            E::CompositionSpan { start, end } => ("composition", start, end),
+            E::LinkWindow { start, end, .. } => ("link_window", start, end),
+            E::DramWindow { start, end, .. } => ("dram_window", start, end),
+            E::CacheWindow { start, end, .. } => ("cache_window", start, end),
+            E::FrameSpan { start, end, .. } => ("frame_span", start, end),
+            E::ShadeScale { cycle, .. } => ("shade_scale", cycle, cycle),
+            E::PreAlloc { cycle, .. } => ("prealloc", cycle, cycle),
+            E::CalibrationFit { cycle, .. } => ("calibration_fit", cycle, cycle),
+            E::Assign { cycle, .. } => ("assign", cycle, cycle),
+            E::BatchDone { cycle, .. } => ("batch_done", cycle, cycle),
+            E::Steal { cycle, .. } => ("steal", cycle, cycle),
+            E::Migrate { cycle, .. } => ("migrate", cycle, cycle),
+            E::PaRetry { cycle, .. } => ("pa_retry", cycle, cycle),
+            E::PaFallback { cycle, .. } => ("pa_fallback", cycle, cycle),
+            E::Shed { cycle, .. } => ("shed", cycle, cycle),
+            E::SessionAdmit { cycle, .. } => ("session_admit", cycle, cycle),
+            E::SessionReject { cycle, .. } => ("session_reject", cycle, cycle),
+            E::FrameStart { cycle, .. } => ("frame_start", cycle, cycle),
+            E::DeadlineMiss { cycle, .. } => ("deadline_miss", cycle, cycle),
+            E::FrameShed { cycle, .. } => ("frame_shed", cycle, cycle),
+            E::FrameDrop { cycle, .. } => ("frame_drop", cycle, cycle),
+            E::TemporalReuse { cycle, .. } => ("temporal_reuse", cycle, cycle),
+            E::ServerUp { cycle, .. } => ("server_up", cycle, cycle),
+            E::ServerDown { cycle, .. } => ("server_down", cycle, cycle),
+            E::SessionRoute { cycle, .. } => ("session_route", cycle, cycle),
+            E::RouteRetry { cycle, .. } => ("route_retry", cycle, cycle),
+            E::SessionMigrate { cycle, .. } => ("session_migrate", cycle, cycle),
+            E::SessionFailover { cycle, .. } => ("session_failover", cycle, cycle),
+            E::ClusterFrame { cycle, .. } => ("cluster_frame", cycle, cycle),
+            E::FrameSent { cycle, .. } => ("frame_sent", cycle, cycle),
+            E::FrameDelivered { cycle, .. } => ("frame_delivered", cycle, cycle),
+            E::FrameLost { cycle, .. } => ("frame_lost", cycle, cycle),
+            E::FrameReprojected { cycle, .. } => ("frame_reprojected", cycle, cycle),
+            E::FrameStale { cycle, .. } => ("frame_stale", cycle, cycle),
         }
     }
-}
 
-/// Sink for trace events. The simulator is generic over "somewhere to put
-/// events"; the shipped implementation is [`Recorder`], but tests can supply
-/// their own (e.g. a counting sink) without touching simulator code.
-pub trait TraceSink {
-    /// Record one event. Implementations must not panic and must not observe
-    /// wall-clock time.
-    fn record(&mut self, event: TraceEvent);
+    /// Representative timestamp of the event: window end for the three
+    /// `*Window` samples, [`stamp`](Self::stamp)'s start for everything
+    /// else (span start, or the instant's cycle).
+    pub fn cycle(&self) -> Cycle {
+        let (_, start, end) = self.stamp();
+        match self {
+            TraceEvent::LinkWindow { .. }
+            | TraceEvent::DramWindow { .. }
+            | TraceEvent::CacheWindow { .. } => end,
+            _ => start,
+        }
+    }
 }
 
 /// Configuration for a tracing session.
@@ -531,13 +538,11 @@ pub struct TraceConfig {
     /// Ring-buffer capacity in events. When full, the oldest events are
     /// overwritten and counted in [`Recorder::dropped`].
     pub capacity: usize,
-    /// Width of the bandwidth/cache sampling windows in simulated cycles.
-    pub window_cycles: Cycle,
 }
 
 impl Default for TraceConfig {
     fn default() -> Self {
-        TraceConfig { capacity: 1 << 20, window_cycles: 16_384 }
+        TraceConfig { capacity: 1 << 20 }
     }
 }
 
@@ -551,25 +556,28 @@ pub struct Recorder {
     /// Index of the logical oldest event once the buffer has wrapped.
     head: usize,
     dropped: u64,
-    window_cycles: Cycle,
 }
 
 impl Recorder {
     /// Create a recorder from a [`TraceConfig`]. Capacity is clamped to at
     /// least 1 so `record` is always well-defined.
     pub fn new(cfg: TraceConfig) -> Self {
-        Recorder {
-            buf: Vec::new(),
-            capacity: cfg.capacity.max(1),
-            head: 0,
-            dropped: 0,
-            window_cycles: cfg.window_cycles.max(1),
-        }
+        Recorder { buf: Vec::new(), capacity: cfg.capacity.max(1), head: 0, dropped: 0 }
     }
 
-    /// Sampling window width this recorder was configured with.
-    pub fn window_cycles(&self) -> Cycle {
-        self.window_cycles
+    /// Record one event, overwriting the oldest retained one when the ring
+    /// is full.
+    pub fn record(&mut self, event: TraceEvent) {
+        if self.buf.len() < self.capacity {
+            self.buf.push(event);
+        } else {
+            self.buf[self.head] = event;
+            self.head += 1;
+            if self.head == self.capacity {
+                self.head = 0;
+            }
+            self.dropped += 1;
+        }
     }
 
     /// Number of events currently retained.
@@ -601,21 +609,6 @@ impl Recorder {
     }
 }
 
-impl TraceSink for Recorder {
-    fn record(&mut self, event: TraceEvent) {
-        if self.buf.len() < self.capacity {
-            self.buf.push(event);
-        } else {
-            self.buf[self.head] = event;
-            self.head += 1;
-            if self.head == self.capacity {
-                self.head = 0;
-            }
-            self.dropped += 1;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -626,7 +619,7 @@ mod tests {
 
     #[test]
     fn recorder_keeps_order_below_capacity() {
-        let mut r = Recorder::new(TraceConfig { capacity: 8, window_cycles: 64 });
+        let mut r = Recorder::new(TraceConfig { capacity: 8 });
         for c in 0..5 {
             r.record(instant(c));
         }
@@ -638,7 +631,7 @@ mod tests {
 
     #[test]
     fn recorder_overwrites_oldest_when_full() {
-        let mut r = Recorder::new(TraceConfig { capacity: 4, window_cycles: 64 });
+        let mut r = Recorder::new(TraceConfig { capacity: 4 });
         for c in 0..10 {
             r.record(instant(c));
         }
@@ -654,12 +647,11 @@ mod tests {
 
     #[test]
     fn zero_capacity_is_clamped() {
-        let mut r = Recorder::new(TraceConfig { capacity: 0, window_cycles: 0 });
+        let mut r = Recorder::new(TraceConfig { capacity: 0 });
         r.record(instant(1));
         r.record(instant(2));
         assert_eq!(r.len(), 1);
         assert_eq!(r.events().next().map(|e| e.cycle()), Some(2));
-        assert_eq!(r.window_cycles(), 1);
     }
 
     #[test]
@@ -674,6 +666,7 @@ mod tests {
             stall: 10,
         };
         assert_eq!(span.cycle(), 100);
+        assert_eq!(span.stamp(), ("phase_span", 100, 200));
         let win = TraceEvent::LinkWindow {
             start: 0,
             end: 4096,
@@ -684,6 +677,8 @@ mod tests {
             queue: 0,
         };
         assert_eq!(win.cycle(), 4096);
+        assert_eq!(win.stamp(), ("link_window", 0, 4096));
+        assert_eq!(instant(7).stamp(), ("shade_scale", 7, 7));
         assert_eq!(Phase::Fragment.name(), "fragment");
     }
 }

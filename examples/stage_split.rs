@@ -1,8 +1,7 @@
 //! Host time of fresh Baseline frames and OO-VR `run_distribution` calls
 //! of the nine Table 3 scenes, and with the `stage-spans` feature its
-//! split into the render kernel's stages: the raster walk, the texel-line
-//! probes, the depth and colour writes, the fabric `apply` and everything
-//! else (see `oovr_gpu::stages`).
+//! split into the render kernel's stages: the fragment quad loop, the
+//! fabric `apply` and everything else (see `oovr_gpu::stages`).
 //!
 //! ```text
 //! cargo run --release -p oovr --example stage_split [scale] [reps]
@@ -24,7 +23,7 @@ use oovr_mem::Placement;
 use oovr_scene::benchmarks;
 
 /// Host nanoseconds per stage (all in "other" without the feature).
-type Split = [u64; 5];
+type Split = [u64; 3];
 
 fn main() {
     let mut args = std::env::args().skip(1);
@@ -58,7 +57,7 @@ fn main() {
     let n = scenes.len() as f64;
     println!("scale {scale}, fastest of {reps} per scene; mean ms per frame (share of the stages)");
     print!("{:<24} {:>9}", "call", "wall");
-    for name in ["raster", "texel", "depth_colour", "fabric", "other"] {
+    for name in ["quad_loop", "fabric", "other"] {
         print!(" {name:>16}");
     }
     println!(" {:>11}", "stages/wall");
@@ -97,6 +96,6 @@ fn timed(f: impl FnOnce()) -> (u64, Split) {
     #[cfg(feature = "stage-spans")]
     let split = oovr_gpu::stages::take().ns;
     #[cfg(not(feature = "stage-spans"))]
-    let split = [0, 0, 0, 0, wall];
+    let split = [0, 0, wall];
     (wall, split)
 }

@@ -131,7 +131,7 @@ proptest! {
         let spec = BenchmarkSpec::new("prop-trace", 96, 96, 24, seed);
         let scene = spec.build();
         let cfg = GpuConfig::default();
-        let trace = TraceConfig { capacity, ..TraceConfig::default() };
+        let trace = TraceConfig { capacity };
         let (_, rec) = OoVr::new().render_frame_traced(&scene, &cfg, trace);
         let rec = rec.expect("recorder present");
         let retained = rec.len();
