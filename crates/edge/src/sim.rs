@@ -24,6 +24,7 @@
 //!    within the staleness cap ([`warp_cycles_for_pixels`]). Past the
 //!    cap the frame is a hard miss (dark vsync).
 //!
+//! [`LINK_REASON`]: oovr_serve::LINK_REASON
 //! [`NetworkLink`]: crate::link::NetworkLink
 //! [`warp_cycles_for_pixels`]: oovr_frameworks::atw::warp_cycles_for_pixels
 
@@ -33,7 +34,7 @@ use oovr_metrics::Registry;
 use oovr_scene::BenchmarkSpec;
 use oovr_serve::{
     cost_stream, record_in_cycle_order, schedule, Budget, FrameRecord, Reject, ServeConfig,
-    ServeScheme, LINK_REASON,
+    ServeScheme,
 };
 use oovr_trace::{Cycle, Recorder, TraceEvent};
 
@@ -188,7 +189,7 @@ pub fn simulate_edge_metered(
 
 /// Runs one deterministic split client–edge experiment. `trace`, when
 /// given, receives the full session + link + client lifecycle in cycle
-/// order.
+/// order; an untraced run builds no events.
 pub fn simulate_edge(
     scheme: ServeScheme,
     spec: &BenchmarkSpec,
@@ -211,12 +212,9 @@ pub fn simulate_edge(
     // budget, so the degenerate split is local serving.
     let link =
         net.bytes_per_cycle().map(|capacity| Budget::new(capacity, serve.headroom, session_rate));
-    let (served, mut events) = schedule(stream, serve, link);
+    let observe = trace.is_some();
+    let (served, mut events, link_rejected) = schedule(stream, serve, link, observe);
     let v = served.vsync;
-    let link_rejected = events
-        .iter()
-        .filter(|e| matches!(e, TraceEvent::SessionReject { reason, .. } if *reason == LINK_REASON))
-        .count() as u32;
 
     // ---- Pass 2: encode + link. Rendered frames enter the link in
     // encode-completion order (ties broken by (slot, frame)); the
@@ -263,26 +261,32 @@ pub fn simulate_edge(
         let session = &mut sessions[slot as usize];
         let id = session.id;
         let ef = &mut session.frames[frame as usize];
-        events.push(TraceEvent::FrameSent {
-            cycle: encode_end,
-            session: id,
-            frame,
-            bytes: ef.bytes,
-        });
+        if observe {
+            events.push(TraceEvent::FrameSent {
+                cycle: encode_end,
+                session: id,
+                frame,
+                bytes: ef.bytes,
+            });
+        }
         // Lost frames are drawn per (session, frame) at link entry and
         // still consume bandwidth — the air time was spent either way.
         let delivery = net.transfer(encode_end, ef.bytes);
         if net.is_lost(id, frame, encode_end) {
             ef.lost = true;
-            events.push(TraceEvent::FrameLost { cycle: encode_end, session: id, frame });
+            if observe {
+                events.push(TraceEvent::FrameLost { cycle: encode_end, session: id, frame });
+            }
         } else {
             ef.delivery = Some(delivery);
-            events.push(TraceEvent::FrameDelivered {
-                cycle: delivery,
-                session: id,
-                frame,
-                latency: delivery - encode_end,
-            });
+            if observe {
+                events.push(TraceEvent::FrameDelivered {
+                    cycle: delivery,
+                    session: id,
+                    frame,
+                    latency: delivery - encode_end,
+                });
+            }
         }
     }
 
@@ -309,20 +313,24 @@ pub fn simulate_edge(
                         .find(|&g| deliveries[g as usize].is_some_and(|d| d <= deadline));
                     let age = pred.map_or(frame + 1, |g| frame - g);
                     if cfg.reproject && pred.is_some() && age <= STALE_CAP {
-                        events.push(TraceEvent::FrameReprojected {
-                            cycle: deadline,
-                            session: id,
-                            frame,
-                            age,
-                        });
+                        if observe {
+                            events.push(TraceEvent::FrameReprojected {
+                                cycle: deadline,
+                                session: id,
+                                frame,
+                                age,
+                            });
+                        }
                         (Display::Reprojected { age }, deadline + warp_cycles)
                     } else {
-                        events.push(TraceEvent::FrameStale {
-                            cycle: deadline,
-                            session: id,
-                            frame,
-                            age,
-                        });
+                        if observe {
+                            events.push(TraceEvent::FrameStale {
+                                cycle: deadline,
+                                session: id,
+                                frame,
+                                age,
+                            });
+                        }
                         (Display::Stale { age }, deadline + v)
                     }
                 }
@@ -488,6 +496,8 @@ mod tests {
             .filter(|e| matches!(e, TraceEvent::SessionReject { reason, .. } if *reason == "link"))
             .count();
         assert_eq!(link_rejects as u32, out.link_rejected);
+        // Tracing observes the run; it changes nothing in the outcome.
+        assert_eq!(out, simulate_edge(ServeScheme::OoVr, &spec(), &gpu, &cfg, None));
     }
 
     #[test]

@@ -10,8 +10,9 @@
 //! sustained rate.
 //!
 //! With all deadlines exactly one interval after release, EDF order equals
-//! release order, so the probe is an exact linear-time EDF simulation — no
-//! heap, no approximation. The reported capacity is the largest `N` whose
+//! release order (DESIGN.md, "Scheduling is EDF against the vsync grid"),
+//! so the probe is an exact linear-time EDF simulation — no heap, no
+//! approximation. The reported capacity is the largest `N` whose
 //! missed-vsync fraction over the probe horizon stays below
 //! [`MISS_BUDGET`], found by doubling + binary search seeded at the
 //! utilization bound `V / cost`.

@@ -17,7 +17,9 @@
 //! * The renderer serves one frame at a time (the whole 4-GPM system is
 //!   the unit of multiplexing — intra-frame parallelism is inside the cost
 //!   model). Ready frames are served in EDF order with ties broken by
-//!   (session, frame), which is deadline-optimal on one server.
+//!   (session, frame), which is deadline-optimal on one server. Every
+//!   deadline is one interval after its release, so EDF order is release
+//!   order and the scheduler walks it without a heap.
 //! * A frame whose start would be more than one vsync past its deadline is
 //!   *dropped* as stale without consuming render time — presenting it
 //!   could only delay younger frames further.
@@ -34,12 +36,12 @@
 //!   too. The link budget draws no randomness, so a run without one and a
 //!   run whose link always fits schedule identically.
 //!
-//! Every lifecycle transition (admit/reject/frame-start/span/miss/shed/
-//! drop) is emitted as an [`oovr_trace`] event, so `figures -- trace`
-//! renders serving timelines with per-session tracks.
+//! When the run is observed (traced or metered), every lifecycle
+//! transition (admit/reject/frame-start/span/miss/shed/drop) is emitted
+//! as an [`oovr_trace`] event, so `figures -- trace` renders serving
+//! timelines with per-session tracks. Unobserved runs build no events.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 use oovr::{ResilienceConfig, TemporalConfig};
@@ -206,7 +208,8 @@ pub fn simulate_metered(
     trace: Option<&mut Recorder>,
     metrics: Option<&mut Registry>,
 ) -> ServeOutcome {
-    let (out, events) = schedule(cost_stream(scheme, spec, gpu), cfg, None);
+    let observe = trace.is_some() || metrics.is_some();
+    let (out, events, _) = schedule(cost_stream(scheme, spec, gpu), cfg, None, observe);
     if let Some(reg) = metrics {
         meter_serve(reg, &out, &events);
     }
@@ -238,13 +241,15 @@ pub const LINK_REASON: &str = "link";
 /// offered to the compute budget; an admitted session holds the link's
 /// demand until it departs. The link budget draws no randomness, so a
 /// run with one consumes the arrival RNG exactly like a run without.
-/// Returns the outcome and the lifecycle events in emission order (see
-/// [`record_in_cycle_order`]).
+/// Returns the outcome, the lifecycle events in emission order (see
+/// [`record_in_cycle_order`]) when `observe` is set — unobserved runs
+/// build no events — and how many sessions the link rejected.
 pub fn schedule(
     stream: Arc<SessionCostStream>,
     cfg: &ServeConfig,
     mut link: Option<Budget>,
-) -> (ServeOutcome, Vec<TraceEvent>) {
+    observe: bool,
+) -> (ServeOutcome, Vec<TraceEvent>, u32) {
     let scheme = stream.scheme;
     let v = cfg.vsync_cycles.max(1);
     let total_frames = cfg.frames_per_session + 1; // warmup + paced
@@ -272,6 +277,7 @@ pub fn schedule(
     let mut sessions: Vec<SessionOutcome> = Vec::new();
     let mut poses: Vec<Vec<Pose>> = Vec::new();
     let mut rejects: Vec<Reject> = Vec::new();
+    let mut link_rejected = 0u32;
 
     let mut arrival: Cycle = 0;
     for id in 0..cfg.sessions {
@@ -288,12 +294,14 @@ pub fn schedule(
             if let Some(b) = &mut link {
                 b.hold(departure);
             }
-            events.push(TraceEvent::SessionAdmit {
-                cycle: arrival,
-                session: id,
-                predicted,
-                active: compute.active(),
-            });
+            if observe {
+                events.push(TraceEvent::SessionAdmit {
+                    cycle: arrival,
+                    session: id,
+                    predicted,
+                    active: compute.active(),
+                });
+            }
             // The head-pose trajectory is per-session seeded: frame 0
             // presents the rest pose, each paced frame steps the walk.
             let mut traj = session_trajectory(cfg.seed, u64::from(id));
@@ -308,48 +316,55 @@ pub fn schedule(
             });
         } else {
             let (predicted, reason) = match &link {
-                Some(b) if !link_fits => (b.demand(), LINK_REASON),
+                Some(b) if !link_fits => {
+                    link_rejected += 1;
+                    (b.demand(), LINK_REASON)
+                }
                 _ => (predicted, "capacity"),
             };
-            events.push(TraceEvent::SessionReject {
-                cycle: arrival,
-                session: id,
-                predicted,
-                reason,
-            });
+            if observe {
+                events.push(TraceEvent::SessionReject {
+                    cycle: arrival,
+                    session: id,
+                    predicted,
+                    reason,
+                });
+            }
             rejects.push(Reject { id, arrival, predicted });
         }
     }
 
-    // All frame releases of admitted sessions, in release order. `slot`
-    // indexes the admitted-session vectors; ids stay global.
-    let mut releases: Vec<(Cycle, u32, u32)> = Vec::new(); // (release, slot, frame)
-    for (slot, s) in sessions.iter().enumerate() {
-        for f in 0..total_frames {
-            releases.push((s.arrival + Cycle::from(f) * v, slot as u32, f));
-        }
-    }
-    releases.sort_unstable();
-
-    // EDF over the single render engine. Keys are integers only, totally
-    // ordered by (deadline, slot, frame) — no ties, no float compares.
+    // The single render engine serves frames in release order, ties
+    // broken by (slot, frame): every deadline is one interval after its
+    // release, so this is EDF order (DESIGN.md, "Scheduling is EDF against
+    // the vsync grid"). Two already-sorted streams yield it in O(1) per
+    // frame: each admitted session's frame 0 in slot order (arrivals never
+    // decrease), and the FIFO of served frames' successors (served keys
+    // never decrease, so neither do theirs). `slot` indexes the
+    // admitted-session vectors; ids stay global.
     let temporal = if scheme.temporal() { stream.temporal.as_deref() } else { None };
     let sheds = scheme.sheds();
     let (step, floor) = (cfg.resilience.shed_step, cfg.resilience.shed_floor);
     let mut scales = vec![1.0f64; sessions.len()];
-    let mut heap: BinaryHeap<Reverse<(Cycle, u32, u32, Cycle)>> = BinaryHeap::new();
+    let mut successors: VecDeque<(Cycle, u32, u32)> = VecDeque::with_capacity(sessions.len());
+    let mut first = 0usize;
     let mut now: Cycle = 0;
-    let mut next = 0usize;
-    while next < releases.len() || !heap.is_empty() {
-        while next < releases.len() && releases[next].0 <= now {
-            let (release, slot, frame) = releases[next];
-            heap.push(Reverse((release + v, slot, frame, release)));
-            next += 1;
-        }
-        let Some(Reverse((deadline, slot, frame, release))) = heap.pop() else {
-            now = releases[next].0; // engine idles until the next release
-            continue;
+    loop {
+        let fresh = sessions.get(first).map(|s| (s.arrival, first as u32, 0));
+        let next = match (fresh, successors.front()) {
+            (Some(f), Some(&s)) if s < f => successors.pop_front(),
+            (Some(f), _) => {
+                first += 1;
+                Some(f)
+            }
+            (None, _) => successors.pop_front(),
         };
+        let Some((release, slot, frame)) = next else { break };
+        if frame + 1 < total_frames {
+            successors.push_back((release + v, slot, frame + 1));
+        }
+        now = now.max(release); // the engine idles until the release
+        let deadline = release + v;
         let session = &mut sessions[slot as usize];
         let id = session.id;
         let report_index = stream.report_index(frame);
@@ -358,7 +373,14 @@ pub fn schedule(
         if now > deadline + v {
             // More than one interval stale: presenting it would only push
             // younger frames later. Drop without consuming render time.
-            events.push(TraceEvent::FrameDrop { cycle: now, session: id, frame, reason: "stale" });
+            if observe {
+                events.push(TraceEvent::FrameDrop {
+                    cycle: now,
+                    session: id,
+                    frame,
+                    reason: "stale",
+                });
+            }
             session.frames.push(FrameRecord {
                 frame,
                 report_index,
@@ -392,27 +414,32 @@ pub fn schedule(
             }
             if scale < before {
                 scales[slot as usize] = scale;
-                events.push(TraceEvent::FrameShed { cycle: now, session: id, frame, scale });
+                if observe {
+                    events.push(TraceEvent::FrameShed { cycle: now, session: id, frame, scale });
+                }
             }
         }
         let cost = if sheds { cost_at(scale) } else { base };
         let (start, end) = (now, now + cost);
-        events.push(TraceEvent::FrameStart { cycle: start, session: id, frame, deadline });
-        events.push(TraceEvent::FrameSpan { session: id, frame, start, end, scale });
-        if let Some(d) = &tdec {
-            events.push(TraceEvent::TemporalReuse {
-                cycle: start,
-                session: id,
-                frame,
-                reused: d.reused,
-                rerendered: d.rerendered,
-                saved: d.saved,
-            });
-        }
         let missed = end > deadline;
-        if missed {
-            events.push(TraceEvent::DeadlineMiss { cycle: end, session: id, frame, deadline });
-        } else if sheds && scale < 1.0 {
+        if observe {
+            events.push(TraceEvent::FrameStart { cycle: start, session: id, frame, deadline });
+            events.push(TraceEvent::FrameSpan { session: id, frame, start, end, scale });
+            if let Some(d) = &tdec {
+                events.push(TraceEvent::TemporalReuse {
+                    cycle: start,
+                    session: id,
+                    frame,
+                    reused: d.reused,
+                    rerendered: d.rerendered,
+                    saved: d.saved,
+                });
+            }
+            if missed {
+                events.push(TraceEvent::DeadlineMiss { cycle: end, session: id, frame, deadline });
+            }
+        }
+        if !missed && sheds && scale < 1.0 {
             // Backpressure released: recover shade quality multiplicatively.
             scales[slot as usize] = (scale / step).min(1.0);
         }
@@ -431,12 +458,8 @@ pub fn schedule(
         now = end;
     }
 
-    for s in &mut sessions {
-        s.frames.sort_by_key(|f| f.frame);
-    }
-
     let workload = stream.workload.clone();
-    (ServeOutcome { scheme, workload, vsync: v, sessions, rejects, stream }, events)
+    (ServeOutcome { scheme, workload, vsync: v, sessions, rejects, stream }, events, link_rejected)
 }
 
 #[cfg(test)]

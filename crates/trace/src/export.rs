@@ -10,10 +10,13 @@
 //! thread 0 (`pipeline`) holds the merged per-quantum phase spans and thread 1
 //! (`events`) holds instant markers (PA placements, steals landing on that
 //! GPM, PA retries/fallbacks). Link/DRAM/cache windows become Chrome counter
-//! tracks on the destination GPM's process. Within every track, events are
-//! emitted sorted by timestamp, so per-track timestamps are monotone.
+//! tracks on the destination GPM's process. Cluster-server events land on one
+//! `Server n` process per server, after the GPMs and the engine. Within every
+//! track, events are emitted sorted by timestamp, so per-track timestamps are
+//! monotone.
 
-use std::collections::BTreeMap;
+use std::borrow::Cow;
+use std::collections::{BTreeMap, BTreeSet};
 
 use crate::{Cycle, Phase, TraceEvent};
 
@@ -38,6 +41,16 @@ fn esc(s: &str) -> String {
         }
     }
     out
+}
+
+/// `s` as one CSV field (RFC 4180): quoted, inner quotes doubled, when it
+/// holds a comma, a quote or a line break; as is otherwise.
+fn csv_field(s: &str) -> Cow<'_, str> {
+    if s.contains([',', '"', '\n', '\r']) {
+        Cow::Owned(format!("\"{}\"", s.replace('"', "\"\"")))
+    } else {
+        Cow::Borrowed(s)
+    }
 }
 
 fn f(v: f64) -> String {
@@ -90,9 +103,11 @@ const TID_SESSION_BASE: u32 = 2;
 /// Render events as Chrome trace-event JSON (`{"traceEvents":[...]}`).
 ///
 /// `n_gpms` fixes the process layout: pids `0..n_gpms` are GPMs, pid
-/// `n_gpms` is the distribution engine. Events referencing GPMs outside that
-/// range are still emitted (clamped onto the engine process) so the exporter
-/// is total over arbitrary event slices.
+/// `n_gpms` is the distribution engine, and cluster server `s` is pid
+/// `n_gpms + 1 + s`, named `Server s`, for each server the events name.
+/// Events referencing GPMs outside that range are still emitted (clamped
+/// onto the engine process) so the exporter is total over arbitrary event
+/// slices.
 ///
 /// `dropped` is the ring buffer's overflow counter
 /// ([`Recorder::dropped`](crate::Recorder::dropped)): when non-zero, a
@@ -103,6 +118,12 @@ pub fn chrome_trace(events: &[TraceEvent], n_gpms: usize, dropped: u64) -> Strin
     let n = n_gpms as u32;
     let engine = n;
     let gpm_pid = |g: u32| if g < n { g } else { engine };
+    let pid_of_server = |s: u32| (engine + 1).saturating_add(s);
+    let mut servers = BTreeSet::new();
+    let mut server_pid = |s: u32| {
+        servers.insert(s);
+        pid_of_server(s)
+    };
     let mut entries: Vec<Entry> = Vec::with_capacity(events.len() + 1);
     if dropped > 0 {
         entries.push(instant(
@@ -258,14 +279,14 @@ pub fn chrome_trace(events: &[TraceEvent], n_gpms: usize, dropped: u64) -> Strin
                 (engine, TID_EVENTS, args)
             }
             TraceEvent::ServerUp { server, .. } => {
-                (gpm_pid(server), TID_EVENTS, format!("\"server\":{server}"))
+                (server_pid(server), TID_EVENTS, format!("\"server\":{server}"))
             }
             TraceEvent::ServerDown { server, reason, .. } => {
                 let args = format!("\"server\":{server},\"reason\":\"{}\"", esc(reason));
-                (gpm_pid(server), TID_EVENTS, args)
+                (server_pid(server), TID_EVENTS, args)
             }
             TraceEvent::SessionRoute { session, server, attempt, .. } => (
-                gpm_pid(server),
+                server_pid(server),
                 TID_EVENTS,
                 format!("\"session\":{session},\"attempt\":{attempt}"),
             ),
@@ -277,15 +298,15 @@ pub fn chrome_trace(events: &[TraceEvent], n_gpms: usize, dropped: u64) -> Strin
             TraceEvent::SessionMigrate { session, from, to, reason, .. } => {
                 let args =
                     format!("\"session\":{session},\"from\":{from},\"reason\":\"{}\"", esc(reason));
-                (gpm_pid(to), TID_EVENTS, args)
+                (server_pid(to), TID_EVENTS, args)
             }
             TraceEvent::SessionFailover { session, from, to, .. } => {
-                (gpm_pid(to), TID_EVENTS, format!("\"session\":{session},\"from\":{from}"))
+                (server_pid(to), TID_EVENTS, format!("\"session\":{session},\"from\":{from}"))
             }
             TraceEvent::ClusterFrame { session, server, on_time, degraded, .. } => {
                 let args =
                     format!("\"session\":{session},\"on_time\":{on_time},\"degraded\":{degraded}");
-                (gpm_pid(server), TID_EVENTS, args)
+                (server_pid(server), TID_EVENTS, args)
             }
             TraceEvent::FrameSent { session, frame, bytes, .. } => (
                 engine,
@@ -337,6 +358,11 @@ pub fn chrome_trace(events: &[TraceEvent], n_gpms: usize, dropped: u64) -> Strin
     push(metadata(engine, None, "process_name", "engine"), &mut out, &mut first);
     push(metadata(engine, Some(TID_PIPELINE), "thread_name", "scheduler"), &mut out, &mut first);
     push(metadata(engine, Some(TID_EVENTS), "thread_name", "events"), &mut out, &mut first);
+    for s in servers {
+        let pid = pid_of_server(s);
+        push(metadata(pid, None, "process_name", &format!("Server {s}")), &mut out, &mut first);
+        push(metadata(pid, Some(TID_EVENTS), "thread_name", "events"), &mut out, &mut first);
+    }
     for e in entries {
         push(e.body, &mut out, &mut first);
     }
@@ -350,7 +376,9 @@ pub fn chrome_trace(events: &[TraceEvent], n_gpms: usize, dropped: u64) -> Strin
 /// event's [`TraceEvent::stamp`] and `gpm`/`id`/`label`/`a`/`b` are
 /// kind-specific (documented in DESIGN.md §10): e.g. a `phase_span` row uses
 /// `id`=object, `label`=phase, `a`=quanta, `b`=stall cycles; an `assign` row
-/// uses `id`=batch, `a`=triangles, `b`=predicted cycles.
+/// uses `id`=batch, `a`=triangles, `b`=predicted cycles. A reason that
+/// holds a comma, a quote or a line break is quoted per RFC 4180, so every
+/// row keeps its eight columns.
 ///
 /// When the ring buffer overflowed (`dropped > 0`), the first data row is a
 /// `trace_overflow` marker with `a`=dropped count, so downstream tooling can
@@ -387,11 +415,13 @@ pub fn csv_timeline(events: &[TraceEvent], dropped: u64) -> String {
                 if early { "early" } else { "idle" }
             ),
             TraceEvent::Migrate { from, to, predicted, reason, .. } => {
-                format!("{to},{from},{reason},{},", f(predicted))
+                format!("{to},{from},{},{},", csv_field(reason), f(predicted))
             }
             TraceEvent::PaRetry { gpm, attempt, .. } => format!("{gpm},{attempt},,,"),
-            TraceEvent::PaFallback { gpm, reason, .. } => format!("{gpm},,{reason},,"),
-            TraceEvent::Shed { scale, reason, .. } => format!(",,{reason},{},", f(scale)),
+            TraceEvent::PaFallback { gpm, reason, .. } => format!("{gpm},,{},,", csv_field(reason)),
+            TraceEvent::Shed { scale, reason, .. } => {
+                format!(",,{},{},", csv_field(reason), f(scale))
+            }
             TraceEvent::LinkWindow { from, to, bytes, busy, queue, .. } => {
                 format!("{to},{from},,{bytes},{}", f(busy + queue as f64))
             }
@@ -405,7 +435,7 @@ pub fn csv_timeline(events: &[TraceEvent], dropped: u64) -> String {
                 format!(",{session},,{active},{}", f(predicted))
             }
             TraceEvent::SessionReject { session, predicted, reason, .. } => {
-                format!(",{session},{reason},,{}", f(predicted))
+                format!(",{session},{},,{}", csv_field(reason), f(predicted))
             }
             TraceEvent::FrameStart { session, frame, deadline, .. }
             | TraceEvent::DeadlineMiss { session, frame, deadline, .. } => {
@@ -416,13 +446,15 @@ pub fn csv_timeline(events: &[TraceEvent], dropped: u64) -> String {
                 format!(",{session},,{frame},{}", f(scale))
             }
             TraceEvent::FrameDrop { session, frame, reason, .. } => {
-                format!(",{session},{reason},{frame},")
+                format!(",{session},{},{frame},", csv_field(reason))
             }
             TraceEvent::TemporalReuse { session, frame, reused, rerendered, .. } => {
                 format!(",{session},f{frame},{reused},{rerendered}")
             }
             TraceEvent::ServerUp { server, .. } => format!("{server},,,,"),
-            TraceEvent::ServerDown { server, reason, .. } => format!("{server},,{reason},,"),
+            TraceEvent::ServerDown { server, reason, .. } => {
+                format!("{server},,{},,", csv_field(reason))
+            }
             TraceEvent::SessionRoute { session, server, attempt, .. } => {
                 format!("{server},{session},,{attempt},")
             }
@@ -430,7 +462,7 @@ pub fn csv_timeline(events: &[TraceEvent], dropped: u64) -> String {
                 format!(",{session},,{attempt},{backoff}")
             }
             TraceEvent::SessionMigrate { session, from, to, reason, .. } => {
-                format!("{to},{session},{reason},{from},")
+                format!("{to},{session},{},{from},", csv_field(reason))
             }
             TraceEvent::SessionFailover { session, from, to, .. } => {
                 format!("{to},{session},,{from},")

@@ -11,7 +11,11 @@
 # each side's quartiles (q1, median, q3) of all four and how many pairs B
 # won on the first two: higher frames_per_s, lower op_ms_p50, ties
 # counting for neither side. setup_s and peak_rss_mb are end-to-end
-# metrics too, so their quartiles show a regression there. Fails if
+# metrics too, so their quartiles show a regression there. Then, from
+# each run's `op N best` lines, prints every op's median best time on
+# each side and the B/A ratio, and the same summed per op kind (the
+# label up to its scene, e.g. `simulate OOVR+shed` or `simulate_edge`),
+# so a change shows which ops it moved. Fails if
 # a run reports incorrect output, or if any run prints a different
 # `sim_digest` line than the first: an A/B only times two builds of the
 # same simulation.
@@ -63,6 +67,9 @@ wins() {
 
 declare -a fps_a fps_b p50_a p50_b setup_a setup_b rss_a rss_b
 digest=
+# One line per op per run: side, op index, best ms, label (tab-separated).
+ops_file=$(mktemp)
+trap 'rm -f "$ops_file"' EXIT
 run() {
     local side=$1 bin=$2 pair=$3 out line run_digest fps p50 setup rss
     out=$("$bin" --workload "$workload" --seed "$seed" --seconds "$seconds" --trace 0)
@@ -86,6 +93,8 @@ run() {
     p50=$(metric "$line" op_ms_p50)
     setup=$(metric "$line" setup_s)
     rss=$(metric "$line" peak_rss_mb)
+    sed -nE "s/^op +([0-9]+) best +([0-9.]+) ms median +[0-9.]+ ms of +[0-9]+  (.*)/$side\t\1\t\2\t\3/p" \
+        <<<"$out" >>"$ops_file"
     printf "pair %2d  %s  frames_per_s %10.4f  op_ms_p50 %10.4f  setup_s %8.4f  peak_rss_mb %8.2f\n" \
         "$pair" "$side" "$fps" "$p50" "$setup" "$rss"
     if [ "$side" = A ]; then
@@ -117,4 +126,36 @@ printf "A  peak_rss_mb   %s\n" "$(printf '%s\n' "${rss_a[@]}" | quartiles)"
 printf "B  peak_rss_mb   %s\n" "$(printf '%s\n' "${rss_b[@]}" | quartiles)"
 echo "B won $(wins fps_a fps_b higher)/$pairs pairs on frames_per_s (higher is better)"
 echo "B won $(wins p50_a p50_b lower)/$pairs pairs on op_ms_p50 (lower is better)"
+awk -F '\t' '
+    # Median of the space-separated numbers in $1.
+    function median(list,    n, a, i, j, t) {
+        n = split(list, a, " ");
+        for (i = 2; i <= n; i++) {
+            t = a[i] + 0;
+            for (j = i - 1; j >= 1 && a[j] + 0 > t; j--) a[j + 1] = a[j];
+            a[j + 1] = t;
+        }
+        return (n % 2) ? a[(n + 1) / 2] : (a[n / 2] + a[n / 2 + 1]) / 2;
+    }
+    !($2 in label) { label[$2] = $4; order[++n] = $2 }
+    { best[$1, $2] = best[$1, $2] " " $3 }
+    END {
+        print "per-op median of op-best times (ms):";
+        for (k = 1; k <= n; k++) {
+            op = order[k];
+            a = median(best["A", op]); b = median(best["B", op]);
+            printf "op %3d  A %10.4f  B %10.4f  B/A %6.3f  %s\n", op, a, b, b / a, label[op];
+            kind = label[op];
+            sub(/ [^ ]*@.*/, "", kind);
+            if (!(kind in sum_a)) kinds[++m] = kind;
+            sum_a[kind] += a; sum_b[kind] += b; all_a += a; all_b += b;
+        }
+        print "summed per op kind (ms):";
+        for (k = 1; k <= m; k++) {
+            kind = kinds[k];
+            printf "%-24s A %10.4f  B %10.4f  B/A %6.3f\n", kind, sum_a[kind], sum_b[kind],
+                sum_b[kind] / sum_a[kind];
+        }
+        printf "%-24s A %10.4f  B %10.4f  B/A %6.3f\n", "all ops", all_a, all_b, all_b / all_a;
+    }' "$ops_file"
 echo "$digest (both sides)"

@@ -286,3 +286,286 @@ proptest! {
         prop_assert!(max_active >= 150, "only {} sessions were ever live", max_active);
     }
 }
+
+/// The heap-based EDF loop `schedule` ran before its release-order walk,
+/// kept verbatim (with crate paths made external) as the reference the
+/// walk is checked against: every release sorted up front, every ready
+/// frame pushed through a `BinaryHeap` keyed by `(deadline, slot, frame)`,
+/// every event built, and each session's frames sorted at the end.
+/// Returns the outcome and the events in emission order.
+fn reference_schedule(
+    stream: std::sync::Arc<oovr_serve::SessionCostStream>,
+    cfg: &ServeConfig,
+    mut link: Option<Budget>,
+) -> (oovr_serve::ServeOutcome, Vec<TraceEvent>) {
+    use oovr_serve::{
+        calibrate_discounted, session_trajectory, FrameRecord, Pose, Reject, ServeOutcome,
+        SessionOutcome, LINK_REASON,
+    };
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
+
+    let scheme = stream.scheme;
+    let v = cfg.vsync_cycles.max(1);
+    let total_frames = cfg.frames_per_session + 1; // warmup + paced
+
+    let threshold = cfg.temporal.reuse_threshold;
+    let discount = if scheme.temporal() {
+        stream.mean_temporal_saving(threshold, cfg.seed, cfg.frames_per_session.max(1))
+    } else {
+        0
+    };
+    let report_refs: Vec<&FrameReport> = stream.reports.iter().collect();
+    let steady_tris = stream.steady().counts.triangles.max(1);
+    let predicted = calibrate_discounted(&report_refs, discount).predict_total(steady_tris);
+    let mut compute = Budget::new(v as f64, cfg.headroom, predicted);
+
+    let mut rng = StdRng::seed_from_u64(cfg.seed);
+    let mut events: Vec<TraceEvent> = Vec::new();
+    let mut sessions: Vec<SessionOutcome> = Vec::new();
+    let mut poses: Vec<Vec<Pose>> = Vec::new();
+    let mut rejects: Vec<Reject> = Vec::new();
+
+    let mut arrival: Cycle = 0;
+    for id in 0..cfg.sessions {
+        if id > 0 {
+            let mean = cfg.mean_interarrival;
+            arrival += rng.gen_range(mean / 2..=mean + mean / 2);
+        }
+        let departure = arrival + Cycle::from(total_frames + 1) * v;
+        let link_fits = link.as_mut().is_none_or(|b| b.fits(arrival));
+        if link_fits && compute.fits(arrival) {
+            compute.hold(departure);
+            if let Some(b) = &mut link {
+                b.hold(departure);
+            }
+            events.push(TraceEvent::SessionAdmit {
+                cycle: arrival,
+                session: id,
+                predicted,
+                active: compute.active(),
+            });
+            let mut traj = session_trajectory(cfg.seed, u64::from(id));
+            let mut path = vec![traj.current()];
+            path.extend((0..cfg.frames_per_session).map(|_| traj.step()));
+            poses.push(path);
+            sessions.push(SessionOutcome {
+                id,
+                arrival,
+                predicted,
+                frames: Vec::with_capacity(total_frames as usize),
+            });
+        } else {
+            let (predicted, reason) = match &link {
+                Some(b) if !link_fits => (b.demand(), LINK_REASON),
+                _ => (predicted, "capacity"),
+            };
+            events.push(TraceEvent::SessionReject {
+                cycle: arrival,
+                session: id,
+                predicted,
+                reason,
+            });
+            rejects.push(Reject { id, arrival, predicted });
+        }
+    }
+
+    let mut releases: Vec<(Cycle, u32, u32)> = Vec::new(); // (release, slot, frame)
+    for (slot, s) in sessions.iter().enumerate() {
+        for f in 0..total_frames {
+            releases.push((s.arrival + Cycle::from(f) * v, slot as u32, f));
+        }
+    }
+    releases.sort_unstable();
+
+    let temporal = if scheme.temporal() { stream.temporal.as_deref() } else { None };
+    let sheds = scheme.sheds();
+    let (step, floor) = (cfg.resilience.shed_step, cfg.resilience.shed_floor);
+    let mut scales = vec![1.0f64; sessions.len()];
+    let mut heap: BinaryHeap<Reverse<(Cycle, u32, u32, Cycle)>> = BinaryHeap::new();
+    let mut now: Cycle = 0;
+    let mut next = 0usize;
+    while next < releases.len() || !heap.is_empty() {
+        while next < releases.len() && releases[next].0 <= now {
+            let (release, slot, frame) = releases[next];
+            heap.push(Reverse((release + v, slot, frame, release)));
+            next += 1;
+        }
+        let Some(Reverse((deadline, slot, frame, release))) = heap.pop() else {
+            now = releases[next].0; // engine idles until the next release
+            continue;
+        };
+        let session = &mut sessions[slot as usize];
+        let id = session.id;
+        let report_index = stream.report_index(frame);
+        let pose = poses[slot as usize][frame as usize];
+
+        if now > deadline + v {
+            events.push(TraceEvent::FrameDrop { cycle: now, session: id, frame, reason: "stale" });
+            session.frames.push(FrameRecord {
+                frame,
+                report_index,
+                release,
+                deadline,
+                start: now,
+                end: now,
+                scale: scales[slot as usize],
+                missed: true,
+                dropped: true,
+                pose,
+            });
+            continue;
+        }
+
+        let tdec = temporal.filter(|_| frame > 0).map(|profile| {
+            profile.decide(&poses[slot as usize][frame as usize - 1], &pose, threshold)
+        });
+        let base = stream.cost_for(frame);
+        let base = tdec.as_ref().map_or(base, |d| d.apply(base));
+        let mut scale = scales[slot as usize];
+        let cost_at = |s: f64| (((base as f64) * s).round() as Cycle).max(1);
+        if sheds {
+            let before = scale;
+            while scale > floor && now + cost_at(scale) > deadline {
+                scale = (scale * step).max(floor);
+            }
+            if scale < before {
+                scales[slot as usize] = scale;
+                events.push(TraceEvent::FrameShed { cycle: now, session: id, frame, scale });
+            }
+        }
+        let cost = if sheds { cost_at(scale) } else { base };
+        let (start, end) = (now, now + cost);
+        events.push(TraceEvent::FrameStart { cycle: start, session: id, frame, deadline });
+        events.push(TraceEvent::FrameSpan { session: id, frame, start, end, scale });
+        if let Some(d) = &tdec {
+            events.push(TraceEvent::TemporalReuse {
+                cycle: start,
+                session: id,
+                frame,
+                reused: d.reused,
+                rerendered: d.rerendered,
+                saved: d.saved,
+            });
+        }
+        let missed = end > deadline;
+        if missed {
+            events.push(TraceEvent::DeadlineMiss { cycle: end, session: id, frame, deadline });
+        } else if sheds && scale < 1.0 {
+            scales[slot as usize] = (scale / step).min(1.0);
+        }
+        session.frames.push(FrameRecord {
+            frame,
+            report_index,
+            release,
+            deadline,
+            start,
+            end,
+            scale,
+            missed,
+            dropped: false,
+            pose,
+        });
+        now = end;
+    }
+
+    for s in &mut sessions {
+        s.frames.sort_by_key(|f| f.frame);
+    }
+
+    let workload = stream.workload.clone();
+    (ServeOutcome { scheme, workload, vsync: v, sessions, rejects, stream }, events)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The release-order walk in `schedule` is the heap-based EDF loop it
+    /// replaced, bit for bit: the same sessions, frame records and rejects
+    /// (compared through their `Debug` text, which prints every float
+    /// exactly), the same events in the same order when observed, the same
+    /// link-reject count, and the same outcome with no events when not.
+    /// The measured stream is copied with its steady frame's triangle count
+    /// cut by `underpredict`, so Eq. 3 admits more sessions than the engine
+    /// can serve; with burst arrivals that drives the scheduler through
+    /// misses, stale drops and shedding, and interarrivals up to two
+    /// intervals through idle gaps. A `tiny` stream rescales every frame to
+    /// about two cycles, so intervals and gaps are a few cycles long and
+    /// one session's release often coincides with another's arrival: the
+    /// walk must then serve the earlier session's frame first, as the
+    /// heap's slot tie-break did. A link budget, when drawn, rejects some
+    /// arrivals before compute admission.
+    #[test]
+    fn release_order_walk_matches_the_heap_loop(
+        scheme_ix in 0usize..ServeScheme::ALL.len(),
+        sessions in 1u32..24,
+        paced in 1u32..12,
+        vsync_quarters in 4u64..25,
+        interarrival_quarters in 0u64..9,
+        burst in 0u8..2,
+        underpredict in 1u64..17,
+        tiny in 0u8..2,
+        headroom in 0.3f64..1.5,
+        threshold_ix in 0usize..3,
+        with_link in 0u8..2,
+        link_demand in 0.05f64..0.6,
+        link_headroom in 0.3f64..1.2,
+        seed in 0u64..10_000,
+    ) {
+        let spec = spec();
+        let gpu = GpuConfig::default();
+        let scheme = ServeScheme::ALL[scheme_ix];
+        let measured = oovr_serve::cost_stream(scheme, &spec, &gpu);
+        let mut reports = measured.reports.clone();
+        let steady = reports.len() - 1;
+        reports[steady].counts.triangles /= underpredict;
+        if tiny == 1 {
+            let unit = reports[steady].frame_cycles;
+            for r in &mut reports {
+                r.frame_cycles = (r.frame_cycles * 2 / unit).max(1);
+            }
+        }
+        let stream = std::sync::Arc::new(oovr_serve::SessionCostStream {
+            scheme,
+            workload: measured.workload.clone(),
+            reports,
+            temporal: measured.temporal.clone(),
+        });
+        let v = (stream.steady().frame_cycles * vsync_quarters / 4).max(1);
+        let reuse_threshold =
+            [0.0, 1.0, 4.0][threshold_ix] * oovr::temporal::DEFAULT_REUSE_THRESHOLD;
+        let cfg = ServeConfig {
+            vsync_cycles: v,
+            sessions,
+            frames_per_session: paced,
+            mean_interarrival: if burst == 1 { 0 } else { v * interarrival_quarters / 4 },
+            seed,
+            headroom,
+            temporal: oovr::TemporalConfig { reuse_threshold },
+            ..ServeConfig::default()
+        };
+        // A unit-capacity link each session demands `link_demand` of.
+        let budget = || (with_link == 1).then(|| Budget::new(1.0, link_headroom, link_demand));
+
+        let (want, want_events) = reference_schedule(stream.clone(), &cfg, budget());
+        let (got, got_events, link_rejected) =
+            oovr_serve::schedule(stream.clone(), &cfg, budget(), true);
+        prop_assert_eq!(format!("{:?}", got.sessions), format!("{:?}", want.sessions));
+        prop_assert_eq!(format!("{:?}", got.rejects), format!("{:?}", want.rejects));
+        prop_assert_eq!(format!("{got_events:?}"), format!("{want_events:?}"));
+        let want_link = want_events
+            .iter()
+            .filter(|e| matches!(e, TraceEvent::SessionReject { reason, .. }
+                if *reason == oovr_serve::LINK_REASON))
+            .count();
+        prop_assert_eq!(link_rejected as usize, want_link);
+
+        let (quiet, quiet_events, quiet_link) = oovr_serve::schedule(stream, &cfg, budget(), false);
+        prop_assert!(quiet_events.is_empty(), "an unobserved run builds no events");
+        prop_assert_eq!(format!("{:?}", quiet.sessions), format!("{:?}", got.sessions));
+        prop_assert_eq!(format!("{:?}", quiet.rejects), format!("{:?}", got.rejects));
+        prop_assert_eq!(quiet_link, link_rejected);
+    }
+}

@@ -408,19 +408,47 @@ fn exporters_match_recorded_digests() {
         ("digest sections", digest(&sections)),
     ];
     let want = [
-        ("chrome n2 dropped 0", "3f992d8450cfd3d6"),
-        ("chrome n2 dropped 3", "8f7c8f0b3aae6378"),
-        ("chrome n4 dropped 0", "9b65c72a37ddd707"),
-        ("chrome n4 dropped 3", "2d7b9e8191ea7782"),
-        ("csv dropped 0", "eb635fa9ee17915c"),
-        ("csv dropped 3", "b7464657423a7608"),
+        ("chrome n2 dropped 0", "c67055c9de937180"),
+        ("chrome n2 dropped 3", "6f99b87896faeea7"),
+        ("chrome n4 dropped 0", "17da39fec3172418"),
+        ("chrome n4 dropped 3", "bf386f39326c90ab"),
+        ("csv dropped 0", "33eab77909bebe35"),
+        ("csv dropped 3", "b925ff165e90adb6"),
         ("digest dropped 0", "962094ed3cb9ab25"),
         ("digest dropped 3", "8ec4e103b23a89e3"),
         ("digest sections", "3f927459c3e77370"),
     ];
     assert_eq!(got.iter().map(|(name, d)| (*name, d.as_str())).collect::<Vec<_>>(), want);
+    // The odd reason's comma is quoted, so every row keeps eight fields.
+    for row in csv.lines() {
+        assert_eq!(csv_fields(row), 8, "{row}");
+    }
     for n_gpms in [2, 4] {
         let doc = oovr_trace::json::parse(&chrome_trace(&events, n_gpms, 3)).expect("parses");
         oovr_trace::json::validate_chrome_trace(&doc, n_gpms).expect("validates");
+        // Each server the slice names is a process of its own after the
+        // GPMs and the engine.
+        let mut servers = Vec::new();
+        for ev in doc.get("traceEvents").and_then(|v| v.as_array()).expect("events") {
+            let name = ev.get("args").and_then(|a| a.get("name")).and_then(|n| n.as_str());
+            if let Some(server) = name.and_then(|n| n.strip_prefix("Server ")) {
+                let pid = ev.get("pid").and_then(|p| p.as_f64()).expect("pid");
+                servers.push((server.parse::<usize>().expect("server id"), pid as usize));
+            }
+        }
+        let want: Vec<_> = [0, 1, 4, 5, 6].iter().map(|&s| (s, n_gpms + 1 + s)).collect();
+        assert_eq!(servers, want);
     }
+}
+
+/// Number of fields in one RFC 4180 CSV row without line breaks.
+fn csv_fields(row: &str) -> usize {
+    let mut quoted = false;
+    1 + row
+        .chars()
+        .filter(|&c| {
+            quoted ^= c == '"';
+            c == ',' && !quoted
+        })
+        .count()
 }
