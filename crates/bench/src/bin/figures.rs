@@ -447,16 +447,24 @@ fn run_cluster(specs: &[BenchmarkSpec], scale: f64, csv_dir: Option<&str>) -> Re
     let table = cluster_scale_table(specs, &gpu, &cfg);
     validate_table(&table)?;
     println!("{table}");
+    let mut lowest: Option<(&str, f64)> = None;
     for (label, _) in &table.rows {
         let eff =
             table.value(label, "eff(4)").ok_or_else(|| format!("{label}: missing eff(4) cell"))?;
         if eff < 0.9 {
             return Err(format!("{label}: N=4 scaling efficiency {eff:.3} below the 0.9 gate"));
         }
+        if lowest.is_none_or(|(_, e)| eff < e) {
+            lowest = Some((label, eff));
+        }
+    }
+    if let Some((label, eff)) = lowest {
+        println!("  lowest eff(4) {label}: {eff:.4} vs the 0.9 gate");
     }
     let policy = cluster_policy_table(specs, &gpu, &cfg);
     validate_table(&policy)?;
     println!("{policy}");
+    let mut smallest: Option<(&str, f64, f64)> = None;
     for (label, _) in &policy.rows {
         let ll = policy
             .value(label, "least-loaded")
@@ -469,6 +477,15 @@ fn run_cluster(specs: &[BenchmarkSpec], scale: f64, csv_dir: Option<&str>) -> Re
                 "{label}: affinity capacity {af} does not strictly beat least-loaded {ll}"
             ));
         }
+        if smallest.is_none_or(|(_, a, l)| af - ll < a - l) {
+            smallest = Some((label, af, ll));
+        }
+    }
+    if let Some((label, af, ll)) = smallest {
+        println!(
+            "  smallest affinity gap {label}: affinity {af} vs least-loaded {ll} (+{})",
+            af - ll
+        );
     }
     write_tables(&[&table, &policy], scale, csv_dir)
 }

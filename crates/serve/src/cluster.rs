@@ -205,7 +205,6 @@ struct Sess {
     arrival: u32,
     state: State,
     attempts: u32,
-    next_attempt: u32,
     admitted_at: Option<u32>,
     server: usize,
     last_move: u32,
@@ -393,7 +392,6 @@ fn run_cluster(
                 arrival,
                 state: State::Waiting,
                 attempts: 0,
-                next_attempt: arrival,
                 admitted_at: None,
                 server: 0,
                 last_move: 0,
@@ -426,6 +424,22 @@ fn run_cluster(
     // updates it in O(1) and the router reads it in place, so router
     // decisions stay O(servers) instead of re-scanning every session.
     let mut ledger = vec![ServerView::new(st.demand.len()); n];
+
+    // Admission buckets: `due[k]` holds the waiting sessions whose next
+    // attempt falls in interval `k` — arrivals, filled in id order, then
+    // backed-off retries. A waiting session sits in exactly one bucket.
+    let mut due: Vec<Vec<u32>> = vec![Vec::new(); k_max as usize + 1];
+    for (i, sess) in sessions.iter().enumerate() {
+        due[sess.arrival as usize].push(i as u32);
+    }
+    // The active sessions in id order: the only ones failover, migration,
+    // serve and eviction can touch. Each interval merges in its admits and
+    // drops its finished and evicted sessions.
+    let mut active: Vec<u32> = Vec::new();
+    // Waiting plus active sessions: the run ends once none is left.
+    let mut live = cfg.sessions;
+    // One placement-order buffer for every router decision.
+    let mut order: Vec<usize> = Vec::with_capacity(n);
 
     // Compile the fault plan once into per-server schedules; the interval
     // loop then samples multipliers instead of re-deriving the product
@@ -460,28 +474,31 @@ fn run_cluster(
         }
         alive_prev.clone_from(&alive);
 
-        // 2. Failover: pull in-flight sessions off dead servers. The
-        //    residency guard does not apply — a dead host overrides
+        // 2. Failover: pull active sessions off dead servers, in id order.
+        //    The residency guard does not apply — a dead host overrides
         //    placement stability. Warm restart is charged via the cold
         //    frame on the destination.
         if cfg.router.failover() && alive.iter().any(|a| !a) {
-            for (i, sess) in sessions.iter_mut().enumerate() {
+            for &i in &active {
+                let sess = &mut sessions[i as usize];
                 let server = sess.server;
-                if sess.state != State::Active || alive[server] {
+                if alive[server] {
                     continue;
                 }
-                let dest = cfg
-                    .policy
-                    .order(session_key(cfg.seed, i), sess.stream, &ledger)
-                    .into_iter()
-                    .find(|&d| alive[d] && d != server);
+                cfg.policy.order(
+                    session_key(cfg.seed, i as usize),
+                    sess.stream,
+                    &ledger,
+                    &mut order,
+                );
+                let dest = order.iter().copied().find(|&d| alive[d] && d != server);
                 if let Some(d) = dest {
                     sess.relocate(d, k, &mut ledger, &st);
                     failovers += 1;
                     if observe {
                         events.push(TraceEvent::SessionFailover {
                             cycle: t,
-                            session: i as u32,
+                            session: i,
                             from: server as u32,
                             to: d as u32,
                         });
@@ -490,30 +507,31 @@ fn run_cluster(
             }
         }
 
-        // 3. Admission: arrivals and backed-off retries due this interval,
-        //    in id order. The resilient router health-checks candidates
-        //    (a dead server never admits); the fault-oblivious baseline
-        //    will place sessions on one. When no candidate fits *right
-        //    now*, the retrying router backs off and tries again, the
-        //    baseline rejects.
-        for (i, sess) in sessions.iter_mut().enumerate() {
-            if sess.state != State::Waiting || sess.next_attempt != k {
-                continue;
-            }
+        // 3. Admission: this interval's bucket — arrivals and backed-off
+        //    retries — sorted into id order. The resilient router
+        //    health-checks candidates (a dead server never admits); the
+        //    fault-oblivious baseline will place sessions on one. When no
+        //    candidate fits *right now*, the retrying router backs off
+        //    into a later bucket and tries again, the baseline rejects.
+        let mut bucket = std::mem::take(&mut due[k as usize]);
+        bucket.sort_unstable();
+        for &i in &bucket {
+            let sess = &mut sessions[i as usize];
+            debug_assert_eq!(sess.state, State::Waiting);
             if k > sess.arrival + frames {
                 // Backed off past its own last frame: nothing left to serve.
                 sess.state = State::Rejected;
+                live -= 1;
                 if observe {
                     events.push(TraceEvent::SessionReject {
                         cycle: t,
-                        session: i as u32,
+                        session: i,
                         predicted: st.demand[sess.stream],
                         reason: "backoff-expired",
                     });
                 }
                 continue;
             }
-            let order = cfg.policy.order(session_key(cfg.seed, i), sess.stream, &ledger);
             let attempt = sess.attempts + 1;
             sess.attempts = attempt;
             let demand = st.demand[sess.stream];
@@ -526,46 +544,68 @@ fn run_cluster(
             // against nominal budgets — refusing a merely *degraded*
             // server outright would waste the capacity it still has;
             // migration and shedding absorb the shortfall instead.
+            //
+            // The preference order is a permutation of every server, so
+            // whether any candidate fits does not depend on it: it is
+            // built only once one does.
             let aware = cfg.router.failover();
-            let cand = order.into_iter().find(|&c| {
+            let fits = |c: usize| {
                 (!aware || alive[c]) && ledger[c].load + demand <= DEFAULT_HEADROOM * v as f64
-            });
+            };
+            let cand = if (0..n).any(fits) {
+                cfg.policy.order(
+                    session_key(cfg.seed, i as usize),
+                    sess.stream,
+                    &ledger,
+                    &mut order,
+                );
+                order.iter().copied().find(|&c| fits(c))
+            } else {
+                None
+            };
             if let Some(cand) = cand {
                 sess.place(cand, k, &mut ledger, &st);
                 sess.state = State::Active;
                 sess.admitted_at = Some(k);
+                active.push(i);
                 if observe {
                     events.push(TraceEvent::SessionRoute {
                         cycle: t,
-                        session: i as u32,
+                        session: i,
                         server: cand as u32,
                         attempt,
                     });
                 }
             } else if attempt < cfg.router.max_attempts() {
                 let backoff = backoff_for(attempt);
-                sess.next_attempt = k + backoff;
+                // In range: a session's attempts end by its arrival plus
+                // `backoff_span`, which is below `k_max`.
+                due[(k + backoff) as usize].push(i);
                 retries += 1;
                 if observe {
                     events.push(TraceEvent::RouteRetry {
                         cycle: t,
-                        session: i as u32,
+                        session: i,
                         attempt,
                         backoff: backoff as Cycle * v,
                     });
                 }
             } else {
                 sess.state = State::Rejected;
+                live -= 1;
                 if observe {
                     events.push(TraceEvent::SessionReject {
                         cycle: t,
-                        session: i as u32,
+                        session: i,
                         predicted: demand,
                         reason: "capacity",
                     });
                 }
             }
         }
+        // The admits form a second ascending run, which the stable,
+        // run-detecting sort merges in.
+        active.sort();
 
         // 4. Overload migration, behind the anti-ping-pong residency guard.
         if cfg.router.migrate() {
@@ -577,23 +617,25 @@ fn run_cluster(
                 if ledger[s].demand(switch_tax) <= budget {
                     continue;
                 }
-                // Movers, most recently placed first, among sessions that
-                // have sat out the residency guard; long-resident sessions
-                // stay put. The eligible set only shrinks while we migrate
-                // off `s`, so one scan per interval suffices.
-                let mut movers: Vec<usize> = (0..sessions.len())
+                // Movers, most recently placed first, among active
+                // sessions that have sat out the residency guard;
+                // long-resident sessions stay put. The eligible set only
+                // shrinks while we migrate off `s`, so one scan of the
+                // active list per interval suffices.
+                let mut movers: Vec<usize> = active
+                    .iter()
+                    .map(|&i| i as usize)
                     .filter(|&i| {
-                        sessions[i].state == State::Active
-                            && sessions[i].server == s
+                        sessions[i].server == s
                             && k.saturating_sub(sessions[i].last_move) >= MIN_RESIDENCY
                     })
                     .collect();
-                movers.sort_by_key(|&i| (sessions[i].last_move, i));
+                movers.sort_unstable_by_key(|&i| (sessions[i].last_move, i));
                 while ledger[s].demand(switch_tax) > budget {
                     let Some(i) = movers.pop() else { break };
                     let stream = sessions[i].stream;
-                    let order = cfg.policy.order(session_key(cfg.seed, i), stream, &ledger);
-                    let dest = order.into_iter().find(|&d| {
+                    cfg.policy.order(session_key(cfg.seed, i), stream, &ledger, &mut order);
+                    let dest = order.iter().copied().find(|&d| {
                         d != s
                             && alive[d]
                             && ledger[d].demand(switch_tax) + st.cold[stream]
@@ -648,7 +690,7 @@ fn run_cluster(
             }
         }
 
-        // 6. Serve: per server, sessions in id order (EDF under the shared
+        // 6. Serve: the active sessions in id order (EDF under the shared
         //    per-interval deadline); frames that do not fit miss without
         //    consuming budget. Dead servers serve nothing.
         let eff_scale = if cfg.router.shed() { scale } else { 1.0 };
@@ -660,14 +702,12 @@ fn run_cluster(
                 ((v as f64 * rates[s]) as u64).saturating_sub(ledger[s].tax(switch_tax, None))
             })
             .collect();
-        for (i, sess) in sessions.iter_mut().enumerate() {
-            if sess.state != State::Active || k < sess.arrival {
-                continue;
-            }
+        for &i in &active {
+            let sess = &mut sessions[i as usize];
+            // Admission comes no earlier than arrival and no later than
+            // the last frame, and a session leaves at its last frame, so
+            // an active session's frame lies in `0..=frames`.
             let f = k - sess.arrival;
-            if f > frames {
-                continue;
-            }
             let s = sess.server;
             // Frame 0 is always cold: it comes due in the interval the
             // session was admitted, and admission sets `cold_pending`.
@@ -691,7 +731,7 @@ fn run_cluster(
             if observe && f >= 1 {
                 events.push(TraceEvent::ClusterFrame {
                     cycle: t,
-                    session: i as u32,
+                    session: i,
                     server: s as u32,
                     on_time,
                     degraded,
@@ -700,24 +740,23 @@ fn run_cluster(
             if f == frames {
                 sess.release(&mut ledger, &st);
                 sess.state = State::Done;
+                live -= 1;
             }
         }
 
         // 7. Eviction, strictly last resort: only once shedding is pinned
         //    at the floor and a session still cannot make its vsyncs.
-        if cfg.router.evict() {
-            let at_floor = !cfg.router.shed() || scale <= shed_floor + 1e-9;
-            for (i, sess) in sessions.iter_mut().enumerate() {
-                if sess.state == State::Active
-                    && at_floor
-                    && sess.misses_in_a_row >= cfg.evict_after.max(1)
-                {
+        if cfg.router.evict() && (!cfg.router.shed() || scale <= shed_floor + 1e-9) {
+            for &i in &active {
+                let sess = &mut sessions[i as usize];
+                if sess.state == State::Active && sess.misses_in_a_row >= cfg.evict_after.max(1) {
                     sess.release(&mut ledger, &st);
                     sess.state = State::Evicted;
+                    live -= 1;
                     if observe {
                         events.push(TraceEvent::FrameDrop {
                             cycle: t,
-                            session: i as u32,
+                            session: i,
                             frame: k - sess.arrival,
                             reason: "evicted",
                         });
@@ -726,10 +765,10 @@ fn run_cluster(
             }
         }
 
-        if sessions
-            .iter()
-            .all(|s| matches!(s.state, State::Done | State::Rejected | State::Evicted))
-        {
+        // 8. Drop the sessions that finished or were evicted; stop once
+        //    nothing is waiting or active.
+        active.retain(|&i| sessions[i as usize].state == State::Active);
+        if live == 0 {
             break;
         }
     }
@@ -787,9 +826,10 @@ fn place_warm(
     // charges the tax with the new stream already resident.
     let mut ledger = vec![ServerView::new(st.demand.len()); n];
     let mut placed: Vec<(usize, usize)> = Vec::with_capacity(m as usize);
+    let mut order = Vec::with_capacity(n);
     for i in 0..m as usize {
         let stream = st.of_mix[i % st.of_mix.len()];
-        let order = policy.order(session_key(seed, i), stream, &ledger);
+        policy.order(session_key(seed, i), stream, &ledger, &mut order);
         let fits = |s: usize| {
             ledger[s].cost + st.steady[stream] + ledger[s].tax(switch_tax, Some(stream)) <= v
         };
@@ -1070,5 +1110,574 @@ mod tests {
         assert_eq!(routes as u32, out.admitted);
         assert_eq!(fails as u64, out.failovers);
         assert!(fails > 0);
+    }
+
+    /// The session record of [`run_cluster_scanned`], with its own
+    /// next-attempt interval.
+    struct ScanSess {
+        stream: usize,
+        arrival: u32,
+        state: State,
+        attempts: u32,
+        next_attempt: u32,
+        admitted_at: Option<u32>,
+        server: usize,
+        last_move: u32,
+        cold_pending: bool,
+        on_time: u64,
+        degraded: u64,
+        misses_in_a_row: u32,
+        moves: u32,
+    }
+
+    impl ScanSess {
+        /// Full-scale frame cost the session holds on its server: the cold
+        /// frame until it serves one on time, then the steady frame.
+        fn held(&self, st: &Streams) -> Cycle {
+            if self.cold_pending {
+                st.cold[self.stream]
+            } else {
+                st.steady[self.stream]
+            }
+        }
+
+        /// Books the session cold on server `to` at interval `k`.
+        fn place(&mut self, to: usize, k: u32, ledger: &mut [ServerView], st: &Streams) {
+            ledger[to].attach(self.stream, st.demand[self.stream], st.cold[self.stream]);
+            self.server = to;
+            self.last_move = k;
+            self.cold_pending = true;
+        }
+
+        /// Releases what the session holds on its server.
+        fn release(&self, ledger: &mut [ServerView], st: &Streams) {
+            ledger[self.server].detach(self.stream, st.demand[self.stream], self.held(st));
+        }
+
+        /// Failover or migration to server `to`: warm restart on arrival.
+        fn relocate(&mut self, to: usize, k: u32, ledger: &mut [ServerView], st: &Streams) {
+            self.release(ledger, st);
+            self.place(to, k, ledger, st);
+            self.moves += 1;
+        }
+    }
+
+    /// [`Placement::order`] into a fresh buffer.
+    fn order_vec(policy: Placement, key: u64, stream: usize, servers: &[ServerView]) -> Vec<usize> {
+        let mut idx = Vec::new();
+        policy.order(key, stream, servers, &mut idx);
+        idx
+    }
+
+    /// Reference for [`run_cluster`]: the interval loop that rescans the
+    /// whole session table up to six times per interval, kept verbatim
+    /// except that it also returns the last interval it ran.
+    fn run_cluster_scanned(
+        mix: &[(ServeScheme, BenchmarkSpec)],
+        gpu: &GpuConfig,
+        cfg: &ClusterConfig,
+        observe: bool,
+    ) -> (ClusterOutcome, Vec<TraceEvent>, u32) {
+        assert!(!mix.is_empty(), "cluster mix must name at least one workload");
+        let n = cfg.servers as usize;
+        assert!(n > 0, "cluster needs at least one server");
+        let st = resolve_streams(mix, gpu, cfg);
+        let v = cfg.vsync_cycles.max(1);
+        let frames = cfg.frames_per_session;
+        let shed_floor = cfg.resilience.shed_floor.clamp(0.05, 1.0);
+        let shed_step = cfg.resilience.shed_step.clamp(0.05, 0.99);
+        let switch_tax = switch_tax(v);
+
+        // Seeded arrival jitter: one interval per session, in id order.
+        let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0xC1_05_7E_12);
+        let mut sessions: Vec<ScanSess> = (0..cfg.sessions)
+            .map(|i| {
+                let arrival = if cfg.arrival_intervals > 1 {
+                    rng.gen_range(0..cfg.arrival_intervals)
+                } else {
+                    0
+                };
+                ScanSess {
+                    stream: st.of_mix[i as usize % st.of_mix.len()],
+                    arrival,
+                    state: State::Waiting,
+                    attempts: 0,
+                    next_attempt: arrival,
+                    admitted_at: None,
+                    server: 0,
+                    last_move: 0,
+                    cold_pending: false,
+                    on_time: 0,
+                    degraded: 0,
+                    misses_in_a_row: 0,
+                    moves: 0,
+                }
+            })
+            .collect();
+
+        let mut events: Vec<TraceEvent> = Vec::new();
+        let mut alive_prev = vec![false; n];
+        let mut scale = 1.0f64;
+        let mut min_scale = 1.0f64;
+        let mut retries = 0u64;
+        let mut migrations = 0u64;
+        let mut failovers = 0u64;
+        let mut downs = 0u64;
+        let fault_reason = cfg.fault.as_ref().map_or("fault", |p| p.scenario.name());
+
+        // Latest interval anything can still happen: the last arrival's final
+        // frame, plus the longest possible backoff chain.
+        let backoff_span: u32 = (1..cfg.router.max_attempts()).map(backoff_for).sum();
+        let k_max = cfg.arrival_intervals + frames + backoff_span + 2;
+
+        // The per-server ledger over the *active* sessions. Every state
+        // transition (admit, failover, migrate, finish, evict, cold→warm)
+        // updates it in O(1) and the router reads it in place, so router
+        // decisions stay O(servers) instead of re-scanning every session.
+        let mut ledger = vec![ServerView::new(st.demand.len()); n];
+
+        // Compile the fault plan once into per-server schedules; the interval
+        // loop then samples multipliers instead of re-deriving the product
+        // schedule every quantum.
+        let server_scheds: Vec<Option<oovr_gpu::RateSchedule>> =
+            (0..n).map(|s| cfg.fault.as_ref().and_then(|p| p.server_schedule(s, n))).collect();
+
+        let mut last = k_max;
+        for k in 0..=k_max {
+            last = k;
+            let t = k as Cycle * v;
+
+            // 1. Server rates and up/down transitions.
+            let rates: Vec<f64> = server_scheds
+                .iter()
+                .map(|sch| sch.as_ref().map_or(1.0, |s| s.multiplier_at(t)))
+                .collect();
+            let alive: Vec<bool> = rates.iter().map(|&r| r > 0.0).collect();
+            for s in 0..n {
+                if alive[s] && !alive_prev[s] {
+                    if observe {
+                        events.push(TraceEvent::ServerUp { cycle: t, server: s as u32 });
+                    }
+                } else if !alive[s] && alive_prev[s] {
+                    downs += 1;
+                    if observe {
+                        events.push(TraceEvent::ServerDown {
+                            cycle: t,
+                            server: s as u32,
+                            reason: fault_reason,
+                        });
+                    }
+                }
+            }
+            alive_prev.clone_from(&alive);
+
+            // 2. Failover: pull in-flight sessions off dead servers. The
+            //    residency guard does not apply — a dead host overrides
+            //    placement stability. Warm restart is charged via the cold
+            //    frame on the destination.
+            if cfg.router.failover() && alive.iter().any(|a| !a) {
+                for (i, sess) in sessions.iter_mut().enumerate() {
+                    let server = sess.server;
+                    if sess.state != State::Active || alive[server] {
+                        continue;
+                    }
+                    let dest =
+                        order_vec(cfg.policy, session_key(cfg.seed, i), sess.stream, &ledger)
+                            .into_iter()
+                            .find(|&d| alive[d] && d != server);
+                    if let Some(d) = dest {
+                        sess.relocate(d, k, &mut ledger, &st);
+                        failovers += 1;
+                        if observe {
+                            events.push(TraceEvent::SessionFailover {
+                                cycle: t,
+                                session: i as u32,
+                                from: server as u32,
+                                to: d as u32,
+                            });
+                        }
+                    }
+                }
+            }
+
+            // 3. Admission: arrivals and backed-off retries due this interval,
+            //    in id order. The resilient router health-checks candidates
+            //    (a dead server never admits); the fault-oblivious baseline
+            //    will place sessions on one. When no candidate fits *right
+            //    now*, the retrying router backs off and tries again, the
+            //    baseline rejects.
+            for (i, sess) in sessions.iter_mut().enumerate() {
+                if sess.state != State::Waiting || sess.next_attempt != k {
+                    continue;
+                }
+                if k > sess.arrival + frames {
+                    // Backed off past its own last frame: nothing left to serve.
+                    sess.state = State::Rejected;
+                    if observe {
+                        events.push(TraceEvent::SessionReject {
+                            cycle: t,
+                            session: i as u32,
+                            predicted: st.demand[sess.stream],
+                            reason: "backoff-expired",
+                        });
+                    }
+                    continue;
+                }
+                let order = order_vec(cfg.policy, session_key(cfg.seed, i), sess.stream, &ledger);
+                let attempt = sess.attempts + 1;
+                sess.attempts = attempt;
+                let demand = st.demand[sess.stream];
+                // First candidate in preference order with room right now; an
+                // attempt fails only when *no* server fits, and only then do
+                // retry/backoff (resilient) or rejection (baseline) differ.
+                // Health checking is a router feature: the resilient router
+                // never places a session on a dead server, while the
+                // fault-oblivious baseline happily does. Both book capacity
+                // against nominal budgets — refusing a merely *degraded*
+                // server outright would waste the capacity it still has;
+                // migration and shedding absorb the shortfall instead.
+                let aware = cfg.router.failover();
+                let cand = order.into_iter().find(|&c| {
+                    (!aware || alive[c]) && ledger[c].load + demand <= DEFAULT_HEADROOM * v as f64
+                });
+                if let Some(cand) = cand {
+                    sess.place(cand, k, &mut ledger, &st);
+                    sess.state = State::Active;
+                    sess.admitted_at = Some(k);
+                    if observe {
+                        events.push(TraceEvent::SessionRoute {
+                            cycle: t,
+                            session: i as u32,
+                            server: cand as u32,
+                            attempt,
+                        });
+                    }
+                } else if attempt < cfg.router.max_attempts() {
+                    let backoff = backoff_for(attempt);
+                    sess.next_attempt = k + backoff;
+                    retries += 1;
+                    if observe {
+                        events.push(TraceEvent::RouteRetry {
+                            cycle: t,
+                            session: i as u32,
+                            attempt,
+                            backoff: backoff as Cycle * v,
+                        });
+                    }
+                } else {
+                    sess.state = State::Rejected;
+                    if observe {
+                        events.push(TraceEvent::SessionReject {
+                            cycle: t,
+                            session: i as u32,
+                            predicted: demand,
+                            reason: "capacity",
+                        });
+                    }
+                }
+            }
+
+            // 4. Overload migration, behind the anti-ping-pong residency guard.
+            if cfg.router.migrate() {
+                for s in 0..n {
+                    if !alive[s] {
+                        continue;
+                    }
+                    let budget = (v as f64 * rates[s]) as u64;
+                    if ledger[s].demand(switch_tax) <= budget {
+                        continue;
+                    }
+                    // Movers, most recently placed first, among sessions that
+                    // have sat out the residency guard; long-resident sessions
+                    // stay put. The eligible set only shrinks while we migrate
+                    // off `s`, so one scan per interval suffices.
+                    let mut movers: Vec<usize> = (0..sessions.len())
+                        .filter(|&i| {
+                            sessions[i].state == State::Active
+                                && sessions[i].server == s
+                                && k.saturating_sub(sessions[i].last_move) >= MIN_RESIDENCY
+                        })
+                        .collect();
+                    movers.sort_by_key(|&i| (sessions[i].last_move, i));
+                    while ledger[s].demand(switch_tax) > budget {
+                        let Some(i) = movers.pop() else { break };
+                        let stream = sessions[i].stream;
+                        let order =
+                            order_vec(cfg.policy, session_key(cfg.seed, i), stream, &ledger);
+                        let dest = order.into_iter().find(|&d| {
+                            d != s
+                                && alive[d]
+                                && ledger[d].demand(switch_tax) + st.cold[stream]
+                                    <= (v as f64 * rates[d]) as u64
+                        });
+                        let Some(d) = dest else { break };
+                        sessions[i].relocate(d, k, &mut ledger, &st);
+                        migrations += 1;
+                        if observe {
+                            events.push(TraceEvent::SessionMigrate {
+                                cycle: t,
+                                session: i as u32,
+                                from: s as u32,
+                                to: d as u32,
+                                reason: "overload",
+                            });
+                        }
+                    }
+                }
+            }
+
+            // 5. Cluster-wide graceful degradation: shed shade scale so the
+            //    most overloaded server fits, never below the floor; recover
+            //    multiplicatively once no server is overloaded.
+            if cfg.router.shed() {
+                let mut worst = 1.0f64;
+                for s in 0..n {
+                    if !alive[s] {
+                        continue;
+                    }
+                    let demand = ledger[s].demand(switch_tax);
+                    let budget = v as f64 * rates[s];
+                    if demand > 0 {
+                        worst = worst.min(budget / demand as f64);
+                    }
+                }
+                if worst < 1.0 {
+                    let target = worst.max(shed_floor);
+                    if target < scale {
+                        scale = target;
+                        min_scale = min_scale.min(scale);
+                        if observe {
+                            events.push(TraceEvent::Shed {
+                                cycle: t,
+                                scale,
+                                reason: "cluster-overload",
+                            });
+                        }
+                    }
+                } else if scale < 1.0 {
+                    scale = (scale / shed_step).min(1.0);
+                }
+            }
+
+            // 6. Serve: per server, sessions in id order (EDF under the shared
+            //    per-interval deadline); frames that do not fit miss without
+            //    consuming budget. Dead servers serve nothing.
+            let eff_scale = if cfg.router.shed() { scale } else { 1.0 };
+            let mut remaining: Vec<u64> = (0..n)
+                .map(|s| {
+                    if !alive[s] {
+                        return 0;
+                    }
+                    ((v as f64 * rates[s]) as u64).saturating_sub(ledger[s].tax(switch_tax, None))
+                })
+                .collect();
+            for (i, sess) in sessions.iter_mut().enumerate() {
+                if sess.state != State::Active || k < sess.arrival {
+                    continue;
+                }
+                let f = k - sess.arrival;
+                if f > frames {
+                    continue;
+                }
+                let s = sess.server;
+                // Frame 0 is always cold: it comes due in the interval the
+                // session was admitted, and admission sets `cold_pending`.
+                let cost = (((sess.held(&st) as f64) * eff_scale).round() as u64).max(1);
+                let on_time = alive[s] && cost <= remaining[s];
+                let degraded = on_time && eff_scale < 1.0;
+                if on_time {
+                    remaining[s] -= cost;
+                    if sess.cold_pending {
+                        ledger[s].cost =
+                            ledger[s].cost - st.cold[sess.stream] + st.steady[sess.stream];
+                    }
+                    sess.cold_pending = false;
+                    sess.misses_in_a_row = 0;
+                    if f >= 1 {
+                        sess.on_time += 1;
+                        sess.degraded += u64::from(degraded);
+                    }
+                } else {
+                    sess.misses_in_a_row += 1;
+                }
+                if observe && f >= 1 {
+                    events.push(TraceEvent::ClusterFrame {
+                        cycle: t,
+                        session: i as u32,
+                        server: s as u32,
+                        on_time,
+                        degraded,
+                    });
+                }
+                if f == frames {
+                    sess.release(&mut ledger, &st);
+                    sess.state = State::Done;
+                }
+            }
+
+            // 7. Eviction, strictly last resort: only once shedding is pinned
+            //    at the floor and a session still cannot make its vsyncs.
+            if cfg.router.evict() {
+                let at_floor = !cfg.router.shed() || scale <= shed_floor + 1e-9;
+                for (i, sess) in sessions.iter_mut().enumerate() {
+                    if sess.state == State::Active
+                        && at_floor
+                        && sess.misses_in_a_row >= cfg.evict_after.max(1)
+                    {
+                        sess.release(&mut ledger, &st);
+                        sess.state = State::Evicted;
+                        if observe {
+                            events.push(TraceEvent::FrameDrop {
+                                cycle: t,
+                                session: i as u32,
+                                frame: k - sess.arrival,
+                                reason: "evicted",
+                            });
+                        }
+                    }
+                }
+            }
+
+            if sessions
+                .iter()
+                .all(|s| matches!(s.state, State::Done | State::Rejected | State::Evicted))
+            {
+                break;
+            }
+        }
+
+        let outcomes: Vec<ClusterSession> = sessions
+            .iter()
+            .enumerate()
+            .map(|(i, s)| ClusterSession {
+                id: i as u32,
+                stream: s.stream,
+                arrival: s.arrival,
+                admitted_at: s.admitted_at,
+                server: s.admitted_at.map(|_| s.server as u32),
+                on_time: s.on_time,
+                degraded: s.degraded,
+                moves: s.moves,
+                evicted: s.state == State::Evicted,
+            })
+            .collect();
+        let admitted = outcomes.iter().filter(|s| s.admitted_at.is_some()).count() as u32;
+        let out = ClusterOutcome {
+            servers: cfg.servers,
+            offered: cfg.sessions,
+            admitted,
+            rejected: cfg.sessions - admitted,
+            evicted: outcomes.iter().filter(|s| s.evicted).count() as u32,
+            retries,
+            migrations,
+            failovers,
+            downs,
+            frames_offered: cfg.sessions as u64 * frames as u64,
+            on_time: outcomes.iter().map(|s| s.on_time).sum(),
+            degraded: outcomes.iter().map(|s| s.degraded).sum(),
+            min_scale,
+            sessions: outcomes,
+        };
+        (out, events, last)
+    }
+
+    #[test]
+    fn interval_loop_matches_the_scanning_loop() {
+        let gpu = GpuConfig::default();
+        let mut faults = vec![None];
+        for scenario in [FaultScenario::LinkDown, FaultScenario::GpmThrottle, FaultScenario::Mixed]
+        {
+            for severity in [0.5, 1.0] {
+                for seed in [3, 11, 29] {
+                    faults.push(Some((scenario, severity, seed)));
+                }
+            }
+        }
+        // (frames, evict_after): the long shape fails over and migrates;
+        // the short one backs off past its last frame and evicts early.
+        let shapes = [(16, 16), (4, 2)];
+        const KINDS: [&str; 7] = [
+            "retry",
+            "backoff-expired reject",
+            "capacity reject",
+            "failover",
+            "migration",
+            "shed",
+            "eviction",
+        ];
+        let mut seen = [0u64; KINDS.len()];
+        let mut runs = 0;
+        for (mi, mix) in [mix(), two_stream_mix()].iter().enumerate() {
+            // A vsync of a few steady frames keeps twice the capacity at a
+            // few hundred sessions.
+            let st = resolve_streams(mix, &gpu, &ClusterConfig::default());
+            let v = 16 * st.steady.iter().copied().max().unwrap_or(1);
+            let base = ClusterConfig { vsync_cycles: v, ..ClusterConfig::default() };
+            for policy in Placement::ALL {
+                let cap = cluster_capacity(mix, &gpu, base.servers, policy, &base);
+                for (frames, evict_after) in shapes {
+                    // Fault windows spread past the end of the run, so a
+                    // loop that stops late logs extra server transitions.
+                    let horizon = 2 * (base.arrival_intervals + frames + 16) as Cycle * v;
+                    for &fault in &faults {
+                        for router in [Router::Resilient, Router::Baseline] {
+                            let cfg = ClusterConfig {
+                                sessions: 2 * cap,
+                                frames_per_session: frames,
+                                evict_after,
+                                policy,
+                                router,
+                                seed: base.seed ^ fault.map_or(0, |(_, _, seed)| seed),
+                                fault: fault.map(|(scenario, severity, seed)| {
+                                    FaultPlan::new(scenario, severity, seed).with_horizon(horizon)
+                                }),
+                                ..base.clone()
+                            };
+                            let label = format!(
+                                "mix {mi}, {}, {router:?}, {frames} frames, fault {fault:?}",
+                                policy.label()
+                            );
+                            let (want, want_events, last) =
+                                run_cluster_scanned(mix, &gpu, &cfg, true);
+                            let (got, got_events) = run_cluster(mix, &gpu, &cfg, true);
+                            assert_eq!(format!("{got:?}"), format!("{want:?}"), "{label}");
+                            assert_eq!(got_events.len(), want_events.len(), "{label}");
+                            for (g, w) in got_events.iter().zip(&want_events) {
+                                assert_eq!(format!("{g:?}"), format!("{w:?}"), "{label}");
+                            }
+                            let (quiet, none) = run_cluster(mix, &gpu, &cfg, false);
+                            assert!(none.is_empty(), "{label}: unobserved run logged events");
+                            assert_eq!(format!("{quiet:?}"), format!("{want:?}"), "{label}");
+                            for e in &want_events {
+                                let kind = match e {
+                                    TraceEvent::RouteRetry { .. } => 0,
+                                    TraceEvent::SessionReject {
+                                        reason: "backoff-expired", ..
+                                    } => 1,
+                                    TraceEvent::SessionReject { reason: "capacity", .. } => 2,
+                                    TraceEvent::SessionFailover { .. } => 3,
+                                    TraceEvent::SessionMigrate { .. } => 4,
+                                    TraceEvent::Shed { .. } => 5,
+                                    TraceEvent::FrameDrop { reason: "evicted", .. } => 6,
+                                    _ => continue,
+                                };
+                                seen[kind] += 1;
+                            }
+                            // Every session is done, rejected or evicted by
+                            // its last frame plus one backoff, well inside
+                            // `k_max`: the run always ends on the live count.
+                            let span: u32 = (1..router.max_attempts()).map(backoff_for).sum();
+                            let k_max = cfg.arrival_intervals + frames + span + 2;
+                            assert!(last < k_max, "{label}: ran to k_max {k_max}");
+                            runs += 1;
+                        }
+                    }
+                }
+            }
+        }
+        for (kind, count) in KINDS.iter().zip(seen) {
+            assert!(count > 0, "no {kind} in {runs} runs");
+        }
+        println!("{runs} runs: {:?}", KINDS.iter().zip(seen).collect::<Vec<_>>());
     }
 }

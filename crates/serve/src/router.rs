@@ -123,15 +123,23 @@ impl Placement {
         }
     }
 
-    /// Preference order over server indices for a session identified by
-    /// `key` replaying cost stream `stream`. Dead servers are *not*
-    /// filtered here — liveness awareness is a router feature
-    /// ([`Router::failover`]), not a placement one.
-    pub fn order(self, key: u64, stream: usize, servers: &[ServerView]) -> Vec<usize> {
-        let mut idx: Vec<usize> = (0..servers.len()).collect();
+    /// Writes into `idx` the preference order over server indices for a
+    /// session identified by `key` replaying cost stream `stream`: always
+    /// a permutation of every server, so a caller reuses one buffer and no
+    /// call allocates. Dead servers are *not* filtered here — liveness
+    /// awareness is a router feature ([`Router::failover`]), not a
+    /// placement one.
+    pub fn order(self, key: u64, stream: usize, servers: &[ServerView], idx: &mut Vec<usize>) {
+        idx.clear();
+        idx.extend(0..servers.len());
+        // Every comparator below ends in the index, a strict total order,
+        // so the unstable (allocation-free) sort gives the stable one's
+        // result.
         match self {
             Placement::LeastLoaded => {
-                idx.sort_by(|&a, &b| cmp_f64(servers[a].load, servers[b].load).then(a.cmp(&b)));
+                idx.sort_unstable_by(|&a, &b| {
+                    cmp_f64(servers[a].load, servers[b].load).then(a.cmp(&b))
+                });
             }
             Placement::Affinity => {
                 // Same-stream hosts first, then empty servers (fresh
@@ -146,7 +154,7 @@ impl Placement {
                         2
                     }
                 };
-                idx.sort_by(|&a, &b| {
+                idx.sort_unstable_by(|&a, &b| {
                     tier(&servers[a])
                         .cmp(&tier(&servers[b]))
                         .then(cmp_f64(servers[a].load, servers[b].load))
@@ -157,14 +165,13 @@ impl Placement {
                 // Rendezvous hashing: weight(server) = mix(key, server);
                 // descending weight gives each key its own stable server
                 // preference list, uniformly spread across keys.
-                idx.sort_by(|&a, &b| {
+                idx.sort_unstable_by(|&a, &b| {
                     rendezvous_weight(key, b as u64)
                         .cmp(&rendezvous_weight(key, a as u64))
                         .then(a.cmp(&b))
                 });
             }
         }
-        idx
     }
 }
 
@@ -240,6 +247,13 @@ impl Router {
 mod tests {
     use super::*;
 
+    /// [`Placement::order`] into a fresh buffer.
+    fn order(p: Placement, key: u64, stream: usize, servers: &[ServerView]) -> Vec<usize> {
+        let mut idx = Vec::new();
+        p.order(key, stream, servers, &mut idx);
+        idx
+    }
+
     fn views(loads: &[f64]) -> Vec<ServerView> {
         loads
             .iter()
@@ -250,7 +264,11 @@ mod tests {
     #[test]
     fn least_loaded_sorts_by_load_then_id() {
         let v = views(&[3.0, 1.0, 2.0, 1.0]);
-        assert_eq!(Placement::LeastLoaded.order(7, 0, &v), vec![1, 3, 2, 0]);
+        assert_eq!(order(Placement::LeastLoaded, 7, 0, &v), vec![1, 3, 2, 0]);
+        // A reused buffer is overwritten, not appended to.
+        let mut idx = vec![9; 7];
+        Placement::LeastLoaded.order(7, 0, &v, &mut idx);
+        assert_eq!(idx, vec![1, 3, 2, 0]);
     }
 
     #[test]
@@ -263,15 +281,15 @@ mod tests {
         ];
         // Stream 0 lives on server 2 → it leads despite the highest load;
         // empty server 1 beats the mixed servers 0 and 3.
-        assert_eq!(Placement::Affinity.order(7, 0, &v), vec![2, 1, 3, 0]);
+        assert_eq!(order(Placement::Affinity, 7, 0, &v), vec![2, 1, 3, 0]);
     }
 
     #[test]
     fn rendezvous_hash_is_stable_under_server_removal() {
         let four = views(&[0.0; 4]);
-        let order4 = Placement::ConsistentHash.order(42, 0, &four);
+        let order4 = order(Placement::ConsistentHash, 42, 0, &four);
         let three = views(&[0.0; 3]);
-        let order3 = Placement::ConsistentHash.order(42, 0, &three);
+        let order3 = order(Placement::ConsistentHash, 42, 0, &three);
         // Dropping server 3 must keep the relative order of servers 0..3.
         let filtered: Vec<usize> = order4.into_iter().filter(|&s| s < 3).collect();
         assert_eq!(filtered, order3);
@@ -282,7 +300,7 @@ mod tests {
         let v = views(&[0.0; 4]);
         let mut first = [0u32; 4];
         for key in 0..256u64 {
-            first[Placement::ConsistentHash.order(key, 0, &v)[0]] += 1;
+            first[order(Placement::ConsistentHash, key, 0, &v)[0]] += 1;
         }
         for (s, &count) in first.iter().enumerate() {
             assert!(count > 20, "server {s} got only {count}/256 keys");
