@@ -2,16 +2,16 @@
 //! decision and the OU pose step that feeds it. Both run once per session
 //! per frame in the serving layer, so their cost bounds how many
 //! concurrent sessions the capacity probe can price. A decision first
-//! asks the scene bound whether any probe can move past the threshold; if
-//! none can it returns the all-reuse decision at once (the fast branch).
-//! Otherwise it takes the exact branch: objects whose grid cells all pass
-//! the bound are reused unmeasured, the motion kernel measures the rest
-//! in flat loops over their corners, and a branch-free fold sums the
-//! per-GPM loads. The decision is timed on
-//! both branches on the draw-heavy WE scene, on the fast branch on the
-//! short HL2-640 walk, and the bound and the kernel alone on WE, so the
-//! split between the stages stays visible. Each decide bench asserts the
-//! branch it times.
+//! asks the scene bound — one whole-scene box, then the 4×4 grid —
+//! whether any probe can move past the threshold; if none can it returns
+//! the all-reuse decision at once (the fast branch). Otherwise it takes
+//! the exact branch: objects whose grid cells all pass the bound are
+//! reused unmeasured, the motion kernel measures the rest in flat loops
+//! over their corners, and a branch-free fold sums the per-GPM loads. The
+//! decision is timed on both branches on the draw-heavy WE scene, on the
+//! fast branch on the short HL2-640 walk, and the box, the grid and the
+//! kernel alone on WE, so the split between the stages stays visible.
+//! Each decide bench asserts the branch it times.
 
 mod common;
 
@@ -59,6 +59,13 @@ fn bench(c: &mut Criterion) {
     // The scene bound alone on the 90 Hz step, where it passes every cell.
     c.bench_function("motion_bound_we", |b| {
         b.iter(|| black_box(we_kernel.all_below(black_box(&delta), DEFAULT_REUSE_THRESHOLD)))
+    });
+
+    // The whole-scene box alone on the same step, where it passes: what a
+    // decide pays before the grid on the common all-reuse frame.
+    assert!(we_kernel.whole_below(&delta, DEFAULT_REUSE_THRESHOLD));
+    c.bench_function("motion_whole_bound_we", |b| {
+        b.iter(|| black_box(we_kernel.whole_below(black_box(&delta), DEFAULT_REUSE_THRESHOLD)))
     });
 
     // The motion kernel alone on the turned pair: the exact branch minus

@@ -230,10 +230,11 @@ impl TemporalProfile {
 
     /// Decides reuse for one frame under the pose delta `from → to`.
     ///
-    /// A probe whose cells all pass the per-cell bound
-    /// ([`MotionKernel::cells_below`]) is provably below `threshold`, so
-    /// it is reused without measuring it; when every cell passes, the
-    /// all-reuse decision is returned at once. Either way the decision
+    /// When the whole-scene box ([`MotionKernel::whole_below`]) or every
+    /// cell of the per-cell bound ([`MotionKernel::cells_below`]) passes,
+    /// every probe is provably below `threshold` and the all-reuse
+    /// decision is returned at once. Otherwise a probe whose cells all
+    /// pass is reused without measuring it. Either way the decision
     /// equals what measuring every probe would return.
     ///
     /// Deterministic f64 throughout — same poses and threshold, same
@@ -247,8 +248,15 @@ impl TemporalProfile {
             return TemporalDecision { reused: 0, rerendered: objects, saved: 0 };
         }
         let delta = PoseDelta::new(from, to);
-        let pass = self.motion.cells_below(&delta, threshold);
-        if pass == self.motion.occupied_cells() {
+        // The whole-scene box costs one cell's test and clears most
+        // decides; the grid runs only where it fails.
+        let occupied = self.motion.occupied_cells();
+        let pass = if self.motion.whole_below(&delta, threshold) {
+            occupied
+        } else {
+            self.motion.cells_below(&delta, threshold)
+        };
+        if pass == occupied {
             // Every motion is provably below the threshold, so the fold
             // below would set every mask: its loads are the reuse columns.
             return TemporalDecision {

@@ -28,6 +28,8 @@
 //! [`NetworkLink`]: crate::link::NetworkLink
 //! [`warp_cycles_for_pixels`]: oovr_frameworks::atw::warp_cycles_for_pixels
 
+use std::sync::Arc;
+
 use oovr_frameworks::atw::warp_cycles_for_pixels;
 use oovr_gpu::GpuConfig;
 use oovr_metrics::Registry;
@@ -187,6 +189,22 @@ pub fn simulate_edge_metered(
     out
 }
 
+/// One rendered frame queued for the link.
+struct Queued {
+    encode_end: Cycle,
+    slot: u32,
+    frame: u32,
+    bytes: u64,
+}
+
+/// One sent frame's link outcome: `delivery` is `None` if it was lost.
+#[derive(Clone)]
+struct LinkOutcome {
+    encode_end: Cycle,
+    bytes: u64,
+    delivery: Option<Cycle>,
+}
+
 /// Runs one deterministic split client–edge experiment. `trace`, when
 /// given, receives the full session + link + client lifecycle in cycle
 /// order; an untraced run builds no events.
@@ -209,99 +227,78 @@ pub fn simulate_edge(
     // ---- Pass 1: edge render. The serve core runs with the link byte
     // budget: a session the link cannot carry must not consume compute
     // headroom rendering undeliverable frames. An unbounded link has no
-    // budget, so the degenerate split is local serving.
+    // budget, so the degenerate split is local serving. Each rendered
+    // frame is priced for encode as the core serves it, so its send is
+    // queued in serve order.
     let link =
         net.bytes_per_cycle().map(|capacity| Budget::new(capacity, serve.headroom, session_rate));
     let observe = trace.is_some();
-    let (served, mut events, link_rejected) = schedule(stream, serve, link, observe);
+    let costs = Arc::clone(&stream);
+    let mut sends: Vec<Queued> = Vec::new();
+    let (served, mut events, link_rejected) =
+        schedule(stream, serve, link, observe, |slot, record| {
+            let px = costs.reports[record.report_index].counts.pixels_out;
+            let px = ((px as f64) * record.scale).round() as u64;
+            let encode = px * cfg.link.encode_cycles_per_kpixel / 1000;
+            sends.push(Queued {
+                encode_end: record.end + encode,
+                slot,
+                frame: record.frame,
+                bytes: bytes_of(px),
+            });
+        });
     let v = served.vsync;
 
     // ---- Pass 2: encode + link. Rendered frames enter the link in
     // encode-completion order (ties broken by (slot, frame)); the
     // renderer never observes the link, so deliveries are identical
-    // under either client policy.
-    let mut sends: Vec<(Cycle, u32, u32)> = Vec::new(); // (encode_end, slot, frame)
-    let reports = &served.stream.reports;
-    let mut sessions: Vec<EdgeSession> = served
-        .sessions
-        .into_iter()
-        .enumerate()
-        .map(|(slot, s)| EdgeSession {
-            id: s.id,
-            arrival: s.arrival,
-            predicted: s.predicted,
-            frames: s
-                .frames
-                .into_iter()
-                .map(|record| {
-                    let (encode_end, bytes) = if record.dropped {
-                        (record.end, 0)
-                    } else {
-                        let px = reports[record.report_index].counts.pixels_out;
-                        let px = ((px as f64) * record.scale).round() as u64;
-                        let encode = px * cfg.link.encode_cycles_per_kpixel / 1000;
-                        sends.push((record.end + encode, slot as u32, record.frame));
-                        (record.end + encode, bytes_of(px))
-                    };
-                    EdgeFrame {
-                        display: Display::Stale { age: record.frame + 1 },
-                        record,
-                        encode_end,
-                        bytes,
-                        lost: false,
-                        delivery: None,
-                        photon: 0,
-                    }
-                })
-                .collect(),
-        })
-        .collect();
-    sends.sort_unstable();
-    for &(encode_end, slot, frame) in &sends {
-        let session = &mut sessions[slot as usize];
-        let id = session.id;
-        let ef = &mut session.frames[frame as usize];
+    // under either client policy. Serve order is nearly encode order, so
+    // the stable, run-adaptive sort is close to one pass; the keys are
+    // unique, so any sort yields the same order.
+    sends.sort_by_key(|s| (s.encode_end, s.slot, s.frame));
+    let frames_per = serve.frames_per_session as usize + 1;
+    // Each frame's link outcome at `[slot × frames_per + frame]`; `None`
+    // for frames dropped before rendering, which were never sent.
+    let mut sent: Vec<Option<LinkOutcome>> = vec![None; served.sessions.len() * frames_per];
+    for &Queued { encode_end, slot, frame, bytes } in &sends {
+        let id = served.sessions[slot as usize].id;
         if observe {
-            events.push(TraceEvent::FrameSent {
-                cycle: encode_end,
-                session: id,
-                frame,
-                bytes: ef.bytes,
-            });
+            events.push(TraceEvent::FrameSent { cycle: encode_end, session: id, frame, bytes });
         }
         // Lost frames are drawn per (session, frame) at link entry and
         // still consume bandwidth — the air time was spent either way.
-        let delivery = net.transfer(encode_end, ef.bytes);
-        if net.is_lost(id, frame, encode_end) {
-            ef.lost = true;
-            if observe {
-                events.push(TraceEvent::FrameLost { cycle: encode_end, session: id, frame });
-            }
-        } else {
-            ef.delivery = Some(delivery);
-            if observe {
-                events.push(TraceEvent::FrameDelivered {
+        let delivery = net.transfer(encode_end, bytes);
+        let lost = net.is_lost(id, frame, encode_end);
+        if observe {
+            events.push(if lost {
+                TraceEvent::FrameLost { cycle: encode_end, session: id, frame }
+            } else {
+                TraceEvent::FrameDelivered {
                     cycle: delivery,
                     session: id,
                     frame,
                     latency: delivery - encode_end,
-                });
-            }
+                }
+            });
         }
+        sent[slot as usize * frames_per + frame as usize] =
+            Some(LinkOutcome { encode_end, bytes, delivery: (!lost).then_some(delivery) });
     }
 
-    // ---- Pass 3: the thin client. Pure post-processing over the
-    // delivery schedule — classification per vsync, ATW coverage, and
-    // the motion-to-photon accounting.
+    // ---- Pass 3: the thin client, one session-major walk that builds
+    // each session's frames and classifies its vsyncs, with ATW coverage
+    // and the motion-to-photon accounting.
     let warp_cycles = warp_cycles_for_pixels(steady_px.max(1), gpu) * WARP_FACTOR;
-    for session in &mut sessions {
+    let delivered = |s: &Option<LinkOutcome>| s.as_ref().and_then(|s| s.delivery);
+    let mut sessions = Vec::with_capacity(served.sessions.len());
+    for (session, sent) in served.sessions.into_iter().zip(sent.chunks_exact(frames_per)) {
         let id = session.id;
-        // delivery[g] of each frame, for the reprojection predecessor scan.
-        let deliveries: Vec<Option<Cycle>> = session.frames.iter().map(|f| f.delivery).collect();
-        for ef in &mut session.frames {
-            let frame = ef.record.frame;
-            let deadline = ef.record.deadline;
-            let (display, photon) = match ef.delivery {
+        let mut frames = Vec::with_capacity(frames_per);
+        for record in session.frames {
+            let frame = record.frame;
+            let deadline = record.deadline;
+            let delivery = delivered(&sent[frame as usize]);
+            let (display, photon) = match delivery {
                 Some(d) if d <= deadline => (Display::Fresh, d),
                 Some(d) => (Display::Late, d),
                 None => {
@@ -310,7 +307,7 @@ pub fn simulate_edge(
                     // holds at the vsync).
                     let pred = (0..frame)
                         .rev()
-                        .find(|&g| deliveries[g as usize].is_some_and(|d| d <= deadline));
+                        .find(|&g| delivered(&sent[g as usize]).is_some_and(|d| d <= deadline));
                     let age = pred.map_or(frame + 1, |g| frame - g);
                     if cfg.reproject && pred.is_some() && age <= STALE_CAP {
                         if observe {
@@ -335,9 +332,18 @@ pub fn simulate_edge(
                     }
                 }
             };
-            ef.display = display;
-            ef.photon = photon;
+            let (encode_end, bytes, lost) = match &sent[frame as usize] {
+                Some(s) => (s.encode_end, s.bytes, s.delivery.is_none()),
+                None => (record.end, 0, false),
+            };
+            frames.push(EdgeFrame { record, encode_end, bytes, lost, delivery, display, photon });
         }
+        sessions.push(EdgeSession {
+            id,
+            arrival: session.arrival,
+            predicted: session.predicted,
+            frames,
+        });
     }
 
     if let Some(rec) = trace {
@@ -533,5 +539,272 @@ mod tests {
         // The metered run is a pure observation of the unmetered one.
         let plain = simulate_edge(ServeScheme::OoVr, &spec(), &gpu, &cfg, None);
         assert_eq!(plain, out);
+    }
+
+    /// `simulate_edge` as it stood before the link pass was fed in serve
+    /// order, kept verbatim as the reference `edge_walk_matches_the_parent`
+    /// checks the one-walk form against: every frame rebuilt into
+    /// `EdgeSession`s, the session-major sends sorted, and the client
+    /// classified in a second walk over a per-session `deliveries` vector.
+    fn parent_simulate_edge(
+        scheme: ServeScheme,
+        spec: &BenchmarkSpec,
+        gpu: &GpuConfig,
+        cfg: &EdgeConfig,
+        trace: Option<&mut Recorder>,
+    ) -> EdgeOutcome {
+        let stream = cost_stream(scheme, spec, gpu);
+        let serve = &cfg.serve;
+        let steady_px = stream.steady().counts.pixels_out;
+        let bytes_of = |px: u64| px * cfg.link.bytes_per_kpixel / 1000;
+        // One session's steady encoded-byte demand per cycle — the unit the
+        // link is provisioned in and admission charges per session.
+        let session_rate = bytes_of(steady_px) as f64 / serve.vsync_cycles.max(1) as f64;
+        let mut net = NetworkLink::new(&cfg.link, session_rate, serve.sessions, serve.seed);
+
+        // ---- Pass 1: edge render. The serve core runs with the link byte
+        // budget: a session the link cannot carry must not consume compute
+        // headroom rendering undeliverable frames. An unbounded link has no
+        // budget, so the degenerate split is local serving.
+        let link = net
+            .bytes_per_cycle()
+            .map(|capacity| Budget::new(capacity, serve.headroom, session_rate));
+        let observe = trace.is_some();
+        let (served, mut events, link_rejected) = schedule(stream, serve, link, observe, |_, _| {});
+        let v = served.vsync;
+
+        // ---- Pass 2: encode + link. Rendered frames enter the link in
+        // encode-completion order (ties broken by (slot, frame)); the
+        // renderer never observes the link, so deliveries are identical
+        // under either client policy.
+        let mut sends: Vec<(Cycle, u32, u32)> = Vec::new(); // (encode_end, slot, frame)
+        let reports = &served.stream.reports;
+        let mut sessions: Vec<EdgeSession> = served
+            .sessions
+            .into_iter()
+            .enumerate()
+            .map(|(slot, s)| EdgeSession {
+                id: s.id,
+                arrival: s.arrival,
+                predicted: s.predicted,
+                frames: s
+                    .frames
+                    .into_iter()
+                    .map(|record| {
+                        let (encode_end, bytes) = if record.dropped {
+                            (record.end, 0)
+                        } else {
+                            let px = reports[record.report_index].counts.pixels_out;
+                            let px = ((px as f64) * record.scale).round() as u64;
+                            let encode = px * cfg.link.encode_cycles_per_kpixel / 1000;
+                            sends.push((record.end + encode, slot as u32, record.frame));
+                            (record.end + encode, bytes_of(px))
+                        };
+                        EdgeFrame {
+                            display: Display::Stale { age: record.frame + 1 },
+                            record,
+                            encode_end,
+                            bytes,
+                            lost: false,
+                            delivery: None,
+                            photon: 0,
+                        }
+                    })
+                    .collect(),
+            })
+            .collect();
+        sends.sort_unstable();
+        for &(encode_end, slot, frame) in &sends {
+            let session = &mut sessions[slot as usize];
+            let id = session.id;
+            let ef = &mut session.frames[frame as usize];
+            if observe {
+                events.push(TraceEvent::FrameSent {
+                    cycle: encode_end,
+                    session: id,
+                    frame,
+                    bytes: ef.bytes,
+                });
+            }
+            // Lost frames are drawn per (session, frame) at link entry and
+            // still consume bandwidth — the air time was spent either way.
+            let delivery = net.transfer(encode_end, ef.bytes);
+            if net.is_lost(id, frame, encode_end) {
+                ef.lost = true;
+                if observe {
+                    events.push(TraceEvent::FrameLost { cycle: encode_end, session: id, frame });
+                }
+            } else {
+                ef.delivery = Some(delivery);
+                if observe {
+                    events.push(TraceEvent::FrameDelivered {
+                        cycle: delivery,
+                        session: id,
+                        frame,
+                        latency: delivery - encode_end,
+                    });
+                }
+            }
+        }
+
+        // ---- Pass 3: the thin client. Pure post-processing over the
+        // delivery schedule — classification per vsync, ATW coverage, and
+        // the motion-to-photon accounting.
+        let warp_cycles = warp_cycles_for_pixels(steady_px.max(1), gpu) * WARP_FACTOR;
+        for session in &mut sessions {
+            let id = session.id;
+            // delivery[g] of each frame, for the reprojection predecessor scan.
+            let deliveries: Vec<Option<Cycle>> =
+                session.frames.iter().map(|f| f.delivery).collect();
+            for ef in &mut session.frames {
+                let frame = ef.record.frame;
+                let deadline = ef.record.deadline;
+                let (display, photon) = match ef.delivery {
+                    Some(d) if d <= deadline => (Display::Fresh, d),
+                    Some(d) => (Display::Late, d),
+                    None => {
+                        // Most recent predecessor already delivered by this
+                        // frame's deadline (the client can only warp what it
+                        // holds at the vsync).
+                        let pred = (0..frame)
+                            .rev()
+                            .find(|&g| deliveries[g as usize].is_some_and(|d| d <= deadline));
+                        let age = pred.map_or(frame + 1, |g| frame - g);
+                        if cfg.reproject && pred.is_some() && age <= STALE_CAP {
+                            if observe {
+                                events.push(TraceEvent::FrameReprojected {
+                                    cycle: deadline,
+                                    session: id,
+                                    frame,
+                                    age,
+                                });
+                            }
+                            (Display::Reprojected { age }, deadline + warp_cycles)
+                        } else {
+                            if observe {
+                                events.push(TraceEvent::FrameStale {
+                                    cycle: deadline,
+                                    session: id,
+                                    frame,
+                                    age,
+                                });
+                            }
+                            (Display::Stale { age }, deadline + v)
+                        }
+                    }
+                };
+                ef.display = display;
+                ef.photon = photon;
+            }
+        }
+
+        if let Some(rec) = trace {
+            record_in_cycle_order(rec, events);
+        }
+
+        EdgeOutcome {
+            scheme,
+            workload: spec.name.clone(),
+            vsync: v,
+            warp_cycles,
+            sessions,
+            rejects: served.rejects,
+            link_rejected,
+        }
+    }
+
+    /// The serve-order link pass and the one-walk client are the parent's
+    /// three passes, bit for bit. The sweep crosses OO-VR, OO-VR+shed and
+    /// OO-VR+temporal, both client policies, three loss rates, no fault,
+    /// link-down at two severities and a degraded link, an unbounded, an
+    /// undersized and the default link, and two latencies, over a relaxed
+    /// session shape and a burst whose cold frames overrun, so frames
+    /// queue and shed. For each run the outcome and every
+    /// traced event match, and the untraced outcome matches the traced
+    /// one. Some run must send frames out of serve order, or the sort is
+    /// never tested.
+    #[test]
+    fn edge_walk_matches_the_parent() {
+        use oovr_gpu::{FaultPlan, FaultScenario};
+        let gpu = GpuConfig::default();
+        let stream = cost_stream(ServeScheme::OoVr, &spec(), &gpu);
+        let (cold, steady) = (stream.cold().frame_cycles, stream.steady().frame_cycles);
+        let relaxed = small(8, 23);
+        // Two sessions fit, but not both cold frames back to back, so the
+        // second sheds (see the serve core's shedding test) and encodes
+        // fewer pixels: its send overtakes the first's.
+        let tight = ServeConfig {
+            vsync_cycles: (5 * cold + 3 * steady) / 4,
+            mean_interarrival: 0,
+            headroom: 1.0,
+            ..small(8, 23)
+        };
+        let mut cells = Vec::new();
+        for serve in [relaxed, tight] {
+            let v = serve.vsync_cycles;
+            // Fault windows spread over the run's span.
+            let plan = |scenario, severity, seed| {
+                Some(FaultPlan::new(scenario, severity, seed).with_horizon(32 * v))
+            };
+            let faults = [
+                None,
+                plan(FaultScenario::LinkDown, 0.7, 5),
+                plan(FaultScenario::LinkDown, 1.0, 11),
+                plan(FaultScenario::LinkDegrade, 1.0, 3),
+            ];
+            for scheme in [ServeScheme::OoVr, ServeScheme::OoVrShed, ServeScheme::OoVrTemporal] {
+                for reproject in [true, false] {
+                    for base_loss in [0.0, 0.01, 0.4] {
+                        for fault in &faults {
+                            for provision in [f64::INFINITY, 0.25, 2.0] {
+                                for latency in [v / 8, 2 * v] {
+                                    let link = LinkConfig {
+                                        provision,
+                                        latency,
+                                        base_loss,
+                                        fault: fault.clone(),
+                                        ..LinkConfig::default()
+                                    };
+                                    let serve = serve.clone();
+                                    cells.push((scheme, EdgeConfig { serve, link, reproject }));
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        let events = |r: &Recorder| format!("{:?}", r.events().collect::<Vec<_>>());
+        let (mut reordered, mut lost, mut reprojected, mut stale, mut shed) = (0, 0, 0, 0, 0);
+        for (scheme, cfg) in &cells {
+            let mut want_rec = Recorder::new(TraceConfig::default());
+            let want = parent_simulate_edge(*scheme, &spec(), &gpu, cfg, Some(&mut want_rec));
+            let mut got_rec = Recorder::new(TraceConfig::default());
+            let got = simulate_edge(*scheme, &spec(), &gpu, cfg, Some(&mut got_rec));
+            assert_eq!(format!("{got:?}"), format!("{want:?}"), "{scheme:?} {cfg:?}");
+            assert_eq!(events(&got_rec), events(&want_rec), "{scheme:?} {cfg:?}");
+            assert_eq!(simulate_edge(*scheme, &spec(), &gpu, cfg, None), got);
+            // Each rendered frame's link key in serve order: rendering
+            // starts are distinct.
+            let mut sends: Vec<_> = (got.sessions.iter().enumerate())
+                .flat_map(|(slot, s)| s.frames.iter().map(move |f| (slot, f)))
+                .filter(|(_, f)| !f.record.dropped)
+                .map(|(slot, f)| (f.record.start, (f.encode_end, slot, f.record.frame)))
+                .collect();
+            sends.sort_unstable();
+            reordered += sends.windows(2).filter(|w| w[1].1 < w[0].1).count();
+            for f in got.sessions.iter().flat_map(|s| &s.frames) {
+                lost += usize::from(f.lost);
+                shed += usize::from(f.record.scale < 1.0);
+                reprojected += usize::from(matches!(f.display, Display::Reprojected { .. }));
+                stale += usize::from(matches!(f.display, Display::Stale { .. }));
+            }
+        }
+        assert_eq!(cells.len(), 864);
+        assert!(reordered > 0, "no run sent a frame out of serve order");
+        assert!(
+            lost > 0 && shed > 0 && reprojected > 0 && stale > 0,
+            "{lost} lost, {shed} shed, {reprojected} reprojected, {stale} stale"
+        );
     }
 }

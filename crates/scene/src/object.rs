@@ -323,7 +323,9 @@ impl PoseDelta {
 /// its corners bin into. [`cells_below`](Self::cells_below) bounds every
 /// corner's motion per cell from those boxes alone, so a probe whose cells
 /// all pass is proven below a threshold without measuring it (DESIGN §14,
-/// "scene bound" and "per-cell bound").
+/// "scene bound" and "per-cell bound"). One more box over every corner,
+/// tested by [`whole_below`](Self::whole_below), clears most all-reuse
+/// deltas at a sixteenth of the grid's arithmetic.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MotionKernel {
     /// Corner view rays' NDC `x` at `z = 1`, four per probe
@@ -346,7 +348,10 @@ pub struct MotionKernel {
     /// Viewport diagonal in pixels: the full-screen move motion saturates at.
     diag: f64,
     /// The scene bound's grid of corner boxes.
-    grid: Grid,
+    grid: Grid<CELLS>,
+    /// One box over every corner, with the scene's largest parallax
+    /// weight: the coarse bound tested before the grid.
+    whole: Grid<1>,
     /// The corners lie within the envelope where the scene bound's slack
     /// covers every rounding error; outside it no delta passes.
     bounded: bool,
@@ -355,25 +360,32 @@ pub struct MotionKernel {
 /// Cells of the scene bound's grid.
 const CELLS: usize = MotionKernel::GRID * MotionKernel::GRID;
 
-/// The scene bound's grid as columns over its cells, so one flat loop
-/// tests every cell. Cell `row × GRID + col` sits at that index and bit.
-/// An occupied cell holds the box its corners' NDC rays span, the box's
+/// A scene bound as columns over its `N` cells, so one flat loop tests
+/// every cell. Cell `row × GRID + col` of the 4×4 grid sits at that index
+/// and bit; the whole-scene box is the one cell of a `Grid<1>`. An
+/// occupied cell holds the box its corners' NDC rays span, the box's
 /// squares and cross product as intervals, and its largest parallax
 /// weight; an unoccupied cell holds zeros.
-#[derive(Debug, Clone, PartialEq, Default)]
-struct Grid {
+#[derive(Debug, Clone, PartialEq)]
+struct Grid<const N: usize> {
     /// Every interval as a pair of columns `[lo, hi]`.
-    x: [[f64; CELLS]; 2],
-    y: [[f64; CELLS]; 2],
-    xx: [[f64; CELLS]; 2],
-    yy: [[f64; CELLS]; 2],
-    xy: [[f64; CELLS]; 2],
-    near: [f64; CELLS],
+    x: [[f64; N]; 2],
+    y: [[f64; N]; 2],
+    xx: [[f64; N]; 2],
+    yy: [[f64; N]; 2],
+    xy: [[f64; N]; 2],
+    near: [f64; N],
     /// The cells that hold some corner, one bit each.
     occupied: u16,
 }
 
-impl Grid {
+impl<const N: usize> Grid<N> {
+    /// No cell occupied.
+    fn empty() -> Self {
+        let zeros = [[0.0; N]; 2];
+        Grid { x: zeros, y: zeros, xx: zeros, yy: zeros, xy: zeros, near: [0.0; N], occupied: 0 }
+    }
+
     /// Cell `i`'s box grown to cover the corner `(x, y)` of a probe with
     /// parallax weight `near`; the products are filled in by
     /// [`fill_products`](Self::fill_products).
@@ -397,7 +409,7 @@ impl Grid {
             let (a, b) = (lo * lo, hi * hi);
             [if lo <= 0.0 && hi >= 0.0 { 0.0 } else { a.min(b) }, a.max(b)]
         };
-        for i in 0..CELLS {
+        for i in 0..N {
             let ([x0, x1], [y0, y1]) = ([self.x[0][i], self.x[1][i]], [self.y[0][i], self.y[1][i]]);
             let p = [x0 * y0, x0 * y1, x1 * y0, x1 * y1];
             [self.xx[0][i], self.xx[1][i]] = square(x0, x1);
@@ -410,9 +422,9 @@ impl Grid {
 
 /// `k · [lo, hi]` over every cell, as `k` and the columns it multiplies
 /// into the product's low and high ends. A NaN `k` makes both ends NaN.
-type Scaled<'a> = (f64, &'a [f64; CELLS], &'a [f64; CELLS]);
+type Scaled<'a, const N: usize> = (f64, &'a [f64; N], &'a [f64; N]);
 
-fn scale(k: f64, [lo, hi]: &[[f64; CELLS]; 2]) -> Scaled<'_> {
+fn scale<const N: usize>(k: f64, [lo, hi]: &[[f64; N]; 2]) -> Scaled<'_, N> {
     if k < 0.0 {
         (k, hi, lo)
     } else {
@@ -422,7 +434,7 @@ fn scale(k: f64, [lo, hi]: &[[f64; CELLS]; 2]) -> Scaled<'_> {
 
 /// The largest magnitude over `c + Σ terms` in cell `i`, each term an
 /// interval.
-fn magnitude(c: f64, terms: &[Scaled<'_>; 4], i: usize) -> f64 {
+fn magnitude<const N: usize>(c: f64, terms: &[Scaled<'_, N>; 4], i: usize) -> f64 {
     let [lo, hi] = terms.iter().fold([c, c], |[lo, hi], &(k, l, h)| [lo + k * l[i], hi + k * h[i]]);
     (-lo).max(hi)
 }
@@ -455,7 +467,8 @@ impl MotionKernel {
             half_width: 0.5 * width,
             half_height: 0.5 * height,
             diag: (width * width + height * height).sqrt(),
-            grid: Grid::default(),
+            grid: Grid::empty(),
+            whole: Grid::empty(),
             bounded: true,
         };
         for o in objects {
@@ -482,12 +495,14 @@ impl MotionKernel {
         for (i, (&x, &y)) in kernel.ray_x.iter().zip(&kernel.ray_y).enumerate() {
             let cell = bin(y) * Self::GRID + bin(x);
             kernel.grid.cover(cell, x, y, kernel.near[i / 4]);
+            kernel.whole.cover(0, x, y, kernel.near[i / 4]);
             kernel.probe_cells[i / 4] |= 1 << cell;
             reach = reach.max(x.abs()).max(y.abs());
         }
         kernel.bounded =
             kernel.half_width.max(kernel.half_height) * reach * reach <= Self::ENVELOPE;
         kernel.grid.fill_products();
+        kernel.whole.fill_products();
         kernel
     }
 
@@ -621,9 +636,26 @@ impl MotionKernel {
     /// corner in a grid cell by interval arithmetic over the cell's box,
     /// with a slack that covers the kernel's rounding (DESIGN §14).
     pub fn cells_below(&self, delta: &PoseDelta, threshold: f64) -> u16 {
+        self.boxes_below(&self.grid, delta, threshold)
+    }
+
+    /// True only if every probe's motion under `delta` is provably below
+    /// `threshold` by one box over every corner with the scene's largest
+    /// parallax weight: the [`cells_below`](Self::cells_below) test on a
+    /// single cell. The box holds every cell's box and weight, so in exact
+    /// arithmetic it passes only where every cell does; it costs one
+    /// cell's arithmetic instead of sixteen. False says nothing about any
+    /// probe.
+    pub fn whole_below(&self, delta: &PoseDelta, threshold: f64) -> bool {
+        self.boxes_below(&self.whole, delta, threshold) == self.whole.occupied
+    }
+
+    /// The occupied cells of `g` whose bound passes `threshold` under
+    /// `delta`, one bit each (DESIGN §14).
+    fn boxes_below<const N: usize>(&self, g: &Grid<N>, delta: &PoseDelta, threshold: f64) -> u16 {
         if delta.still {
             // Every motion is exactly zero.
-            return if threshold > 0.0 { self.occupied_cells() } else { 0 };
+            return if threshold > 0.0 { g.occupied } else { 0 };
         }
         if !self.bounded {
             return 0;
@@ -632,7 +664,6 @@ impl MotionKernel {
         // rows are `a`, `b`, `c`.
         let (rf, rt) = (&delta.from, &delta.to);
         let [a, b, c] = rt.map(|row| rf.map(|f| row[0] * f[0] + row[1] * f[1] + row[2] * f[2]));
-        let g = &self.grid;
         // The corner `(x, y, 1)` lands at `n = R·(x, y, 1)`, in front of the
         // eye while `D = n_z > 0`, which is linear in the box.
         let dz = [scale(c[0], &g.x), scale(c[1], &g.y)];
@@ -642,7 +673,7 @@ impl MotionKernel {
         let ny =
             [scale(b[0], &g.x), scale(b[1] - c[2], &g.y), scale(-c[0], &g.xy), scale(-c[1], &g.yy)];
         // Every cell is tested, branch-free, so the loop vectorizes.
-        let pass: [bool; CELLS] = std::array::from_fn(|i| {
+        let pass: [bool; N] = std::array::from_fn(|i| {
             let d_min = c[2] + dz[0].0 * dz[0].1[i] + dz[1].0 * dz[1].1[i];
             let dx = self.half_width * magnitude(a[2], &nx, i) / d_min;
             let dy = self.half_height * magnitude(b[2], &ny, i) / d_min;

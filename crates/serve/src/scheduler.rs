@@ -54,7 +54,7 @@ use rand::{Rng, SeedableRng};
 
 use crate::admission::{calibrate_discounted, Budget, DEFAULT_HEADROOM};
 use crate::metrics::meter_serve;
-use crate::pose::{session_trajectory, Pose};
+use crate::pose::{session_trajectory, Pose, PoseTrajectory};
 use crate::qos::{aggregate_qos, session_qos, AggregateQos, SessionQos};
 use crate::stream::{cost_stream, ServeScheme, SessionCostStream};
 
@@ -209,7 +209,7 @@ pub fn simulate_metered(
     metrics: Option<&mut Registry>,
 ) -> ServeOutcome {
     let observe = trace.is_some() || metrics.is_some();
-    let (out, events, _) = schedule(cost_stream(scheme, spec, gpu), cfg, None, observe);
+    let (out, events, _) = schedule(cost_stream(scheme, spec, gpu), cfg, None, observe, |_, _| {});
     if let Some(reg) = metrics {
         meter_serve(reg, &out, &events);
     }
@@ -241,14 +241,18 @@ pub const LINK_REASON: &str = "link";
 /// offered to the compute budget; an admitted session holds the link's
 /// demand until it departs. The link budget draws no randomness, so a
 /// run with one consumes the arrival RNG exactly like a run without.
-/// Returns the outcome, the lifecycle events in emission order (see
-/// [`record_in_cycle_order`]) when `observe` is set — unobserved runs
-/// build no events — and how many sessions the link rejected.
+/// `on_render(slot, record)` sees each rendered (not dropped) frame as it
+/// is served, in serve order, with `slot` its session's index into the
+/// outcome's sessions. Returns the outcome, the lifecycle events in
+/// emission order (see [`record_in_cycle_order`]) when `observe` is set —
+/// unobserved runs build no events — and how many sessions the link
+/// rejected.
 pub fn schedule(
     stream: Arc<SessionCostStream>,
     cfg: &ServeConfig,
     mut link: Option<Budget>,
     observe: bool,
+    mut on_render: impl FnMut(u32, &FrameRecord),
 ) -> (ServeOutcome, Vec<TraceEvent>, u32) {
     let scheme = stream.scheme;
     let v = cfg.vsync_cycles.max(1);
@@ -275,7 +279,7 @@ pub fn schedule(
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     let mut events: Vec<TraceEvent> = Vec::new();
     let mut sessions: Vec<SessionOutcome> = Vec::new();
-    let mut poses: Vec<Vec<Pose>> = Vec::new();
+    let mut trajectories: Vec<PoseTrajectory> = Vec::new();
     let mut rejects: Vec<Reject> = Vec::new();
     let mut link_rejected = 0u32;
 
@@ -303,11 +307,9 @@ pub fn schedule(
                 });
             }
             // The head-pose trajectory is per-session seeded: frame 0
-            // presents the rest pose, each paced frame steps the walk.
-            let mut traj = session_trajectory(cfg.seed, u64::from(id));
-            let mut path = vec![traj.current()];
-            path.extend((0..cfg.frames_per_session).map(|_| traj.step()));
-            poses.push(path);
+            // presents the rest pose, each paced frame steps the walk as
+            // it is served (a session's frames are served in frame order).
+            trajectories.push(session_trajectory(cfg.seed, u64::from(id)));
             sessions.push(SessionOutcome {
                 id,
                 arrival,
@@ -368,7 +370,8 @@ pub fn schedule(
         let session = &mut sessions[slot as usize];
         let id = session.id;
         let report_index = stream.report_index(frame);
-        let pose = poses[slot as usize][frame as usize];
+        let traj = &mut trajectories[slot as usize];
+        let pose = if frame == 0 { traj.current() } else { traj.step() };
 
         if now > deadline + v {
             // More than one interval stale: presenting it would only push
@@ -401,7 +404,7 @@ pub fn schedule(
         // the threshold are warped (ATW) instead of re-rendered. Frame 0
         // has no predecessor and always pays the full cold cost.
         let tdec = temporal.filter(|_| frame > 0).map(|profile| {
-            profile.decide(&poses[slot as usize][frame as usize - 1], &pose, threshold)
+            profile.decide(&session.frames[frame as usize - 1].pose, &pose, threshold)
         });
         let base = stream.cost_for(frame);
         let base = tdec.as_ref().map_or(base, |d| d.apply(base));
@@ -443,7 +446,7 @@ pub fn schedule(
             // Backpressure released: recover shade quality multiplicatively.
             scales[slot as usize] = (scale / step).min(1.0);
         }
-        session.frames.push(FrameRecord {
+        let record = FrameRecord {
             frame,
             report_index,
             release,
@@ -454,7 +457,9 @@ pub fn schedule(
             missed,
             dropped: false,
             pose,
-        });
+        };
+        on_render(slot, &record);
+        session.frames.push(record);
         now = end;
     }
 

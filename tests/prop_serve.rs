@@ -24,9 +24,13 @@ use oovr::schemes::OoVr;
 use oovr_frameworks::{Baseline, RenderScheme};
 use oovr_gpu::{FrameReport, GpuConfig};
 use oovr_scene::benchmarks;
-use oovr_serve::{capacity_table, simulate, Budget, ServeConfig, ServeScheme, VSYNC_90HZ_CYCLES};
+use oovr_serve::{
+    capacity_table, simulate, Budget, ServeConfig, ServeScheme, SessionCostStream,
+    VSYNC_90HZ_CYCLES,
+};
 use oovr_trace::export::{chrome_trace, csv_timeline};
 use oovr_trace::{Cycle, Recorder, TraceConfig, TraceEvent};
+use std::sync::Arc;
 
 fn spec() -> oovr_scene::BenchmarkSpec {
     benchmarks::hl2_640().scaled(0.05)
@@ -479,6 +483,296 @@ fn reference_schedule(
     (ServeOutcome { scheme, workload, vsync: v, sessions, rejects, stream }, events)
 }
 
+/// `schedule` as it stood before it stepped each session's pose
+/// trajectory in the serve loop, kept verbatim (with crate paths made
+/// external) as the reference `serve_loop_matches_the_parent` checks it
+/// against: every admitted session's whole pose path built at admission
+/// into a `Vec<Vec<Pose>>`, the temporal decide reading the previous pose
+/// from it, and no render observer.
+fn parent_schedule(
+    stream: Arc<SessionCostStream>,
+    cfg: &ServeConfig,
+    mut link: Option<Budget>,
+    observe: bool,
+) -> (oovr_serve::ServeOutcome, Vec<TraceEvent>, u32) {
+    use oovr_serve::{
+        calibrate_discounted, session_trajectory, FrameRecord, Pose, Reject, ServeOutcome,
+        SessionOutcome, LINK_REASON,
+    };
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use std::collections::VecDeque;
+
+    let scheme = stream.scheme;
+    let v = cfg.vsync_cycles.max(1);
+    let total_frames = cfg.frames_per_session + 1; // warmup + paced
+
+    // Calibrate Eq. 3 from the measured stream (whole-frame samples) and
+    // run every arrival through the compute budget, which charges each
+    // session the predicted steady demand. Temporal schemes price warm
+    // frames at their temporally-reused cost: the measured cycles minus
+    // the mean reuse saving over a reference trajectory seeded from the
+    // run seed (zero at threshold 0, so calibration stays bit-identical
+    // to plain OO-VR).
+    let threshold = cfg.temporal.reuse_threshold;
+    let discount = if scheme.temporal() {
+        stream.mean_temporal_saving(threshold, cfg.seed, cfg.frames_per_session.max(1))
+    } else {
+        0
+    };
+    let report_refs: Vec<&FrameReport> = stream.reports.iter().collect();
+    let steady_tris = stream.steady().counts.triangles.max(1);
+    let predicted = calibrate_discounted(&report_refs, discount).predict_total(steady_tris);
+    let mut compute = Budget::new(v as f64, cfg.headroom, predicted);
+
+    let mut rng = StdRng::seed_from_u64(cfg.seed);
+    let mut events: Vec<TraceEvent> = Vec::new();
+    let mut sessions: Vec<SessionOutcome> = Vec::new();
+    let mut poses: Vec<Vec<Pose>> = Vec::new();
+    let mut rejects: Vec<Reject> = Vec::new();
+    let mut link_rejected = 0u32;
+
+    let mut arrival: Cycle = 0;
+    for id in 0..cfg.sessions {
+        if id > 0 {
+            let mean = cfg.mean_interarrival;
+            arrival += rng.gen_range(mean / 2..=mean + mean / 2);
+        }
+        // A session holds its budget until one interval past its last
+        // deadline (slack for queueing delay).
+        let departure = arrival + Cycle::from(total_frames + 1) * v;
+        let link_fits = link.as_mut().is_none_or(|b| b.fits(arrival));
+        if link_fits && compute.fits(arrival) {
+            compute.hold(departure);
+            if let Some(b) = &mut link {
+                b.hold(departure);
+            }
+            if observe {
+                events.push(TraceEvent::SessionAdmit {
+                    cycle: arrival,
+                    session: id,
+                    predicted,
+                    active: compute.active(),
+                });
+            }
+            // The head-pose trajectory is per-session seeded: frame 0
+            // presents the rest pose, each paced frame steps the walk.
+            let mut traj = session_trajectory(cfg.seed, u64::from(id));
+            let mut path = vec![traj.current()];
+            path.extend((0..cfg.frames_per_session).map(|_| traj.step()));
+            poses.push(path);
+            sessions.push(SessionOutcome {
+                id,
+                arrival,
+                predicted,
+                frames: Vec::with_capacity(total_frames as usize),
+            });
+        } else {
+            let (predicted, reason) = match &link {
+                Some(b) if !link_fits => {
+                    link_rejected += 1;
+                    (b.demand(), LINK_REASON)
+                }
+                _ => (predicted, "capacity"),
+            };
+            if observe {
+                events.push(TraceEvent::SessionReject {
+                    cycle: arrival,
+                    session: id,
+                    predicted,
+                    reason,
+                });
+            }
+            rejects.push(Reject { id, arrival, predicted });
+        }
+    }
+
+    // The single render engine serves frames in release order, ties
+    // broken by (slot, frame): every deadline is one interval after its
+    // release, so this is EDF order (DESIGN.md, "Scheduling is EDF against
+    // the vsync grid"). Two already-sorted streams yield it in O(1) per
+    // frame: each admitted session's frame 0 in slot order (arrivals never
+    // decrease), and the FIFO of served frames' successors (served keys
+    // never decrease, so neither do theirs). `slot` indexes the
+    // admitted-session vectors; ids stay global.
+    let temporal = if scheme.temporal() { stream.temporal.as_deref() } else { None };
+    let sheds = scheme.sheds();
+    let (step, floor) = (cfg.resilience.shed_step, cfg.resilience.shed_floor);
+    let mut scales = vec![1.0f64; sessions.len()];
+    let mut successors: VecDeque<(Cycle, u32, u32)> = VecDeque::with_capacity(sessions.len());
+    let mut first = 0usize;
+    let mut now: Cycle = 0;
+    loop {
+        let fresh = sessions.get(first).map(|s| (s.arrival, first as u32, 0));
+        let next = match (fresh, successors.front()) {
+            (Some(f), Some(&s)) if s < f => successors.pop_front(),
+            (Some(f), _) => {
+                first += 1;
+                Some(f)
+            }
+            (None, _) => successors.pop_front(),
+        };
+        let Some((release, slot, frame)) = next else { break };
+        if frame + 1 < total_frames {
+            successors.push_back((release + v, slot, frame + 1));
+        }
+        now = now.max(release); // the engine idles until the release
+        let deadline = release + v;
+        let session = &mut sessions[slot as usize];
+        let id = session.id;
+        let report_index = stream.report_index(frame);
+        let pose = poses[slot as usize][frame as usize];
+
+        if now > deadline + v {
+            // More than one interval stale: presenting it would only push
+            // younger frames later. Drop without consuming render time.
+            if observe {
+                events.push(TraceEvent::FrameDrop {
+                    cycle: now,
+                    session: id,
+                    frame,
+                    reason: "stale",
+                });
+            }
+            session.frames.push(FrameRecord {
+                frame,
+                report_index,
+                release,
+                deadline,
+                start: now,
+                end: now,
+                scale: scales[slot as usize],
+                missed: true,
+                dropped: true,
+                pose,
+            });
+            continue;
+        }
+
+        // Temporal schemes price warm frames by the pose delta since the
+        // previous frame: objects whose projected bound moved less than
+        // the threshold are warped (ATW) instead of re-rendered. Frame 0
+        // has no predecessor and always pays the full cold cost.
+        let tdec = temporal.filter(|_| frame > 0).map(|profile| {
+            profile.decide(&poses[slot as usize][frame as usize - 1], &pose, threshold)
+        });
+        let base = stream.cost_for(frame);
+        let base = tdec.as_ref().map_or(base, |d| d.apply(base));
+        let mut scale = scales[slot as usize];
+        let cost_at = |s: f64| (((base as f64) * s).round() as Cycle).max(1);
+        if sheds {
+            let before = scale;
+            while scale > floor && now + cost_at(scale) > deadline {
+                scale = (scale * step).max(floor);
+            }
+            if scale < before {
+                scales[slot as usize] = scale;
+                if observe {
+                    events.push(TraceEvent::FrameShed { cycle: now, session: id, frame, scale });
+                }
+            }
+        }
+        let cost = if sheds { cost_at(scale) } else { base };
+        let (start, end) = (now, now + cost);
+        let missed = end > deadline;
+        if observe {
+            events.push(TraceEvent::FrameStart { cycle: start, session: id, frame, deadline });
+            events.push(TraceEvent::FrameSpan { session: id, frame, start, end, scale });
+            if let Some(d) = &tdec {
+                events.push(TraceEvent::TemporalReuse {
+                    cycle: start,
+                    session: id,
+                    frame,
+                    reused: d.reused,
+                    rerendered: d.rerendered,
+                    saved: d.saved,
+                });
+            }
+            if missed {
+                events.push(TraceEvent::DeadlineMiss { cycle: end, session: id, frame, deadline });
+            }
+        }
+        if !missed && sheds && scale < 1.0 {
+            // Backpressure released: recover shade quality multiplicatively.
+            scales[slot as usize] = (scale / step).min(1.0);
+        }
+        session.frames.push(FrameRecord {
+            frame,
+            report_index,
+            release,
+            deadline,
+            start,
+            end,
+            scale,
+            missed,
+            dropped: false,
+            pose,
+        });
+        now = end;
+    }
+
+    let workload = stream.workload.clone();
+    (ServeOutcome { scheme, workload, vsync: v, sessions, rejects, stream }, events, link_rejected)
+}
+
+/// A stressed serving case, shared by the walk differentials. The
+/// measured stream is copied with its steady frame's triangle count cut by
+/// `underpredict`, so Eq. 3 admits more sessions than the engine can
+/// serve; with burst arrivals that drives the scheduler through misses,
+/// stale drops and shedding, and interarrivals up to two intervals through
+/// idle gaps. A `tiny` stream rescales every frame to about two cycles, so
+/// intervals and gaps are a few cycles long and one session's release
+/// often coincides with another's arrival.
+#[derive(Debug, Clone, Copy)]
+struct Stress {
+    sessions: u32,
+    paced: u32,
+    vsync_quarters: u64,
+    interarrival_quarters: u64,
+    burst: bool,
+    underpredict: u64,
+    tiny: bool,
+    headroom: f64,
+    threshold_ix: usize,
+    seed: u64,
+}
+
+impl Stress {
+    /// The stressed stream of `scheme` and the config to serve it under.
+    fn build(&self, scheme: ServeScheme) -> (Arc<SessionCostStream>, ServeConfig) {
+        let measured = oovr_serve::cost_stream(scheme, &spec(), &GpuConfig::default());
+        let mut reports = measured.reports.clone();
+        let steady = reports.len() - 1;
+        reports[steady].counts.triangles /= self.underpredict;
+        if self.tiny {
+            let unit = reports[steady].frame_cycles;
+            for r in &mut reports {
+                r.frame_cycles = (r.frame_cycles * 2 / unit).max(1);
+            }
+        }
+        let stream = Arc::new(SessionCostStream {
+            scheme,
+            workload: measured.workload.clone(),
+            reports,
+            temporal: measured.temporal.clone(),
+        });
+        let v = (stream.steady().frame_cycles * self.vsync_quarters / 4).max(1);
+        let reuse_threshold =
+            [0.0, 1.0, 4.0][self.threshold_ix] * oovr::temporal::DEFAULT_REUSE_THRESHOLD;
+        let cfg = ServeConfig {
+            vsync_cycles: v,
+            sessions: self.sessions,
+            frames_per_session: self.paced,
+            mean_interarrival: if self.burst { 0 } else { v * self.interarrival_quarters / 4 },
+            seed: self.seed,
+            headroom: self.headroom,
+            temporal: oovr::TemporalConfig { reuse_threshold },
+            ..ServeConfig::default()
+        };
+        (stream, cfg)
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -487,16 +781,11 @@ proptest! {
     /// (compared through their `Debug` text, which prints every float
     /// exactly), the same events in the same order when observed, the same
     /// link-reject count, and the same outcome with no events when not.
-    /// The measured stream is copied with its steady frame's triangle count
-    /// cut by `underpredict`, so Eq. 3 admits more sessions than the engine
-    /// can serve; with burst arrivals that drives the scheduler through
-    /// misses, stale drops and shedding, and interarrivals up to two
-    /// intervals through idle gaps. A `tiny` stream rescales every frame to
-    /// about two cycles, so intervals and gaps are a few cycles long and
-    /// one session's release often coincides with another's arrival: the
-    /// walk must then serve the earlier session's frame first, as the
-    /// heap's slot tie-break did. A link budget, when drawn, rejects some
-    /// arrivals before compute admission.
+    /// Each case is a [`Stress`] case; where a `tiny` stream's release
+    /// coincides with another session's arrival, the walk must serve the
+    /// earlier session's frame first, as the heap's slot tie-break did. A
+    /// link budget, when drawn, rejects some arrivals before compute
+    /// admission.
     #[test]
     fn release_order_walk_matches_the_heap_loop(
         scheme_ix in 0usize..ServeScheme::ALL.len(),
@@ -514,44 +803,25 @@ proptest! {
         link_headroom in 0.3f64..1.2,
         seed in 0u64..10_000,
     ) {
-        let spec = spec();
-        let gpu = GpuConfig::default();
-        let scheme = ServeScheme::ALL[scheme_ix];
-        let measured = oovr_serve::cost_stream(scheme, &spec, &gpu);
-        let mut reports = measured.reports.clone();
-        let steady = reports.len() - 1;
-        reports[steady].counts.triangles /= underpredict;
-        if tiny == 1 {
-            let unit = reports[steady].frame_cycles;
-            for r in &mut reports {
-                r.frame_cycles = (r.frame_cycles * 2 / unit).max(1);
-            }
-        }
-        let stream = std::sync::Arc::new(oovr_serve::SessionCostStream {
-            scheme,
-            workload: measured.workload.clone(),
-            reports,
-            temporal: measured.temporal.clone(),
-        });
-        let v = (stream.steady().frame_cycles * vsync_quarters / 4).max(1);
-        let reuse_threshold =
-            [0.0, 1.0, 4.0][threshold_ix] * oovr::temporal::DEFAULT_REUSE_THRESHOLD;
-        let cfg = ServeConfig {
-            vsync_cycles: v,
+        let stress = Stress {
             sessions,
-            frames_per_session: paced,
-            mean_interarrival: if burst == 1 { 0 } else { v * interarrival_quarters / 4 },
-            seed,
+            paced,
+            vsync_quarters,
+            interarrival_quarters,
+            burst: burst == 1,
+            underpredict,
+            tiny: tiny == 1,
             headroom,
-            temporal: oovr::TemporalConfig { reuse_threshold },
-            ..ServeConfig::default()
+            threshold_ix,
+            seed,
         };
+        let (stream, cfg) = stress.build(ServeScheme::ALL[scheme_ix]);
         // A unit-capacity link each session demands `link_demand` of.
         let budget = || (with_link == 1).then(|| Budget::new(1.0, link_headroom, link_demand));
 
         let (want, want_events) = reference_schedule(stream.clone(), &cfg, budget());
         let (got, got_events, link_rejected) =
-            oovr_serve::schedule(stream.clone(), &cfg, budget(), true);
+            oovr_serve::schedule(stream.clone(), &cfg, budget(), true, |_, _| {});
         prop_assert_eq!(format!("{:?}", got.sessions), format!("{:?}", want.sessions));
         prop_assert_eq!(format!("{:?}", got.rejects), format!("{:?}", want.rejects));
         prop_assert_eq!(format!("{got_events:?}"), format!("{want_events:?}"));
@@ -562,10 +832,80 @@ proptest! {
             .count();
         prop_assert_eq!(link_rejected as usize, want_link);
 
-        let (quiet, quiet_events, quiet_link) = oovr_serve::schedule(stream, &cfg, budget(), false);
+        let (quiet, quiet_events, quiet_link) = oovr_serve::schedule(stream, &cfg, budget(), false, |_, _| {});
         prop_assert!(quiet_events.is_empty(), "an unobserved run builds no events");
         prop_assert_eq!(format!("{:?}", quiet.sessions), format!("{:?}", got.sessions));
         prop_assert_eq!(format!("{:?}", quiet.rejects), format!("{:?}", got.rejects));
         prop_assert_eq!(quiet_link, link_rejected);
+    }
+
+    /// `schedule` steps each session's pose trajectory as it serves the
+    /// session's frames and hands each rendered frame to `on_render`; it is
+    /// the parent walk, which built every pose path at admission, bit for
+    /// bit. For every scheme, with and without a link budget, observed and
+    /// not, over a [`Stress`] case: the same sessions, frame records and
+    /// rejects (through their `Debug` text), the same events in the same
+    /// order and the same link-reject count. `on_render` sees each
+    /// rendered (not dropped) frame exactly once, with its slot and final
+    /// record, in strictly increasing `start`.
+    #[test]
+    fn serve_loop_matches_the_parent(
+        sessions in 1u32..24,
+        paced in 1u32..12,
+        vsync_quarters in 4u64..25,
+        interarrival_quarters in 0u64..9,
+        burst in 0u8..2,
+        underpredict in 1u64..17,
+        tiny in 0u8..2,
+        headroom in 0.3f64..1.5,
+        threshold_ix in 0usize..3,
+        link_demand in 0.05f64..0.6,
+        link_headroom in 0.3f64..1.2,
+        seed in 0u64..10_000,
+    ) {
+        let stress = Stress {
+            sessions,
+            paced,
+            vsync_quarters,
+            interarrival_quarters,
+            burst: burst == 1,
+            underpredict,
+            tiny: tiny == 1,
+            headroom,
+            threshold_ix,
+            seed,
+        };
+        for scheme in ServeScheme::ALL {
+            let (stream, cfg) = stress.build(scheme);
+            for with_link in [false, true] {
+                let budget = || with_link.then(|| Budget::new(1.0, link_headroom, link_demand));
+                for observe in [false, true] {
+                    let (want, want_events, want_link) =
+                        parent_schedule(stream.clone(), &cfg, budget(), observe);
+                    let mut rendered = Vec::new();
+                    let (got, got_events, got_link) =
+                        oovr_serve::schedule(stream.clone(), &cfg, budget(), observe, |slot, r| {
+                            rendered.push((slot as usize, r.clone()))
+                        });
+                    prop_assert_eq!(format!("{:?}", got.sessions), format!("{:?}", want.sessions));
+                    prop_assert_eq!(format!("{:?}", got.rejects), format!("{:?}", want.rejects));
+                    prop_assert_eq!(format!("{got_events:?}"), format!("{want_events:?}"));
+                    prop_assert_eq!(got_link, want_link);
+                    prop_assert!(
+                        rendered.windows(2).all(|w| w[0].1.start < w[1].1.start),
+                        "on_render must see frames in strictly increasing start"
+                    );
+                    let mut expected: Vec<(usize, &oovr_serve::FrameRecord)> = (got.sessions.iter())
+                        .enumerate()
+                        .flat_map(|(slot, s)| s.frames.iter().map(move |f| (slot, f)))
+                        .filter(|(_, f)| !f.dropped)
+                        .collect();
+                    expected.sort_by_key(|(_, f)| f.start);
+                    let seen: Vec<(usize, &oovr_serve::FrameRecord)> =
+                        rendered.iter().map(|(slot, r)| (*slot, r)).collect();
+                    prop_assert_eq!(format!("{seen:?}"), format!("{expected:?}"));
+                }
+            }
+        }
     }
 }

@@ -477,21 +477,23 @@ fn scene_bound_pair(kind: usize, base: Pose, rng: &mut rand::rngs::StdRng) -> (P
 /// The scene bound is sound and `decide` stays exact on every branch:
 /// over random scenes (rects reaching past the screen edge, depths,
 /// resolutions, GPM counts, probe counts that leave a partial kernel
-/// block) and pose pairs from still to a half turn, whenever
-/// `all_below` passes every probe's kernel motion is below the threshold;
-/// when it fails but some cells pass, every probe whose cells all pass
-/// has a reference motion below the threshold; and every decision equals
-/// the reference fold over the reference motions. Thresholds sit at the
-/// exact max motion, just above it, at 1.01× and 2× it, at the default
-/// 16 px and at the median motion, and every branch must be taken often:
-/// all cells passing, none passing, and some passing with probes skipped
-/// and probes measured.
+/// block) and pose pairs from still to a half turn, whenever the
+/// whole-scene box (`whole_below`) or the grid (`all_below`) passes every
+/// probe's kernel motion is below the threshold; when both fail but some
+/// cells pass, every probe whose cells all pass has a reference motion
+/// below the threshold; and every decision equals the reference fold over
+/// the reference motions. Thresholds sit at the exact max motion, just
+/// above it, at 1.01×, 1.1×, 1.25×, 1.5× and 2× it (the box usually fails
+/// where the grid passes in that band), at the default 16 px and at the
+/// median motion, and every branch must be taken often:
+/// the box passing, the box failing where every grid cell passes, no cell
+/// passing, and some passing with probes skipped and probes measured.
 #[test]
 fn scene_bound_is_sound_and_decides_like_the_reference() {
     use rand::{Rng, SeedableRng};
-    let (mut fast, mut exact, mut outside) = (0, 0, 0);
+    let (mut whole, mut fast, mut exact, mut outside) = (0, 0, 0, 0);
     let (mut partial, mut skipped, mut measured) = (0, 0, 0);
-    for case in 0..48u64 {
+    for case in 0..160u64 {
         let mut rng = rand::rngs::StdRng::seed_from_u64(0x5CE4_E0B0 ^ case);
         let mut count = rng.gen_range(1..4 * MotionKernel::BLOCK);
         if count % MotionKernel::BLOCK == 0 {
@@ -542,9 +544,25 @@ fn scene_bound_is_sound_and_decides_like_the_reference() {
             let mut sorted = motions.clone();
             sorted.sort_by(f64::total_cmp);
             let median = sorted[sorted.len() / 2];
-            for t in [max, max.next_up(), 1.01 * max, 2.0 * max, 16.0, median] {
+            for t in [
+                max,
+                max.next_up(),
+                1.01 * max,
+                1.1 * max,
+                1.25 * max,
+                1.5 * max,
+                2.0 * max,
+                16.0,
+                median,
+            ] {
                 let pass = kernel.cells_below(&delta, t);
-                if kernel.all_below(&delta, t) {
+                if kernel.whole_below(&delta, t) {
+                    whole += 1;
+                    assert!(
+                        max < t,
+                        "whole box passed {t} but a probe moved {max} under {from:?} -> {to:?}"
+                    );
+                } else if kernel.all_below(&delta, t) {
                     fast += 1;
                     assert!(
                         max < t,
@@ -579,7 +597,10 @@ fn scene_bound_is_sound_and_decides_like_the_reference() {
         }
     }
     assert!(outside > 100, "only {outside} objects reached past the screen edge");
-    assert!(fast >= 300 && exact >= 300, "branches taken: {fast} fast, {exact} exact");
+    assert!(
+        whole >= 300 && fast >= 300 && exact >= 300,
+        "branches taken: {whole} whole box, {fast} grid only, {exact} exact"
+    );
     assert!(
         partial >= 300 && skipped >= 10_000 && measured >= 10_000,
         "per-cell tier: {partial} decides, {skipped} probes skipped, {measured} measured"
