@@ -1547,37 +1547,38 @@ fn print_table1() {
 }
 
 fn print_table2() {
+    use oovr_gpu::config::{
+        CORES_PER_SM, DRAM_GBPS, ROPS_PER_GPM, SMS_PER_GPM, TEXEL_SAMPLES_PER_QUAD,
+    };
     let c = oovr_gpu::GpuConfig::default();
+    let mem = oovr_mem::MemConfig::default();
     println!("== table2 — baseline configuration ==");
     println!("GPU frequency              1GHz");
     println!("Number of GPMs             {}", c.n_gpms);
     println!(
         "Number of SMs              {}, {} per GPM",
-        c.n_gpms as u32 * c.sms_per_gpm,
-        c.sms_per_gpm
+        c.n_gpms as u32 * SMS_PER_GPM,
+        SMS_PER_GPM
     );
-    println!("SM configuration           {} shader cores per SM", c.cores_per_sm);
+    println!("SM configuration           {CORES_PER_SM} shader cores per SM");
     println!(
         "                           {} KiB unified L1 per GPM ({} ways)",
-        c.mem.l1_bytes / 1024,
-        c.mem.l1_ways
+        mem.l1_bytes / 1024,
+        mem.l1_ways
     );
-    println!(
-        "Texture filtering          16x anisotropic ({} samples/quad)",
-        c.model.texel_samples_per_quad
-    );
+    println!("Texture filtering          16x anisotropic ({TEXEL_SAMPLES_PER_QUAD} samples/quad)");
     println!(
         "Number of ROPs             {}, {} per GPM (4 px/cycle each)",
-        c.n_gpms as u32 * c.rops_per_gpm,
-        c.rops_per_gpm
+        c.n_gpms as u32 * ROPS_PER_GPM,
+        ROPS_PER_GPM
     );
     println!(
         "L2 cache                   {} MiB total, {}-way",
-        c.mem.l2_bytes as f64 * c.n_gpms as f64 / 1048576.0,
-        c.mem.l2_ways
+        mem.l2_bytes as f64 * c.n_gpms as f64 / 1048576.0,
+        mem.l2_ways
     );
     println!("Inter-GPM interconnect     {} GB/s NVLink (unidirectional)", c.link_gbps);
-    println!("Local DRAM bandwidth       {} GB/s", c.dram_gbps);
+    println!("Local DRAM bandwidth       {DRAM_GBPS} GB/s");
 }
 
 fn print_table3(scale: f64) {

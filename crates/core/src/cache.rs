@@ -13,8 +13,8 @@
 //!   every spec field; `BenchmarkSpec::build` is deterministic, so the spec
 //!   digest is a content fingerprint of the scene itself.
 //! * **Frame renders** are memoized by a digest of (scene fingerprint,
-//!   scheme tag, full [`GpuConfig`] — every model parameter and the fault
-//!   plan, floats hashed via `to_bits`). Renders are deterministic, so a
+//!   scheme tag, full [`GpuConfig`] — GPM count, link bandwidth and the
+//!   fault plan, floats hashed via `to_bits`). Renders are deterministic, so a
 //!   cache hit returns a bit-identical [`FrameReport`].
 //!
 //! Invalidation is structural: any change to a spec, scheme or config field
@@ -246,29 +246,7 @@ pub fn config_digest(cfg: &GpuConfig) -> [u8; 32] {
 
 fn put_config(d: &mut Digest, cfg: &GpuConfig) {
     d.u64(cfg.n_gpms as u64);
-    d.u32(cfg.sms_per_gpm);
-    d.u32(cfg.cores_per_sm);
-    d.u32(cfg.rops_per_gpm);
     d.f64(cfg.link_gbps);
-    d.u32(cfg.ports_per_gpm);
-    d.f64(cfg.dram_gbps);
-    d.u64(cfg.mem.l1_bytes);
-    d.u64(cfg.mem.l1_ways as u64);
-    d.u64(cfg.mem.l2_bytes);
-    d.u64(cfg.mem.l2_ways as u64);
-    let m = &cfg.model;
-    d.f64(m.vertex_rate);
-    d.f64(m.triangle_rate);
-    d.f64(m.smp_rate);
-    d.f64(m.raster_quad_rate);
-    d.f64(m.cycles_per_fragment);
-    d.u64(m.bytes_per_vertex);
-    d.u32(m.texel_samples_per_quad);
-    d.f32(m.aniso_spread);
-    d.f64(m.txu_samples_per_cycle);
-    d.u64(m.cmd_bytes_per_draw);
-    d.u64(m.quantum_quads);
-    d.u64(m.quantum_vertices);
     match &cfg.fault {
         None => d.u8(0),
         Some(plan) => {

@@ -1089,13 +1089,27 @@ mod tests {
 
     #[test]
     fn pa_falls_back_to_remote_rendering_when_links_are_down() {
-        let plan =
-            FaultPlan::new(FaultScenario::LinkDown, 1.0, 3).with_horizon(fault_free_cycles());
-        let gpu = GpuConfig::default().with_fault(plan);
-        let (_, stats) = run_on(
-            gpu,
-            DistributionConfig { resilience: ResilienceConfig::on(), ..Default::default() },
-        );
-        assert!(stats.pa_retries > 0, "severity-1 link outages must trigger PA retries: {stats:?}");
+        // On this scene's four-GPM default no LinkDown seed reaches the
+        // fallback (0 of 64 at horizons from 15.9 k to 11.1 M cycles): every
+        // assignment finds its GPM's links up, or up again by the last
+        // retry. Eight GPMs reach it: the default 11.1 M-cycle horizon lays
+        // outages of 1.1 M cycles, longer than the 350 k-cycle retry ladder.
+        let plan = FaultPlan::new(FaultScenario::LinkDown, 1.0, 2);
+        let gpu = GpuConfig::default().with_n_gpms(8).with_fault(plan);
+        let scene = BenchmarkSpec::new("dist-test", 160, 120, 160, 11).build();
+        let batches = build_batches(&scene, MiddlewareConfig::default());
+        let mut ex =
+            Executor::new(gpu, &scene, Placement::FirstTouch, FbOrg::Columns, ColorMode::Deferred);
+        ex.enable_trace(oovr_trace::TraceConfig::default());
+        let cfg = DistributionConfig { resilience: ResilienceConfig::on(), ..Default::default() };
+        let stats = run_distribution(&mut ex, &batches, &cfg);
+        assert!(stats.pa_fallbacks > 0, "a link outage must outlast PA's retries: {stats:?}");
+        let (_, rec) = ex.finish_traced("OOVR", Composition::Distributed);
+        let traced = rec
+            .expect("tracing was enabled")
+            .events()
+            .filter(|e| matches!(e, TraceEvent::PaFallback { .. }))
+            .count();
+        assert_eq!(traced, stats.pa_fallbacks, "every fallback is traced");
     }
 }

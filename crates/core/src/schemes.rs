@@ -222,7 +222,7 @@ impl OoVr {
         let pixels: Vec<u64> = ex.object_pixels().iter().zip(&px0).map(|(a, b)| a - b).collect();
         let steady = reports.last().expect("frames > 0").frame_cycles;
         let profile =
-            crate::temporal::TemporalProfile::new(scene, cfg, cfg.n_gpms, busy, &pixels, steady);
+            crate::temporal::TemporalProfile::new(scene, cfg.n_gpms, busy, &pixels, steady);
         (reports, profile)
     }
 

@@ -41,7 +41,6 @@
 //! `saved` is non-decreasing. Reuse ratio up, frame cost down, always.
 
 use oovr_frameworks::atw;
-use oovr_gpu::GpuConfig;
 use oovr_mem::placement::MAX_GPMS;
 use oovr_mem::Cycle;
 use oovr_scene::{MotionKernel, Pose, PoseDelta, PoseTrajectory, Scene};
@@ -153,7 +152,6 @@ impl TemporalProfile {
     /// `n_gpms` is zero or above [`MAX_GPMS`].
     pub fn new(
         scene: &Scene,
-        cfg: &GpuConfig,
         n_gpms: usize,
         busy: Vec<Cycle>,
         pixels: &[u64],
@@ -186,7 +184,7 @@ impl TemporalProfile {
             // must never cost more than rendering it, or the threshold
             // sweep would lose its monotonicity (and a degenerate
             // off-screen object could make reuse a pessimization).
-            reuse[resident * n + i] = atw::warp_cycles_for_pixels(px, cfg).min(resident_busy);
+            reuse[resident * n + i] = atw::warp_cycles_for_pixels(px).min(resident_busy);
         }
         let mut groups: Vec<(u16, Range<usize>)> = Vec::new();
         for (i, &c) in motion.probe_cells().iter().enumerate() {
@@ -342,6 +340,7 @@ impl TemporalProfile {
 mod tests {
     use super::*;
     use crate::schemes::OoVr;
+    use oovr_gpu::GpuConfig;
     use oovr_scene::{benchmarks, PoseTrajectory};
 
     fn profiled() -> (Scene, TemporalProfile) {

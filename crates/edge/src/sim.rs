@@ -288,7 +288,7 @@ pub fn simulate_edge(
     // ---- Pass 3: the thin client, one session-major walk that builds
     // each session's frames and classifies its vsyncs, with ATW coverage
     // and the motion-to-photon accounting.
-    let warp_cycles = warp_cycles_for_pixels(steady_px.max(1), gpu) * WARP_FACTOR;
+    let warp_cycles = warp_cycles_for_pixels(steady_px.max(1)) * WARP_FACTOR;
     let delivered = |s: &Option<LinkOutcome>| s.as_ref().and_then(|s| s.delivery);
     let mut sessions = Vec::with_capacity(served.sessions.len());
     for (session, sent) in served.sessions.into_iter().zip(sent.chunks_exact(frames_per)) {
@@ -650,7 +650,7 @@ mod tests {
         // ---- Pass 3: the thin client. Pure post-processing over the
         // delivery schedule — classification per vsync, ATW coverage, and
         // the motion-to-photon accounting.
-        let warp_cycles = warp_cycles_for_pixels(steady_px.max(1), gpu) * WARP_FACTOR;
+        let warp_cycles = warp_cycles_for_pixels(steady_px.max(1)) * WARP_FACTOR;
         for session in &mut sessions {
             let id = session.id;
             // delivery[g] of each frame, for the reprojection predecessor scan.

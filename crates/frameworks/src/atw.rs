@@ -13,7 +13,8 @@
 //! single GPM), always completing in time, but showing stale content —
 //! the judder/sickness §4.1 associates with long true-frame latency.
 
-use oovr_gpu::{FrameReport, GpuConfig, VSYNC_90HZ_CYCLES};
+use oovr_gpu::config::ROPS_PER_GPM;
+use oovr_gpu::{FrameReport, VSYNC_90HZ_CYCLES};
 use oovr_mem::Cycle;
 
 /// The 90 Hz vsync deadline in milliseconds (Table 1).
@@ -22,15 +23,15 @@ pub const VSYNC_90HZ_MS: f64 = 1000.0 / 90.0;
 /// Cycles one GPM needs to warp `pixels` displayed pixels (one read + one
 /// write per pixel through its ROPs) — the per-object form the temporal
 /// reuse layer charges for a reprojected object.
-pub fn warp_cycles_for_pixels(pixels: u64, cfg: &GpuConfig) -> Cycle {
+pub fn warp_cycles_for_pixels(pixels: u64) -> Cycle {
     // Warp touches each displayed pixel once; ROPs process 4 px/cycle each.
-    (2 * pixels.max(1)) / (u64::from(cfg.rops_per_gpm) * 4).max(1)
+    (2 * pixels.max(1)) / (u64::from(ROPS_PER_GPM) * 4)
 }
 
 /// Cycles one GPM needs to warp a full stereo frame (read + write every
 /// pixel through its ROPs).
-pub fn warp_cycles(report: &FrameReport, cfg: &GpuConfig) -> Cycle {
-    warp_cycles_for_pixels(report.counts.pixels_out, cfg)
+pub fn warp_cycles(report: &FrameReport) -> Cycle {
+    warp_cycles_for_pixels(report.counts.pixels_out)
 }
 
 /// The vsync budget in cycles for a `deadline_ms` deadline at the 1 GHz
@@ -70,7 +71,7 @@ pub struct AtwStats {
 /// # Panics
 ///
 /// Panics if `deadline_ms` is not positive.
-pub fn evaluate(report: &FrameReport, cfg: &GpuConfig, deadline_ms: f64) -> AtwStats {
+pub fn evaluate(report: &FrameReport, deadline_ms: f64) -> AtwStats {
     assert!(deadline_ms > 0.0, "deadline must be positive");
     let budget = budget_cycles(deadline_ms);
     let intervals = report.frame_cycles.div_ceil(budget).max(1);
@@ -78,7 +79,7 @@ pub fn evaluate(report: &FrameReport, cfg: &GpuConfig, deadline_ms: f64) -> AtwS
         budget_cycles: budget,
         real_frame_ratio: 1.0 / intervals as f64,
         intervals_per_frame: intervals,
-        warp_fits: warp_cycles(report, cfg) <= budget,
+        warp_fits: warp_cycles(report) <= budget,
     }
 }
 
@@ -86,6 +87,7 @@ pub fn evaluate(report: &FrameReport, cfg: &GpuConfig, deadline_ms: f64) -> AtwS
 mod tests {
     use super::*;
     use crate::{Baseline, RenderScheme};
+    use oovr_gpu::GpuConfig;
     use oovr_scene::benchmarks;
 
     #[test]
@@ -94,7 +96,7 @@ mod tests {
         let cfg = GpuConfig::default();
         let r = Baseline::new().render_frame(&scene, &cfg);
         // Tiny frames easily beat a generous deadline.
-        let stats = evaluate(&r, &cfg, 100.0);
+        let stats = evaluate(&r, 100.0);
         assert_eq!(stats.intervals_per_frame, 1);
         assert_eq!(stats.real_frame_ratio, 1.0);
         assert!(stats.warp_fits);
@@ -108,7 +110,7 @@ mod tests {
         // Force a deadline shorter than the frame: ATW covers the gap, but
         // the real-frame ratio drops below 1.
         let tight_ms = r.frame_cycles as f64 / 1e6 / 2.5;
-        let stats = evaluate(&r, &cfg, tight_ms);
+        let stats = evaluate(&r, tight_ms);
         assert!(stats.intervals_per_frame >= 3);
         assert!(stats.real_frame_ratio <= 1.0 / 3.0);
         assert!(stats.warp_fits, "the warp itself is cheap");
@@ -119,7 +121,7 @@ mod tests {
         let scene = benchmarks::hl2_640().scaled(0.12).build();
         let cfg = GpuConfig::default();
         let r = Baseline::new().render_frame(&scene, &cfg);
-        let w = warp_cycles(&r, &cfg);
+        let w = warp_cycles(&r);
         assert!(w > 0);
         assert!(w < r.frame_cycles, "warping is far cheaper than rendering");
     }
@@ -135,7 +137,7 @@ mod tests {
         let scene = benchmarks::hl2_640().scaled(0.12).build();
         let cfg = GpuConfig::default();
         let r = Baseline::new().render_frame(&scene, &cfg);
-        assert_eq!(evaluate(&r, &cfg, VSYNC_90HZ_MS).budget_cycles, VSYNC_90HZ_CYCLES);
+        assert_eq!(evaluate(&r, VSYNC_90HZ_MS).budget_cycles, VSYNC_90HZ_CYCLES);
     }
 
     #[test]
@@ -143,7 +145,7 @@ mod tests {
         let scene = benchmarks::hl2_640().scaled(0.12).build();
         let cfg = GpuConfig::default();
         let r = Baseline::new().render_frame(&scene, &cfg);
-        assert_eq!(warp_cycles_for_pixels(r.counts.pixels_out, &cfg), warp_cycles(&r, &cfg));
+        assert_eq!(warp_cycles_for_pixels(r.counts.pixels_out), warp_cycles(&r));
     }
 
     #[test]
@@ -152,6 +154,6 @@ mod tests {
         let scene = benchmarks::hl2_640().scaled(0.12).build();
         let cfg = GpuConfig::default();
         let r = Baseline::new().render_frame(&scene, &cfg);
-        let _ = evaluate(&r, &cfg, 0.0);
+        let _ = evaluate(&r, 0.0);
     }
 }

@@ -1,7 +1,8 @@
-//! Simulator configuration: Table 2 of the paper plus model parameters.
+//! Simulator configuration: the Table 2 machine and the pipeline model's
+//! constants, plus the few values the paper's experiments vary.
 
 use oovr_mem::timing::FabricParams;
-use oovr_mem::{Cycle, MemConfig};
+use oovr_mem::Cycle;
 
 /// Gigabytes-per-second to bytes-per-cycle at the 1 GHz clock of Table 2.
 pub fn gbps_to_bytes_per_cycle(gbps: f64) -> f64 {
@@ -20,32 +21,74 @@ pub const VSYNC_90HZ_CYCLES: Cycle = 11_111_111;
 /// array of this size.
 pub const MAX_TEXEL_SAMPLES: usize = 16;
 
-/// Top-level configuration of the multi-GPM system (Table 2 defaults).
+/// SMs per GPM (Table 2: 8).
+pub const SMS_PER_GPM: u32 = 8;
+
+/// Shader cores per SM (Table 2: 64).
+pub const CORES_PER_SM: u32 = 64;
+
+/// ROPs per GPM (Table 2: 8), each outputting 4 pixels/cycle (§3).
+pub const ROPS_PER_GPM: u32 = 8;
+
+/// NVLink ports per GPM (§3: 6; each pair of ports connects two GPMs, so a
+/// 4-GPM system dedicates 2 ports to each of the 3 peers). With other GPM
+/// counts the ports are divided among the peers, scaling the per-pair
+/// bandwidth accordingly.
+const PORTS_PER_GPM: u32 = 6;
+
+/// Local DRAM bandwidth, GB/s (Table 2: 1000).
+pub const DRAM_GBPS: f64 = 1000.0;
+
+// Throughput and byte-cost constants of the pipeline model. One set drives
+// every figure (no per-experiment tuning); the values are anchored to
+// Table 2 and standard GPU ratios, then calibrated once against the
+// paper's Fig. 4 bandwidth-sensitivity curve (see `EXPERIMENTS.md`).
+
+/// Vertices shaded per cycle per GPM.
+pub(crate) const VERTEX_RATE: f64 = 4.0;
+/// Triangles set up per cycle per GPM (PME).
+pub(crate) const TRIANGLE_RATE: f64 = 2.5;
+/// Triangles re-projected per cycle by the SMP engine.
+pub(crate) const SMP_RATE: f64 = 6.0;
+/// 2×2 quads rasterized per cycle per GPM (raster engine).
+pub(crate) const RASTER_QUAD_RATE: f64 = 32.0;
+/// Shader cycles per fragment.
+const CYCLES_PER_FRAGMENT: f64 = 16.0;
+/// Bytes fetched per vertex (position + attributes).
+pub(crate) const BYTES_PER_VERTEX: u64 = 32;
+/// Texel sample points evaluated per 2×2 quad. Bilinear filtering at quad
+/// granularity needs ~4; Table 2's 16× anisotropic filtering widens
+/// footprints, which we model with extra spread-out samples.
+pub const TEXEL_SAMPLES_PER_QUAD: u32 = 8;
+const _: () = assert!(TEXEL_SAMPLES_PER_QUAD as usize <= MAX_TEXEL_SAMPLES);
+/// Extra anisotropic spread in texels between sample points.
+pub(crate) const ANISO_SPREAD: f32 = 12.0;
+/// Texture sample points filtered per cycle per GPM (4 TXUs per SM, each
+/// filtering a bilinear footprint per cycle).
+pub(crate) const TXU_SAMPLES_PER_CYCLE: f64 = 64.0;
+/// Bytes of draw-command stream per draw call sent to a GPM.
+pub(crate) const CMD_BYTES_PER_DRAW: u64 = 512;
+/// Work quantum for the event loop, in quads.
+pub(crate) const QUANTUM_QUADS: u64 = 4096;
+/// Work quantum for geometry, in vertices.
+pub(crate) const QUANTUM_VERTICES: u64 = 8192;
+
+/// Fragment-shading throughput per GPM in 2×2 quads per cycle.
+pub(crate) const QUAD_RATE: f64 = (SMS_PER_GPM * CORES_PER_SM) as f64 / CYCLES_PER_FRAGMENT / 4.0;
+
+/// ROP pixel throughput per GPM in pixels per cycle (4 px/cycle/ROP).
+pub(crate) const ROP_RATE: f64 = ROPS_PER_GPM as f64 * 4.0;
+
+/// The settable part of the multi-GPM system: what the paper's sweeps vary
+/// (Table 2 defaults). The rest of the Table 2 machine is the constants of
+/// this module.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GpuConfig {
-    /// Number of GPU modules (Table 2: 4).
+    /// Number of GPU modules (Table 2: 4; the Fig. 18 sweep varies it).
     pub n_gpms: usize,
-    /// SMs per GPM (Table 2: 8).
-    pub sms_per_gpm: u32,
-    /// Shader cores per SM (Table 2: 64).
-    pub cores_per_sm: u32,
-    /// ROPs per GPM (Table 2: 8), each outputting 4 pixels/cycle (§3).
-    pub rops_per_gpm: u32,
     /// Inter-GPM link bandwidth, GB/s per direction of a 2-port pair link
-    /// (Table 2: 64).
+    /// (Table 2: 64; the Fig. 4 and Fig. 17 sweeps vary it).
     pub link_gbps: f64,
-    /// NVLink ports per GPM (§3: 6; each pair of ports connects two GPMs,
-    /// so a 4-GPM system dedicates 2 ports to each of the 3 peers). With
-    /// other GPM counts the ports are divided among the peers, scaling the
-    /// per-pair bandwidth accordingly.
-    pub ports_per_gpm: u32,
-    /// Local DRAM bandwidth, GB/s (Table 2: 1000).
-    pub dram_gbps: f64,
-    /// Cache configuration (Table 2: 128 KiB unified L1 per SM; 4 MiB
-    /// 16-way L2 total across the 4-GPM system).
-    pub mem: MemConfig,
-    /// Throughput/byte-cost model parameters.
-    pub model: ModelParams,
     /// Optional deterministic fault plan injected at executor construction.
     /// `None` (the default) keeps the exact fixed-rate arithmetic.
     pub fault: Option<crate::fault::FaultPlan>,
@@ -53,18 +96,7 @@ pub struct GpuConfig {
 
 impl Default for GpuConfig {
     fn default() -> Self {
-        GpuConfig {
-            n_gpms: 4,
-            sms_per_gpm: 8,
-            cores_per_sm: 64,
-            rops_per_gpm: 8,
-            link_gbps: 64.0,
-            ports_per_gpm: 6,
-            dram_gbps: 1000.0,
-            mem: MemConfig::default(),
-            model: ModelParams::default(),
-            fault: None,
-        }
+        GpuConfig { n_gpms: 4, link_gbps: 64.0, fault: None }
     }
 }
 
@@ -97,34 +129,10 @@ impl GpuConfig {
         if !(1..=16).contains(&self.n_gpms) {
             return Err(GpuError::Mem(oovr_mem::MemError::TooManyGpms { requested: self.n_gpms }));
         }
-        for (name, v) in [
-            ("link_gbps", self.link_gbps),
-            ("dram_gbps", self.dram_gbps),
-            ("vertex_rate", self.model.vertex_rate),
-            ("triangle_rate", self.model.triangle_rate),
-            ("smp_rate", self.model.smp_rate),
-            ("raster_quad_rate", self.model.raster_quad_rate),
-            ("cycles_per_fragment", self.model.cycles_per_fragment),
-            ("txu_samples_per_cycle", self.model.txu_samples_per_cycle),
-        ] {
-            if !v.is_finite() || v <= 0.0 {
-                return Err(GpuError::InvalidConfig(format!(
-                    "{name} must be positive and finite, got {v}"
-                )));
-            }
-        }
-        if self.sms_per_gpm == 0 || self.cores_per_sm == 0 || self.rops_per_gpm == 0 {
-            return Err(GpuError::InvalidConfig(
-                "sms_per_gpm, cores_per_sm and rops_per_gpm must be nonzero".to_string(),
-            ));
-        }
-        if self.model.quantum_quads == 0 || self.model.quantum_vertices == 0 {
-            return Err(GpuError::InvalidConfig("work quanta must be nonzero".to_string()));
-        }
-        if self.model.texel_samples_per_quad as usize > MAX_TEXEL_SAMPLES {
+        if !self.link_gbps.is_finite() || self.link_gbps <= 0.0 {
             return Err(GpuError::InvalidConfig(format!(
-                "texel_samples_per_quad must be at most {MAX_TEXEL_SAMPLES}, got {}",
-                self.model.texel_samples_per_quad
+                "link_gbps must be positive and finite, got {}",
+                self.link_gbps
             )));
         }
         if let Some(fault) = &self.fault {
@@ -144,84 +152,15 @@ impl GpuConfig {
         // peers than port pairs are assumed to grow ports rather than
         // share links (§3: pair traffic "will not be interfered by other
         // GPMs"; §6.4 targets future scenarios with increasing bandwidth).
-        let ports_per_peer = f64::from(self.ports_per_gpm) / (self.n_gpms - 1) as f64;
+        let ports_per_peer = f64::from(PORTS_PER_GPM) / (self.n_gpms - 1) as f64;
         self.link_gbps * (ports_per_peer / 2.0).max(1.0)
     }
 
     /// Fabric timing parameters derived from the bandwidth settings.
     pub fn fabric_params(&self) -> FabricParams {
         FabricParams {
-            dram_bytes_per_cycle: gbps_to_bytes_per_cycle(self.dram_gbps),
+            dram_bytes_per_cycle: gbps_to_bytes_per_cycle(DRAM_GBPS),
             link_bytes_per_cycle: gbps_to_bytes_per_cycle(self.pair_link_gbps()),
-            ..FabricParams::default()
-        }
-    }
-
-    /// Fragment-shading throughput per GPM in 2×2 quads per cycle.
-    pub fn quad_rate(&self) -> f64 {
-        let cores = f64::from(self.sms_per_gpm * self.cores_per_sm);
-        cores / self.model.cycles_per_fragment / 4.0
-    }
-
-    /// ROP pixel throughput per GPM in pixels per cycle (4 px/cycle/ROP).
-    pub fn rop_rate(&self) -> f64 {
-        f64::from(self.rops_per_gpm) * 4.0
-    }
-}
-
-/// Throughput and byte-cost constants of the pipeline model.
-///
-/// One set of constants drives every figure (no per-experiment tuning);
-/// values are anchored to Table 2 and standard GPU ratios, then calibrated
-/// once against the paper's Fig. 4 bandwidth-sensitivity curve (see
-/// `EXPERIMENTS.md`).
-#[derive(Debug, Clone, PartialEq)]
-pub struct ModelParams {
-    /// Vertices shaded per cycle per GPM.
-    pub vertex_rate: f64,
-    /// Triangles set up per cycle per GPM (PME).
-    pub triangle_rate: f64,
-    /// Triangles re-projected per cycle by the SMP engine.
-    pub smp_rate: f64,
-    /// 2×2 quads rasterized per cycle per GPM (raster engine).
-    pub raster_quad_rate: f64,
-    /// Shader cycles per fragment (drives `GpuConfig::quad_rate`).
-    pub cycles_per_fragment: f64,
-    /// Bytes fetched per vertex (position + attributes).
-    pub bytes_per_vertex: u64,
-    /// Texel sample points evaluated per 2×2 quad, at most
-    /// [`MAX_TEXEL_SAMPLES`]. Bilinear filtering at quad granularity needs
-    /// ~4; Table 2's 16× anisotropic filtering widens footprints, which we
-    /// model with extra spread-out samples.
-    pub texel_samples_per_quad: u32,
-    /// Extra anisotropic spread in texels between sample points.
-    pub aniso_spread: f32,
-    /// Texture sample points filtered per cycle per GPM (4 TXUs per SM,
-    /// each filtering a bilinear footprint per cycle).
-    pub txu_samples_per_cycle: f64,
-    /// Bytes of draw-command stream per draw call sent to a GPM.
-    pub cmd_bytes_per_draw: u64,
-    /// Work quantum for the event loop, in quads.
-    pub quantum_quads: u64,
-    /// Work quantum for geometry, in vertices.
-    pub quantum_vertices: u64,
-}
-
-impl Default for ModelParams {
-    fn default() -> Self {
-        ModelParams {
-            vertex_rate: 4.0,
-            triangle_rate: 2.5,
-            smp_rate: 6.0,
-            raster_quad_rate: 32.0,
-            cycles_per_fragment: 16.0,
-            bytes_per_vertex: 32,
-            texel_samples_per_quad: 8,
-            aniso_spread: 12.0,
-            txu_samples_per_cycle: 64.0,
-            cmd_bytes_per_draw: 512,
-            quantum_quads: 4096,
-            quantum_vertices: 8192,
         }
     }
 }
@@ -238,14 +177,12 @@ mod tests {
     fn table2_defaults() {
         let c = GpuConfig::default();
         assert_eq!(c.n_gpms, 4);
-        assert_eq!(c.sms_per_gpm, 8);
-        assert_eq!(c.rops_per_gpm, 8);
         assert_eq!(c.link_gbps, 64.0);
-        assert_eq!(c.dram_gbps, 1000.0);
+        assert_eq!(c.fabric_params().dram_bytes_per_cycle, 1000.0);
         // 8 ROPs × 4 px/cycle.
-        assert_eq!(c.rop_rate(), 32.0);
+        assert_eq!(ROP_RATE, 32.0);
         // 512 cores / 16 cycles / 4 px per quad.
-        assert_eq!(c.quad_rate(), 8.0);
+        assert_eq!(QUAD_RATE, 8.0);
     }
 
     #[test]
@@ -288,12 +225,6 @@ mod tests {
         let c = GpuConfig { n_gpms: 17, ..GpuConfig::default() };
         assert!(matches!(c.validate(), Err(GpuError::Mem(_))));
         let c = GpuConfig { link_gbps: 0.0, ..GpuConfig::default() };
-        assert!(matches!(c.validate(), Err(GpuError::InvalidConfig(_))));
-        let mut c = GpuConfig::default();
-        c.model.quantum_quads = 0;
-        assert!(matches!(c.validate(), Err(GpuError::InvalidConfig(_))));
-        let mut c = GpuConfig::default();
-        c.model.texel_samples_per_quad = MAX_TEXEL_SAMPLES as u32 + 1;
         assert!(matches!(c.validate(), Err(GpuError::InvalidConfig(_))));
         let c = GpuConfig::default().with_fault(FaultPlan::new(FaultScenario::LinkDegrade, 2.0, 0));
         assert!(matches!(c.validate(), Err(GpuError::InvalidFault(_))));

@@ -46,11 +46,10 @@ pub mod fault;
 pub mod layout;
 pub mod raster;
 pub mod report;
-pub mod stages;
 pub mod tasks;
 mod trace;
 
-pub use config::{GpuConfig, ModelParams, MAX_TEXEL_SAMPLES, VSYNC_90HZ_CYCLES};
+pub use config::{GpuConfig, MAX_TEXEL_SAMPLES, VSYNC_90HZ_CYCLES};
 pub use energy::EnergySummary;
 pub use error::GpuError;
 pub use executor::{

@@ -377,9 +377,16 @@ mod tests {
 
     #[test]
     fn more_ways_than_the_recency_word_holds_are_rejected() {
-        let cfg = MemConfig { l2_ways: MAX_WAYS + 1, ..MemConfig::default() };
-        let err = MemorySystem::try_new(2, cfg, Placement::FirstTouch).unwrap_err();
-        assert!(matches!(err, MemError::BadCacheGeometry { level: "L2", .. }));
+        let base = MemConfig::default();
+        // Too many ways, no ways, and an L2 one line short of one set.
+        for (cfg, level) in [
+            (MemConfig { l2_ways: MAX_WAYS + 1, ..base }, "L2"),
+            (MemConfig { l1_ways: 0, ..base }, "L1"),
+            (MemConfig { l2_bytes: base.l2_ways as u64 * LINE_SIZE - 1, ..base }, "L2"),
+        ] {
+            let err = MemorySystem::try_new(2, cfg, Placement::FirstTouch).unwrap_err();
+            assert!(matches!(err, MemError::BadCacheGeometry { level: l, .. } if l == level));
+        }
         let cfg = MemConfig { l2_ways: MAX_WAYS, ..MemConfig::default() };
         assert!(MemorySystem::try_new(2, cfg, Placement::FirstTouch).is_ok());
     }

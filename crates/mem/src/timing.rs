@@ -223,24 +223,6 @@ pub struct FabricParams {
     pub dram_bytes_per_cycle: f64,
     /// Link bandwidth per directed GPM pair, bytes/cycle (Table 2: 64).
     pub link_bytes_per_cycle: f64,
-    /// DRAM access latency in cycles. Kept small: a quantum represents
-    /// thousands of in-flight threads whose latency the GPU hides (§6.2 of
-    /// the paper: inter-GPM delays are "fully hidden by executing thousands
-    /// of threads"); bandwidth, not latency, is the modeled bottleneck.
-    pub dram_latency: Cycle,
-    /// Additional link latency in cycles.
-    pub link_latency: Cycle,
-}
-
-impl Default for FabricParams {
-    fn default() -> Self {
-        FabricParams {
-            dram_bytes_per_cycle: 1000.0,
-            link_bytes_per_cycle: 64.0,
-            dram_latency: 0,
-            link_latency: 0,
-        }
-    }
 }
 
 /// The timed NUMA fabric: one DRAM server per GPM and one link server per
@@ -251,28 +233,25 @@ pub struct NumaTiming {
     n: usize,
     dram: Vec<BandwidthServer>,
     links: Vec<BandwidthServer>,
-    params: FabricParams,
 }
 
 impl NumaTiming {
-    /// Creates the fabric for `n_gpms` GPMs.
+    /// Creates the fabric for `n_gpms` GPMs. Its servers add no fixed
+    /// latency: a quantum represents thousands of in-flight threads whose
+    /// latency the GPU hides (§6.2 of the paper: inter-GPM delays are
+    /// "fully hidden by executing thousands of threads"); bandwidth, not
+    /// latency, is the modeled bottleneck.
     pub fn new(n_gpms: usize, params: FabricParams) -> Self {
         assert!(n_gpms >= 1, "need at least one GPM");
         NumaTiming {
             n: n_gpms,
             dram: (0..n_gpms)
-                .map(|_| BandwidthServer::new(params.dram_bytes_per_cycle, params.dram_latency))
+                .map(|_| BandwidthServer::new(params.dram_bytes_per_cycle, 0))
                 .collect(),
             links: (0..n_gpms * n_gpms)
-                .map(|_| BandwidthServer::new(params.link_bytes_per_cycle, params.link_latency))
+                .map(|_| BandwidthServer::new(params.link_bytes_per_cycle, 0))
                 .collect(),
-            params,
         }
-    }
-
-    /// Fabric parameters.
-    pub fn params(&self) -> FabricParams {
-        self.params
     }
 
     /// Applies a drained [`Traffic`] ledger starting at `now`; returns the
@@ -332,6 +311,10 @@ mod tests {
     use super::*;
     use crate::stats::TrafficClass;
 
+    /// Table 2's fabric: 1 TB/s DRAM and 64 GB/s links at 1 GHz.
+    const TABLE2: FabricParams =
+        FabricParams { dram_bytes_per_cycle: 1000.0, link_bytes_per_cycle: 64.0 };
+
     #[test]
     fn server_serializes_transfers() {
         let mut s = BandwidthServer::new(10.0, 0);
@@ -359,13 +342,7 @@ mod tests {
 
     #[test]
     fn fabric_bottleneck_is_slowest_resource() {
-        let params = FabricParams {
-            dram_bytes_per_cycle: 1000.0,
-            link_bytes_per_cycle: 64.0,
-            dram_latency: 0,
-            link_latency: 0,
-        };
-        let mut fabric = NumaTiming::new(2, params);
+        let mut fabric = NumaTiming::new(2, TABLE2);
         let mut t = Traffic::new(2);
         // 64 KB remote: DRAM at home takes 65.5 cycles, link takes 1024.
         t.add_remote(GpmId(1), GpmId(0), TrafficClass::Texture, 65536);
@@ -376,10 +353,7 @@ mod tests {
 
     #[test]
     fn local_traffic_uses_fast_dram() {
-        let mut fabric = NumaTiming::new(
-            2,
-            FabricParams { dram_latency: 0, link_latency: 0, ..Default::default() },
-        );
+        let mut fabric = NumaTiming::new(2, TABLE2);
         let mut t = Traffic::new(2);
         t.add_local(GpmId(0), TrafficClass::Texture, 65536);
         let ready = fabric.apply(0, &t);
@@ -449,10 +423,7 @@ mod tests {
 
     #[test]
     fn fabric_schedule_installation() {
-        let mut fabric = NumaTiming::new(
-            2,
-            FabricParams { dram_latency: 0, link_latency: 0, ..Default::default() },
-        );
+        let mut fabric = NumaTiming::new(2, TABLE2);
         fabric.set_link_schedule(
             GpmId(0),
             GpmId(1),
@@ -469,10 +440,7 @@ mod tests {
 
     #[test]
     fn pairwise_links_are_independent() {
-        let mut fabric = NumaTiming::new(
-            4,
-            FabricParams { dram_latency: 0, link_latency: 0, ..Default::default() },
-        );
+        let mut fabric = NumaTiming::new(4, TABLE2);
         let mut t1 = Traffic::new(4);
         t1.add_link_only(GpmId(0), GpmId(1), TrafficClass::Composition, 6400);
         let mut t2 = Traffic::new(4);

@@ -118,11 +118,6 @@ echo "==> git diff --exit-code -- results/traces (committed traces are current)"
 # change moved a trace without the regenerated file being committed.
 git diff --exit-code -- results/traces
 
-echo "==> stage_split example with the stage-spans feature (kernel spans reconcile)"
-# Builds the render kernel's host-time spans, which are off by default,
-# and fails unless each call's stages add up to its wall time within 5%.
-cargo run -q --release -p oovr --features stage-spans --example stage_split 0.05 1
-
 echo "==> cargo bench --no-run (criterion benches stay compilable)"
 cargo bench --no-run
 

@@ -298,9 +298,8 @@ fn reference_decision(
             g
         })
         .collect();
-    let gpu = GpuConfig::default();
     let warp: Vec<Cycle> = (0..n)
-        .map(|o| atw::warp_cycles_for_pixels(pixels[o], &gpu).min(busy[o * n_gpms + resident[o]]))
+        .map(|o| atw::warp_cycles_for_pixels(pixels[o]).min(busy[o * n_gpms + resident[o]]))
         .collect();
     if threshold <= 0.0 || n == 0 {
         return (0, n as u32, 0);
@@ -385,7 +384,7 @@ proptest! {
         let busy: Vec<Cycle> =
             objects.iter().flat_map(|o| (0..n_gpms).map(move |g| busy_cycle(o.2, g))).collect();
         let pixels: Vec<u64> = objects.iter().map(|o| o.3).collect();
-        let profile = TemporalProfile::new(&scene, &GpuConfig::default(), n_gpms, busy.clone(), &pixels, 1 << 30);
+        let profile = TemporalProfile::new(&scene, n_gpms, busy.clone(), &pixels, 1 << 30);
         let kernel = scene.motion_kernel();
         let probes = scene.motion_probes();
 
@@ -518,14 +517,7 @@ fn scene_bound_is_sound_and_decides_like_the_reference() {
         }
         let scene = builder.build();
         let res = scene.resolution();
-        let profile = TemporalProfile::new(
-            &scene,
-            &GpuConfig::default(),
-            n_gpms,
-            busy.clone(),
-            &pixels,
-            1 << 30,
-        );
+        let profile = TemporalProfile::new(&scene, n_gpms, busy.clone(), &pixels, 1 << 30);
         let kernel = scene.motion_kernel();
         let base = Pose {
             yaw: rng.gen_range(-0.5..0.5),
