@@ -48,7 +48,7 @@ use std::ops::Range;
 
 /// Default reuse threshold in pixels of projected-bound motion.
 ///
-/// The default OU pose model jitters ~0.035 rad/frame, which projects to
+/// The OU pose walk jitters ~0.035 rad/frame, which projects to
 /// roughly a dozen pixels at the Table 3 resolutions; 16 px reuses the
 /// slow-moving bulk of a scene while re-rendering anything the eye tracks.
 pub const DEFAULT_REUSE_THRESHOLD: f64 = 16.0;

@@ -129,9 +129,9 @@ impl GpuConfig {
         if !(1..=16).contains(&self.n_gpms) {
             return Err(GpuError::Mem(oovr_mem::MemError::TooManyGpms { requested: self.n_gpms }));
         }
-        if !self.link_gbps.is_finite() || self.link_gbps <= 0.0 {
+        if !self.link_gbps.is_finite() || self.link_gbps < MIN_LINK_GBPS {
             return Err(GpuError::InvalidConfig(format!(
-                "link_gbps must be positive and finite, got {}",
+                "link_gbps must be finite and at least {MIN_LINK_GBPS}, got {}",
                 self.link_gbps
             )));
         }
@@ -167,7 +167,17 @@ impl GpuConfig {
 
 /// Cycle budget guard: a frame longer than this aborts the simulation (a
 /// runaway usually indicates a configuration error, not a slow frame).
+/// [`GpuConfig::validate`] rejects the configurations that cannot finish
+/// a frame inside it: links below [`MIN_LINK_GBPS`] and fault plans whose
+/// outage windows reach it.
 pub const MAX_FRAME_CYCLES: Cycle = 50_000_000_000;
+
+/// Slowest inter-GPM link [`GpuConfig::validate`] accepts, in GB/s: 1/64
+/// of Table 2's link and 1/32 of the slowest one the paper sweeps (Fig. 4,
+/// Fig. 17). A frame's inter-GPM traffic — tens of MB at the Table 3
+/// resolutions — crosses it well inside [`MAX_FRAME_CYCLES`], even at a
+/// fault plan's 2% rate floor.
+pub const MIN_LINK_GBPS: f64 = 1.0;
 
 #[cfg(test)]
 mod tests {
@@ -226,6 +236,9 @@ mod tests {
         assert!(matches!(c.validate(), Err(GpuError::Mem(_))));
         let c = GpuConfig { link_gbps: 0.0, ..GpuConfig::default() };
         assert!(matches!(c.validate(), Err(GpuError::InvalidConfig(_))));
+        let c = GpuConfig { link_gbps: MIN_LINK_GBPS * 0.999, ..GpuConfig::default() };
+        assert!(matches!(c.validate(), Err(GpuError::InvalidConfig(_))));
+        assert!(GpuConfig::default().with_link_gbps(MIN_LINK_GBPS).validate().is_ok());
         let c = GpuConfig::default().with_fault(FaultPlan::new(FaultScenario::LinkDegrade, 2.0, 0));
         assert!(matches!(c.validate(), Err(GpuError::InvalidFault(_))));
         let c = GpuConfig::default().with_fault(FaultPlan::new(FaultScenario::Mixed, 0.5, 9));

@@ -1396,8 +1396,10 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
         /// Every settable value, from the degenerate to the absurd: a
-        /// config builds exactly when it validates, and a rejected one
-        /// reports `validate`'s typed error instead of panicking.
+        /// config builds exactly when it validates, a rejected one reports
+        /// `validate`'s typed error instead of panicking, and an accepted
+        /// one renders one SMP unit of the test scene inside the
+        /// `MAX_FRAME_CYCLES` runaway guard.
         #[test]
         fn try_new_builds_exactly_what_validates(
             n_gpms in 0usize..21,
@@ -1422,7 +1424,13 @@ mod tests {
                 FbOrg::InterleavedPages,
                 ColorMode::Direct,
             );
-            prop_assert_eq!(built.err(), cfg.validate().err(), "{:?}", cfg);
+            match built {
+                Ok(mut ex) => {
+                    prop_assert!(cfg.validate().is_ok(), "{:?}", cfg);
+                    ex.exec_unit(GpmId(0), &RenderUnit::smp(ObjectId(0)));
+                }
+                Err(e) => prop_assert_eq!(Some(e), cfg.validate().err(), "{:?}", cfg),
+            }
         }
     }
 

@@ -18,6 +18,7 @@ use oovr_mem::{Cycle, GpmId, RateSchedule};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use crate::config::MAX_FRAME_CYCLES;
 use crate::error::GpuError;
 
 /// The VR frame budget in cycles at the 1 GHz clock of Table 2: 11.1 ms for
@@ -69,7 +70,9 @@ impl FaultScenario {
 /// (every schedule query returns `None`, leaving the exact fixed-rate
 /// arithmetic untouched). `horizon` is the time span over which fault
 /// windows are laid out; past it, sustained scenarios hold their degraded
-/// rate and transient ones return to nominal.
+/// rate and transient ones return to nominal. A window (an eighth of the
+/// horizon) must stay shorter than [`MAX_FRAME_CYCLES`]
+/// ([`validate`](Self::validate)).
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultPlan {
     /// Fault class to inject.
@@ -117,6 +120,14 @@ impl FaultPlan {
         }
         if self.horizon == 0 {
             return Err(GpuError::InvalidFault("horizon must be positive".to_string()));
+        }
+        // An outage lasts up to a whole window, and no frame outlasts the
+        // runaway guard.
+        if self.window_len() >= MAX_FRAME_CYCLES {
+            return Err(GpuError::InvalidFault(format!(
+                "horizon {} lays {WINDOWS} fault windows of {MAX_FRAME_CYCLES} cycles or more",
+                self.horizon
+            )));
         }
         Ok(())
     }
@@ -575,5 +586,12 @@ mod tests {
         assert!(p.validate().is_err());
         p.horizon = VR_DEADLINE_CYCLES;
         assert!(p.validate().is_ok());
+        // The longest horizon whose windows stay under the frame guard.
+        p.horizon = WINDOWS * MAX_FRAME_CYCLES - 1;
+        assert!(p.validate().is_ok());
+        p.horizon += 1;
+        assert!(p.validate().is_err());
+        p.horizon = u64::MAX;
+        assert!(p.validate().is_err());
     }
 }

@@ -58,7 +58,7 @@ pub use error::SceneError;
 pub use generator::{BenchmarkSpec, Personality};
 pub use geometry::{Rect, ScreenTriangle, TriSampler, Vec2};
 pub use object::{MotionKernel, MotionProbe, ObjectBuilder, PoseDelta, RenderObject, TextureUse};
-pub use pose::{Pose, PoseModel, PoseTrajectory};
+pub use pose::{Pose, PoseTrajectory};
 pub use scene::{Scene, SceneBuilder};
 pub use texture::TextureDesc;
 pub use types::{Eye, ObjectId, Resolution, TextureId, Viewport};

@@ -55,55 +55,34 @@ impl Pose {
     }
 }
 
-/// Orientation limits and motion parameters of the walk (defaults tuned to
-/// the viewport-pose model's reported statistics at 90 Hz).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PoseModel {
-    /// Mean-reversion rate toward the rest pose per frame.
-    pub reversion: f64,
-    /// Per-frame angular noise scale in radians.
-    pub jitter: f64,
-    /// Hard bound on |yaw| (radians).
-    pub yaw_limit: f64,
-    /// Hard bound on |pitch| (radians; humans pitch less than they yaw).
-    pub pitch_limit: f64,
-    /// Hard bound on |roll| (radians).
-    pub roll_limit: f64,
-    /// Per-frame positional drift scale in meters.
-    pub drift: f64,
-}
+// The walk's motion parameters, tuned to the viewport-pose model's
+// reported statistics at 90 Hz.
 
-impl Default for PoseModel {
-    fn default() -> Self {
-        PoseModel {
-            reversion: 0.02,
-            jitter: 0.035,
-            yaw_limit: std::f64::consts::PI,
-            pitch_limit: std::f64::consts::FRAC_PI_2,
-            roll_limit: 0.5,
-            drift: 0.002,
-        }
-    }
-}
+/// Mean-reversion rate toward the rest pose per frame.
+const REVERSION: f64 = 0.02;
+/// Per-frame angular noise scale in radians.
+const JITTER: f64 = 0.035;
+/// Hard bound on |yaw| (radians).
+const YAW_LIMIT: f64 = std::f64::consts::PI;
+/// Hard bound on |pitch| (radians; humans pitch less than they yaw).
+const PITCH_LIMIT: f64 = std::f64::consts::FRAC_PI_2;
+/// Hard bound on |roll| (radians).
+const ROLL_LIMIT: f64 = 0.5;
+/// Per-frame positional drift scale in meters.
+const DRIFT: f64 = 0.002;
 
 /// A deterministic head-pose stream: one [`Pose`] per 90 Hz frame, derived
 /// entirely from the session seed.
 #[derive(Debug, Clone)]
 pub struct PoseTrajectory {
     rng: StdRng,
-    model: PoseModel,
     current: Pose,
 }
 
 impl PoseTrajectory {
-    /// Creates the trajectory for a session seed with the default model.
+    /// Creates the trajectory for a session seed.
     pub fn new(seed: u64) -> Self {
-        Self::with_model(seed, PoseModel::default())
-    }
-
-    /// Creates a trajectory with explicit motion parameters.
-    pub fn with_model(seed: u64, model: PoseModel) -> Self {
-        PoseTrajectory { rng: StdRng::seed_from_u64(seed), model, current: Pose::identity() }
+        PoseTrajectory { rng: StdRng::seed_from_u64(seed), current: Pose::identity() }
     }
 
     /// The pose at the most recent frame.
@@ -113,17 +92,16 @@ impl PoseTrajectory {
 
     /// Advances one frame and returns the new pose.
     pub fn step(&mut self) -> Pose {
-        let m = self.model;
         let mut axis = |v: f64, limit: f64| {
-            let noise = self.rng.gen_range(-m.jitter..m.jitter);
-            (v - m.reversion * v + noise).clamp(-limit, limit)
+            let noise = self.rng.gen_range(-JITTER..JITTER);
+            (v - REVERSION * v + noise).clamp(-limit, limit)
         };
-        let yaw = axis(self.current.yaw, m.yaw_limit);
-        let pitch = axis(self.current.pitch, m.pitch_limit);
-        let roll = axis(self.current.roll, m.roll_limit);
+        let yaw = axis(self.current.yaw, YAW_LIMIT);
+        let pitch = axis(self.current.pitch, PITCH_LIMIT);
+        let roll = axis(self.current.roll, ROLL_LIMIT);
         let mut pos = self.current.position;
         for p in &mut pos {
-            *p += self.rng.gen_range(-m.drift..m.drift);
+            *p += self.rng.gen_range(-DRIFT..DRIFT);
         }
         self.current = Pose { yaw, pitch, roll, position: pos };
         self.current
@@ -153,13 +131,12 @@ mod tests {
 
     #[test]
     fn orientation_stays_within_human_limits() {
-        let m = PoseModel::default();
         let mut t = PoseTrajectory::new(99);
         for _ in 0..10_000 {
             let p = t.step();
-            assert!(p.yaw.abs() <= m.yaw_limit);
-            assert!(p.pitch.abs() <= m.pitch_limit);
-            assert!(p.roll.abs() <= m.roll_limit);
+            assert!(p.yaw.abs() <= YAW_LIMIT);
+            assert!(p.pitch.abs() <= PITCH_LIMIT);
+            assert!(p.roll.abs() <= ROLL_LIMIT);
         }
     }
 
@@ -175,7 +152,7 @@ mod tests {
             let turn = (next.yaw - prev.yaw).abs()
                 + (next.pitch - prev.pitch).abs()
                 + (next.roll - prev.roll).abs();
-            assert!(turn <= 3.0 * 0.035 + 1e-12);
+            assert!(turn <= 3.0 * JITTER + 1e-12);
             prev = next;
         }
     }

@@ -405,7 +405,6 @@ fn run_cluster(
         .collect();
 
     let mut events: Vec<TraceEvent> = Vec::new();
-    let mut alive_prev = vec![false; n];
     let mut scale = 1.0f64;
     let mut min_scale = 1.0f64;
     let mut retries = 0u64;
@@ -427,7 +426,8 @@ fn run_cluster(
 
     // Admission buckets: `due[k]` holds the waiting sessions whose next
     // attempt falls in interval `k` — arrivals, filled in id order, then
-    // backed-off retries. A waiting session sits in exactly one bucket.
+    // the retries each earlier interval backed off into it, each an
+    // ascending run. A waiting session sits in exactly one bucket.
     let mut due: Vec<Vec<u32>> = vec![Vec::new(); k_max as usize + 1];
     for (i, sess) in sessions.iter().enumerate() {
         due[sess.arrival as usize].push(i as u32);
@@ -438,8 +438,8 @@ fn run_cluster(
     let mut active: Vec<u32> = Vec::new();
     // Waiting plus active sessions: the run ends once none is left.
     let mut live = cfg.sessions;
-    // One placement-order buffer for every router decision.
-    let mut order: Vec<usize> = Vec::with_capacity(n);
+    // The cheapest cold frame of the mix: no migration can place less.
+    let min_cold = st.cold.iter().copied().min().unwrap_or(1);
 
     // Compile the fault plan once into per-server schedules; the interval
     // loop then samples multipliers instead of re-deriving the product
@@ -447,21 +447,34 @@ fn run_cluster(
     let server_scheds: Vec<Option<oovr_gpu::RateSchedule>> =
         (0..n).map(|s| cfg.fault.as_ref().and_then(|p| p.server_schedule(s, n))).collect();
 
+    // Per-interval state, refilled in place every interval: server rates,
+    // liveness (the previous interval's until step 1 updates it), render
+    // budgets and what is left of them, the shed-scaled frame cost of each
+    // stream, this interval's admits, the migration movers, and one merge
+    // buffer.
+    let mut rates = vec![1.0f64; n];
+    let mut alive = vec![false; n];
+    let mut budget = vec![0u64; n];
+    let mut remaining = vec![0u64; n];
+    let mut cold_cost = vec![0u64; st.cold.len()];
+    let mut steady_cost = vec![0u64; st.steady.len()];
+    let mut admits: Vec<u32> = Vec::new();
+    let mut movers: Vec<usize> = Vec::new();
+    let mut merged: Vec<u32> = Vec::new();
+
     for k in 0..=k_max {
         let t = k as Cycle * v;
 
         // 1. Server rates and up/down transitions.
-        let rates: Vec<f64> = server_scheds
-            .iter()
-            .map(|sch| sch.as_ref().map_or(1.0, |s| s.multiplier_at(t)))
-            .collect();
-        let alive: Vec<bool> = rates.iter().map(|&r| r > 0.0).collect();
+        let mut stranded = false;
         for s in 0..n {
-            if alive[s] && !alive_prev[s] {
+            let rate = server_scheds[s].as_ref().map_or(1.0, |sch| sch.multiplier_at(t));
+            let up = rate > 0.0;
+            if up && !alive[s] {
                 if observe {
                     events.push(TraceEvent::ServerUp { cycle: t, server: s as u32 });
                 }
-            } else if !alive[s] && alive_prev[s] {
+            } else if !up && alive[s] {
                 downs += 1;
                 if observe {
                     events.push(TraceEvent::ServerDown {
@@ -471,27 +484,31 @@ fn run_cluster(
                     });
                 }
             }
+            rates[s] = rate;
+            alive[s] = up;
+            budget[s] = (v as f64 * rate) as u64;
+            stranded |= !up && ledger[s].active > 0;
         }
-        alive_prev.clone_from(&alive);
 
         // 2. Failover: pull active sessions off dead servers, in id order.
         //    The residency guard does not apply — a dead host overrides
         //    placement stability. Warm restart is charged via the cold
-        //    frame on the destination.
-        if cfg.router.failover() && alive.iter().any(|a| !a) {
+        //    frame on the destination. A server that stays down holds
+        //    no session after its first interval down, so the pass runs
+        //    only while some dead server still hosts one.
+        if cfg.router.failover() && stranded {
             for &i in &active {
                 let sess = &mut sessions[i as usize];
                 let server = sess.server;
                 if alive[server] {
                     continue;
                 }
-                cfg.policy.order(
+                let dest = cfg.policy.first(
                     session_key(cfg.seed, i as usize),
                     sess.stream,
                     &ledger,
-                    &mut order,
+                    |d| alive[d] && d != server,
                 );
-                let dest = order.iter().copied().find(|&d| alive[d] && d != server);
                 if let Some(d) = dest {
                     sess.relocate(d, k, &mut ledger, &st);
                     failovers += 1;
@@ -508,13 +525,13 @@ fn run_cluster(
         }
 
         // 3. Admission: this interval's bucket — arrivals and backed-off
-        //    retries — sorted into id order. The resilient router
+        //    retries — merged into id order. The resilient router
         //    health-checks candidates (a dead server never admits); the
         //    fault-oblivious baseline will place sessions on one. When no
         //    candidate fits *right now*, the retrying router backs off
         //    into a later bucket and tries again, the baseline rejects.
         let mut bucket = std::mem::take(&mut due[k as usize]);
-        bucket.sort_unstable();
+        merge_runs(&mut bucket, &mut merged);
         for &i in &bucket {
             let sess = &mut sessions[i as usize];
             debug_assert_eq!(sess.state, State::Waiting);
@@ -544,30 +561,16 @@ fn run_cluster(
             // against nominal budgets — refusing a merely *degraded*
             // server outright would waste the capacity it still has;
             // migration and shedding absorb the shortfall instead.
-            //
-            // The preference order is a permutation of every server, so
-            // whether any candidate fits does not depend on it: it is
-            // built only once one does.
             let aware = cfg.router.failover();
-            let fits = |c: usize| {
-                (!aware || alive[c]) && ledger[c].load + demand <= DEFAULT_HEADROOM * v as f64
-            };
-            let cand = if (0..n).any(fits) {
-                cfg.policy.order(
-                    session_key(cfg.seed, i as usize),
-                    sess.stream,
-                    &ledger,
-                    &mut order,
-                );
-                order.iter().copied().find(|&c| fits(c))
-            } else {
-                None
-            };
+            let cand =
+                cfg.policy.first(session_key(cfg.seed, i as usize), sess.stream, &ledger, |c| {
+                    (!aware || alive[c]) && ledger[c].load + demand <= DEFAULT_HEADROOM * v as f64
+                });
             if let Some(cand) = cand {
                 sess.place(cand, k, &mut ledger, &st);
                 sess.state = State::Active;
                 sess.admitted_at = Some(k);
-                active.push(i);
+                admits.push(i);
                 if observe {
                     events.push(TraceEvent::SessionRoute {
                         cycle: t,
@@ -603,18 +606,23 @@ fn run_cluster(
                 }
             }
         }
-        // The admits form a second ascending run, which the stable,
-        // run-detecting sort merges in.
-        active.sort();
+        // The admits form an ascending run of ids no active session holds.
+        if !admits.is_empty() {
+            merge_into(&active, &admits, &mut merged);
+            std::mem::swap(&mut active, &mut merged);
+            admits.clear();
+        }
 
         // 4. Overload migration, behind the anti-ping-pong residency guard.
         if cfg.router.migrate() {
             for s in 0..n {
-                if !alive[s] {
+                if !alive[s] || ledger[s].demand(switch_tax) <= budget[s] {
                     continue;
                 }
-                let budget = (v as f64 * rates[s]) as u64;
-                if ledger[s].demand(switch_tax) <= budget {
+                // Every mover's cold frame costs at least `min_cold`: when
+                // no other server has room for that, the first mover would
+                // find no destination and end the scan, so skip it.
+                if !any_destination(s, min_cold, &ledger, &alive, &budget, switch_tax) {
                     continue;
                 }
                 // Movers, most recently placed first, among active
@@ -622,24 +630,19 @@ fn run_cluster(
                 // long-resident sessions stay put. The eligible set only
                 // shrinks while we migrate off `s`, so one scan of the
                 // active list per interval suffices.
-                let mut movers: Vec<usize> = active
-                    .iter()
-                    .map(|&i| i as usize)
-                    .filter(|&i| {
-                        sessions[i].server == s
-                            && k.saturating_sub(sessions[i].last_move) >= MIN_RESIDENCY
-                    })
-                    .collect();
+                movers.clear();
+                movers.extend(active.iter().map(|&i| i as usize).filter(|&i| {
+                    sessions[i].server == s
+                        && k.saturating_sub(sessions[i].last_move) >= MIN_RESIDENCY
+                }));
                 movers.sort_unstable_by_key(|&i| (sessions[i].last_move, i));
-                while ledger[s].demand(switch_tax) > budget {
+                while ledger[s].demand(switch_tax) > budget[s] {
                     let Some(i) = movers.pop() else { break };
                     let stream = sessions[i].stream;
-                    cfg.policy.order(session_key(cfg.seed, i), stream, &ledger, &mut order);
-                    let dest = order.iter().copied().find(|&d| {
+                    let dest = cfg.policy.first(session_key(cfg.seed, i), stream, &ledger, |d| {
                         d != s
                             && alive[d]
-                            && ledger[d].demand(switch_tax) + st.cold[stream]
-                                <= (v as f64 * rates[d]) as u64
+                            && ledger[d].demand(switch_tax) + st.cold[stream] <= budget[d]
                     });
                     let Some(d) = dest else { break };
                     sessions[i].relocate(d, k, &mut ledger, &st);
@@ -692,17 +695,24 @@ fn run_cluster(
 
         // 6. Serve: the active sessions in id order (EDF under the shared
         //    per-interval deadline); frames that do not fit miss without
-        //    consuming budget. Dead servers serve nothing.
+        //    consuming budget. Dead servers serve nothing. Sessions that
+        //    serve their last frame leave the active list here.
         let eff_scale = if cfg.router.shed() { scale } else { 1.0 };
-        let mut remaining: Vec<u64> = (0..n)
-            .map(|s| {
-                if !alive[s] {
-                    return 0;
-                }
-                ((v as f64 * rates[s]) as u64).saturating_sub(ledger[s].tax(switch_tax, None))
-            })
-            .collect();
-        for &i in &active {
+        let scaled = |c: Cycle| (((c as f64) * eff_scale).round() as u64).max(1);
+        for (j, (&cold, &steady)) in st.cold.iter().zip(&st.steady).enumerate() {
+            cold_cost[j] = scaled(cold);
+            steady_cost[j] = scaled(steady);
+        }
+        for s in 0..n {
+            remaining[s] = if alive[s] {
+                budget[s].saturating_sub(ledger[s].tax(switch_tax, None))
+            } else {
+                0
+            };
+        }
+        let mut kept = 0;
+        for j in 0..active.len() {
+            let i = active[j];
             let sess = &mut sessions[i as usize];
             // Admission comes no earlier than arrival and no later than
             // the last frame, and a session leaves at its last frame, so
@@ -711,7 +721,8 @@ fn run_cluster(
             let s = sess.server;
             // Frame 0 is always cold: it comes due in the interval the
             // session was admitted, and admission sets `cold_pending`.
-            let cost = (((sess.held(&st) as f64) * eff_scale).round() as u64).max(1);
+            let cost =
+                if sess.cold_pending { cold_cost[sess.stream] } else { steady_cost[sess.stream] };
             let on_time = alive[s] && cost <= remaining[s];
             let degraded = on_time && eff_scale < 1.0;
             if on_time {
@@ -741,33 +752,38 @@ fn run_cluster(
                 sess.release(&mut ledger, &st);
                 sess.state = State::Done;
                 live -= 1;
+            } else {
+                active[kept] = i;
+                kept += 1;
             }
         }
+        active.truncate(kept);
 
         // 7. Eviction, strictly last resort: only once shedding is pinned
         //    at the floor and a session still cannot make its vsyncs.
+        //    Evicted sessions leave the active list here.
         if cfg.router.evict() && (!cfg.router.shed() || scale <= shed_floor + 1e-9) {
-            for &i in &active {
+            active.retain(|&i| {
                 let sess = &mut sessions[i as usize];
-                if sess.state == State::Active && sess.misses_in_a_row >= cfg.evict_after.max(1) {
-                    sess.release(&mut ledger, &st);
-                    sess.state = State::Evicted;
-                    live -= 1;
-                    if observe {
-                        events.push(TraceEvent::FrameDrop {
-                            cycle: t,
-                            session: i,
-                            frame: k - sess.arrival,
-                            reason: "evicted",
-                        });
-                    }
+                if sess.misses_in_a_row < cfg.evict_after.max(1) {
+                    return true;
                 }
-            }
+                sess.release(&mut ledger, &st);
+                sess.state = State::Evicted;
+                live -= 1;
+                if observe {
+                    events.push(TraceEvent::FrameDrop {
+                        cycle: t,
+                        session: i,
+                        frame: k - sess.arrival,
+                        reason: "evicted",
+                    });
+                }
+                false
+            });
         }
 
-        // 8. Drop the sessions that finished or were evicted; stop once
-        //    nothing is waiting or active.
-        active.retain(|&i| sessions[i as usize].state == State::Active);
+        // 8. Stop once nothing is waiting or active.
         if live == 0 {
             break;
         }
@@ -808,6 +824,61 @@ fn run_cluster(
     (out, events)
 }
 
+/// Whether any live server other than `s` has room for a `cold`-cycle
+/// frame on top of its demand this interval: the destination test of
+/// overload migration. A mover's cold frame costs at least the mix's
+/// cheapest cold frame, so when this is `false` for that cost, no mover
+/// off `s` finds a destination in any preference order.
+fn any_destination(
+    s: usize,
+    cold: Cycle,
+    ledger: &[ServerView],
+    alive: &[bool],
+    budget: &[u64],
+    switch_tax: u64,
+) -> bool {
+    (0..ledger.len())
+        .any(|d| d != s && alive[d] && ledger[d].demand(switch_tax) + cold <= budget[d])
+}
+
+/// Writes the merge of the ascending id lists `a` and `b` into `out`.
+fn merge_into(a: &[u32], b: &[u32], out: &mut Vec<u32>) {
+    out.clear();
+    out.reserve(a.len() + b.len());
+    let (mut x, mut y) = (0, 0);
+    while x < a.len() && y < b.len() {
+        if a[x] <= b[y] {
+            out.push(a[x]);
+            x += 1;
+        } else {
+            out.push(b[y]);
+            y += 1;
+        }
+    }
+    out.extend_from_slice(&a[x..]);
+    out.extend_from_slice(&b[y..]);
+}
+
+/// Sorts `ids`, a concatenation of ascending runs, by merging each run
+/// into the sorted prefix before it (`scratch` is reused). An admission
+/// bucket holds a few runs, so this is linear in practice.
+fn merge_runs(ids: &mut [u32], scratch: &mut Vec<u32>) {
+    let mut sorted = 1;
+    while sorted < ids.len() {
+        if ids[sorted - 1] <= ids[sorted] {
+            sorted += 1;
+            continue;
+        }
+        let mut end = sorted + 1;
+        while end < ids.len() && ids[end - 1] <= ids[end] {
+            end += 1;
+        }
+        merge_into(&ids[..sorted], &ids[sorted..end], scratch);
+        ids[..end].copy_from_slice(scratch);
+        sorted = end;
+    }
+}
+
 /// Places `m` warm sessions of the mix on `n` fault-free servers under
 /// `policy`, once: first candidate with room at full utilization, forced
 /// onto the first candidate when nothing fits. Returns each server's
@@ -826,14 +897,16 @@ fn place_warm(
     // charges the tax with the new stream already resident.
     let mut ledger = vec![ServerView::new(st.demand.len()); n];
     let mut placed: Vec<(usize, usize)> = Vec::with_capacity(m as usize);
-    let mut order = Vec::with_capacity(n);
     for i in 0..m as usize {
         let stream = st.of_mix[i % st.of_mix.len()];
-        policy.order(session_key(seed, i), stream, &ledger, &mut order);
+        let key = session_key(seed, i);
         let fits = |s: usize| {
             ledger[s].cost + st.steady[stream] + ledger[s].tax(switch_tax, Some(stream)) <= v
         };
-        let s = order.iter().copied().find(|&s| fits(s)).unwrap_or(order[0]);
+        let s = policy
+            .first(key, stream, &ledger, fits)
+            .or_else(|| policy.first(key, stream, &ledger, |_| true))
+            .expect("a fleet has at least one server");
         ledger[s].attach(stream, st.demand[stream], st.steady[stream]);
         placed.push((s, stream));
     }
@@ -1167,6 +1240,103 @@ mod tests {
         let mut idx = Vec::new();
         policy.order(key, stream, servers, &mut idx);
         idx
+    }
+
+    #[test]
+    fn destination_precheck_matches_the_first_pop() {
+        let gpu = GpuConfig::default();
+        let st = resolve_streams(&two_stream_mix(), &gpu, &ClusterConfig::default());
+        assert_ne!(st.cold[0], st.cold[1], "the mix must have unequal cold frames");
+        let cheap = if st.cold[0] < st.cold[1] { 0 } else { 1 };
+        let min_cold = st.cold[cheap];
+        // A vsync of a few cold frames: random ledgers land on both sides
+        // of every server's budget.
+        let v = 4 * st.cold.iter().copied().max().unwrap_or(1);
+        let tax = switch_tax(v);
+        let mut rng = StdRng::seed_from_u64(0xD357);
+        // [no destination, destination] for the cheap stream, and cases
+        // where only the cheap stream finds one.
+        let mut seen = [0u32; 2];
+        let mut only_cheap = 0u32;
+        for case in 0..4000u64 {
+            let n = rng.gen_range(2..7usize);
+            let mut ledger = vec![ServerView::new(st.cold.len()); n];
+            for view in ledger.iter_mut() {
+                for _ in 0..rng.gen_range(0..6u32) {
+                    let stream = rng.gen_range(0..st.cold.len());
+                    let held = if rng.gen_bool(0.5) { st.cold[stream] } else { st.steady[stream] };
+                    view.attach(stream, st.demand[stream], held);
+                }
+            }
+            let rates: Vec<f64> =
+                (0..n).map(|_| [0.0, 0.4, 0.8, 1.0][rng.gen_range(0..4usize)]).collect();
+            let alive: Vec<bool> = rates.iter().map(|&r| r > 0.0).collect();
+            let budget: Vec<u64> = rates.iter().map(|&r| (v as f64 * r) as u64).collect();
+            let s = rng.gen_range(0..n);
+            let policy = Placement::ALL[rng.gen_range(0..Placement::ALL.len())];
+            // The scan's first pop, for a mover of each stream: the
+            // preference order, then the first server with room.
+            let found: Vec<bool> = (0..st.cold.len())
+                .map(|stream| {
+                    order_vec(policy, session_key(case, 0), stream, &ledger).into_iter().any(|d| {
+                        d != s
+                            && alive[d]
+                            && ledger[d].demand(tax) + st.cold[stream]
+                                <= (v as f64 * rates[d]) as u64
+                    })
+                })
+                .collect();
+            for (stream, &f) in found.iter().enumerate() {
+                let got = any_destination(s, st.cold[stream], &ledger, &alive, &budget, tax);
+                assert_eq!(got, f, "case {case}, stream {stream}");
+            }
+            let pre = any_destination(s, min_cold, &ledger, &alive, &budget, tax);
+            assert_eq!(pre, found[cheap], "case {case}");
+            if !pre {
+                assert!(found.iter().all(|&f| !f), "case {case}: skipped a scan that moves");
+            }
+            seen[usize::from(pre)] += 1;
+            only_cheap += u32::from(found.iter().filter(|&&f| f).count() == 1);
+        }
+        assert!(seen.iter().all(|&c| c > 100), "outcomes {seen:?}");
+        assert!(only_cheap > 0, "no ledger told the two cold frames apart");
+    }
+
+    #[test]
+    fn merged_runs_are_sorted() {
+        let mut rng = StdRng::seed_from_u64(0x5027);
+        let mut scratch = Vec::new();
+        for _ in 0..500 {
+            // Distinct ids cut into ascending runs, like an admission
+            // bucket of arrivals and retries.
+            let mut ids: Vec<u32> =
+                (0..rng.gen_range(0..200)).filter(|_| rng.gen_bool(0.5)).collect();
+            for j in (1..ids.len()).rev() {
+                ids.swap(j, rng.gen_range(0..=j));
+            }
+            let mut runs = ids.clone();
+            let mut start = 0;
+            while start < runs.len() {
+                let end = (start + rng.gen_range(1..64usize)).min(runs.len());
+                runs[start..end].sort_unstable();
+                start = end;
+            }
+            merge_runs(&mut runs, &mut scratch);
+            ids.sort_unstable();
+            assert_eq!(runs, ids);
+            // Merging two ascending lists gives their sorted union.
+            let cut = rng.gen_range(0..=ids.len());
+            let (mut a, mut b): (Vec<u32>, Vec<u32>) = (Vec::new(), Vec::new());
+            for (j, &id) in ids.iter().enumerate() {
+                if (j < cut) == rng.gen_bool(0.7) {
+                    a.push(id)
+                } else {
+                    b.push(id)
+                }
+            }
+            merge_into(&a, &b, &mut scratch);
+            assert_eq!(scratch, ids);
+        }
     }
 
     /// Reference for [`run_cluster`]: the interval loop that rescans the

@@ -81,7 +81,7 @@ pub use metrics::{
     HealthCell, FAULT_MISS_BUDGET, NOMINAL_MISS_BUDGET, SERVE_MISS_BUDGET, SHED_TIME_BUDGET,
 };
 pub use oovr_gpu::VSYNC_90HZ_CYCLES;
-pub use pose::{session_trajectory, Pose, PoseModel, PoseTrajectory};
+pub use pose::{session_trajectory, Pose, PoseTrajectory};
 pub use qos::{aggregate_qos, percentile, session_qos, AggregateQos, SessionQos};
 pub use router::{Placement, Router, ServerView};
 pub use scheduler::{

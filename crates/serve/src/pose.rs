@@ -4,10 +4,10 @@
 //! projected-bound motion metrics under a [`Pose`] pair (temporal reuse
 //! needs the view transform next to the object bounds it moves). The
 //! serving layer keeps its original paths — `oovr_serve::pose::Pose`,
-//! `oovr_serve::{Pose, PoseModel, PoseTrajectory}` — as aliases of the
+//! `oovr_serve::{Pose, PoseTrajectory}` — as aliases of the
 //! scene-level types.
 
-pub use oovr_scene::pose::{Pose, PoseModel, PoseTrajectory};
+pub use oovr_scene::pose::{Pose, PoseTrajectory};
 
 /// The head-pose trajectory of session `id` in a run seeded `seed`. The
 /// session index is mixed into the run seed, so a session's path does not

@@ -125,11 +125,16 @@ impl Placement {
 
     /// Writes into `idx` the preference order over server indices for a
     /// session identified by `key` replaying cost stream `stream`: always
-    /// a permutation of every server, so a caller reuses one buffer and no
-    /// call allocates. Dead servers are *not* filtered here — liveness
-    /// awareness is a router feature ([`Router::failover`]), not a
-    /// placement one.
-    pub fn order(self, key: u64, stream: usize, servers: &[ServerView], idx: &mut Vec<usize>) {
+    /// a permutation of every server. The reference that
+    /// [`first`](Self::first) is tested against.
+    #[cfg(test)]
+    pub(crate) fn order(
+        self,
+        key: u64,
+        stream: usize,
+        servers: &[ServerView],
+        idx: &mut Vec<usize>,
+    ) {
         idx.clear();
         idx.extend(0..servers.len());
         // Every comparator below ends in the index, a strict total order,
@@ -145,18 +150,9 @@ impl Placement {
                 // Same-stream hosts first, then empty servers (fresh
                 // packing targets), then mixed servers — each tier in
                 // ascending-load order.
-                let tier = |s: &ServerView| {
-                    if s.hosts(stream) {
-                        0u8
-                    } else if s.active == 0 {
-                        1
-                    } else {
-                        2
-                    }
-                };
                 idx.sort_unstable_by(|&a, &b| {
-                    tier(&servers[a])
-                        .cmp(&tier(&servers[b]))
+                    affinity_tier(&servers[a], stream)
+                        .cmp(&affinity_tier(&servers[b], stream))
                         .then(cmp_f64(servers[a].load, servers[b].load))
                         .then(a.cmp(&b))
                 });
@@ -172,6 +168,55 @@ impl Placement {
                 });
             }
         }
+    }
+
+    /// The first server that satisfies `pred` in the preference order of
+    /// a session identified by `key` replaying cost stream `stream`, found
+    /// in one pass over the servers. Every policy's order ends its
+    /// comparison in the server index, so it is a strict total order and
+    /// its first match is the least matching server under it. Dead servers
+    /// are *not* filtered here — liveness awareness is a router feature
+    /// ([`Router::failover`]) the caller puts in `pred`.
+    pub(crate) fn first(
+        self,
+        key: u64,
+        stream: usize,
+        servers: &[ServerView],
+        mut pred: impl FnMut(usize) -> bool,
+    ) -> Option<usize> {
+        // The policy's sort key up to the index; the ascending scan keeps
+        // the lower index on a tie.
+        let rank = |c: usize| {
+            let s = &servers[c];
+            match self {
+                Placement::LeastLoaded => (0, s.load),
+                Placement::Affinity => (u64::from(affinity_tier(s, stream)), s.load),
+                Placement::ConsistentHash => (!rendezvous_weight(key, c as u64), 0.0),
+            }
+        };
+        let mut best: Option<(usize, (u64, f64))> = None;
+        for c in 0..servers.len() {
+            if !pred(c) {
+                continue;
+            }
+            let r = rank(c);
+            if best.is_none_or(|(_, b)| r.0.cmp(&b.0).then(cmp_f64(r.1, b.1)).is_lt()) {
+                best = Some((c, r));
+            }
+        }
+        best.map(|(c, _)| c)
+    }
+}
+
+/// Affinity tier of a server for a session of `stream`: same-stream hosts,
+/// then empty servers, then mixed servers.
+fn affinity_tier(s: &ServerView, stream: usize) -> u8 {
+    if s.hosts(stream) {
+        0
+    } else if s.active == 0 {
+        1
+    } else {
+        2
     }
 }
 
@@ -304,6 +349,31 @@ mod tests {
         }
         for (s, &count) in first.iter().enumerate() {
             assert!(count > 20, "server {s} got only {count}/256 keys");
+        }
+    }
+
+    #[test]
+    fn first_is_the_first_match_of_the_order() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0xF125);
+        for case in 0..2000u64 {
+            // Few distinct loads and stream counts, so ties and every
+            // affinity tier come up.
+            let servers: Vec<ServerView> = (0..rng.gen_range(1..9usize))
+                .map(|_| {
+                    let streams = vec![rng.gen_range(0..2u32), rng.gen_range(0..2u32)];
+                    let active = streams.iter().sum();
+                    let load = f64::from(rng.gen_range(0..4u32)) * 0.5;
+                    ServerView { load, active, streams, cost: 0 }
+                })
+                .collect();
+            let allowed: Vec<bool> = servers.iter().map(|_| rng.gen_bool(0.6)).collect();
+            let stream = rng.gen_range(0..2usize);
+            for p in Placement::ALL {
+                let want = order(p, case, stream, &servers).into_iter().find(|&c| allowed[c]);
+                assert_eq!(p.first(case, stream, &servers, |c| allowed[c]), want, "{case} {p:?}");
+            }
         }
     }
 

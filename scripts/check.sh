@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Pre-PR gate: everything CI would complain about, in one command.
 #
-#   ./scripts/check.sh          # build + tests + clippy + fmt + golden digest
+#   ./scripts/check.sh          # build + sim digests + tests + clippy + fmt + golden digest
 #
 # Run from anywhere; the script cds to the repo root.
 set -euo pipefail
@@ -14,6 +14,20 @@ echo "==> cargo build --release --offline --manifest-path oobench/Cargo.toml"
 # The benchmark is a package of its own outside the workspace; building it
 # here catches a change to the library API it compiles against.
 cargo build --release --offline --manifest-path oobench/Cargo.toml
+
+echo "==> oobench sim_digest (seed 0, both workloads) against scripts/sim_digests.txt"
+# A digest of everything each benchmark workload simulates: a change that
+# only speeds the simulator up must leave both values alone, and one that
+# moves them on purpose commits the new values with the change.
+while read -r workload want; do
+    got=$(cargo run -q --release --offline --manifest-path oobench/Cargo.toml -- \
+        --workload "$workload" --seed 0 --seconds 1 --trace 0 </dev/null | sed -n 's/^sim_digest //p')
+    if [ "$got" != "$want" ]; then
+        echo "SIM DIGEST MISMATCH: $workload sim_digest is '$got', scripts/sim_digests.txt has '$want'" >&2
+        exit 1
+    fi
+    echo "    $workload sim_digest $got"
+done < scripts/sim_digests.txt
 
 echo "==> cargo test -q --no-fail-fast"
 cargo test -q --no-fail-fast
