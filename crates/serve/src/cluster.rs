@@ -427,7 +427,8 @@ fn run_cluster(
     // Admission buckets: `due[k]` holds the waiting sessions whose next
     // attempt falls in interval `k` — arrivals, filled in id order, then
     // the retries each earlier interval backed off into it, each an
-    // ascending run. A waiting session sits in exactly one bucket.
+    // ascending run that the run-detecting stable sort merges. A waiting
+    // session sits in exactly one bucket.
     let mut due: Vec<Vec<u32>> = vec![Vec::new(); k_max as usize + 1];
     for (i, sess) in sessions.iter().enumerate() {
         due[sess.arrival as usize].push(i as u32);
@@ -531,7 +532,7 @@ fn run_cluster(
         //    candidate fits *right now*, the retrying router backs off
         //    into a later bucket and tries again, the baseline rejects.
         let mut bucket = std::mem::take(&mut due[k as usize]);
-        merge_runs(&mut bucket, &mut merged);
+        bucket.sort();
         for &i in &bucket {
             let sess = &mut sessions[i as usize];
             debug_assert_eq!(sess.state, State::Waiting);
@@ -857,26 +858,6 @@ fn merge_into(a: &[u32], b: &[u32], out: &mut Vec<u32>) {
     }
     out.extend_from_slice(&a[x..]);
     out.extend_from_slice(&b[y..]);
-}
-
-/// Sorts `ids`, a concatenation of ascending runs, by merging each run
-/// into the sorted prefix before it (`scratch` is reused). An admission
-/// bucket holds a few runs, so this is linear in practice.
-fn merge_runs(ids: &mut [u32], scratch: &mut Vec<u32>) {
-    let mut sorted = 1;
-    while sorted < ids.len() {
-        if ids[sorted - 1] <= ids[sorted] {
-            sorted += 1;
-            continue;
-        }
-        let mut end = sorted + 1;
-        while end < ids.len() && ids[end - 1] <= ids[end] {
-            end += 1;
-        }
-        merge_into(&ids[..sorted], &ids[sorted..end], scratch);
-        ids[..end].copy_from_slice(scratch);
-        sorted = end;
-    }
 }
 
 /// Places `m` warm sessions of the mix on `n` fault-free servers under
@@ -1300,43 +1281,6 @@ mod tests {
         }
         assert!(seen.iter().all(|&c| c > 100), "outcomes {seen:?}");
         assert!(only_cheap > 0, "no ledger told the two cold frames apart");
-    }
-
-    #[test]
-    fn merged_runs_are_sorted() {
-        let mut rng = StdRng::seed_from_u64(0x5027);
-        let mut scratch = Vec::new();
-        for _ in 0..500 {
-            // Distinct ids cut into ascending runs, like an admission
-            // bucket of arrivals and retries.
-            let mut ids: Vec<u32> =
-                (0..rng.gen_range(0..200)).filter(|_| rng.gen_bool(0.5)).collect();
-            for j in (1..ids.len()).rev() {
-                ids.swap(j, rng.gen_range(0..=j));
-            }
-            let mut runs = ids.clone();
-            let mut start = 0;
-            while start < runs.len() {
-                let end = (start + rng.gen_range(1..64usize)).min(runs.len());
-                runs[start..end].sort_unstable();
-                start = end;
-            }
-            merge_runs(&mut runs, &mut scratch);
-            ids.sort_unstable();
-            assert_eq!(runs, ids);
-            // Merging two ascending lists gives their sorted union.
-            let cut = rng.gen_range(0..=ids.len());
-            let (mut a, mut b): (Vec<u32>, Vec<u32>) = (Vec::new(), Vec::new());
-            for (j, &id) in ids.iter().enumerate() {
-                if (j < cut) == rng.gen_bool(0.7) {
-                    a.push(id)
-                } else {
-                    b.push(id)
-                }
-            }
-            merge_into(&a, &b, &mut scratch);
-            assert_eq!(scratch, ids);
-        }
     }
 
     /// Reference for [`run_cluster`]: the interval loop that rescans the
