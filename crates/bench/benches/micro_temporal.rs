@@ -5,11 +5,14 @@
 //! asks the scene bound — one whole-scene box, then the 4×4 grid —
 //! whether any probe can move past the threshold; if none can it returns
 //! the all-reuse decision at once (the fast branch). Otherwise it takes
-//! the exact branch: objects whose grid cells all pass the bound are
-//! reused unmeasured, the motion kernel measures the rest in flat loops
-//! over their corners, and a branch-free fold sums the per-GPM loads. The
-//! decision is timed on both branches on the draw-heavy WE scene, on the
-//! fast branch on the short HL2-640 walk, and the box, the grid and the
+//! the masked branch: objects whose grid cells all pass the bound are
+//! reused unmeasured, the division-free mask filter decides the rest in
+//! flat loops over their corners (the exact motion kernel measures only
+//! a block the filter leaves open), and a branch-free fold sums the
+//! per-GPM loads. The decision is timed on both branches on the
+//! draw-heavy WE scene, on the fast branch on the short HL2-640 walk, on
+//! the masked branch under a 90 Hz step on DM3-1600 (the costly scene of
+//! the serve-fleet workload), and the box, the grid, the filter and the
 //! kernel alone on WE, so the split between the stages stays visible.
 //! Each decide bench asserts the branch it times.
 
@@ -19,7 +22,7 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use oovr::schemes::OoVr;
 use oovr::temporal::DEFAULT_REUSE_THRESHOLD;
 use oovr_gpu::GpuConfig;
-use oovr_scene::{Pose, PoseDelta, PoseTrajectory};
+use oovr_scene::{benchmarks, Pose, PoseDelta, PoseTrajectory};
 
 fn bench(c: &mut Criterion) {
     let scene = common::scene();
@@ -47,8 +50,8 @@ fn bench(c: &mut Criterion) {
         b.iter(|| black_box(we_profile.decide(&from, &to, DEFAULT_REUSE_THRESHOLD).saved))
     });
 
-    // A 0.2 rad turn fails the bound, so this decision takes the exact
-    // branch: the bound, the pose delta, the kernel walk and the fold.
+    // A 0.2 rad turn fails the bound, so this decision takes the masked
+    // branch: the bound, the pose delta, the mask filter and the fold.
     let turned = Pose { yaw: from.yaw + 0.2, ..from };
     let moved = PoseDelta::new(&from, &turned);
     assert!(!we_kernel.all_below(&moved, DEFAULT_REUSE_THRESHOLD));
@@ -68,14 +71,56 @@ fn bench(c: &mut Criterion) {
         b.iter(|| black_box(we_kernel.whole_below(black_box(&delta), DEFAULT_REUSE_THRESHOLD)))
     });
 
-    // The motion kernel alone on the turned pair: the exact branch minus
-    // the bound, the pose delta and the load fold.
+    // The motion kernel alone on the turned pair: every probe measured
+    // exactly, without the bound, the pose delta or the load fold.
     c.bench_function("motion_kernel_we", |b| {
         b.iter(|| {
             we_kernel.for_each_block(&moved, |_, motions| {
                 black_box(motions);
             })
         })
+    });
+
+    // The mask filter alone on the same pair and probes: it decides every
+    // block, so no probe reaches the kernel.
+    let every = std::iter::once(0..we_kernel.len());
+    assert_eq!(
+        we_kernel.for_each_mask_in(&moved, DEFAULT_REUSE_THRESHOLD, every.clone(), |_, _| {}),
+        0
+    );
+    c.bench_function("motion_filter_we", |b| {
+        b.iter(|| {
+            we_kernel.for_each_mask_in(
+                &moved,
+                DEFAULT_REUSE_THRESHOLD,
+                every.clone(),
+                |_, masks| {
+                    black_box(masks);
+                },
+            )
+        })
+    });
+
+    // The costliest decide of the serve-fleet workload: a 90 Hz step on
+    // DM3-1600 that falls past both scene bounds, so the mask filter
+    // decides most of its probes. The step is the first of the first
+    // seeded trajectory that fails both.
+    let dm3 = benchmarks::dm3_1600().scaled(common::BENCH_SCALE).build();
+    let (_, dm3_profile) = OoVr::new().render_frames_profiled(&dm3, &cfg, 2);
+    let dm3_kernel = dm3.motion_kernel();
+    let (dm3_from, dm3_to) = (0..)
+        .map(|seed| {
+            let mut walk = PoseTrajectory::new(seed);
+            (walk.current(), walk.step())
+        })
+        .find(|(from, to)| {
+            let delta = PoseDelta::new(from, to);
+            !dm3_kernel.whole_below(&delta, DEFAULT_REUSE_THRESHOLD)
+                && !dm3_kernel.all_below(&delta, DEFAULT_REUSE_THRESHOLD)
+        })
+        .expect("some 90 Hz step on DM3-1600 fails both bounds");
+    c.bench_function("temporal_reuse_decision_dm3", |b| {
+        b.iter(|| black_box(dm3_profile.decide(&dm3_from, &dm3_to, DEFAULT_REUSE_THRESHOLD).saved))
     });
 
     // At threshold 0 (`TemporalConfig::exact`) the decision returns before

@@ -226,43 +226,67 @@ impl TemporalProfile {
         self.steady_cycles
     }
 
-    /// Decides reuse for one frame under the pose delta `from → to`.
+    /// Decides reuse for one frame under the pose delta `from → to`: the
+    /// [`decide_delta`](Self::decide_delta) of `PoseDelta::new(from, to)`.
+    pub fn decide(&self, from: &Pose, to: &Pose, threshold: f64) -> TemporalDecision {
+        if threshold <= 0.0 || self.motion.is_empty() {
+            // Skip the view matrices too: nothing can reuse.
+            return self.rerender_all();
+        }
+        self.decide_delta(&PoseDelta::new(from, to), threshold)
+    }
+
+    /// Decides reuse for one frame under `delta`.
     ///
     /// When the whole-scene box ([`MotionKernel::whole_below`]) or every
     /// cell of the per-cell bound ([`MotionKernel::cells_below`]) passes,
     /// every probe is provably below `threshold` and the all-reuse
     /// decision is returned at once. Otherwise a probe whose cells all
-    /// pass is reused without measuring it. Either way the decision
-    /// equals what measuring every probe would return.
+    /// pass is reused without measuring it, and the others get their
+    /// masks from [`MotionKernel::for_each_mask_in`]. Either way the
+    /// decision equals what measuring every probe would return.
     ///
     /// Deterministic f64 throughout — same poses and threshold, same
     /// decision, on every call and every host.
-    pub fn decide(&self, from: &Pose, to: &Pose, threshold: f64) -> TemporalDecision {
-        let n = self.motion.len();
-        let objects = n as u32;
-        if threshold <= 0.0 || n == 0 {
+    pub fn decide_delta(&self, delta: &PoseDelta, threshold: f64) -> TemporalDecision {
+        if threshold <= 0.0 || self.motion.is_empty() {
             // Motion is non-negative and the comparison strict: nothing can
             // reuse. Skip the probe walk so the exact path costs nothing.
-            return TemporalDecision { reused: 0, rerendered: objects, saved: 0 };
+            return self.rerender_all();
         }
-        let delta = PoseDelta::new(from, to);
         // The whole-scene box costs one cell's test and clears most
         // decides; the grid runs only where it fails.
         let occupied = self.motion.occupied_cells();
-        let pass = if self.motion.whole_below(&delta, threshold) {
+        let pass = if self.motion.whole_below(delta, threshold) {
             occupied
         } else {
-            self.motion.cells_below(&delta, threshold)
+            self.motion.cells_below(delta, threshold)
         };
         if pass == occupied {
             // Every motion is provably below the threshold, so the fold
-            // below would set every mask: its loads are the reuse columns.
+            // would set every mask: its loads are the reuse columns.
+            let objects = self.motion.len() as u32;
             return TemporalDecision {
                 reused: objects,
                 rerendered: 0,
                 saved: self.full_max - self.reuse_max,
             };
         }
+        self.fold(delta, threshold, pass)
+    }
+
+    /// The decision that re-renders every object.
+    fn rerender_all(&self) -> TemporalDecision {
+        TemporalDecision { reused: 0, rerendered: self.motion.len() as u32, saved: 0 }
+    }
+
+    /// The decision when the cells in `pass` (not all occupied ones) pass
+    /// the per-cell bound: groups whose cells all pass are reused whole,
+    /// and the other probes' masks select their loads. Kept out of line
+    /// so the all-reuse return above stays small.
+    #[inline(never)]
+    fn fold(&self, delta: &PoseDelta, threshold: f64, pass: u16) -> TemporalDecision {
+        let n = self.motion.len();
         let n_gpms = self.rerender.len() / n;
         let mut loads = [0; MAX_GPMS];
         let loads = &mut loads[..n_gpms];
@@ -279,7 +303,7 @@ impl TemporalProfile {
                 }
             }
         }
-        // The other groups are measured, adjacent ones as one range.
+        // The other groups are masked, adjacent ones as one range.
         let mut measured = self
             .groups
             .iter()
@@ -293,18 +317,14 @@ impl TemporalProfile {
             }
             Some(run)
         });
-        self.motion.for_each_block_in(&delta, runs, |first, motions| {
-            // All ones for a reused object, zero for a re-rendered one.
-            let mut masks = [0; MotionKernel::BLOCK];
-            for (m, &motion) in masks.iter_mut().zip(motions) {
-                *m = Cycle::from(motion < threshold).wrapping_neg();
-                reused += (*m & 1) as u32;
-            }
+        // All ones for a reused object, zero for a re-rendered one.
+        self.motion.for_each_mask_in(delta, threshold, runs, |first, masks| {
+            reused += masks.iter().map(|&m| (m & 1) as u32).sum::<u32>();
             // Each GPM's load sums the block's re-rendered busy and reused
             // warp, selected by mask rather than by a branch per object.
             // The sums are integers, so their order is free.
             for (g, load) in loads.iter_mut().enumerate() {
-                let col = g * n + first..g * n + first + motions.len();
+                let col = g * n + first..g * n + first + masks.len();
                 let costs = self.rerender[col.clone()].iter().zip(&self.reuse[col]);
                 let select = |(&m, (&b, &w)): (&Cycle, (&Cycle, &Cycle))| (b & !m) | (w & m);
                 *load += masks.iter().zip(costs).map(select).sum::<Cycle>();
@@ -313,24 +333,28 @@ impl TemporalProfile {
         let reduced_max = loads.iter().copied().max().unwrap_or(0);
         TemporalDecision {
             reused,
-            rerendered: objects - reused,
+            rerendered: n as u32 - reused,
             saved: self.full_max - reduced_max,
         }
     }
 
     /// The decisions along `traj`: step `k` decides the pose delta from
     /// the trajectory's pose after `k` steps to the one after `k + 1`.
-    /// Endless; callers `take` the frames they price.
+    /// Each pose's view matrix is built once and serves both deltas it
+    /// belongs to. Endless; callers `take` the frames they price.
     pub fn decisions(
         &self,
         mut traj: PoseTrajectory,
         threshold: f64,
     ) -> impl Iterator<Item = TemporalDecision> + '_ {
         let mut prev = traj.current();
+        let mut prev_view = prev.view_matrix();
         std::iter::from_fn(move || {
             let cur = traj.step();
-            let d = self.decide(&prev, &cur, threshold);
-            prev = cur;
+            let view = cur.view_matrix();
+            let d = self
+                .decide_delta(&PoseDelta::with_views(&prev, &prev_view, &cur, &view), threshold);
+            (prev, prev_view) = (cur, view);
             Some(d)
         })
     }

@@ -270,10 +270,10 @@ impl MotionProbe {
     }
 }
 
-/// The pose-only half of a projected-motion measurement: both view bases
-/// and the head-position shift between two poses. One delta serves every
-/// probe of a frame, so a walk over a scene's objects pays the
-/// trigonometry and the shift's square root once.
+/// The pose-only half of a projected-motion measurement: both view bases,
+/// the rotation between them and the head-position shift between two
+/// poses. One delta serves every probe of a frame, so a walk over a
+/// scene's objects pays the trigonometry and the shift's square root once.
 #[derive(Debug, Clone, Copy)]
 pub struct PoseDelta {
     /// The poses are equal: every probe measures zero motion.
@@ -282,6 +282,9 @@ pub struct PoseDelta {
     from: [[f64; 3]; 3],
     /// View matrix of the new pose.
     to: [[f64; 3]; 3],
+    /// `R = R_to·R_fromᵀ`, which carries an old view ray into the new
+    /// view: the scene bound and the mask filter read its rows `a, b, c`.
+    rotation: [[f64; 3]; 3],
     /// Euclidean head-position shift in meters.
     shift: f64,
 }
@@ -289,15 +292,34 @@ pub struct PoseDelta {
 impl PoseDelta {
     /// The delta that carries view rays from `from` into `to`.
     pub fn new(from: &Pose, to: &Pose) -> Self {
+        Self::with_views(from, &from.view_matrix(), to, &to.view_matrix())
+    }
+
+    /// [`new`](Self::new) from view matrices the caller already holds:
+    /// `from_view` is `from.view_matrix()` and `to_view` is
+    /// `to.view_matrix()`. A walk over consecutive poses builds each
+    /// pose's matrix once and hands it to two deltas.
+    pub fn with_views(
+        from: &Pose,
+        from_view: &[[f64; 3]; 3],
+        to: &Pose,
+        to_view: &[[f64; 3]; 3],
+    ) -> Self {
+        // Bits, not values: a NaN pose's matrix equals itself bit for bit.
+        let bits = |m: &[[f64; 3]; 3]| m.map(|row| row.map(f64::to_bits));
+        debug_assert_eq!(bits(&from.view_matrix()), bits(from_view), "view of the old pose");
+        debug_assert_eq!(bits(&to.view_matrix()), bits(to_view), "view of the new pose");
         let dp = [
             to.position[0] - from.position[0],
             to.position[1] - from.position[1],
             to.position[2] - from.position[2],
         ];
+        let (rf, rt) = (from_view, to_view);
         PoseDelta {
             still: from == to,
-            from: from.view_matrix(),
-            to: to.view_matrix(),
+            from: *rf,
+            to: *rt,
+            rotation: rt.map(|row| rf.map(|f| row[0] * f[0] + row[1] * f[1] + row[2] * f[2])),
             shift: (dp[0] * dp[0] + dp[1] * dp[1] + dp[2] * dp[2]).sqrt(),
         }
     }
@@ -325,7 +347,11 @@ impl PoseDelta {
 /// all pass is proven below a threshold without measuring it (DESIGN §14,
 /// "scene bound" and "per-cell bound"). One more box over every corner,
 /// tested by [`whole_below`](Self::whole_below), clears most all-reuse
-/// deltas at a sixteenth of the grid's arithmetic.
+/// deltas at a sixteenth of the grid's arithmetic. Past both bounds,
+/// [`for_each_mask_in`](Self::for_each_mask_in) decides each remaining
+/// probe's `motion < threshold` by a filter without a division or a
+/// square root, and measures only what the filter leaves open (DESIGN
+/// §14, "mask filter").
 #[derive(Debug, Clone, PartialEq)]
 pub struct MotionKernel {
     /// Corner view rays' NDC `x` at `z = 1`, four per probe
@@ -359,6 +385,38 @@ pub struct MotionKernel {
 
 /// Cells of the scene bound's grid.
 const CELLS: usize = MotionKernel::GRID * MotionKernel::GRID;
+
+/// One block's stack scratch for the exact kernel: its corners' rays in
+/// the new view, their squared screen displacements and the probes'
+/// motions.
+struct Scratch {
+    view: [[f64; 4 * MotionKernel::BLOCK]; 3],
+    dist2: [f64; 4 * MotionKernel::BLOCK],
+    motions: [f64; MotionKernel::BLOCK],
+}
+
+impl Scratch {
+    fn new() -> Self {
+        Scratch {
+            view: [[0.0; 4 * MotionKernel::BLOCK]; 3],
+            dist2: [0.0; 4 * MotionKernel::BLOCK],
+            motions: [0.0; MotionKernel::BLOCK],
+        }
+    }
+}
+
+/// One block's stack scratch for the mask filter: its corners' `q` and
+/// `D` (DESIGN §14, "mask filter").
+struct Corners {
+    q: [f64; 4 * MotionKernel::BLOCK],
+    d: [f64; 4 * MotionKernel::BLOCK],
+}
+
+impl Corners {
+    fn new() -> Self {
+        Corners { q: [0.0; 4 * MotionKernel::BLOCK], d: [0.0; 4 * MotionKernel::BLOCK] }
+    }
+}
 
 /// A scene bound as columns over its `N` cells, so one flat loop tests
 /// every cell. Cell `row × GRID + col` of the 4×4 grid sits at that index
@@ -552,69 +610,191 @@ impl MotionKernel {
     /// probe order, one block of at most [`BLOCK`](Self::BLOCK) at a time:
     /// `each(first, motions)` receives the motions of probes
     /// `first..first + motions.len()`. Allocates nothing.
-    pub fn for_each_block(&self, delta: &PoseDelta, each: impl FnMut(usize, &[f64])) {
-        self.for_each_block_in(delta, std::iter::once(0..self.len()), each);
+    pub fn for_each_block(&self, delta: &PoseDelta, mut each: impl FnMut(usize, &[f64])) {
+        let mut scratch = Scratch::new();
+        for (first, n) in Self::blocks(std::iter::once(0..self.len())) {
+            each(first, self.measure(delta, first, n, &mut scratch));
+        }
     }
 
-    /// [`for_each_block`](Self::for_each_block) over the probes in
-    /// `ranges` only, range by range: no block spans two ranges, and each
-    /// probe's motion is the one the whole walk measures.
-    pub fn for_each_block_in(
+    /// Every probe's reuse mask under `delta` over the probes in `ranges`,
+    /// range by range and one block of at most [`BLOCK`](Self::BLOCK) at a
+    /// time: `each(first, masks)` receives, for probes `first..first +
+    /// masks.len()`, all ones where the probe's
+    /// [`for_each_block`](Self::for_each_block) motion is below
+    /// `threshold` and zero where it is not. No block spans two ranges.
+    ///
+    /// The division-free mask filter (whose verdicts
+    /// [`certified`](Self::certified) lists) decides each block; a block
+    /// in which it leaves some probe open is measured by the exact kernel
+    /// instead, so every mask is the one the motion gives. Returns how
+    /// many blocks the kernel measured. Allocates nothing.
+    pub fn for_each_mask_in(
         &self,
         delta: &PoseDelta,
+        threshold: f64,
         ranges: impl IntoIterator<Item = Range<usize>>,
-        mut each: impl FnMut(usize, &[f64]),
-    ) {
-        let (rf, rt) = (&delta.from, &delta.to);
-        // The block's corners' rays in the new view, then their squared
-        // screen displacements.
-        let mut view = [[0.0f64; 4 * Self::BLOCK]; 3];
-        let mut dist2 = [0.0f64; 4 * Self::BLOCK];
-        // A still delta never writes: every motion stays exactly zero.
-        let mut motions = [0.0f64; Self::BLOCK];
-        let blocks = ranges
-            .into_iter()
-            .flat_map(|r| (r.start..r.end).step_by(Self::BLOCK).map(move |first| (first, r.end)));
-        for (first, end) in blocks {
-            let n = Self::BLOCK.min(end - first);
-            if !delta.still {
-                let c = 4 * first..4 * (first + n);
-                let [vx, vy, vz] = &mut view;
-                let rays = self.ray_x[c.clone()].iter().zip(&self.ray_y[c.clone()]);
-                let out = vx.iter_mut().zip(vy.iter_mut()).zip(vz.iter_mut());
-                // Products and sums only, so this pass vectorizes; the
-                // divisions below would keep a fused loop scalar.
-                for (((nx, ny), nz), (&x, &y)) in out.zip(rays) {
-                    // View matrices map world->view with orthonormal rows,
-                    // so the world ray is R_fromᵀ·(x, y, 1) and the new view
-                    // ray R_to·w. The two products stay separate: fusing
-                    // them into one matrix would round differently and move
-                    // every motion's low bits.
-                    let w0 = rf[0][0] * x + rf[1][0] * y + rf[2][0];
-                    let w1 = rf[0][1] * x + rf[1][1] * y + rf[2][1];
-                    let w2 = rf[0][2] * x + rf[1][2] * y + rf[2][2];
-                    *nx = rt[0][0] * w0 + rt[0][1] * w1 + rt[0][2] * w2;
-                    *ny = rt[1][0] * w0 + rt[1][1] * w1 + rt[1][2] * w2;
-                    *nz = rt[2][0] * w0 + rt[2][1] * w1 + rt[2][2] * w2;
-                }
-                let rays = vx.iter().zip(vy.iter()).zip(vz.iter());
-                let pixels = self.px[c.clone()].iter().zip(&self.py[c]);
-                for (d2, (((&nx, &ny), &nz), (&px, &py))) in dist2.iter_mut().zip(rays.zip(pixels))
-                {
-                    let dx = (nx / nz + 1.0) * self.half_width - px;
-                    let dy = (ny / nz + 1.0) * self.half_height - py;
-                    // A corner behind the eye is an infinite move, which
-                    // the diagonal cap below turns into exactly `diag`.
-                    *d2 = if nz <= 1e-9 { f64::INFINITY } else { dx * dx + dy * dy };
-                }
-                let probes = motions.iter_mut().zip(dist2.chunks_exact(4)).zip(&self.near[first..]);
-                for ((m, d2), &near) in probes {
-                    let worst = d2.iter().fold(0.0f64, |a, &b| a.max(b)).sqrt();
-                    *m = (worst + delta.shift * near * self.half_width).min(self.diag);
+        mut each: impl FnMut(usize, &[u64]),
+    ) -> usize {
+        let (mut masks, mut corners) = ([0; Self::BLOCK], Corners::new());
+        // The kernel's scratch is filled only if a block needs it.
+        let mut scratch = None;
+        let mut measured = 0;
+        for (first, n) in Self::blocks(ranges) {
+            let masks = &mut masks[..n];
+            if self.certify(delta, threshold, first, masks, &mut corners) != 0 {
+                measured += 1;
+                let motions =
+                    self.measure(delta, first, n, scratch.get_or_insert_with(Scratch::new));
+                for (m, &motion) in masks.iter_mut().zip(motions) {
+                    *m = u64::from(motion < threshold).wrapping_neg();
                 }
             }
-            each(first, &motions[..n]);
+            each(first, masks);
         }
+        measured
+    }
+
+    /// The mask filter's verdict on every probe under `delta`, in probe
+    /// order: `Some(true)` where it proves the motion below `threshold`,
+    /// `Some(false)` where it proves it at or above, `None` where only
+    /// the exact kernel can tell (DESIGN §14, "mask filter").
+    /// [`for_each_mask_in`](Self::for_each_mask_in) uses the same test
+    /// block by block without allocating.
+    pub fn certified(&self, delta: &PoseDelta, threshold: f64) -> Vec<Option<bool>> {
+        let mut verdicts = Vec::with_capacity(self.len());
+        let (mut masks, mut corners) = ([0; Self::BLOCK], Corners::new());
+        for (first, n) in Self::blocks(std::iter::once(0..self.len())) {
+            let open = self.certify(delta, threshold, first, &mut masks[..n], &mut corners);
+            let known = |i: usize| open >> i & 1 == 0;
+            verdicts.extend((0..n).map(|i| known(i).then_some(masks[i] != 0)));
+        }
+        verdicts
+    }
+
+    /// The `(first, len)` blocks of at most [`BLOCK`](Self::BLOCK) probes
+    /// that cover `ranges` in order, none spanning two ranges.
+    fn blocks(
+        ranges: impl IntoIterator<Item = Range<usize>>,
+    ) -> impl Iterator<Item = (usize, usize)> {
+        ranges.into_iter().flat_map(|r| {
+            (r.start..r.end)
+                .step_by(Self::BLOCK)
+                .map(move |first| (first, Self::BLOCK.min(r.end - first)))
+        })
+    }
+
+    /// The exact motions of probes `first..first + n` under `delta`, in
+    /// `s`'s `motions`.
+    fn measure<'s>(
+        &self,
+        delta: &PoseDelta,
+        first: usize,
+        n: usize,
+        s: &'s mut Scratch,
+    ) -> &'s [f64] {
+        // A still delta never writes: every motion stays exactly zero.
+        if !delta.still {
+            let (rf, rt) = (&delta.from, &delta.to);
+            let c = 4 * first..4 * (first + n);
+            let [vx, vy, vz] = &mut s.view;
+            let rays = self.ray_x[c.clone()].iter().zip(&self.ray_y[c.clone()]);
+            let out = vx.iter_mut().zip(vy.iter_mut()).zip(vz.iter_mut());
+            // Products and sums only, so this pass vectorizes; the
+            // divisions below would keep a fused loop scalar.
+            for (((nx, ny), nz), (&x, &y)) in out.zip(rays) {
+                // View matrices map world->view with orthonormal rows, so
+                // the world ray is R_fromᵀ·(x, y, 1) and the new view ray
+                // R_to·w. The two products stay separate: fusing them into
+                // one matrix would round differently and move every
+                // motion's low bits.
+                let w0 = rf[0][0] * x + rf[1][0] * y + rf[2][0];
+                let w1 = rf[0][1] * x + rf[1][1] * y + rf[2][1];
+                let w2 = rf[0][2] * x + rf[1][2] * y + rf[2][2];
+                *nx = rt[0][0] * w0 + rt[0][1] * w1 + rt[0][2] * w2;
+                *ny = rt[1][0] * w0 + rt[1][1] * w1 + rt[1][2] * w2;
+                *nz = rt[2][0] * w0 + rt[2][1] * w1 + rt[2][2] * w2;
+            }
+            let rays = vx.iter().zip(vy.iter()).zip(vz.iter());
+            let pixels = self.px[c.clone()].iter().zip(&self.py[c]);
+            for (d2, (((&nx, &ny), &nz), (&px, &py))) in s.dist2.iter_mut().zip(rays.zip(pixels)) {
+                let dx = (nx / nz + 1.0) * self.half_width - px;
+                let dy = (ny / nz + 1.0) * self.half_height - py;
+                // A corner behind the eye is an infinite move, which the
+                // diagonal cap below turns into exactly `diag`.
+                *d2 = if nz <= 1e-9 { f64::INFINITY } else { dx * dx + dy * dy };
+            }
+            let probes = s.motions.iter_mut().zip(s.dist2.chunks_exact(4)).zip(&self.near[first..]);
+            for ((m, d2), &near) in probes {
+                let worst = d2.iter().fold(0.0f64, |a, &b| a.max(b)).sqrt();
+                *m = (worst + delta.shift * near * self.half_width).min(self.diag);
+            }
+        }
+        &s.motions[..n]
+    }
+
+    /// The mask filter over probes `first..first + masks.len()`: writes
+    /// all ones to the mask of each probe it proves below `threshold`
+    /// under `delta` and zero to the others, and returns the probes it
+    /// could not decide, bit `i` for probe `first + i`. Decided masks are
+    /// the ones the exact kernel's motion gives.
+    ///
+    /// No division and no square root: with `R`'s rows `a, b, c`, a
+    /// corner's squared displacement is `q / D²` for `q = (hw·N_x)² +
+    /// (hh·N_y)²`, and with `t = threshold − shift·near·hw` a probe is
+    /// below if every corner has `D > 0.5`, `t > ε` and `q < ((t −
+    /// ε)·D)²`, above if every corner has `D > 0.5` and some `q > ((t +
+    /// ε)·D)²`. The slack `ε` covers the kernel's rounding and the
+    /// filter's own (DESIGN §14, "mask filter"). A still delta, an
+    /// unbounded kernel and a threshold past the diagonal leave every
+    /// probe open, and a NaN its own probe.
+    fn certify(
+        &self,
+        delta: &PoseDelta,
+        threshold: f64,
+        first: usize,
+        masks: &mut [u64],
+        s: &mut Corners,
+    ) -> u64 {
+        let n = masks.len();
+        let all = u64::MAX >> (Self::BLOCK - n);
+        if delta.still || !self.bounded || threshold > self.diag {
+            return all;
+        }
+        let [a, b, c] = &delta.rotation;
+        let (hw, hh) = (self.half_width, self.half_height);
+        let slack = 1e-6 + 1e-9 * threshold;
+        // Every corner's `q` and `D`, in one flat loop of products and sums:
+        // the ray `(x, y, 1)` lands at `n = R·(x, y, 1)`, and `N_x = n_x −
+        // x·D`, `N_y = n_y − y·D` with `D = n_z`.
+        let corners = 4 * first..4 * (first + n);
+        let rays = self.ray_x[corners.clone()].iter().zip(&self.ray_y[corners]);
+        for ((q, d), (&x, &y)) in s.q.iter_mut().zip(s.d.iter_mut()).zip(rays) {
+            let nz = c[0] * x + c[1] * y + c[2];
+            let sx = hw * (a[0] * x + a[1] * y + a[2] - x * nz);
+            let sy = hh * (b[0] * x + b[1] * y + b[2] - y * nz);
+            *q = sx * sx + sy * sy;
+            *d = nz;
+        }
+        // Each probe's verdict over its four corners. A NaN anywhere fails
+        // every comparison, which leaves the probe open.
+        let corners = s.q.chunks_exact(4).zip(s.d.chunks_exact(4));
+        let probes = masks.iter_mut().zip(corners).zip(&self.near[first..]);
+        let mut open = 0;
+        for (i, ((m, (q, d)), &near)) in probes.enumerate() {
+            let t = threshold - delta.shift * near * hw;
+            let (lo, hi) = (t - slack, t + slack);
+            let (mut front, mut below, mut above) = (true, lo > 0.0, false);
+            for (&q, &d) in q.iter().zip(d) {
+                let (l, h) = (lo * d, hi * d);
+                front &= d > 0.5;
+                below &= q < l * l;
+                above |= q > h * h;
+            }
+            *m = u64::from(below).wrapping_neg();
+            open |= u64::from(!(front & (below | above))) << i;
+        }
+        open
     }
 
     /// True only if every probe's [`for_each_block`](Self::for_each_block)
@@ -662,8 +842,7 @@ impl MotionKernel {
         }
         // R = R_to·R_fromᵀ carries an old view ray into the new view; its
         // rows are `a`, `b`, `c`.
-        let (rf, rt) = (&delta.from, &delta.to);
-        let [a, b, c] = rt.map(|row| rf.map(|f| row[0] * f[0] + row[1] * f[1] + row[2] * f[2]));
+        let [a, b, c] = delta.rotation;
         // The corner `(x, y, 1)` lands at `n = R·(x, y, 1)`, in front of the
         // eye while `D = n_z > 0`, which is linear in the box.
         let dz = [scale(c[0], &g.x), scale(c[1], &g.y)];

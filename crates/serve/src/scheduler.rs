@@ -47,7 +47,7 @@ use std::sync::Arc;
 use oovr::{ResilienceConfig, TemporalConfig};
 use oovr_gpu::{FrameReport, GpuConfig, VSYNC_90HZ_CYCLES};
 use oovr_metrics::Registry;
-use oovr_scene::BenchmarkSpec;
+use oovr_scene::{BenchmarkSpec, PoseDelta};
 use oovr_trace::{Cycle, Recorder, TraceEvent};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -348,6 +348,9 @@ pub fn schedule(
     let sheds = scheme.sheds();
     let (step, floor) = (cfg.resilience.shed_step, cfg.resilience.shed_floor);
     let mut scales = vec![1.0f64; sessions.len()];
+    // Each temporal session's latest view matrix: every pose's matrix is
+    // built once and serves the deltas on both sides of it.
+    let mut views = vec![[[0.0f64; 3]; 3]; if temporal.is_some() { sessions.len() } else { 0 }];
     let mut successors: VecDeque<(Cycle, u32, u32)> = VecDeque::with_capacity(sessions.len());
     let mut first = 0usize;
     let mut now: Cycle = 0;
@@ -372,6 +375,8 @@ pub fn schedule(
         let report_index = stream.report_index(frame);
         let traj = &mut trajectories[slot as usize];
         let pose = if frame == 0 { traj.current() } else { traj.step() };
+        let prev_view =
+            temporal.map(|_| std::mem::replace(&mut views[slot as usize], pose.view_matrix()));
 
         if now > deadline + v {
             // More than one interval stale: presenting it would only push
@@ -403,8 +408,10 @@ pub fn schedule(
         // previous frame: objects whose projected bound moved less than
         // the threshold are warped (ATW) instead of re-rendered. Frame 0
         // has no predecessor and always pays the full cold cost.
-        let tdec = temporal.filter(|_| frame > 0).map(|profile| {
-            profile.decide(&session.frames[frame as usize - 1].pose, &pose, threshold)
+        let tdec = temporal.zip(prev_view).filter(|_| frame > 0).map(|(profile, prev_view)| {
+            let prev = &session.frames[frame as usize - 1].pose;
+            let delta = PoseDelta::with_views(prev, &prev_view, &pose, &views[slot as usize]);
+            profile.decide_delta(&delta, threshold)
         });
         let base = stream.cost_for(frame);
         let base = tdec.as_ref().map_or(base, |d| d.apply(base));

@@ -15,18 +15,20 @@ echo "==> cargo build --release --offline --manifest-path oobench/Cargo.toml"
 # here catches a change to the library API it compiles against.
 cargo build --release --offline --manifest-path oobench/Cargo.toml
 
-echo "==> oobench sim_digest (seed 0, both workloads) against scripts/sim_digests.txt"
+echo "==> oobench sim_digest (each workload and seed of scripts/sim_digests.txt)"
 # A digest of everything each benchmark workload simulates: a change that
-# only speeds the simulator up must leave both values alone, and one that
-# moves them on purpose commits the new values with the change.
-while read -r workload want; do
+# only speeds the simulator up must leave every value alone, and one that
+# moves them on purpose commits the new values with the change. Each line
+# is `workload seed digest`; the held-out seed 1 checks that the digest
+# holds beyond the pinned seed 0.
+while read -r workload seed want; do
     got=$(cargo run -q --release --offline --manifest-path oobench/Cargo.toml -- \
-        --workload "$workload" --seed 0 --seconds 1 --trace 0 </dev/null | sed -n 's/^sim_digest //p')
+        --workload "$workload" --seed "$seed" --seconds 1 --trace 0 </dev/null | sed -n 's/^sim_digest //p')
     if [ "$got" != "$want" ]; then
-        echo "SIM DIGEST MISMATCH: $workload sim_digest is '$got', scripts/sim_digests.txt has '$want'" >&2
+        echo "SIM DIGEST MISMATCH: $workload seed $seed sim_digest is '$got', scripts/sim_digests.txt has '$want'" >&2
         exit 1
     fi
-    echo "    $workload sim_digest $got"
+    echo "    $workload seed $seed sim_digest $got"
 done < scripts/sim_digests.txt
 
 echo "==> cargo test -q --no-fail-fast"

@@ -426,7 +426,15 @@ proptest! {
             // strict comparison on its boundary.
             let motions: Vec<f64> = reference.iter().map(|&(m, _)| m).collect();
             let at = motions[probe_ix % motions.len()];
+            let delta = oovr_scene::PoseDelta::new(from, to);
             for t in [0.0, threshold, at, at.next_up(), 1e-12, f64::INFINITY] {
+                // Every verdict of the mask filter is the motion's.
+                for (i, v) in kernel.certified(&delta, t).into_iter().enumerate() {
+                    prop_assert!(
+                        v.is_none_or(|below| below == (motions[i] < t)),
+                        "filter verdict {:?} on motion {} at threshold {}", v, motions[i], t
+                    );
+                }
                 let d = profile.decide(from, to, t);
                 prop_assert_eq!(
                     (d.reused, d.rerendered, d.saved),
@@ -437,6 +445,52 @@ proptest! {
         }
         prop_assert!(partial > 0, "no probe had only some corners behind the eye");
     }
+}
+
+/// A random scene of the scene-bound and mask-filter tests, with its
+/// per-object attribution and a base pose to turn from.
+struct RandomScene {
+    scene: oovr_scene::Scene,
+    busy: Vec<Cycle>,
+    pixels: Vec<u64>,
+    n_gpms: usize,
+    base: Pose,
+    /// Objects whose rect reaches past the screen edge.
+    outside: usize,
+}
+
+/// Draws a [`RandomScene`]: a probe count that leaves a partial kernel
+/// block, a resolution, a GPM count, rects that may reach past the screen
+/// edge, depths, busy rows and pixel counts.
+fn random_scene(rng: &mut rand::rngs::StdRng) -> RandomScene {
+    use rand::Rng;
+    let mut count = rng.gen_range(1..4 * MotionKernel::BLOCK);
+    if count % MotionKernel::BLOCK == 0 {
+        count -= 1;
+    }
+    let (width, height, n_gpms) =
+        (rng.gen_range(8u32..2048), rng.gen_range(8u32..2048), rng.gen_range(1usize..6));
+    let mut builder = SceneBuilder::new(width, height).texture("t", 64, 64);
+    let (mut busy, mut pixels, mut outside) = (Vec::new(), Vec::new(), 0);
+    for i in 0..count {
+        let (x, y) = (rng.gen_range(-0.3f32..1.0), rng.gen_range(-0.3f32..1.0));
+        let (w, h) = (rng.gen_range(0.0f32..1.2), rng.gen_range(0.0f32..1.2));
+        let depth = rng.gen_range(0.01f32..0.99);
+        outside += usize::from(x < 0.0 || y < 0.0 || x + w > 1.0 || y + h > 1.0);
+        builder = builder.object(&format!("o{i}"), |b| {
+            b.rect(x, y, w, h).depth(depth).texture("t", 1.0);
+        });
+        let seed = rng.gen_range(0..u64::MAX);
+        busy.extend((0..n_gpms).map(|g| busy_cycle(seed, g)));
+        pixels.push(rng.gen_range(0..400_000));
+    }
+    let base = Pose {
+        yaw: rng.gen_range(-0.5..0.5),
+        pitch: rng.gen_range(-0.5..0.5),
+        roll: rng.gen_range(-0.3..0.3),
+        position: [0.0; 3],
+    };
+    RandomScene { scene: builder.build(), busy, pixels, n_gpms, base, outside }
 }
 
 /// One drawn pose pair's kind: still, a 1e-3 rad jitter, a 90 Hz pose
@@ -489,42 +543,17 @@ fn scene_bound_pair(kind: usize, base: Pose, rng: &mut rand::rngs::StdRng) -> (P
 /// passing, and some passing with probes skipped and probes measured.
 #[test]
 fn scene_bound_is_sound_and_decides_like_the_reference() {
-    use rand::{Rng, SeedableRng};
+    use rand::SeedableRng;
     let (mut whole, mut fast, mut exact, mut outside) = (0, 0, 0, 0);
     let (mut partial, mut skipped, mut measured) = (0, 0, 0);
     for case in 0..160u64 {
         let mut rng = rand::rngs::StdRng::seed_from_u64(0x5CE4_E0B0 ^ case);
-        let mut count = rng.gen_range(1..4 * MotionKernel::BLOCK);
-        if count % MotionKernel::BLOCK == 0 {
-            count -= 1;
-        }
-        let (width, height, n_gpms) =
-            (rng.gen_range(8u32..2048), rng.gen_range(8u32..2048), rng.gen_range(1usize..6));
-        let mut builder = SceneBuilder::new(width, height).texture("t", 64, 64);
-        let mut busy = Vec::new();
-        let mut pixels = Vec::new();
-        for i in 0..count {
-            let (x, y) = (rng.gen_range(-0.3f32..1.0), rng.gen_range(-0.3f32..1.0));
-            let (w, h) = (rng.gen_range(0.0f32..1.2), rng.gen_range(0.0f32..1.2));
-            let depth = rng.gen_range(0.01f32..0.99);
-            outside += usize::from(x < 0.0 || y < 0.0 || x + w > 1.0 || y + h > 1.0);
-            builder = builder.object(&format!("o{i}"), |b| {
-                b.rect(x, y, w, h).depth(depth).texture("t", 1.0);
-            });
-            let seed = rng.gen_range(0..u64::MAX);
-            busy.extend((0..n_gpms).map(|g| busy_cycle(seed, g)));
-            pixels.push(rng.gen_range(0..400_000));
-        }
-        let scene = builder.build();
+        let drawn = random_scene(&mut rng);
+        outside += drawn.outside;
+        let RandomScene { scene, busy, pixels, n_gpms, base, .. } = drawn;
         let res = scene.resolution();
         let profile = TemporalProfile::new(&scene, n_gpms, busy.clone(), &pixels, 1 << 30);
         let kernel = scene.motion_kernel();
-        let base = Pose {
-            yaw: rng.gen_range(-0.5..0.5),
-            pitch: rng.gen_range(-0.5..0.5),
-            roll: rng.gen_range(-0.3..0.3),
-            position: [0.0; 3],
-        };
         for kind in 0..9 {
             let (from, to) = scene_bound_pair(kind, base, &mut rng);
             let delta = oovr_scene::PoseDelta::new(&from, &to);
@@ -596,5 +625,66 @@ fn scene_bound_is_sound_and_decides_like_the_reference() {
     assert!(
         partial >= 300 && skipped >= 10_000 && measured >= 10_000,
         "per-cell tier: {partial} decides, {skipped} probes skipped, {measured} measured"
+    );
+}
+
+/// The mask filter (`MotionKernel::certified`) never contradicts the exact
+/// kernel, and `for_each_mask_in` hands out exactly the kernel's masks:
+/// over the random scenes and pose pairs of the scene-bound test, at
+/// thresholds on every probe's exact motion, its `next_up` and
+/// `next_down`, 1.01× it and 16 px, every verdict equals `motion <
+/// threshold`. Each outcome must be common: proven below, proven above,
+/// and left open inside the slack band around the threshold.
+#[test]
+fn mask_filter_verdicts_match_the_kernel() {
+    use rand::SeedableRng;
+    let (mut below, mut above, mut band, mut open) = (0, 0, 0, 0);
+    for case in 0..40u64 {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0xF117_E200 ^ case);
+        let RandomScene { scene, base, .. } = random_scene(&mut rng);
+        let kernel = scene.motion_kernel();
+        let res = scene.resolution();
+        let diag = f64::from(res.width).hypot(f64::from(res.height));
+        for kind in 0..9 {
+            let (from, to) = scene_bound_pair(kind, base, &mut rng);
+            let delta = oovr_scene::PoseDelta::new(&from, &to);
+            let mut motions = Vec::new();
+            kernel.for_each_block(&delta, |_, m| motions.extend_from_slice(m));
+            let at = motions.iter().flat_map(|&m| [m, m.next_up(), m.next_down(), 1.01 * m]);
+            for t in at.chain([16.0]) {
+                for (i, v) in kernel.certified(&delta, t).into_iter().enumerate() {
+                    let m = motions[i];
+                    match v {
+                        Some(v) => {
+                            assert_eq!(
+                                v,
+                                m < t,
+                                "filter says {v} for motion {m} at {t} under {from:?} -> {to:?}"
+                            );
+                            *if v { &mut below } else { &mut above } += 1;
+                        }
+                        // The slack is 1e-6 + 1e-9·threshold px. A still
+                        // pair (kind 0) opens every probe, and a corner
+                        // behind the eye (motion at the diagonal) its own.
+                        None if kind > 0 && m < diag && (m - t).abs() <= 2e-6 + 2e-9 * t => {
+                            band += 1
+                        }
+                        None => open += 1,
+                    }
+                }
+                let mut masks = Vec::new();
+                kernel.for_each_mask_in(&delta, t, std::iter::once(0..kernel.len()), |first, m| {
+                    assert_eq!(first, masks.len(), "blocks arrive in probe order");
+                    masks.extend_from_slice(m);
+                });
+                let expected: Vec<u64> =
+                    motions.iter().map(|&m| u64::from(m < t).wrapping_neg()).collect();
+                assert_eq!(masks, expected, "masks at {t} under {from:?} -> {to:?}");
+            }
+        }
+    }
+    assert!(
+        below >= 300 && above >= 300 && band >= 300,
+        "verdicts: {below} below, {above} above, {band} open in the band, {open} open elsewhere"
     );
 }
