@@ -29,6 +29,11 @@
 //! all-reuse decision when every cell passes. Its test checks that every
 //! pass is sound (every such probe's motion is below the threshold) and
 //! that `decide` still equals the reference on every branch.
+//!
+//! The mask filter (`MotionKernel::certified`, `for_each_mask_in`) decides
+//! the remaining probes' `motion < threshold` without a division. Its
+//! test checks every verdict against the exact kernel at thresholds on
+//! and next to every exact motion.
 
 use proptest::prelude::*;
 
