@@ -42,6 +42,7 @@ use oovr_edge::{
 };
 use oovr_frameworks::{Baseline, ObjectSfr, RenderScheme};
 use oovr_hash::{to_hex, Sha256};
+use oovr_metrics::slo::worst_budget;
 use oovr_scene::stats::SceneStats;
 use oovr_scene::vr::{GAMING_PC, STEREO_VR};
 use oovr_scene::BenchmarkSpec;
@@ -764,7 +765,11 @@ fn run_health(specs: &[BenchmarkSpec], scale: f64, csv_dir: Option<&str>) -> Res
     println!(
         "  health gate passed: {} workloads hold every aggregate budget (worst {:.2}x)",
         cells.len(),
-        cells.iter().map(|c| c.worst_budget()).fold(0.0, f64::max)
+        cells
+            .iter()
+            .flat_map(|c| [&c.nominal, &c.faulted])
+            .map(|r| worst_budget(r))
+            .fold(0.0, f64::max)
     );
 
     // The edge tier's SLO catalogue rides the same gate: every workload
@@ -795,7 +800,11 @@ fn run_health(specs: &[BenchmarkSpec], scale: f64, csv_dir: Option<&str>) -> Res
     println!(
         "  edge health gate passed: {} workloads hold every edge budget (worst {:.2}x)",
         edge_cells.len(),
-        edge_cells.iter().map(|c| c.worst_budget()).fold(0.0, f64::max)
+        edge_cells
+            .iter()
+            .flat_map(|c| [&c.nominal, &c.faulted])
+            .map(|r| worst_budget(r))
+            .fold(0.0, f64::max)
     );
 
     write_tables(&[&table, &edge_table], scale, csv_dir)

@@ -23,9 +23,9 @@
 //! that construct bespoke executors or render warm multi-frame sequences
 //! (`smp_validation`, the ablations, `steady_state`) bypass the cache.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use oovr_frameworks::RenderScheme as _;
 use oovr_gpu::{FaultPlan, FrameReport, GpuConfig};
@@ -67,23 +67,52 @@ pub struct RenderCacheStats {
     pub frame_misses: u64,
 }
 
-struct Store {
-    scenes: Mutex<HashMap<[u8; 32], Arc<Scene>>>,
-    frames: Mutex<HashMap<[u8; 32], FrameReport>>,
-    scene_builds: AtomicU64,
-    frame_hits: AtomicU64,
-    frame_misses: AtomicU64,
+/// A process-wide memo table keyed by a content digest, counting hits and
+/// builds. Values are built outside the lock: a concurrent duplicate build
+/// is benign (determinism makes both identical) and the first insert wins.
+#[derive(Debug)]
+pub struct Memo<V> {
+    map: Mutex<BTreeMap<[u8; 32], V>>,
+    hits: AtomicU64,
+    misses: AtomicU64,
 }
 
-fn store() -> &'static Store {
-    static STORE: OnceLock<Store> = OnceLock::new();
-    STORE.get_or_init(|| Store {
-        scenes: Mutex::new(HashMap::new()),
-        frames: Mutex::new(HashMap::new()),
-        scene_builds: AtomicU64::new(0),
-        frame_hits: AtomicU64::new(0),
-        frame_misses: AtomicU64::new(0),
-    })
+impl<V: Clone> Memo<V> {
+    /// An empty table (usable as a `static`).
+    pub const fn new() -> Self {
+        Memo {
+            map: Mutex::new(BTreeMap::new()),
+            hits: AtomicU64::new(0),
+            misses: AtomicU64::new(0),
+        }
+    }
+
+    /// The value under `key`, built by `build` on first use.
+    pub fn get_or_build(&self, key: [u8; 32], build: impl FnOnce() -> V) -> V {
+        if let Some(v) = lock(&self.map).get(&key) {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            return v.clone();
+        }
+        let built = build();
+        self.misses.fetch_add(1, Ordering::Relaxed);
+        lock(&self.map).entry(key).or_insert(built).clone()
+    }
+
+    /// Lookups answered from the table.
+    pub fn hits(&self) -> u64 {
+        self.hits.load(Ordering::Relaxed)
+    }
+
+    /// Values built (table misses).
+    pub fn misses(&self) -> u64 {
+        self.misses.load(Ordering::Relaxed)
+    }
+}
+
+impl<V: Clone> Default for Memo<V> {
+    fn default() -> Self {
+        Memo::new()
+    }
 }
 
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
@@ -92,28 +121,22 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
+static SCENES: Memo<Arc<Scene>> = Memo::new();
+static FRAMES: Memo<FrameReport> = Memo::new();
+
 /// Current cache counters.
 pub fn stats() -> RenderCacheStats {
-    let s = store();
     RenderCacheStats {
-        scene_builds: s.scene_builds.load(Ordering::Relaxed),
-        frame_hits: s.frame_hits.load(Ordering::Relaxed),
-        frame_misses: s.frame_misses.load(Ordering::Relaxed),
+        scene_builds: SCENES.misses(),
+        frame_hits: FRAMES.hits(),
+        frame_misses: FRAMES.misses(),
     }
 }
 
 /// The scene for `spec`, built on first use and shared thereafter.
 pub fn scene_for(spec: &BenchmarkSpec) -> SceneHandle {
     let fp = spec_digest(spec);
-    if let Some(scene) = lock(&store().scenes).get(&fp) {
-        return SceneHandle { scene: Arc::clone(scene), fingerprint: fp };
-    }
-    // Build outside the lock; a concurrent duplicate build is benign (both
-    // produce identical scenes) and the first insert wins.
-    let built = Arc::new(spec.build());
-    store().scene_builds.fetch_add(1, Ordering::Relaxed);
-    let scene = Arc::clone(lock(&store().scenes).entry(fp).or_insert(built));
-    SceneHandle { scene, fingerprint: fp }
+    SceneHandle { scene: SCENES.get_or_build(fp, || Arc::new(spec.build())), fingerprint: fp }
 }
 
 /// Renders `scene` under `kind`/`cfg`, memoized. Cache hits return a clone
@@ -121,25 +144,16 @@ pub fn scene_for(spec: &BenchmarkSpec) -> SceneHandle {
 /// re-rendering.
 pub fn render(kind: SchemeKind, scene: &SceneHandle, cfg: &GpuConfig) -> FrameReport {
     let key = frame_key(scene.fingerprint(), scheme_tag(kind), None, cfg);
-    memoized(key, || kind.render(scene, cfg))
+    FRAMES.get_or_build(key, || kind.render(scene, cfg))
 }
 
 /// Renders `scene` under OO-VR with runtime countermeasures and the given
 /// frame deadline, memoized (the deadline participates in the key).
 pub fn render_resilient(deadline_cycles: u64, scene: &SceneHandle, cfg: &GpuConfig) -> FrameReport {
     let key = frame_key(scene.fingerprint(), RESILIENT_TAG, Some(deadline_cycles), cfg);
-    memoized(key, || OoVr::resilient_with_deadline(deadline_cycles).render_frame(scene, cfg))
-}
-
-fn memoized(key: [u8; 32], f: impl FnOnce() -> FrameReport) -> FrameReport {
-    if let Some(r) = lock(&store().frames).get(&key) {
-        store().frame_hits.fetch_add(1, Ordering::Relaxed);
-        return r.clone();
-    }
-    let r = f();
-    store().frame_misses.fetch_add(1, Ordering::Relaxed);
-    lock(&store().frames).entry(key).or_insert_with(|| r.clone());
-    r
+    FRAMES.get_or_build(key, || {
+        OoVr::resilient_with_deadline(deadline_cycles).render_frame(scene, cfg)
+    })
 }
 
 /// Serializes the lib tests that render through the memo: the cache tests

@@ -40,6 +40,7 @@
 
 use std::collections::VecDeque;
 
+use oovr_frameworks::scheduling::{Lanes, Lot, LotDone};
 use oovr_gpu::{Executor, RenderUnit};
 use oovr_mem::GpmId;
 use oovr_trace::TraceEvent;
@@ -214,28 +215,26 @@ impl Default for DistributionStats {
     }
 }
 
-/// One queued batch: the units awaiting execution plus the index of its
-/// completion-tracking record (`None` for steal splits, which are not
-/// predictor assignments).
-#[derive(Debug)]
-struct QueuedBatch {
-    units: VecDeque<RenderUnit>,
-    track: Option<usize>,
-}
-
-/// Completion tracking for one predicted batch: compares the batch's actual
-/// wall cycles on its GPM against the prediction. Pure observation (the
-/// prediction-error summary and trace events); only the resilience
-/// countermeasures *act* on it.
+/// The prediction behind one predicted batch, indexed by the batch lot's
+/// tracking id: compared against the batch's actual wall cycles on its GPM
+/// when the lot finishes. Pure observation (the prediction-error summary
+/// and trace events); only the resilience countermeasures *act* on it.
 #[derive(Debug)]
 struct BatchTrack {
     /// Frame-wide batch index (calibration batches counted).
     batch: u32,
     predicted: f64,
     triangles: u64,
-    /// `(now, #tv, #pixel)` on the assigned GPM when its first unit starts.
-    start: Option<(u64, u64, u64)>,
-    remaining_units: usize,
+}
+
+/// The Eq. 3 sample of a finished batch lot of `triangles` triangles.
+fn sample_of(triangles: u64, done: &LotDone) -> BatchSample {
+    BatchSample {
+        triangles,
+        tv: done.end.transformed_vertices - done.start.transformed_vertices,
+        pixels: done.end.shaded_pixels - done.start.shaded_pixels,
+        cycles: done.end.now - done.start.now,
+    }
 }
 
 /// The GPM's predicted remaining work, scaled by its resilience rate
@@ -260,21 +259,18 @@ fn resilient_drain(
     counters: &EngineCounters,
     coeff: &Coefficients,
     rate: &[f64],
-    queues: &[VecDeque<QueuedBatch>],
+    queues: &[VecDeque<Lot>],
     g: usize,
 ) -> f64 {
     let s = ex.gpm(GpmId(g as u8));
     let nominal = counters.remaining(g, coeff, s.transformed_vertices, s.shaded_pixels);
-    let queued: u64 = queues[g]
-        .iter()
-        .flat_map(|b| b.units.iter())
-        .map(|u| {
-            u.tri_range
-                .map(|(a, b)| b - a)
-                .unwrap_or_else(|| ex.scene().object(u.object).triangle_count())
-        })
-        .sum();
+    let queued: u64 = queues[g].iter().map(|l| lot_triangles(ex, l)).sum();
     rate[g] * nominal.max(coeff.c0 * queued as f64)
+}
+
+/// Triangles per eye of the units still queued in `lot`.
+fn lot_triangles(ex: &Executor<'_>, lot: &Lot) -> u64 {
+    lot.units.iter().map(|u| u.triangles_per_eye(ex.scene().object(u.object))).sum()
 }
 
 /// Whether any GPM's frame-elapsed cycles exceed the deadline budget.
@@ -302,61 +298,19 @@ pub fn run_distribution(
     };
 
     // --- Phase 1: calibration, round-robin, First-Touch mapping. ---
-    // Units are pumped in global time order across GPMs (so the shared
-    // links see interleaved demand); batches stay contiguous per GPM, so
-    // batch boundaries are exact despite the interleaving.
+    // Each batch is one tracked lot (its id is its batch index), so every
+    // finished lot is an Eq. 3 sample.
     let n_cal = cfg.calibration.min(batches.len());
-    let mut cal_queues: Vec<VecDeque<(usize, RenderUnit)>> =
-        (0..n).map(|_| VecDeque::new()).collect();
-    let mut remaining_units = vec![0usize; n_cal];
+    let mut lanes = Lanes::new(n);
     for (i, b) in batches[..n_cal].iter().enumerate() {
-        for u in units_of(b) {
-            cal_queues[i % n].push_back((i, u));
-        }
-        remaining_units[i] = b.objects.len();
+        lanes.push(i % n, units_of(b), true);
     }
-    let mut started: Vec<Option<(u64, u64, u64)>> = vec![None; n_cal];
     let mut samples = Vec::with_capacity(n_cal);
     let mut sample_gpms = Vec::with_capacity(n_cal);
-    let mut cal_running: Vec<Option<(usize, oovr_gpu::RunningUnit)>> =
-        (0..n).map(|_| None).collect();
-    loop {
-        let mut best: Option<(usize, u64)> = None;
-        for g in 0..n {
-            if cal_running[g].is_none() && cal_queues[g].is_empty() {
-                continue;
-            }
-            let now = ex.gpm(GpmId(g as u8)).now;
-            if best.is_none_or(|(_, t)| now < t) {
-                best = Some((g, now));
-            }
-        }
-        let Some((g, _)) = best else { break };
-        let gid = GpmId(g as u8);
-        if cal_running[g].is_none() {
-            let (bi, unit) = cal_queues[g].pop_front().expect("queue non-empty");
-            let s = ex.gpm(gid);
-            if started[bi].is_none() {
-                started[bi] = Some((s.now, s.transformed_vertices, s.shaded_pixels));
-            }
-            cal_running[g] = Some((bi, ex.start_unit(&unit)));
-        }
-        let (bi, ru) = cal_running[g].as_mut().expect("running unit just ensured");
-        let bi = *bi;
-        if ex.step_unit(gid, ru) {
-            cal_running[g] = None;
-            remaining_units[bi] -= 1;
-            if remaining_units[bi] == 0 {
-                let s1 = ex.gpm(gid);
-                let (t0, tv0, px0) = started[bi].expect("batch started before finishing");
-                samples.push(BatchSample {
-                    triangles: batches[bi].triangles,
-                    tv: s1.transformed_vertices - tv0,
-                    pixels: s1.shaded_pixels - px0,
-                    cycles: s1.now - t0,
-                });
-                sample_gpms.push(g);
-            }
+    while let Some(done) = lanes.step(ex) {
+        if let Some(d) = done {
+            samples.push(sample_of(batches[d.track].triangles, &d));
+            sample_gpms.push(d.gpm);
         }
     }
 
@@ -422,11 +376,10 @@ pub fn run_distribution(
     let mut pred_err_sum = 0.0f64;
 
     // --- Phases 2–4: predictive assignment + execution pump. ---
+    // Fresh lanes, so a predicted batch's tracking id indexes `tracks`.
     let mut pending: VecDeque<(usize, &Batch)> =
         rest.iter().enumerate().map(|(i, b)| (n_cal + i, b)).collect();
-    let mut queues: Vec<VecDeque<QueuedBatch>> = (0..n).map(|_| VecDeque::new()).collect();
-    let mut running: Vec<Option<(Option<usize>, oovr_gpu::RunningUnit)>> =
-        (0..n).map(|_| None).collect();
+    let mut lanes = Lanes::new(n);
     let mut rr = 0usize;
 
     loop {
@@ -434,7 +387,7 @@ pub fn run_distribution(
         // queue space.
         while let Some(&(batch_id, batch)) = pending.front() {
             let candidates: Vec<usize> =
-                (0..n).filter(|&g| queues[g].len() < QUEUE_DEPTH).collect();
+                (0..n).filter(|&g| lanes.queues[g].len() < QUEUE_DEPTH).collect();
             if candidates.is_empty() {
                 break;
             }
@@ -444,8 +397,8 @@ pub fn run_distribution(
                     .min_by(|&&a, &&b| {
                         let (ra, rb) = if res.enabled {
                             (
-                                resilient_drain(ex, &counters, &coeff, &rate, &queues, a),
-                                resilient_drain(ex, &counters, &coeff, &rate, &queues, b),
+                                resilient_drain(ex, &counters, &coeff, &rate, &lanes.queues, a),
+                                resilient_drain(ex, &counters, &coeff, &rate, &lanes.queues, b),
                             )
                         } else {
                             (
@@ -523,11 +476,8 @@ pub fn run_distribution(
                 batch: batch_id as u32,
                 predicted,
                 triangles: batch.triangles,
-                start: None,
-                remaining_units: batch.objects.len(),
             });
-            let track = Some(tracks.len() - 1);
-            queues[g].push_back(QueuedBatch { units: units_of(batch), track });
+            lanes.push(g, units_of(batch), true);
         }
 
         // Migration: when a GPM's weighted drain estimate dwarfs the best
@@ -539,7 +489,7 @@ pub fn run_distribution(
             let mut moves = 0usize;
             while moves < n {
                 let drains: Vec<f64> = (0..n)
-                    .map(|g| resilient_drain(ex, &counters, &coeff, &rate, &queues, g))
+                    .map(|g| resilient_drain(ex, &counters, &coeff, &rate, &lanes.queues, g))
                     .collect();
                 let worst = (0..n)
                     .max_by(|&a, &b| drains[a].total_cmp(&drains[b]))
@@ -548,26 +498,15 @@ pub fn run_distribution(
                     .min_by(|&a, &b| drains[a].total_cmp(&drains[b]))
                     .expect("at least one GPM");
                 if worst == best
-                    || queues[worst].len() < 2
+                    || lanes.queues[worst].len() < 2
                     || drains[worst] <= MIGRATE_RATIO * drains[best] + 1.0
                 {
                     break;
                 }
-                let rear = queues[worst].back().expect("worst queue has a rear batch");
+                let rear = lanes.queues[worst].back().expect("worst queue has a rear lot");
                 let batch_pred = match rear.track {
                     Some(ti) => tracks[ti].predicted,
-                    None => {
-                        let tris: u64 = rear
-                            .units
-                            .iter()
-                            .map(|u| {
-                                u.tri_range
-                                    .map(|(a, b)| b - a)
-                                    .unwrap_or_else(|| ex.scene().object(u.object).triangle_count())
-                            })
-                            .sum();
-                        coeff.c0 * tris as f64
-                    }
+                    None => coeff.c0 * lot_triangles(ex, rear) as f64,
                 };
                 // Only migrate if the receiver stays strictly below the
                 // donor's current drain — otherwise the batch would just
@@ -575,18 +514,18 @@ pub fn run_distribution(
                 if drains[best] + rate[best] * batch_pred + 1.0 >= drains[worst] {
                     break;
                 }
-                let batch = queues[worst].pop_back().expect("worst queue has a rear batch");
-                if let Some(ti) = batch.track {
+                let lot = lanes.queues[worst].pop_back().expect("worst queue has a rear lot");
+                if let Some(ti) = lot.track {
                     let p = tracks[ti].predicted;
                     counters.assign(worst, -p);
                     counters.assign(best, p);
                 }
                 if cfg.prealloc {
-                    for u in &batch.units {
+                    for u in &lot.units {
                         stats.prealloc_bytes += ex.prealloc_object(u.object, GpmId(best as u8));
                     }
                 }
-                queues[best].push_back(batch);
+                lanes.queues[best].push_back(lot);
                 stats.migrations += 1;
                 moves += 1;
                 let cycle = ex.gpm(GpmId(best as u8)).now;
@@ -608,12 +547,12 @@ pub fn run_distribution(
         // while its last unit is still running (straggler escalation).
         if cfg.stealing && pending.is_empty() {
             let empty_q: Vec<bool> =
-                (0..n).map(|g| queues[g].iter().all(|b| b.units.is_empty())).collect();
-            let idle: Vec<bool> = (0..n).map(|g| running[g].is_none() && empty_q[g]).collect();
+                (0..n).map(|g| lanes.queues[g].iter().all(|l| l.units.is_empty())).collect();
+            let idle: Vec<bool> = (0..n).map(|g| !lanes.is_running(g) && empty_q[g]).collect();
             let mut early = vec![false; n];
             if res.enabled {
                 let rems: Vec<f64> = (0..n)
-                    .map(|g| resilient_drain(ex, &counters, &coeff, &rate, &queues, g))
+                    .map(|g| resilient_drain(ex, &counters, &coeff, &rate, &lanes.queues, g))
                     .collect();
                 let max_rem = rems.iter().copied().fold(0.0f64, f64::max);
                 if max_rem > 0.0 {
@@ -625,102 +564,51 @@ pub fn run_distribution(
                 }
             }
             let mask: Vec<bool> = (0..n).map(|g| idle[g] || early[g]).collect();
-            steal_for_idle(ex, &mut queues, &mask, &early, cfg, &mut stats);
+            steal_for_idle(ex, &mut lanes.queues, &mask, &early, cfg, &mut stats);
         }
 
-        // Execute one quantum on the GPM with the earliest clock among
-        // those with work (running or queued).
-        let mut best: Option<(usize, u64)> = None;
-        for g in 0..n {
-            let has_work = running[g].is_some() || queues[g].iter().any(|b| !b.units.is_empty());
-            if !has_work {
-                continue;
-            }
-            let now = ex.gpm(GpmId(g as u8)).now;
-            if best.is_none_or(|(_, t)| now < t) {
-                best = Some((g, now));
-            }
-        }
-        let Some((g, _)) = best else {
+        // Execute one quantum; a finished batch lot is compared against its
+        // prediction.
+        let Some(done) = lanes.step(ex) else {
             if pending.is_empty() {
                 break;
             }
             continue;
         };
-        let gid = GpmId(g as u8);
-        if running[g].is_none() {
-            // Pop the next unit of the front batch (drop exhausted batches).
-            while queues[g].front().is_some_and(|b| b.units.is_empty()) {
-                queues[g].pop_front();
-            }
-            if let Some(front) = queues[g].front_mut() {
-                let tag = front.track;
-                let unit = front.units.pop_front().expect("front batch has units");
-                if let Some(ti) = tag {
-                    if tracks[ti].start.is_none() {
-                        let s = ex.gpm(gid);
-                        tracks[ti].start = Some((s.now, s.transformed_vertices, s.shaded_pixels));
-                    }
-                }
-                running[g] = Some((tag, ex.start_unit(&unit)));
-            }
+        let Some(d) = done else { continue };
+        let track = &tracks[d.track];
+        let sample = sample_of(track.triangles, &d);
+        let actual = sample.cycles as f64;
+        let predicted = track.predicted.max(1.0);
+        let rel = (actual - predicted).abs() / predicted;
+        stats.prediction_samples += 1;
+        pred_err_sum += rel;
+        stats.prediction_error_max = stats.prediction_error_max.max(rel);
+        if let Some(tr) = ex.tracer_mut() {
+            tr.record(TraceEvent::BatchDone {
+                cycle: d.end.now,
+                gpm: d.gpm as u32,
+                batch: track.batch,
+                predicted: track.predicted,
+                actual,
+            });
         }
-        if let Some((tag, ru)) = running[g].as_mut() {
-            let tag = *tag;
-            if ex.step_unit(gid, ru) {
-                running[g] = None;
-                while queues[g].front().is_some_and(|b| b.units.is_empty()) {
-                    queues[g].pop_front();
-                }
-                if let Some(ti) = tag {
-                    tracks[ti].remaining_units -= 1;
-                    if tracks[ti].remaining_units == 0 {
-                        let track = &tracks[ti];
-                        let s1 = *ex.gpm(gid);
-                        let (t0, tv0, px0) =
-                            track.start.expect("tracked batch started before finishing");
-                        let sample = BatchSample {
-                            triangles: track.triangles,
-                            tv: s1.transformed_vertices - tv0,
-                            pixels: s1.shaded_pixels - px0,
-                            cycles: s1.now - t0,
-                        };
-                        let actual = sample.cycles as f64;
-                        let predicted = track.predicted.max(1.0);
-                        let rel = (actual - predicted).abs() / predicted;
-                        stats.prediction_samples += 1;
-                        pred_err_sum += rel;
-                        stats.prediction_error_max = stats.prediction_error_max.max(rel);
-                        let (done_batch, done_pred) = (track.batch, track.predicted);
-                        if let Some(tr) = ex.tracer_mut() {
-                            tr.record(TraceEvent::BatchDone {
-                                cycle: s1.now,
-                                gpm: g as u32,
-                                batch: done_batch,
-                                predicted: done_pred,
-                                actual,
-                            });
-                        }
-                        if res.enabled {
-                            on_batch_done(
-                                ex,
-                                g,
-                                sample,
-                                predicted,
-                                &res,
-                                &counters,
-                                &frame_start,
-                                &pending,
-                                &mut coeff,
-                                &mut rate,
-                                &mut recent,
-                                &mut drift_count,
-                                &mut stats,
-                            );
-                        }
-                    }
-                }
-            }
+        if res.enabled {
+            on_batch_done(
+                ex,
+                d.gpm,
+                sample,
+                predicted,
+                &res,
+                &counters,
+                &frame_start,
+                &pending,
+                &mut coeff,
+                &mut rate,
+                &mut recent,
+                &mut drift_count,
+                &mut stats,
+            );
         }
     }
 
@@ -798,10 +686,9 @@ fn on_batch_done(
     let backlog: f64 =
         pending.iter().map(|(_, b)| coeff.predict_total(b.triangles)).sum::<f64>() / n as f64;
     let mut worst = 0.0f64;
-    for g2 in 0..n {
-        let s = ex.gpm(GpmId(g2 as u8));
-        let rem = counters.remaining(g2, coeff, s.transformed_vertices, s.shaded_pixels) * rate[g2];
-        worst = worst.max(s.now.saturating_sub(frame_start[g2]) as f64 + rem);
+    for (g2, &start) in frame_start.iter().enumerate() {
+        let elapsed = ex.gpm(GpmId(g2 as u8)).now.saturating_sub(start);
+        worst = worst.max(elapsed as f64 + weighted_remaining(ex, counters, coeff, rate, g2));
     }
     if worst + backlog > res.deadline_cycles as f64 {
         let cur = ex.shade_scale();
@@ -825,7 +712,7 @@ fn on_batch_done(
 /// separately); it is all-`false` on the fault-free path.
 fn steal_for_idle(
     ex: &mut Executor<'_>,
-    queues: &mut [VecDeque<QueuedBatch>],
+    queues: &mut [VecDeque<Lot>],
     idle_mask: &[bool],
     early_mask: &[bool],
     cfg: &DistributionConfig,
@@ -847,12 +734,9 @@ fn steal_for_idle(
         // Find the largest splittable unit across all queues.
         let mut donor: Option<(usize, usize, usize, u64)> = None; // (gpm, batch, unit, tris)
         for (g, q) in queues.iter().enumerate() {
-            for (bi, b) in q.iter().enumerate() {
-                for (ui, u) in b.units.iter().enumerate() {
-                    let tris = u
-                        .tri_range
-                        .map(|(s, e)| e - s)
-                        .unwrap_or_else(|| ex.scene().object(u.object).triangle_count());
+            for (bi, l) in q.iter().enumerate() {
+                for (ui, u) in l.units.iter().enumerate() {
+                    let tris = u.triangles_per_eye(ex.scene().object(u.object));
                     if tris >= threshold && donor.is_none_or(|(_, _, _, best)| tris > best) {
                         donor = Some((g, bi, ui, tris));
                     }
@@ -887,7 +771,7 @@ fn steal_for_idle(
         let keep = unit.clone().with_tri_range(s, mid);
         let give = unit.with_tri_range(mid, e).without_command();
         queues[g][bi].units.insert(ui, keep);
-        queues[thief].push_back(QueuedBatch { units: VecDeque::from([give]), track: None });
+        queues[thief].push_back(Lot { units: VecDeque::from([give]), track: None });
         given_work[thief] = true;
         stats.steals += 1;
         if early_mask[thief] {

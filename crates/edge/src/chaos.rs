@@ -24,7 +24,7 @@
 
 use oovr::experiments::{par_map, FigureTable};
 use oovr_gpu::{FaultPlan, FaultScenario, GpuConfig};
-use oovr_metrics::slo::{evaluate, Objective, Slo, SloEval};
+use oovr_metrics::slo::{achieved, evaluate, healthy, worst_budget, Objective, Slo, SloEval};
 use oovr_metrics::Registry;
 use oovr_scene::BenchmarkSpec;
 use oovr_serve::ServeScheme;
@@ -393,26 +393,6 @@ pub struct EdgeHealthCell {
     pub faulted: Vec<SloEval>,
 }
 
-impl EdgeHealthCell {
-    /// Whether every row of both runs holds its budget.
-    pub fn healthy(&self) -> bool {
-        self.nominal.iter().chain(self.faulted.iter()).all(|e| e.healthy)
-    }
-
-    /// Largest budget consumption across both runs.
-    pub fn worst_budget(&self) -> f64 {
-        self.nominal
-            .iter()
-            .chain(self.faulted.iter())
-            .map(|e| e.budget_consumed)
-            .fold(0.0, f64::max)
-    }
-
-    fn achieved(rows: &[SloEval], slo: &str) -> f64 {
-        rows.iter().find(|e| e.slo == slo).map_or(0.0, |e| e.achieved)
-    }
-}
-
 /// The `figures -- health` edge gate: per workload, evaluate
 /// [`edge_slos`] on a metered nominal run and a metered run under the
 /// seed-scanned severity-1.0 link-down plan.
@@ -455,11 +435,11 @@ pub fn edge_health_table(
             (
                 c.workload.clone(),
                 vec![
-                    EdgeHealthCell::achieved(&c.nominal, "edge-missed-vsync-rate") * 100.0,
-                    EdgeHealthCell::achieved(&c.faulted, "edge-missed-vsync-rate") * 100.0,
-                    EdgeHealthCell::achieved(&c.faulted, "reprojection-rate") * 100.0,
-                    c.worst_budget(),
-                    f64::from(u8::from(c.healthy())),
+                    achieved(&c.nominal, "edge-missed-vsync-rate") * 100.0,
+                    achieved(&c.faulted, "edge-missed-vsync-rate") * 100.0,
+                    achieved(&c.faulted, "reprojection-rate") * 100.0,
+                    worst_budget(&c.nominal).max(worst_budget(&c.faulted)),
+                    f64::from(u8::from(healthy(&c.nominal) && healthy(&c.faulted))),
                 ],
             )
         })

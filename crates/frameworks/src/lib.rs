@@ -35,7 +35,7 @@ pub use afr::Afr;
 pub use atw::AtwStats;
 pub use baseline::Baseline;
 pub use object_sfr::ObjectSfr;
-pub use scheduling::run_interleaved;
+pub use scheduling::{run_interleaved, Lanes, Lot, LotDone};
 pub use sequence::{render_sequence, SequenceReport};
 pub use sort_middle::SortMiddle;
 pub use tile_sfr::{Orientation, TileSfr};

@@ -177,6 +177,26 @@ pub fn evaluate(reg: &Registry, slos: &[Slo]) -> Vec<SloEval> {
     out
 }
 
+/// The aggregate (`*`) rows of an evaluation.
+fn aggregate(rows: &[SloEval]) -> impl Iterator<Item = &SloEval> {
+    rows.iter().filter(|e| e.label == "*")
+}
+
+/// Whether every aggregate (`*`) row of `rows` holds its budget.
+pub fn healthy(rows: &[SloEval]) -> bool {
+    aggregate(rows).all(|e| e.healthy)
+}
+
+/// Largest aggregate budget consumption in `rows` (0 when there is none).
+pub fn worst_budget(rows: &[SloEval]) -> f64 {
+    aggregate(rows).map(|e| e.budget_consumed).fold(0.0, f64::max)
+}
+
+/// Aggregate achieved value of `slo` in `rows` (0 if absent).
+pub fn achieved(rows: &[SloEval], slo: &str) -> f64 {
+    aggregate(rows).find(|e| e.slo == slo).map_or(0.0, |e| e.achieved)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -35,7 +35,7 @@
 
 use oovr::experiments::{par_map, FigureTable};
 use oovr_gpu::{FaultPlan, FaultScenario, GpuConfig};
-use oovr_metrics::slo::{evaluate, Objective, Slo, SloEval};
+use oovr_metrics::slo::{achieved, evaluate, healthy, worst_budget, Objective, Slo, SloEval};
 use oovr_metrics::Registry;
 use oovr_scene::BenchmarkSpec;
 use oovr_trace::{Cycle, TraceEvent};
@@ -252,27 +252,6 @@ pub struct HealthCell {
     pub faulted: Vec<SloEval>,
 }
 
-impl HealthCell {
-    /// Whether every aggregate (`*`) row of both runs holds its budget.
-    pub fn healthy(&self) -> bool {
-        self.aggregate_rows().all(|e| e.healthy)
-    }
-
-    /// Largest aggregate budget consumption across both runs.
-    pub fn worst_budget(&self) -> f64 {
-        self.aggregate_rows().map(|e| e.budget_consumed).fold(0.0, f64::max)
-    }
-
-    fn aggregate_rows(&self) -> impl Iterator<Item = &SloEval> {
-        self.nominal.iter().chain(self.faulted.iter()).filter(|e| e.label == "*")
-    }
-
-    /// Aggregate achieved value of `slo` in the given rows (0 if absent).
-    fn achieved(rows: &[SloEval], slo: &str) -> f64 {
-        rows.iter().find(|e| e.label == "*" && e.slo == slo).map_or(0.0, |e| e.achieved)
-    }
-}
-
 /// Evaluates fleet health for one workload under `router` at the chaos
 /// sweep's operating point: offered load is [`CHAOS_LOAD`] of the
 /// fault-free N=4 least-loaded capacity, faulted by the same seed-scanned
@@ -323,8 +302,8 @@ pub fn health_table(
     let rows = cells
         .iter()
         .map(|c| {
-            let nominal_miss = HealthCell::achieved(&c.nominal, "missed-vsync-rate");
-            let faulted_miss = HealthCell::achieved(&c.faulted, "missed-vsync-rate");
+            let nominal_miss = achieved(&c.nominal, "missed-vsync-rate");
+            let faulted_miss = achieved(&c.faulted, "missed-vsync-rate");
             (
                 c.workload.clone(),
                 vec![
@@ -332,8 +311,8 @@ pub fn health_table(
                     c.sessions as f64,
                     nominal_miss * 100.0,
                     faulted_miss * 100.0,
-                    c.worst_budget(),
-                    f64::from(u8::from(c.healthy())),
+                    worst_budget(&c.nominal).max(worst_budget(&c.faulted)),
+                    f64::from(u8::from(healthy(&c.nominal) && healthy(&c.faulted))),
                 ],
             )
         })

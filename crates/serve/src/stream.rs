@@ -17,11 +17,9 @@
 //! as `oovr::cache` — with hit/miss counters surfaced through
 //! [`serve_cache_stats`] for the `figures -- perf` substrate report.
 
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::Arc;
 
-use oovr::cache::{self, config_digest, spec_digest};
+use oovr::cache::{self, config_digest, spec_digest, Memo};
 use oovr::experiments::SchemeKind;
 use oovr::schemes::OoVr;
 use oovr_gpu::{FrameReport, GpuConfig};
@@ -195,32 +193,11 @@ pub struct ServeCacheStats {
     pub stream_misses: u64,
 }
 
-struct Store {
-    streams: Mutex<HashMap<[u8; 32], Arc<SessionCostStream>>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-}
-
-fn store() -> &'static Store {
-    static STORE: OnceLock<Store> = OnceLock::new();
-    STORE.get_or_init(|| Store {
-        streams: Mutex::new(HashMap::new()),
-        hits: AtomicU64::new(0),
-        misses: AtomicU64::new(0),
-    })
-}
-
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
+static STREAMS: Memo<Arc<SessionCostStream>> = Memo::new();
 
 /// Current stream-cache counters.
 pub fn serve_cache_stats() -> ServeCacheStats {
-    let s = store();
-    ServeCacheStats {
-        stream_hits: s.hits.load(Ordering::Relaxed),
-        stream_misses: s.misses.load(Ordering::Relaxed),
-    }
+    ServeCacheStats { stream_hits: STREAMS.hits(), stream_misses: STREAMS.misses() }
 }
 
 fn stream_key(scheme: ServeScheme, spec: &BenchmarkSpec, cfg: &GpuConfig) -> [u8; 32] {
@@ -241,14 +218,7 @@ pub fn cost_stream(
     spec: &BenchmarkSpec,
     cfg: &GpuConfig,
 ) -> Arc<SessionCostStream> {
-    let key = stream_key(scheme, spec, cfg);
-    if let Some(s) = lock(&store().streams).get(&key) {
-        store().hits.fetch_add(1, Ordering::Relaxed);
-        return Arc::clone(s);
-    }
-    let measured = Arc::new(measure(scheme, spec, cfg));
-    store().misses.fetch_add(1, Ordering::Relaxed);
-    Arc::clone(lock(&store().streams).entry(key).or_insert(measured))
+    STREAMS.get_or_build(stream_key(scheme, spec, cfg), || Arc::new(measure(scheme, spec, cfg)))
 }
 
 fn measure(scheme: ServeScheme, spec: &BenchmarkSpec, cfg: &GpuConfig) -> SessionCostStream {

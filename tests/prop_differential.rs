@@ -15,6 +15,8 @@
 //! per-link traffic. The fragment kernel's batched primitives — repeat
 //! accesses, batched texel-line reads, run-length writes and the quad depth
 //! test — are held to the one-at-a-time operations they replace.
+//! `run_interleaved`, now a wrapper over the shared `Lanes` quantum pump,
+//! is held to the plain earliest-clock loop it replaced.
 
 use std::collections::HashMap;
 
@@ -797,5 +799,84 @@ proptest! {
             let (again, _) = s.advance_with_hint(cursor, hinted, 0.0);
             prop_assert_eq!(again.to_bits(), s.advance(hinted, 0.0).to_bits());
         }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Quantum pump: `run_interleaved` over `Lanes` against the plain loop.
+// ---------------------------------------------------------------------------
+
+/// Reference driver: one quantum at a time on the earliest-clock GPM with
+/// work (ties to the lowest index), straight from per-GPM unit queues.
+fn reference_interleaved(
+    ex: &mut oovr_gpu::Executor<'_>,
+    mut queues: Vec<std::collections::VecDeque<oovr_gpu::RenderUnit>>,
+) {
+    let n = ex.n_gpms();
+    let mut running: Vec<Option<oovr_gpu::RunningUnit>> = (0..n).map(|_| None).collect();
+    loop {
+        let mut best: Option<(usize, u64)> = None;
+        for g in 0..n {
+            if running[g].is_none() && queues[g].is_empty() {
+                continue;
+            }
+            let now = ex.gpm(GpmId(g as u8)).now;
+            if best.is_none_or(|(_, t)| now < t) {
+                best = Some((g, now));
+            }
+        }
+        let Some((g, _)) = best else { break };
+        if running[g].is_none() {
+            let unit = queues[g].pop_front().expect("queue checked non-empty");
+            running[g] = Some(ex.start_unit(&unit));
+        }
+        let ru = running[g].as_mut().expect("running unit just ensured");
+        if ex.step_unit(GpmId(g as u8), ru) {
+            running[g] = None;
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// `run_interleaved` renders the same frame as the reference loop for
+    /// random scenes and random assignments of (possibly split) objects to
+    /// GPM queues.
+    #[test]
+    fn run_interleaved_matches_reference_loop(
+        wl in 0usize..9,
+        gpm_sel in 0usize..2,
+        picks in prop::collection::vec((0usize..8, 0usize..8, 0u8..2), 1..64),
+    ) {
+        use oovr_gpu::{ColorMode, Composition, Executor, FbOrg, GpuConfig, RenderUnit};
+        let scene = oovr_scene::benchmarks::all()[wl].scaled(0.04).build();
+        let cfg = GpuConfig::default().with_n_gpms([4, 8][gpm_sel]);
+        let n = cfg.n_gpms;
+        let mut queues = vec![std::collections::VecDeque::new(); n];
+        for (obj, &(g, h, split)) in scene.objects().iter().zip(picks.iter().cycle()) {
+            let unit = RenderUnit::smp(obj.id());
+            let tris = obj.triangle_count();
+            if split == 1 && tris >= 2 {
+                queues[g % n].push_back(unit.clone().with_tri_range(0, tris / 2));
+                queues[h % n].push_back(unit.with_tri_range(tris / 2, tris).without_command());
+            } else {
+                queues[g % n].push_back(unit);
+            }
+        }
+        let render = |drive: &dyn Fn(&mut Executor<'_>)| {
+            let mut ex = Executor::new(
+                cfg.clone(),
+                &scene,
+                Placement::FirstTouch,
+                FbOrg::InterleavedPages,
+                ColorMode::Direct,
+            );
+            drive(&mut ex);
+            format!("{:?}", ex.finish("pump", Composition::None))
+        };
+        let got = render(&|ex| oovr_frameworks::run_interleaved(ex, queues.clone()));
+        let want = render(&|ex| reference_interleaved(ex, queues.clone()));
+        prop_assert_eq!(got, want);
     }
 }

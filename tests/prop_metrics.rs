@@ -21,6 +21,7 @@ use proptest::test_runner::TestCaseError;
 
 use oovr_gpu::{FaultPlan, FaultScenario, GpuConfig, VSYNC_90HZ_CYCLES};
 use oovr_metrics::export::prometheus;
+use oovr_metrics::slo::healthy;
 use oovr_metrics::{Hist, Registry};
 use oovr_scene::{benchmarks, BenchmarkSpec};
 use oovr_serve::{
@@ -173,7 +174,7 @@ fn health_gate_passes_resilient_and_fails_baseline_under_link_down() {
     let cfg = ClusterConfig::default();
     let resilient = health_cell(&spec(), &gpu, Router::Resilient, &cfg);
     assert!(
-        resilient.healthy(),
+        healthy(&resilient.nominal) && healthy(&resilient.faulted),
         "resilient router must hold every aggregate budget: {:?}",
         resilient
             .faulted
@@ -193,5 +194,5 @@ fn health_gate_passes_resilient_and_fails_baseline_under_link_down() {
         "baseline router must exhaust the faulted miss budget (achieved {:.4} <= target {:.4})",
         faulted_miss.achieved, faulted_miss.target
     );
-    assert!(!baseline.healthy());
+    assert!(!(healthy(&baseline.nominal) && healthy(&baseline.faulted)));
 }
